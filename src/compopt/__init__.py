@@ -14,9 +14,8 @@ from .estimators import (EpochSnapshot, MiniBatchDraw, SampleMeter,
                          draw_minibatch, estimate_gradient, estimate_inner,
                          minibatch_rng, take_snapshot,
                          unbiased_reference_gradient)
-from .harness import (ALGORITHMS, ExperimentSpec, cached_phi_star,
-                      compute_phi_star, run_benchmark, run_one,
-                      scvrg_config_for_budget)
+from .harness import (ALGORITHMS, ExperimentSpec, compute_phi_star,
+                      run_benchmark, run_one, scvrg_config_for_budget)
 from .problem import (CompositionProblem, ProblemDims, SmoothnessConstants,
                       estimate_smoothness, full_gradient, inner_mean,
                       lipschitz_bounds, objective, outer_mean_grad,
@@ -27,8 +26,7 @@ from .problems import (BellmanProblem, BellmanSpec, MeanVarianceProblem,
                        random_bellman_spec, synthetic_returns,
                        write_returns_csv)
 from .prox import Regularizer, prox_step, reg_value
-from .solver import (EpochInfo, RunConfig, ScvrgResult, StepSchedule,
-                     TheoremParams, derive_theorem_params,
+from .solver import (EpochInfo, RunConfig, ScvrgResult, derive_theorem_params,
                      predicted_total_samples, run_epoch, run_scvrg, step_size)
 from .trace import TRACE_HEADER, TraceRecord, with_gap
 from .verify import (CheckReport, all_passed, check_epoch_contraction,
@@ -36,26 +34,3 @@ from .verify import (CheckReport, all_passed, check_epoch_contraction,
                      check_unbiasedness, epoch_potentials, run_all_checks)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS", "BaselineConfig", "BellmanProblem", "BellmanSpec",
-    "CheckReport", "CompoptError", "CompositionProblem", "ConfigError",
-    "DivergenceError", "EpochInfo", "EpochSnapshot", "ExperimentSpec",
-    "InfeasibleQueryError", "InputError", "MeanVarianceProblem",
-    "MiniBatchDraw", "ProblemDims", "Regularizer", "ReturnsDataset",
-    "RunConfig", "SampleMeter", "ScvrgResult", "SmoothnessConstants",
-    "StepSchedule", "TRACE_HEADER", "TheoremParams", "TraceRecord",
-    "all_passed", "build_bellman", "build_mean_variance", "build_toy",
-    "cached_phi_star", "check_epoch_contraction", "check_gradient_fd",
-    "check_lemma1", "check_lemma2", "check_unbiasedness", "compute_phi_star",
-    "derive_theorem_params", "draw_minibatch", "epoch_potentials",
-    "estimate_gradient", "estimate_inner", "estimate_smoothness",
-    "full_gradient", "inner_mean", "lipschitz_bounds", "load_returns_csv",
-    "mean_variance_direct", "minibatch_rng", "objective", "outer_mean_grad",
-    "predicted_total_samples", "prox_step", "random_bellman_spec",
-    "reg_value", "run_agd", "run_all_checks", "run_ascpg", "run_benchmark",
-    "run_epoch", "run_one", "run_scgd", "run_scvrg", "run_vrscpg",
-    "scvrg_config_for_budget", "smooth_value", "step_size",
-    "synthetic_returns", "take_snapshot", "unbiased_reference_gradient",
-    "with_gap", "write_returns_csv",
-]

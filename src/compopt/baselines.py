@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .estimators import SampleMeter, draw_minibatch, estimate_gradient, minibatch_rng, take_snapshot
+from .estimators import SampleMeter, minibatch_rng, take_snapshot
 from .problem import CompositionProblem, full_gradient, lipschitz_bounds, objective
 from .prox import prox_step
-from .trace import TraceRecord
+from .solver import RunConfig, run_epoch
+from .trace import Recorder
 
 
 @dataclass
@@ -42,33 +43,6 @@ class BaselineConfig:
             raise ConfigError("step parameters must be positive")
 
 
-class _Recorder:
-    """Collects trace rows and enforces the objective divergence guard."""
-
-    def __init__(self, problem, algorithm, seed, meter, phi_star=None):
-        self.problem = problem
-        self.algorithm = algorithm
-        self.seed = seed
-        self.meter = meter
-        self.phi_star = phi_star
-        self.N = getattr(problem, "N", max(problem.dims.m, problem.dims.n))
-        self.rows = []
-        self.phi_limit = None
-
-    def record(self, epoch, iteration, x):
-        obj = objective(self.problem, x)
-        if self.phi_limit is None:
-            self.phi_limit = 1e6 * (abs(obj) + 1.0)
-        elif obj > self.phi_limit:
-            raise DivergenceError(
-                f"{self.algorithm}: objective {obj:g} exceeded the divergence limit")
-        gap = None if self.phi_star is None else obj - self.phi_star
-        self.rows.append(TraceRecord(
-            algorithm=self.algorithm, seed=self.seed, epoch=epoch, iteration=iteration,
-            samples=self.meter.total, samples_per_N=self.meter.total / self.N,
-            objective=obj, gap=gap))
-
-
 def _check_finite(x, algorithm):
     if not np.all(np.isfinite(x)):
         raise DivergenceError(f"{algorithm}: non-finite iterate")
@@ -85,14 +59,14 @@ def run_agd(problem: CompositionProblem, config: BaselineConfig, x0,
     ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
     step = 1.0 / ell
     meter = SampleMeter()
-    rec = _Recorder(problem, "agd", config.seed, meter, phi_star)
     x = np.asarray(x0, dtype=float).copy()
+    rec = Recorder(problem, "agd", config.seed, meter, x, phi_star)
     rec.record(0, 0, x)
     y = x.copy()
     t_k = 1.0
     phi_prev = objective(problem, x)
     it = 0
-    while meter.total + m + n <= config.max_samples:
+    while meter.affords(m + n, config.max_samples):
         it += 1
         grad = full_gradient(problem, y)
         meter.add(m + n)
@@ -141,8 +115,8 @@ def run_ascpg(problem: CompositionProblem, config: BaselineConfig, x0,
 def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
     m, n = problem.dims.m, problem.dims.n
     meter = SampleMeter()
-    rec = _Recorder(problem, tag, config.seed, meter, phi_star)
     x = np.asarray(x0, dtype=float).copy()
+    rec = Recorder(problem, tag, config.seed, meter, x, phi_star)
     cost = 3 if accelerated else 2
     if accelerated:
         # seed the tracker with one inner sample at the start point
@@ -153,7 +127,7 @@ def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
         y = np.zeros(problem.dims.k)
     rec.record(0, 0, x)
     t = 0
-    while meter.total + cost <= config.max_samples:
+    while meter.affords(cost, config.max_samples):
         t += 1
         rng = minibatch_rng(config.seed, 0, t, stream=2)
         j = int(rng.integers(m))
@@ -183,32 +157,27 @@ def run_vrscpg(problem: CompositionProblem, config: BaselineConfig, x0,
                phi_star: float | None = None):
     """Constant-epoch variance-reduced proximal method.
 
-    Reuses the snapshot/estimator machinery with a fixed epoch length K and a
-    constant step; the reference point for each snapshot is the last iterate.
-    Charges m + n per snapshot and a + b per inner step.
+    Runs the solver's epoch engine with a fixed epoch length K and a constant
+    step; the reference point for each snapshot is the last iterate. Charges
+    m + n per snapshot and a + b per inner step.
     """
     m, n = problem.dims.m, problem.dims.n
     K = config.K if config.K is not None else int(np.ceil((m + n) ** (2.0 / 3.0)))
     if K < 1:
         raise ConfigError(f"epoch length must be >= 1, got {K}")
+    # S and k0 size only the adaptive schedule, which a constant step never reads
+    engine = RunConfig(S=1, k0=K, eta=config.eta, a=config.a, b=config.b,
+                       seed=config.seed, schedule="constant")
     meter = SampleMeter()
-    rec = _Recorder(problem, "vrscpg", config.seed, meter, phi_star)
     x = np.asarray(x0, dtype=float).copy()
+    rec = Recorder(problem, "vrscpg", config.seed, meter, x, phi_star)
     rec.record(0, 0, x)
     epoch = 0
-    while meter.total + (m + n) + (config.a + config.b) <= config.max_samples:
+    while meter.affords(m + n + config.a + config.b, config.max_samples):
         epoch += 1
         snapshot = take_snapshot(problem, x, meter=meter)
-        for t in range(K):
-            draw = draw_minibatch(m, n, config.a, config.b, config.seed, epoch, t)
-            A = np.arange(m) if config.a == m else draw.A
-            B = np.arange(n) if config.b == n else draw.B
-            v = estimate_gradient(problem, snapshot, x, A, B, meter=meter)
-            x = prox_step(problem.regularizer, x - config.eta * v, config.eta)
-            _check_finite(x, "vrscpg")
-            if config.trace_every is not None and (t + 1) % config.trace_every == 0:
-                rec.record(epoch, t + 1, x)
-            if meter.total + (config.a + config.b) > config.max_samples:
-                break
-        rec.record(epoch, K, x)
+        result = run_epoch(problem, snapshot, x, K, 0, engine, epoch_index=epoch,
+                           meter=meter, recorder=rec, trace_every=config.trace_every,
+                           max_samples=config.max_samples)
+        x = result.x_last
     return x, rec.rows

@@ -11,8 +11,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InputError
-from .harness import (ALGORITHMS, ExperimentSpec, cached_phi_star,
-                      run_benchmark)
+from .harness import ALGORITHMS, ExperimentSpec, compute_phi_star, run_benchmark
 from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, random_bellman_spec,
                        synthetic_returns, write_returns_csv)
@@ -116,9 +115,8 @@ def _bench(args, algos):
 
 def _phistar(args):
     problem = _build_problem(args)
-    N = getattr(problem, "N", max(problem.dims.m, problem.dims.n))
-    budget = max(int(args.budget * N), 100 * (problem.dims.m + problem.dims.n))
-    value = cached_phi_star(problem, budget)
+    budget = max(int(args.budget * problem.N), 100 * (problem.dims.m + problem.dims.n))
+    value = compute_phi_star(problem, budget)
     print(repr(value))
     return 0
 

@@ -51,6 +51,11 @@ class SampleMeter:
     def add(self, count: int):
         self.total += int(count)
 
+    def affords(self, cost: int, budget: int | None) -> bool:
+        """Whether charging `cost` more keeps the total within `budget`; every
+        algorithm starts a snapshot or a step only when it does."""
+        return budget is None or self.total + cost <= budget
+
 
 def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
     """Counter-based generator keyed by (seed, epoch, iteration, stream).

@@ -1,8 +1,6 @@
 """Experiment runner: builds problems, computes reference optima, runs
 algorithm suites and writes plot-ready trace CSVs."""
 
-import hashlib
-import json
 import logging
 import math
 import os
@@ -39,7 +37,6 @@ class ExperimentSpec:
     algo_params: dict = field(default_factory=dict)
     phi_star: float | None = None
     phi_star_budget: int | None = None
-    cache_dir: str | None = None
 
     def __post_init__(self):
         if self.budget <= 0:
@@ -51,19 +48,6 @@ class ExperimentSpec:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise InputError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
-
-
-def problem_fingerprint(problem: CompositionProblem) -> str:
-    """Content hash of the problem data and regularizer, for the optimum cache."""
-    h = hashlib.sha256()
-    h.update(type(problem).__name__.encode())
-    for name in ("returns", "M", "rewards", "centers", "A", "b", "c_bar"):
-        arr = getattr(problem, name, None)
-        if arr is not None:
-            h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(repr((problem.regularizer.lam, problem.regularizer.radius,
-                   problem.dims)).encode())
-    return h.hexdigest()
 
 
 def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
@@ -117,25 +101,6 @@ def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
     return best
 
 
-def cached_phi_star(problem: CompositionProblem, budget: int,
-                    cache_dir: str | None = None) -> float:
-    """compute_phi_star behind a sidecar JSON cache keyed by problem content."""
-    if cache_dir is None:
-        return compute_phi_star(problem, budget)
-    os.makedirs(cache_dir, exist_ok=True)
-    key = problem_fingerprint(problem)
-    path = os.path.join(cache_dir, f"phistar_{key[:24]}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            entry = json.load(fh)
-        if entry.get("budget", 0) >= budget:
-            return float(entry["phi_star"])
-    value = compute_phi_star(problem, budget)
-    with open(path, "w") as fh:
-        json.dump({"fingerprint": key, "budget": budget, "phi_star": value}, fh)
-    return value
-
-
 def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
                             seed: int, k0: int = 10, eta: float = 0.01,
                             a: int = 5, b: int = 5, schedule: str = "adaptive") -> RunConfig:
@@ -160,7 +125,7 @@ def run_one(problem: CompositionProblem, algorithm: str, seed: int,
             params: dict | None = None):
     """Run a single (algorithm, seed) pair; returns (x, trace rows)."""
     params = dict(params or {})
-    N = getattr(problem, "N", max(problem.dims.m, problem.dims.n))
+    N = problem.N
     a = int(params.pop("a", 5))
     b = int(params.pop("b", 5))
     trace_every = max(1, math.ceil(N / (a + b)))
@@ -195,13 +160,13 @@ def run_benchmark(spec: ExperimentSpec) -> str:
     objective); the remaining runs continue.
     """
     problem = spec.problem
-    N = getattr(problem, "N", max(problem.dims.m, problem.dims.n))
+    N = problem.N
     max_samples = int(round(spec.budget * N))
     phi_star = spec.phi_star
     if phi_star is None:
         budget = spec.phi_star_budget or max(10 * max_samples,
                                              200 * (problem.dims.m + problem.dims.n))
-        phi_star = cached_phi_star(problem, budget, cache_dir=spec.cache_dir)
+        phi_star = compute_phi_star(problem, budget)
     rows: list[TraceRecord] = []
     for algorithm in spec.algorithms:
         for seed in spec.seeds:

@@ -16,9 +16,9 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, InputError
 from .estimators import (EpochSnapshot, SampleMeter, draw_minibatch,
                          estimate_gradient, take_snapshot)
-from .problem import CompositionProblem, objective
+from .problem import CompositionProblem
 from .prox import prox_step
-from .trace import TraceRecord
+from .trace import Recorder
 
 SCHEDULES = ("adaptive", "constant")
 
@@ -59,40 +59,9 @@ class RunConfig:
         return self.k0 * 2**self.epochs - self.k0
 
 
-@dataclass
-class StepSchedule:
-    """Global inner-iteration counter l against the fixed horizon T."""
-
-    T: int
-    l: int = 0
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ConfigError(f"schedule horizon T must be >= 1, got {self.T}")
-
-
 def step_size(eta: float, T: int, l: int) -> float:
     """eta * sqrt(T) / sqrt(max(2T - l, 1)); nondecreasing in l."""
     return eta * math.sqrt(T) / math.sqrt(max(2 * T - l, 1))
-
-
-@dataclass(frozen=True)
-class TheoremParams:
-    """Initial distance/gap bounds and tolerance that size a worst-case run."""
-
-    D_x: float
-    D_Phi: float
-    ell: float
-    epsilon: float
-
-    def __post_init__(self):
-        for name in ("D_x", "D_Phi", "ell", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-
-    @property
-    def beta(self) -> float:
-        return self.epsilon / (90.0 * self.ell * self.D_x**2)
 
 
 def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float,
@@ -103,7 +72,9 @@ def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float,
     eta = D_x^2 / (10 D_Phi + 25 ell D_x^2),
     a = ceil(1620 ell^2 D_x^4 / eps^2), b = ceil(810 ell^2 D_x^4 / eps^2).
     """
-    params = TheoremParams(D_x=D_x, D_Phi=D_Phi, ell=ell, epsilon=epsilon)
+    for name, value in (("D_x", D_x), ("D_Phi", D_Phi), ("ell", ell), ("epsilon", epsilon)):
+        if value <= 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
     S = math.floor(math.log2((6 * D_Phi + 15 * ell * D_x**2) / epsilon)) + 1
     if S < 1:
         S = 1
@@ -114,7 +85,6 @@ def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float,
         raise ConfigError(
             f"tolerance {epsilon:g} requires batch sizes a={a}, b={b}; "
             "use a practical configuration (e.g. a=b=5) instead")
-    del params  # validated above
     return RunConfig(S=S, k0=10, eta=eta, a=a, b=b, seed=seed, schedule="adaptive")
 
 
@@ -137,8 +107,7 @@ class EpochInfo:
 class EpochResult:
     x_avg: np.ndarray
     x_last: np.ndarray
-    trace: list
-    stopped: bool = False  # budget exhausted mid-epoch
+    l: int  # step counter after the epoch
 
 
 @dataclass
@@ -150,23 +119,26 @@ class ScvrgResult:
     l_final: int
 
 
-def _current_step(config: RunConfig, schedule: StepSchedule) -> float:
+def _current_step(config: RunConfig, T: int, l: int) -> float:
     if config.schedule == "constant":
         return config.eta
-    return step_size(config.eta, schedule.T, schedule.l)
+    return step_size(config.eta, T, l)
 
 
 def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
-              schedule: StepSchedule, config: RunConfig, epoch_index: int,
-              meter: SampleMeter | None = None, phi_star: float | None = None,
-              trace_every: int | None = None, max_samples: int | None = None,
-              algorithm: str = "scvrg", phi_limit: float | None = None) -> EpochResult:
+              l: int, config: RunConfig, epoch_index: int,
+              meter: SampleMeter | None = None, recorder: Recorder | None = None,
+              trace_every: int | None = None,
+              max_samples: int | None = None) -> EpochResult:
     """k minibatch proximal steps from x0 against one snapshot.
 
     Returns the unweighted mean of the k pre-update iterates, the final
-    iterate, and trace rows. Advances schedule.l by one per step. When a == m
+    iterate and the step counter l advanced by one per step taken. When a == m
     (resp. b == n) the draw enumerates every index once, making the estimate
-    exact; otherwise indices are sampled uniformly with replacement.
+    exact; otherwise indices are sampled uniformly with replacement. The epoch
+    stops early, freezing the average, once max_samples cannot pay for another
+    step. The recorder, if given, gets a row every trace_every steps and one
+    at the end of the epoch.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
@@ -174,22 +146,10 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
     meter = meter if meter is not None else SampleMeter()
     x = np.asarray(x0, dtype=float).copy()
     x_sum = np.zeros_like(x)
-    trace = []
-    N = getattr(problem, "N", max(m, n))
-    stopped = False
+    T = config.T
 
     full_A = np.arange(m) if config.a == m else None
     full_B = np.arange(n) if config.b == n else None
-
-    def record(t):
-        obj = objective(problem, x)
-        if phi_limit is not None and obj > phi_limit:
-            raise DivergenceError(
-                f"objective {obj:g} exceeded the divergence limit at epoch {epoch_index}, step {t}")
-        gap = None if phi_star is None else obj - phi_star
-        trace.append(TraceRecord(algorithm=algorithm, seed=config.seed, epoch=epoch_index,
-                                 iteration=t, samples=meter.total,
-                                 samples_per_N=meter.total / N, objective=obj, gap=gap))
 
     for t in range(k):
         x_sum += x
@@ -200,19 +160,19 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
             A = full_A if full_A is not None else draw.A
             B = full_B if full_B is not None else draw.B
         v = estimate_gradient(problem, snapshot, x, A, B, meter=meter)
-        eta_t = _current_step(config, schedule)
-        schedule.l += 1
+        eta_t = _current_step(config, T, l)
+        l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite iterate at epoch {epoch_index}, step {t}")
-        if trace_every is not None and (t + 1) % trace_every == 0 and t + 1 < k:
-            record(t + 1)
-        if max_samples is not None and meter.total >= max_samples:
-            stopped = True
+        if recorder is not None and trace_every is not None and (t + 1) % trace_every == 0:
+            recorder.record(epoch_index, t + 1, x)
+        if not meter.affords(config.a + config.b, max_samples):
             x_sum += x * (k - t - 1)  # freeze the average at the stop point
             break
-    record(k)
-    return EpochResult(x_avg=x_sum / k, x_last=x, trace=trace, stopped=stopped)
+    if recorder is not None:
+        recorder.record(epoch_index, k, x)
+    return EpochResult(x_avg=x_sum / k, x_last=x, l=l)
 
 
 def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
@@ -223,39 +183,36 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
     Epoch body s (0-based) has length k0 * 2^(s+1); its snapshot is taken at
     the previous epoch's average (the initial point for s = 0) and its first
     iterate is the previous epoch's last iterate. Per-epoch sample charge is
-    m + n + k * (a + b).
+    m + n + k * (a + b); no snapshot or step starts that max_samples cannot
+    pay for.
     """
     x0 = np.asarray(x0, dtype=float)
     if not problem.regularizer.contains(x0):
         raise InputError("initial point is outside the feasible box")
+    m, n = problem.dims.m, problem.dims.n
     meter = SampleMeter()
-    schedule = StepSchedule(T=config.T)
-    phi0 = objective(problem, x0)
-    phi_limit = 1e6 * (abs(phi0) + 1.0)
+    recorder = Recorder(problem, algorithm, config.seed, meter, x0, phi_star)
+    l = 0
     x_ref = x0.copy()
     x_cur = x0.copy()
-    trace: list[TraceRecord] = []
     epochs: list[EpochInfo] = []
     for s in range(config.epochs):
+        if not meter.affords(m + n + config.a + config.b, max_samples):
+            break
         snapshot = take_snapshot(problem, x_ref, meter=meter)
         k = config.k0 * 2 ** (s + 1)
-        l_start = schedule.l
-        eta_start = _current_step(config, schedule)
-        result = run_epoch(problem, snapshot, x_cur, k, schedule, config,
-                           epoch_index=s + 1, meter=meter, phi_star=phi_star,
-                           trace_every=trace_every, max_samples=max_samples,
-                           algorithm=algorithm, phi_limit=phi_limit)
+        result = run_epoch(problem, snapshot, x_cur, k, l, config, epoch_index=s + 1,
+                           meter=meter, recorder=recorder, trace_every=trace_every,
+                           max_samples=max_samples)
         epochs.append(EpochInfo(epoch=s + 1, x_ref=x_ref, x_start=x_cur,
                                 x_avg=result.x_avg, x_last=result.x_last, k=k,
-                                l_start=l_start, eta_start=eta_start,
+                                l_start=l, eta_start=_current_step(config, config.T, l),
                                 samples_end=meter.total))
-        trace.extend(result.trace)
+        l = result.l
         x_ref = result.x_avg
         x_cur = result.x_last
-        if result.stopped:
-            break
-    return ScvrgResult(x=x_ref, trace=trace, epochs=epochs,
-                       samples=meter.total, l_final=schedule.l)
+    return ScvrgResult(x=x_ref, trace=recorder.rows, epochs=epochs,
+                       samples=meter.total, l_final=l)
 
 
 def predicted_total_samples(config: RunConfig, m: int, n: int) -> int:

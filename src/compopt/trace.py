@@ -1,7 +1,10 @@
-"""Shared per-iteration trace schema used by every algorithm."""
+"""Shared per-iteration trace schema and the recorder every algorithm uses."""
 
 import math
 from dataclasses import dataclass
+
+from .errors import DivergenceError
+from .problem import objective
 
 #: bit-exact CSV header for benchmark output
 TRACE_HEADER = "algorithm,seed,epoch,iter,samples,samples_per_N,objective,gap"
@@ -24,6 +27,40 @@ class TraceRecord:
         gap = "" if self.gap is None else repr(float(self.gap))
         return (f"{self.algorithm},{self.seed},{self.epoch},{self.iteration},"
                 f"{self.samples},{self.samples_per_N!r},{float(self.objective)!r},{gap}")
+
+
+class Recorder:
+    """Collects one run's trace rows at the samples its meter has charged, and
+    aborts the run once the objective exceeds 1e6 * (|Phi(x0)| + 1).
+
+    A row that repeats the previous row's (epoch, iteration, samples) is
+    dropped: no sample was charged in between, so the iterate is unchanged.
+    """
+
+    def __init__(self, problem, algorithm: str, seed: int, meter, x0,
+                 phi_star: float | None = None):
+        self.problem = problem
+        self.algorithm = algorithm
+        self.seed = seed
+        self.meter = meter
+        self.phi_star = phi_star
+        self.phi_limit = 1e6 * (abs(objective(problem, x0)) + 1.0)
+        self.rows: list[TraceRecord] = []
+
+    def record(self, epoch: int, iteration: int, x):
+        if self.rows and (self.rows[-1].epoch, self.rows[-1].iteration,
+                          self.rows[-1].samples) == (epoch, iteration, self.meter.total):
+            return
+        obj = objective(self.problem, x)
+        if obj > self.phi_limit:
+            raise DivergenceError(
+                f"{self.algorithm}: objective {obj:g} exceeded the divergence limit "
+                f"at epoch {epoch}, iteration {iteration}")
+        gap = None if self.phi_star is None else obj - self.phi_star
+        self.rows.append(TraceRecord(
+            algorithm=self.algorithm, seed=self.seed, epoch=epoch, iteration=iteration,
+            samples=self.meter.total, samples_per_N=self.meter.total / self.problem.N,
+            objective=obj, gap=gap))
 
 
 def abort_record(algorithm: str, seed: int, samples: int, N: int) -> TraceRecord:

@@ -21,6 +21,7 @@ from .problem import (CompositionProblem, full_gradient, inner_mean,
 from .solver import RunConfig, run_scvrg, step_size
 
 MC_SLACK = 1.05
+MC_CHUNK = 20_000  # Monte-Carlo trials per vectorized chunk
 CONTRACTION_THRESHOLD = 0.75
 CONTRACTION_THRESHOLD_DETERMINISTIC = 0.5 + 1e-6
 
@@ -134,17 +135,15 @@ def _per_index_tables(problem: CompositionProblem, snapshot: EpochSnapshot, x):
     return Gx, Gt, Jx, Jt, hx, ht
 
 
-def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed, chunk=20_000):
-    """Monte-Carlo mean of ||v_t - u_t||^2 with shared B per paired draw."""
+def _coupled_draws(problem, snapshot, dG, dJ, a, b, trials, seed):
+    """Paired Monte-Carlo draws of the coupled estimator, MC_CHUNK trials at a
+    time: yields (B, terms) with terms[t] the mean over B[t] of
+    z_t^T grad f_i(g_t), where g_t and z_t use the inner draw A[t]."""
     m, n, d = problem.dims.m, problem.dims.n, problem.dims.d
-    Gx, Gt, Jx, Jt, hx, _ = _per_index_tables(problem, snapshot, x)
-    dG = Gx - Gt
-    dJ = Jx - Jt
     rng = np.random.default_rng(seed)
-    acc = 0.0
     done = 0
     while done < trials:
-        t = min(chunk, trials - done)
+        t = min(MC_CHUNK, trials - done)
         A = rng.integers(0, m, size=(t, a))
         B = rng.integers(0, n, size=(t, b))
         g_t = snapshot.g_tilde + dG[A].mean(axis=1)                 # (t, k)
@@ -154,11 +153,32 @@ def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed, chunk=20_000):
             Df = problem.outer_grad_many(i, g_t)                    # (t, k)
             W[i] = np.einsum("tkd,tk->td", z_t, Df)
         W = W.transpose(1, 0, 2)                                    # (t, n, d)
-        v_terms = np.take_along_axis(W, B[:, :, None], axis=1).mean(axis=1)
+        yield B, np.take_along_axis(W, B[:, :, None], axis=1).mean(axis=1)
+        done += t
+
+
+def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed):
+    """Monte-Carlo mean of ||v_t - u_t||^2 with shared B per paired draw."""
+    Gx, Gt, Jx, Jt, hx, _ = _per_index_tables(problem, snapshot, x)
+    acc = 0.0
+    for B, v_terms in _coupled_draws(problem, snapshot, Gx - Gt, Jx - Jt, a, b, trials, seed):
         u_terms = hx[B].mean(axis=1)
         acc += float(np.sum((v_terms - u_terms) ** 2))
-        done += t
     return acc / trials
+
+
+def _bound_terms(problem: CompositionProblem, snapshot: EpochSnapshot, x):
+    """ell, the summed objective gaps and the summed squared distances to the
+    certified optimum at x and at the reference: the inputs of the Lemma 2
+    and combined variance bounds."""
+    ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
+    x = np.asarray(x, float)
+    xs, ps = problem.x_star, problem.phi_star
+    gap_x = objective(problem, x) - ps
+    gap_ref = objective(problem, snapshot.x_tilde) - ps
+    d_x = float(np.sum((x - xs) ** 2))
+    d_ref = float(np.sum((snapshot.x_tilde - xs) ** 2))
+    return ell, gap_x + gap_ref, d_x + d_ref
 
 
 def check_lemma1(problem: CompositionProblem, snapshot: EpochSnapshot, x,
@@ -215,15 +235,8 @@ def check_lemma2(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     B = rng.integers(0, n, size=(trials, b))
     diffs = hx[B].mean(axis=1) - grad
     measured = float(np.mean(np.sum(diffs**2, axis=1)))
-    consts = lipschitz_bounds(problem, problem.regularizer.radius)
-    ell = consts.ell
-    x = np.asarray(x, float)
-    xs, ps = problem.x_star, problem.phi_star
-    gap_x = objective(problem, x) - ps
-    gap_ref = objective(problem, snapshot.x_tilde) - ps
-    d_x = float(np.sum((x - xs) ** 2))
-    d_ref = float(np.sum((snapshot.x_tilde - xs) ** 2))
-    bound = 16.0 * ell * (gap_x + gap_ref) / b + 12.0 * ell**2 * (d_x + d_ref) / b
+    ell, gaps, dists = _bound_terms(problem, snapshot, x)
+    bound = 16.0 * ell * gaps / b + 12.0 * ell**2 * dists / b
     passed = measured <= MC_SLACK * bound or (measured == 0.0 and bound >= 0.0)
     return CheckReport(name="lemma2_domination", passed=passed, measured=measured,
                        bound=bound, trials=trials, seed=seed)
@@ -234,40 +247,16 @@ def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x
     """Domination of ||v_t - grad F(x)||^2 by the combined variance bound."""
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("combined-bound check requires a certified optimum")
-    m, n, d = problem.dims.m, problem.dims.n, problem.dims.d
     Gx, Gt, Jx, Jt, hx, ht = _per_index_tables(problem, snapshot, x)
     grad = hx.mean(axis=0)
-    dG, dJ = Gx - Gt, Jx - Jt
-    rng = np.random.default_rng(seed)
     acc = 0.0
-    done = 0
-    while done < trials:
-        t = min(20_000, trials - done)
-        A = rng.integers(0, m, size=(t, a))
-        B = rng.integers(0, n, size=(t, b))
-        g_t = snapshot.g_tilde + dG[A].mean(axis=1)
-        z_t = snapshot.z_tilde + dJ[A].mean(axis=1)
-        W = np.empty((n, t, d))
-        for i in range(n):
-            Df = problem.outer_grad_many(i, g_t)
-            W[i] = np.einsum("tkd,tk->td", z_t, Df)
-        W = W.transpose(1, 0, 2)
-        v = (snapshot.v_tilde
-             + np.take_along_axis(W, B[:, :, None], axis=1).mean(axis=1)
-             - ht[B].mean(axis=1))
+    for B, v_terms in _coupled_draws(problem, snapshot, Gx - Gt, Jx - Jt, a, b, trials, seed):
+        v = snapshot.v_tilde + v_terms - ht[B].mean(axis=1)
         acc += float(np.sum((v - grad) ** 2))
-        done += t
     measured = acc / trials
-    consts = lipschitz_bounds(problem, problem.regularizer.radius)
-    ell = consts.ell
-    x = np.asarray(x, float)
-    xs, ps = problem.x_star, problem.phi_star
-    gap_x = objective(problem, x) - ps
-    gap_ref = objective(problem, snapshot.x_tilde) - ps
-    d_x = float(np.sum((x - xs) ** 2))
-    d_ref = float(np.sum((snapshot.x_tilde - xs) ** 2))
-    bound = (16.0 * ell * (gap_x + gap_ref) / b
-             + (4.0 * ell**2 / a + 12.0 * ell**2 / b) * (d_x + d_ref))
+    ell, gaps, dists = _bound_terms(problem, snapshot, x)
+    bound = (16.0 * ell * gaps / b
+             + (4.0 * ell**2 / a + 12.0 * ell**2 / b) * dists)
     return CheckReport(name="combined_bound_domination",
                        passed=measured <= MC_SLACK * bound, measured=measured,
                        bound=bound, trials=trials, seed=seed)

@@ -140,3 +140,12 @@ class TestTraceSchema:
             samples = [r.samples for r in rows]
             assert samples == sorted(samples)
             assert all(r.samples_per_N == r.samples / toy.N for r in rows)
+
+    def test_no_consecutive_duplicate_rows(self, toy):
+        # trace_every=3 divides VRSC-PG's K=6 and ASC-PG's 45 iterations, so
+        # each one's last step row would repeat as its end-of-run row
+        cfg = BaselineConfig(max_samples=136, seed=0, K=6, trace_every=3)
+        for runner in (run_agd, run_scgd, run_ascpg, run_vrscpg):
+            _, rows = runner(toy, cfg, np.zeros(3))
+            keys = [(r.epoch, r.iteration, r.samples) for r in rows]
+            assert all(a != b for a, b in zip(keys, keys[1:])), runner.__name__

@@ -1,12 +1,11 @@
-"""Tests for the benchmark harness: phi* computation, caching, CSV emission."""
+"""Tests for the benchmark harness: phi* computation, CSV emission."""
 
 import numpy as np
 import pytest
 
 from compopt.errors import ConfigError, InputError
-from compopt.harness import (ExperimentSpec, cached_phi_star, compute_phi_star,
-                             problem_fingerprint, run_benchmark, run_one,
-                             scvrg_config_for_budget)
+from compopt.harness import (ExperimentSpec, compute_phi_star, run_benchmark,
+                             run_one, scvrg_config_for_budget)
 from compopt.problems import (build_bellman, build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.solver import predicted_total_samples
@@ -56,26 +55,6 @@ class TestComputePhiStar:
         toy = build_toy("identity", d=2, m=3, n=3, seed=0)
         with pytest.raises(ConfigError):
             compute_phi_star(toy, budget=10)
-
-
-class TestPhiStarCache:
-    def test_cache_roundtrip(self, tmp_path):
-        toy = build_toy("identity", d=2, m=3, n=3, seed=0)
-        v1 = cached_phi_star(toy, 10_000, cache_dir=str(tmp_path))
-        v2 = cached_phi_star(toy, 10_000, cache_dir=str(tmp_path))
-        assert v1 == v2
-        assert len(list(tmp_path.glob("phistar_*.json"))) == 1
-
-    def test_fingerprint_distinguishes_lambda(self):
-        ds = synthetic_returns(10, 2, seed=0)
-        a = problem_fingerprint(build_mean_variance(ds, lam=0.0))
-        b = problem_fingerprint(build_mean_variance(ds, lam=0.1))
-        assert a != b
-
-    def test_fingerprint_distinguishes_data(self):
-        a = problem_fingerprint(build_mean_variance(synthetic_returns(10, 2, seed=0)))
-        b = problem_fingerprint(build_mean_variance(synthetic_returns(10, 2, seed=1)))
-        assert a != b
 
 
 class TestScvrgConfigForBudget:

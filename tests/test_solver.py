@@ -8,7 +8,7 @@ from compopt.estimators import SampleMeter, take_snapshot
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
-from compopt.solver import (RunConfig, StepSchedule, derive_theorem_params,
+from compopt.solver import (RunConfig, derive_theorem_params,
                             predicted_total_samples, run_epoch, run_scvrg,
                             step_size)
 
@@ -64,6 +64,14 @@ class TestDeriveTheoremParams:
         cfg = derive_theorem_params(1.0, 1.0, 1.0, 1.0)
         assert cfg.a == 1620 and cfg.b == 810
 
+    @pytest.mark.parametrize("bad", [dict(D_x=0.0), dict(D_Phi=-1.0), dict(ell=0.0),
+                                     dict(epsilon=-0.5)])
+    def test_validation(self, bad):
+        kwargs = dict(D_x=1.0, D_Phi=1.0, ell=1.0, epsilon=1.0)
+        kwargs.update(bad)
+        with pytest.raises(ConfigError):
+            derive_theorem_params(**kwargs)
+
     def test_tiny_epsilon_overflows(self):
         with pytest.raises(ConfigError):
             derive_theorem_params(1.0, 1.0, 1.0, 1e-12)
@@ -76,19 +84,18 @@ class TestRunEpoch:
         cfg = RunConfig(S=2, k0=1, eta=0.01, a=3, b=3)
         x0 = np.array([0.3, -0.2])
         snap = take_snapshot(toy, x0)
-        sched = StepSchedule(T=cfg.T)
-        res = run_epoch(toy, snap, x0, k=1, schedule=sched, config=cfg, epoch_index=1)
+        res = run_epoch(toy, snap, x0, k=1, l=0, config=cfg, epoch_index=1)
         eta1 = step_size(cfg.eta, cfg.T, 0)
         np.testing.assert_allclose(res.x_last, x0 - eta1 * full_gradient(toy, x0), atol=1e-14)
         np.testing.assert_array_equal(res.x_avg, x0)
-        assert sched.l == 1
+        assert res.l == 1
 
     def test_stationary_point_fixed(self):
         toy = build_toy("identity", d=2, m=2, n=2, seed=1, radius=5.0)
         x_star = toy.x_star
         snap = take_snapshot(toy, x_star)
         cfg = RunConfig(S=2, k0=5, eta=0.05, a=2, b=2)
-        res = run_epoch(toy, snap, x_star, k=10, schedule=StepSchedule(T=cfg.T),
+        res = run_epoch(toy, snap, x_star, k=10, l=0,
                         config=cfg, epoch_index=1)
         np.testing.assert_allclose(res.x_last, x_star, atol=1e-12)
 
@@ -98,7 +105,7 @@ class TestRunEpoch:
         x0 = np.array([0.5, 0.5])
         snap = take_snapshot(toy, x0)
         # replicate the k=2 loop by hand: average covers x_0 and x_1, not x_2
-        res = run_epoch(toy, snap, x0, k=2, schedule=StepSchedule(T=cfg.T),
+        res = run_epoch(toy, snap, x0, k=2, l=0,
                         config=cfg, epoch_index=1)
         x1 = prox_step(toy.regularizer,
                        x0 - cfg.eta * full_gradient(toy, x0), cfg.eta)
@@ -161,6 +168,15 @@ class TestRunScvrg:
         res = run_scvrg(toy, cfg, np.zeros(2), max_samples=200)
         assert res.samples <= 200 + (cfg.a + cfg.b)
 
+    def test_budget_pays_for_every_step(self):
+        # epochs 1-2 charge 6 + 40 and 6 + 80; epoch 3 snapshots at 138 and
+        # stops after 15 steps, since a 16th would reach 202 > 200
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        cfg = RunConfig(S=5, k0=5, eta=0.02, a=2, b=2)
+        res = run_scvrg(toy, cfg, np.zeros(2), max_samples=200)
+        assert res.samples == res.trace[-1].samples == 198
+        assert len(res.epochs) == 3
+
 
 class TestSampleMeterCharges:
     def test_per_epoch_charge(self):
@@ -169,7 +185,7 @@ class TestSampleMeterCharges:
         snap_meter = SampleMeter()
         snap = take_snapshot(toy, np.zeros(2), meter=snap_meter)
         res_meter = SampleMeter()
-        run_epoch(toy, snap, np.zeros(2), k=12, schedule=StepSchedule(T=cfg.T),
+        run_epoch(toy, snap, np.zeros(2), k=12, l=0,
                   config=cfg, epoch_index=1, meter=res_meter)
         assert snap_meter.total == 7
         assert res_meter.total == 12 * (2 + 2)
