@@ -99,10 +99,10 @@ def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A,
     if A.size == 0:
         raise ConfigError("inner minibatch A must be nonempty")
     x = np.asarray(x, dtype=float)
-    g_new = problem.inner_value_batch(A, x)
-    g_ref = problem.inner_value_batch(A, snapshot.x_tilde)
-    z_new = problem.inner_jacobian_batch(A, x)
-    z_ref = problem.inner_jacobian_batch(A, snapshot.x_tilde)
+    g_new = problem.inner_value(A, x)
+    g_ref = problem.inner_value(A, snapshot.x_tilde)
+    z_new = problem.inner_jacobian(A, x)
+    z_ref = problem.inner_jacobian(A, snapshot.x_tilde)
     g_t = snapshot.g_tilde + (g_new - g_ref).mean(axis=0)
     z_t = snapshot.z_tilde + (z_new - z_ref).mean(axis=0)
     if meter is not None:
@@ -121,8 +121,8 @@ def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
     g_t, z_t = estimate_inner(problem, snapshot, x, A, meter=meter)
-    df_new = problem.outer_grad_batch(B, g_t).mean(axis=0)
-    df_ref = problem.outer_grad_batch(B, snapshot.g_tilde).mean(axis=0)
+    df_new = problem.outer_grad(B, g_t).mean(axis=0)
+    df_ref = problem.outer_grad(B, snapshot.g_tilde).mean(axis=0)
     if meter is not None:
         meter.add(B.size)
     return snapshot.v_tilde + z_t.T @ df_new - snapshot.z_tilde.T @ df_ref
@@ -139,8 +139,8 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
     g_x, Z_x = inner_mean(problem, x)
-    df_new = problem.outer_grad_batch(B, g_x).mean(axis=0)
-    df_ref = problem.outer_grad_batch(B, snapshot.g_tilde).mean(axis=0)
+    df_new = problem.outer_grad(B, g_x).mean(axis=0)
+    df_ref = problem.outer_grad(B, snapshot.g_tilde).mean(axis=0)
     if meter is not None:
         meter.add(B.size)
     return snapshot.v_tilde + Z_x.T @ df_new - snapshot.z_tilde.T @ df_ref

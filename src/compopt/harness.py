@@ -11,8 +11,7 @@ import numpy as np
 from . import baselines
 from .baselines import BaselineConfig
 from .errors import ConfigError, DivergenceError, InputError
-from .problem import CompositionProblem, full_gradient, lipschitz_bounds, objective
-from .prox import prox_step
+from .problem import CompositionProblem, lipschitz_bounds
 from .solver import RunConfig, predicted_total_samples, run_scvrg
 from .trace import TRACE_HEADER, TraceRecord, abort_record, with_gap
 
@@ -53,10 +52,12 @@ class ExperimentSpec:
 def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
     """High-accuracy objective optimum estimate.
 
-    A long doubling-epoch run spends half of the budget; a full-gradient
-    proximal polish (step 1/ell) then iterates until successive objective
-    values change by < 1e-12. Returns the smaller value seen. Logs a warning
-    if the polish does not reach the tolerance within budget.
+    A long doubling-epoch run spends half of the budget; the restart-FISTA
+    loop of `baselines.restart_fista` (step 1/ell) then polishes its result
+    until a step lowers the objective by < 1e-14 * (|Phi| + 1), or the budget
+    runs out. Returns the objective at the polished point, the lowest the
+    polish has seen. Logs a warning if the polish does not reach the
+    tolerance within budget.
     """
     m, n = problem.dims.m, problem.dims.n
     if budget < 100 * (m + n):
@@ -68,44 +69,32 @@ def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
     x0 = np.zeros(problem.dims.d)
     config = RunConfig(S=S, a=a, b=b, eta=0.01, seed=0)
     result = run_scvrg(problem, config, x0, max_samples=budget // 2)
-    best = objective(problem, result.x)
 
     ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
-    step = 1.0 / ell
-    x = result.x
-    y = x.copy()
-    t_k = 1.0
-    prev = best
-    converged = False
-    polish_iters = max((budget - result.samples) // (m + n), 10)
-    # accelerated polish with function restarts; plain prox-gradient crawls on
-    # flat instances and would dominate the error of every downstream gap
-    for _ in range(int(polish_iters)):
-        x_new = prox_step(problem.regularizer, y - step * full_gradient(problem, y), step)
-        val = objective(problem, x_new)
-        if val > prev:
-            t_k = 1.0
-            y = x.copy()
-            continue
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-        y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-        t_k = t_next
-        x = x_new
-        best = min(best, val)
-        if abs(prev - val) < 1e-14 * (abs(val) + 1.0):
-            converged = True
-            break
-        prev = val
-    if not converged:
-        log.warning("phi_star polish did not converge within budget; returning best value seen")
-    return best
+    # accelerated polish; plain prox-gradient crawls on flat instances and
+    # would dominate the error of every downstream gap
+    steps = baselines.restart_fista(problem, result.x, 1.0 / ell, "phi_star polish")
+    for _ in range(max((budget - result.samples) // (m + n), 10)):
+        _, phi, decrease = next(steps)
+        if decrease is not None and decrease < 1e-14 * (abs(phi) + 1.0):
+            return phi
+    log.warning("phi_star polish did not converge within budget; returning best value seen")
+    return phi
 
 
 def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
                             seed: int, k0: int = 10, eta: float = 0.01,
                             a: int = 5, b: int = 5, schedule: str = "adaptive") -> RunConfig:
-    """Largest doubling-epoch schedule whose exact sample count fits the budget."""
+    """Largest doubling-epoch schedule whose exact sample count fits the budget.
+
+    Returns S=1 even when one epoch costs more than the budget, and logs a
+    warning then: such a run stops inside its first epoch.
+    """
     m, n = problem.dims.m, problem.dims.n
+    epoch_cost = predicted_total_samples(RunConfig(S=1, k0=k0, a=a, b=b, eta=eta), m, n)
+    if epoch_cost > max_samples:
+        log.warning("one scvrg epoch costs %d samples, more than the budget of %d; "
+                    "the run stops inside its first epoch", epoch_cost, max_samples)
     S = 1
     while predicted_total_samples(
             RunConfig(S=S + 1, k0=k0, a=a, b=b, eta=eta), m, n) <= max_samples:

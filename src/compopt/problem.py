@@ -5,8 +5,9 @@ The objective is Phi(x) = F(x) + r(x) with
     F(x) = (1/n) sum_i f_i( (1/m) sum_j g_j(x) ),
 
 where each g_j maps R^d -> R^k and each f_i maps R^k -> R. Problems expose
-per-index oracles for g_j, its Jacobian, f_i and its gradient; everything else
-(full-batch means, gradients, smoothness constants) is derived here.
+four index-batched oracles for g_j, its Jacobian, f_i and its gradient;
+everything else (full-batch means, gradients, smoothness constants) is derived
+here.
 """
 
 from dataclasses import dataclass
@@ -60,12 +61,16 @@ class SmoothnessConstants:
 
 
 class CompositionProblem:
-    """Base class bundling the per-index oracles, regularizer and dimensions.
+    """Base class bundling the component oracles, regularizer and dimensions.
 
-    Oracles must be pure: the same (index, point) pair always returns the same
-    values. Subclasses implement the four per-index methods; the *_batch hooks
-    have generic loop fallbacks (ascending index order) and may be overridden
-    with vectorized versions.
+    Subclasses implement four oracles over an index `idx` that is either an
+    int or a 1-D index array. An int evaluates one component and returns one
+    row: shape (k,) for an inner value, (k, d) for a Jacobian, a scalar for an
+    outer value. An array returns those rows stacked in index order; each
+    index it holds is one oracle sample. `outer_grad(i, Y)` with an int i
+    and points Y of shape (t, k) returns the gradients of f_i at every row of
+    Y, shape (t, k). Oracles must be pure: the same (index, point) pair
+    always returns the same values.
     """
 
     #: known optimum, if the builder can certify one (used by verification)
@@ -78,43 +83,22 @@ class CompositionProblem:
         #: dataset-size normalizer for trace x-axes; builders may override
         self.N = max(dims.m, dims.n)
 
-    # -- per-index oracles ------------------------------------------------
-
-    def inner_value(self, j: int, x) -> np.ndarray:
-        """g_j(x), shape (k,)."""
+    def inner_value(self, idx, x) -> np.ndarray:
+        """g_j(x) for j in idx: shape (k,), or (len(idx), k)."""
         raise NotImplementedError
 
-    def inner_jacobian(self, j: int, x) -> np.ndarray:
-        """Jacobian of g_j at x, shape (k, d)."""
+    def inner_jacobian(self, idx, x) -> np.ndarray:
+        """Jacobian of g_j at x for j in idx: shape (k, d), or (len(idx), k, d)."""
         raise NotImplementedError
 
-    def outer_value(self, i: int, y) -> float:
-        """f_i(y)."""
+    def outer_value(self, idx, y):
+        """f_i(y) for i in idx: a scalar, or shape (len(idx),)."""
         raise NotImplementedError
 
-    def outer_grad(self, i: int, y) -> np.ndarray:
-        """Gradient of f_i at y, shape (k,)."""
+    def outer_grad(self, idx, y) -> np.ndarray:
+        """Gradient of f_i at y for i in idx: shape (k,), or (len(idx), k);
+        (t, k) for an int i at points y of shape (t, k)."""
         raise NotImplementedError
-
-    # -- batch hooks (override for speed) ----------------------------------
-
-    def inner_value_batch(self, idx, x) -> np.ndarray:
-        return np.stack([self.inner_value(int(j), x) for j in idx])
-
-    def inner_jacobian_batch(self, idx, x) -> np.ndarray:
-        return np.stack([self.inner_jacobian(int(j), x) for j in idx])
-
-    def outer_value_batch(self, idx, y) -> np.ndarray:
-        return np.array([self.outer_value(int(i), y) for i in idx])
-
-    def outer_grad_batch(self, idx, y) -> np.ndarray:
-        return np.stack([self.outer_grad(int(i), y) for i in idx])
-
-    def outer_grad_many(self, i: int, Y) -> np.ndarray:
-        """Gradient of one f_i at a batch of points Y, shape (t, k) -> (t, k)."""
-        return np.stack([self.outer_grad(i, y) for y in Y])
-
-    # -- optional closed-form smoothness -----------------------------------
 
     def smoothness(self, box_radius: float):
         """Closed-form SmoothnessConstants on the box, or None if unavailable."""
@@ -134,15 +118,15 @@ def inner_mean(problem: CompositionProblem, x):
     """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x)."""
     x = _check_point(problem, x)
     idx = np.arange(problem.dims.m)
-    g = problem.inner_value_batch(idx, x).mean(axis=0)
-    Z = problem.inner_jacobian_batch(idx, x).mean(axis=0)
+    g = problem.inner_value(idx, x).mean(axis=0)
+    Z = problem.inner_jacobian(idx, x).mean(axis=0)
     return g, Z
 
 
 def outer_mean_grad(problem: CompositionProblem, y) -> np.ndarray:
     """(1/n) sum_i grad f_i(y)."""
     idx = np.arange(problem.dims.n)
-    return problem.outer_grad_batch(idx, y).mean(axis=0)
+    return problem.outer_grad(idx, y).mean(axis=0)
 
 
 def full_gradient(problem: CompositionProblem, x) -> np.ndarray:
@@ -154,9 +138,9 @@ def full_gradient(problem: CompositionProblem, x) -> np.ndarray:
 def smooth_value(problem: CompositionProblem, x) -> float:
     """F(x) without the regularizer; no feasibility requirement."""
     x = _check_point(problem, x)
-    g = problem.inner_value_batch(np.arange(problem.dims.m), x).mean(axis=0)
+    g = problem.inner_value(np.arange(problem.dims.m), x).mean(axis=0)
     idx = np.arange(problem.dims.n)
-    return float(problem.outer_value_batch(idx, g).mean())
+    return float(problem.outer_value(idx, g).mean())
 
 
 def objective(problem: CompositionProblem, x) -> float:

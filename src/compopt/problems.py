@@ -15,6 +15,12 @@ from .prox import Regularizer
 MISSING_SENTINELS = (-99.99, -999.0)
 
 
+def _repeat(value, idx) -> np.ndarray:
+    """A copy of `value` for an int idx, one stacked copy per index for an array."""
+    value = np.asarray(value, dtype=float)
+    return np.broadcast_to(value, np.shape(idx) + value.shape).copy()
+
+
 # ---------------------------------------------------------------------------
 # returns data
 # ---------------------------------------------------------------------------
@@ -114,65 +120,35 @@ class MeanVarianceProblem(CompositionProblem):
         self.mean_return = returns.mean(axis=0)
         self.N = N
 
-    # inner oracles
-    def inner_value(self, j, x):
-        return np.concatenate([x, [-self.returns[j] @ x]])
-
-    def inner_jacobian(self, j, x):
-        d = self.dims.d
-        J = np.empty((d + 1, d))
-        J[:d] = np.eye(d)
-        J[d] = -self.returns[j]
-        return J
-
-    def inner_value_batch(self, idx, x):
-        idx = np.asarray(idx)
-        out = np.empty((idx.size, self.dims.k))
-        out[:, :-1] = x
-        out[:, -1] = -self.returns[idx] @ x
+    def inner_value(self, idx, x):
+        R = self.returns[idx]
+        out = np.empty(R.shape[:-1] + (self.dims.k,))
+        out[..., :-1] = x
+        out[..., -1] = -R @ x
         return out
 
-    def inner_jacobian_batch(self, idx, x):
-        idx = np.asarray(idx)
+    def inner_jacobian(self, idx, x):
+        R = self.returns[idx]
         d = self.dims.d
-        out = np.empty((idx.size, d + 1, d))
-        out[:, :d, :] = np.eye(d)
-        out[:, d, :] = -self.returns[idx]
+        out = np.empty(R.shape[:-1] + (d + 1, d))
+        out[..., :d, :] = np.eye(d)
+        out[..., d, :] = -R
         return out
 
-    # outer oracles
-    def outer_value(self, i, y):
-        z, t = y[:-1], y[-1]
-        rz = self.returns[i] @ z
-        return float((rz + t) ** 2 - rz)
-
-    def outer_grad(self, i, y):
-        z, t = y[:-1], y[-1]
-        u = self.returns[i] @ z + t
-        return np.concatenate([(2.0 * u - 1.0) * self.returns[i], [2.0 * u]])
-
-    def outer_value_batch(self, idx, y):
-        idx = np.asarray(idx)
+    def outer_value(self, idx, y):
         z, t = y[:-1], y[-1]
         rz = self.returns[idx] @ z
         return (rz + t) ** 2 - rz
 
-    def outer_grad_batch(self, idx, y):
-        idx = np.asarray(idx)
-        z, t = y[:-1], y[-1]
+    def outer_grad(self, idx, y):
         R = self.returns[idx]
-        u = R @ z + t
-        out = np.empty((idx.size, self.dims.k))
-        out[:, :-1] = (2.0 * u - 1.0)[:, None] * R
-        out[:, -1] = 2.0 * u
-        return out
-
-    def outer_grad_many(self, i, Y):
-        r = self.returns[i]
-        u = Y[:, :-1] @ r + Y[:, -1]
-        out = np.empty((Y.shape[0], self.dims.k))
-        out[:, :-1] = (2.0 * u - 1.0)[:, None] * r
-        out[:, -1] = 2.0 * u
+        if y.ndim == 2:  # one f_i at many points
+            u = y[:, :-1] @ R + y[:, -1]
+        else:
+            u = R @ y[:-1] + y[-1]
+        out = np.empty(u.shape + (self.dims.k,))
+        out[..., :-1] = (2.0 * u - 1.0)[..., None] * R
+        out[..., -1] = 2.0 * u
         return out
 
     def smoothness(self, box_radius):
@@ -245,30 +221,17 @@ class BellmanProblem(CompositionProblem):
             self.x_star = x_star
             self.phi_star = float(0.5 * np.sum((self.M_bar @ x_star - self.r_bar) ** 2))
 
-    def inner_value(self, j, x):
-        return self.M[j] @ x - self.rewards[j]
-
-    def inner_jacobian(self, j, x):
-        return self.M[j].copy()
-
-    def inner_value_batch(self, idx, x):
-        idx = np.asarray(idx)
+    def inner_value(self, idx, x):
         return self.M[idx] @ x - self.rewards[idx]
 
-    def inner_jacobian_batch(self, idx, x):
-        return self.M[np.asarray(idx)].copy()
+    def inner_jacobian(self, idx, x):
+        return self.M[idx].copy()
 
-    def outer_value(self, i, y):
-        return float(0.5 * np.sum(y**2))
+    def outer_value(self, idx, y):
+        return 0.5 * np.sum(y**2) * np.ones(np.shape(idx))
 
-    def outer_grad(self, i, y):
-        return np.asarray(y, dtype=float).copy()
-
-    def outer_grad_batch(self, idx, y):
-        return np.tile(np.asarray(y, dtype=float), (len(idx), 1))
-
-    def outer_grad_many(self, i, Y):
-        return np.asarray(Y, dtype=float).copy()
+    def outer_grad(self, idx, y):
+        return _repeat(y, idx)
 
     def smoothness(self, box_radius):
         spec_norms = np.array([np.linalg.norm(Mj, 2) for Mj in self.M])
@@ -316,29 +279,17 @@ class IdentityQuadraticToy(CompositionProblem):
         self.phi_star = float(np.sum((self.x_star - self.c_bar) ** 2) + spread
                               + lam * np.sum(np.abs(self.x_star)))
 
-    def inner_value(self, j, x):
-        return np.asarray(x, dtype=float).copy()
+    def inner_value(self, idx, x):
+        return _repeat(x, idx)
 
-    def inner_jacobian(self, j, x):
-        return np.eye(self.dims.d)
+    def inner_jacobian(self, idx, x):
+        return _repeat(np.eye(self.dims.d), idx)
 
-    def inner_value_batch(self, idx, x):
-        return np.tile(np.asarray(x, dtype=float), (len(idx), 1))
+    def outer_value(self, idx, y):
+        return np.sum((y - self.centers[idx]) ** 2, axis=-1)
 
-    def inner_jacobian_batch(self, idx, x):
-        return np.tile(np.eye(self.dims.d), (len(idx), 1, 1))
-
-    def outer_value(self, i, y):
-        return float(np.sum((y - self.centers[i]) ** 2))
-
-    def outer_grad(self, i, y):
-        return 2.0 * (y - self.centers[i])
-
-    def outer_grad_batch(self, idx, y):
-        return 2.0 * (y[None, :] - self.centers[np.asarray(idx)])
-
-    def outer_grad_many(self, i, Y):
-        return 2.0 * (Y - self.centers[i])
+    def outer_grad(self, idx, y):
+        return 2.0 * (y - self.centers[idx])
 
     def smoothness(self, box_radius):
         reach = box_radius * np.sqrt(self.dims.d) + np.max(
@@ -346,25 +297,44 @@ class IdentityQuadraticToy(CompositionProblem):
         return SmoothnessConstants(L_f=2.0 * reach, ell_f=2.0, L_g=1.0, ell_g=0.0)
 
 
-class AffineQuadraticToy(CompositionProblem):
-    """g_j(x) = A_j x + b_j, f_i(y) = ||y - c_i||^2.
+class AffineInnerProblem(CompositionProblem):
+    """Base for problems whose inner maps are affine, g_j(x) = A_j x + b_j.
 
     The inner Jacobians are constant, so inner-minibatch noise enters the
     gradient only through the value estimate, linearly; useful for exact
     variance-scaling checks.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, centers: np.ndarray,
-                 regularizer: Regularizer):
+    def __init__(self, A: np.ndarray, b: np.ndarray, n: int, regularizer: Regularizer):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        centers = np.asarray(centers, dtype=float)
         m, k, d = A.shape
-        n = centers.shape[0]
         super().__init__(ProblemDims(m=m, n=n, d=d, k=k), regularizer)
-        self.A, self.b, self.centers = A, b, centers
+        self.A, self.b = A, b
         self.A_bar = A.mean(axis=0)
         self.b_bar = b.mean(axis=0)
+
+    def inner_value(self, idx, x):
+        return self.A[idx] @ x + self.b[idx]
+
+    def inner_jacobian(self, idx, x):
+        return self.A[idx].copy()
+
+    def _inner_bounds(self, box_radius):
+        """L_g and a bound on sup ||g_j(x)|| over the box."""
+        L_g = float(max(np.linalg.norm(Aj, 2) for Aj in self.A))
+        reach = L_g * box_radius * np.sqrt(self.dims.d) + np.max(np.linalg.norm(self.b, axis=1))
+        return L_g, reach
+
+
+class AffineQuadraticToy(AffineInnerProblem):
+    """g_j(x) = A_j x + b_j, f_i(y) = ||y - c_i||^2."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, centers: np.ndarray,
+                 regularizer: Regularizer):
+        centers = np.asarray(centers, dtype=float)
+        super().__init__(A, b, centers.shape[0], regularizer)
+        self.centers = centers
         self.c_bar = centers.mean(axis=0)
         if regularizer.lam == 0.0:
             x_star, *_ = np.linalg.lstsq(self.A_bar, self.c_bar - self.b_bar, rcond=None)
@@ -374,40 +344,19 @@ class AffineQuadraticToy(CompositionProblem):
                 resid = self.A_bar @ x_star + self.b_bar - self.c_bar
                 self.phi_star = float(resid @ resid + spread)
 
-    def inner_value(self, j, x):
-        return self.A[j] @ x + self.b[j]
+    def outer_value(self, idx, y):
+        return np.sum((y - self.centers[idx]) ** 2, axis=-1)
 
-    def inner_jacobian(self, j, x):
-        return self.A[j].copy()
-
-    def inner_value_batch(self, idx, x):
-        idx = np.asarray(idx)
-        return self.A[idx] @ x + self.b[idx]
-
-    def inner_jacobian_batch(self, idx, x):
-        return self.A[np.asarray(idx)].copy()
-
-    def outer_value(self, i, y):
-        return float(np.sum((y - self.centers[i]) ** 2))
-
-    def outer_grad(self, i, y):
-        return 2.0 * (y - self.centers[i])
-
-    def outer_grad_batch(self, idx, y):
-        return 2.0 * (y[None, :] - self.centers[np.asarray(idx)])
-
-    def outer_grad_many(self, i, Y):
-        return 2.0 * (Y - self.centers[i])
+    def outer_grad(self, idx, y):
+        return 2.0 * (y - self.centers[idx])
 
     def smoothness(self, box_radius):
-        L_g = float(max(np.linalg.norm(Aj, 2) for Aj in self.A))
-        reach = (L_g * box_radius * np.sqrt(self.dims.d)
-                 + np.max(np.linalg.norm(self.b, axis=1))
-                 + np.max(np.linalg.norm(self.centers, axis=1)))
+        L_g, g_reach = self._inner_bounds(box_radius)
+        reach = g_reach + np.max(np.linalg.norm(self.centers, axis=1))
         return SmoothnessConstants(L_f=2.0 * reach, ell_f=2.0, L_g=L_g, ell_g=0.0)
 
 
-class MixedConvexityToy(CompositionProblem):
+class MixedConvexityToy(AffineInnerProblem):
     """Convex average of one strongly convex and one concave outer function.
 
     f_1(y) = 2||y||^2, f_2(y) = -||y||^2 / 2 over an affine inner map: the
@@ -415,13 +364,7 @@ class MixedConvexityToy(CompositionProblem):
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, regularizer: Regularizer):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        m, k, d = A.shape
-        super().__init__(ProblemDims(m=m, n=2, d=d, k=k), regularizer)
-        self.A, self.b = A, b
-        self.A_bar = A.mean(axis=0)
-        self.b_bar = b.mean(axis=0)
+        super().__init__(A, b, 2, regularizer)
         self._scales = np.array([2.0, -0.5])
         if regularizer.lam == 0.0:
             x_star, *_ = np.linalg.lstsq(self.A_bar, -self.b_bar, rcond=None)
@@ -430,31 +373,14 @@ class MixedConvexityToy(CompositionProblem):
                 resid = self.A_bar @ x_star + self.b_bar
                 self.phi_star = float(0.75 * resid @ resid)
 
-    def inner_value(self, j, x):
-        return self.A[j] @ x + self.b[j]
+    def outer_value(self, idx, y):
+        return self._scales[idx] * np.sum(y**2)
 
-    def inner_jacobian(self, j, x):
-        return self.A[j].copy()
-
-    def inner_value_batch(self, idx, x):
-        idx = np.asarray(idx)
-        return self.A[idx] @ x + self.b[idx]
-
-    def inner_jacobian_batch(self, idx, x):
-        return self.A[np.asarray(idx)].copy()
-
-    def outer_value(self, i, y):
-        return float(self._scales[i] * np.sum(y**2))
-
-    def outer_grad(self, i, y):
-        return 2.0 * self._scales[i] * np.asarray(y, dtype=float)
-
-    def outer_grad_many(self, i, Y):
-        return 2.0 * self._scales[i] * np.asarray(Y, dtype=float)
+    def outer_grad(self, idx, y):
+        return (2.0 * self._scales[idx])[..., None] * np.asarray(y, dtype=float)
 
     def smoothness(self, box_radius):
-        L_g = float(max(np.linalg.norm(Aj, 2) for Aj in self.A))
-        reach = L_g * box_radius * np.sqrt(self.dims.d) + np.max(np.linalg.norm(self.b, axis=1))
+        L_g, reach = self._inner_bounds(box_radius)
         return SmoothnessConstants(L_f=4.0 * reach, ell_f=4.0, L_g=L_g, ell_g=0.0)
 
 

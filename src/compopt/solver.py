@@ -138,7 +138,7 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
     exact; otherwise indices are sampled uniformly with replacement. The epoch
     stops early, freezing the average, once max_samples cannot pay for another
     step. The recorder, if given, gets a row every trace_every steps and one
-    at the end of the epoch.
+    at the end of the epoch, at the number of steps taken.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
@@ -171,7 +171,7 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
             x_sum += x * (k - t - 1)  # freeze the average at the stop point
             break
     if recorder is not None:
-        recorder.record(epoch_index, k, x)
+        recorder.record(epoch_index, t + 1, x)
     return EpochResult(x_avg=x_sum / k, x_last=x, l=l)
 
 
@@ -192,6 +192,7 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
     m, n = problem.dims.m, problem.dims.n
     meter = SampleMeter()
     recorder = Recorder(problem, algorithm, config.seed, meter, x0, phi_star)
+    recorder.record(0, 0, x0)
     l = 0
     x_ref = x0.copy()
     x_cur = x0.copy()

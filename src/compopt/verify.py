@@ -124,14 +124,14 @@ def _per_index_tables(problem: CompositionProblem, snapshot: EpochSnapshot, x):
     m, n = problem.dims.m, problem.dims.n
     all_m, all_n = np.arange(m), np.arange(n)
     x_t = snapshot.x_tilde
-    Gx = problem.inner_value_batch(all_m, x)
-    Gt = problem.inner_value_batch(all_m, x_t)
-    Jx = problem.inner_jacobian_batch(all_m, x)
-    Jt = problem.inner_jacobian_batch(all_m, x_t)
+    Gx = problem.inner_value(all_m, x)
+    Gt = problem.inner_value(all_m, x_t)
+    Jx = problem.inner_jacobian(all_m, x)
+    Jt = problem.inner_jacobian(all_m, x_t)
     g_x, Z_x = inner_mean(problem, x)
     # exact per-i gradient terms at x and at the reference
-    hx = problem.outer_grad_batch(all_n, g_x) @ Z_x            # (n, d)
-    ht = problem.outer_grad_batch(all_n, snapshot.g_tilde) @ snapshot.z_tilde
+    hx = problem.outer_grad(all_n, g_x) @ Z_x                  # (n, d)
+    ht = problem.outer_grad(all_n, snapshot.g_tilde) @ snapshot.z_tilde
     return Gx, Gt, Jx, Jt, hx, ht
 
 
@@ -150,7 +150,7 @@ def _coupled_draws(problem, snapshot, dG, dJ, a, b, trials, seed):
         z_t = snapshot.z_tilde + dJ[A].mean(axis=1)                 # (t, k, d)
         W = np.empty((n, t, d))
         for i in range(n):
-            Df = problem.outer_grad_many(i, g_t)                    # (t, k)
+            Df = problem.outer_grad(i, g_t)                         # (t, k)
             W[i] = np.einsum("tkd,tk->td", z_t, Df)
         W = W.transpose(1, 0, 2)                                    # (t, n, d)
         yield B, np.take_along_axis(W, B[:, :, None], axis=1).mean(axis=1)

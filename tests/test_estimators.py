@@ -24,17 +24,17 @@ class CurvedInnerProblem(CompositionProblem):
         super().__init__(ProblemDims(m=2, n=2, d=1, k=1),
                          Regularizer(lam=0.0, radius=10.0))
 
-    def inner_value(self, j, x):
-        return np.array([x[0] ** 2]) if j == 0 else np.array([x[0]])
+    def inner_value(self, idx, x):
+        return np.array([[x[0] ** 2], [x[0]]])[idx]
 
-    def inner_jacobian(self, j, x):
-        return np.array([[2.0 * x[0]]]) if j == 0 else np.array([[1.0]])
+    def inner_jacobian(self, idx, x):
+        return np.array([[[2.0 * x[0]]], [[1.0]]])[idx]
 
-    def outer_value(self, i, y):
-        return float((i + 1) * y[0] ** 2)
+    def outer_value(self, idx, y):
+        return (np.asarray(idx) + 1) * y[0] ** 2
 
-    def outer_grad(self, i, y):
-        return np.array([2.0 * (i + 1) * y[0]])
+    def outer_grad(self, idx, y):
+        return (2.0 * (np.asarray(idx) + 1))[..., None] * y
 
 
 @pytest.fixture

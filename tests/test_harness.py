@@ -1,5 +1,7 @@
 """Tests for the benchmark harness: phi* computation, CSV emission."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ class TestScvrgConfigForBudget:
         assert predicted_total_samples(cfg, 50, 50) <= 5000
         bigger = type(cfg)(S=cfg.S + 1, k0=cfg.k0, eta=cfg.eta, a=cfg.a, b=cfg.b)
         assert predicted_total_samples(bigger, 50, 50) > 5000
+
+    def test_warns_when_one_epoch_exceeds_budget(self, caplog):
+        # one epoch on the N=3 toy costs 3 + 3 + 20 * (5 + 5) = 206 samples
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        with caplog.at_level(logging.WARNING, logger="compopt.harness"):
+            assert scvrg_config_for_budget(toy, max_samples=206, seed=0).S == 1
+            assert not caplog.records
+            assert scvrg_config_for_budget(toy, max_samples=90, seed=0).S == 1
+        assert len(caplog.records) == 1
+        assert "206 samples" in caplog.text and "budget of 90" in caplog.text
 
 
 class TestRunBenchmark:

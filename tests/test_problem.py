@@ -8,14 +8,62 @@ from compopt.problem import (ProblemDims, SmoothnessConstants,
                              estimate_smoothness, full_gradient, inner_mean,
                              lipschitz_bounds, objective, smooth_value)
 from compopt.problems import (IdentityQuadraticToy, ReturnsDataset,
-                              build_mean_variance, build_toy)
+                              build_bellman, build_mean_variance, build_toy,
+                              random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
+from test_estimators import CurvedInnerProblem
 
 
 def two_asset_problem(lam=0.0):
     """The N=2, d=1 instance with returns r_1=1, r_2=3 (fraction units)."""
     ds = ReturnsDataset(returns=np.array([[1.0], [3.0]]), labels=("a",))
     return build_mean_variance(ds, lam=lam, radius=10.0)
+
+
+CONTRACT_PROBLEMS = {
+    # mean-variance: an int index runs a 1-D dot, an array a matrix-vector
+    # product; both add the same d products, in different orders
+    "meanvar": (lambda: build_mean_variance(synthetic_returns(40, 25, seed=3)), 1e-14),
+    "bellman": (lambda: build_bellman(random_bellman_spec(6, 8, 0.9, seed=3)), 0.0),
+    "identity": (lambda: build_toy("identity", d=4, m=5, n=4, seed=3), 0.0),
+    "affine": (lambda: build_toy("affine", d=4, m=5, n=4, seed=3), 0.0),
+    "mixed": (lambda: build_toy("mixed", d=4, m=5, n=2, seed=3), 0.0),
+    "curved": (CurvedInnerProblem, 0.0),
+}
+
+
+class TestIndexContract:
+    @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
+    def test_int_call_is_row_of_array_call(self, name):
+        make, tol = CONTRACT_PROBLEMS[name]
+        problem = make()
+        m, n, d, k = problem.dims.m, problem.dims.n, problem.dims.d, problem.dims.k
+
+        def same(a, b):
+            if tol == 0.0:
+                np.testing.assert_array_equal(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
+
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x = rng.uniform(-0.9, 0.9, size=d) * problem.regularizer.radius
+            y, Y = rng.normal(size=k), rng.normal(size=(6, k))
+            A, B = rng.integers(0, m, size=7), rng.integers(0, n, size=7)
+            G, J = problem.inner_value(A, x), problem.inner_jacobian(A, x)
+            F, D = problem.outer_value(B, y), problem.outer_grad(B, y)
+            assert (G.shape, J.shape, F.shape, D.shape) == ((7, k), (7, k, d), (7,), (7, k))
+            for row, j in enumerate(A):
+                same(problem.inner_value(int(j), x), G[row])
+                same(problem.inner_jacobian(int(j), x), J[row])
+            for row, i in enumerate(B):
+                assert np.ndim(problem.outer_value(int(i), y)) == 0
+                same(problem.outer_value(int(i), y), F[row])
+                same(problem.outer_grad(int(i), y), D[row])
+                many = problem.outer_grad(int(i), Y)
+                assert many.shape == (6, k)
+                for t in range(6):
+                    same(problem.outer_grad(int(i), Y[t]), many[t])
 
 
 class TestProblemDims:
@@ -131,7 +179,7 @@ class TestConvexityFixture:
         rng = np.random.default_rng(0)
 
         def f2_comp(x):
-            return toy.outer_value(1, toy.inner_value_batch(np.arange(3), x).mean(axis=0))
+            return toy.outer_value(1, toy.inner_value(np.arange(3), x).mean(axis=0))
 
         f_convex_ok = True
         f2_nonconvex_seen = False

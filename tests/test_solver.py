@@ -177,6 +177,20 @@ class TestRunScvrg:
         assert res.samples == res.trace[-1].samples == 198
         assert len(res.epochs) == 3
 
+    def test_starved_budget_writes_start_row(self):
+        # one snapshot and one step cost 3 + 3 + 5 + 5 = 16 > 10
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        res = run_scvrg(toy, RunConfig(S=1), np.zeros(2), max_samples=10)
+        assert [(r.epoch, r.iteration, r.samples) for r in res.trace] == [(0, 0, 0)]
+        assert res.samples == 0 and res.epochs == []
+
+    def test_budget_cut_epoch_ends_at_steps_taken(self):
+        # a snapshot (6) and 8 of the epoch's 20 steps (10 each) fit 90 samples
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        res = run_scvrg(toy, RunConfig(S=1), np.zeros(2), trace_every=1, max_samples=90)
+        rows = [(r.epoch, r.iteration, r.samples) for r in res.trace]
+        assert rows == [(0, 0, 0)] + [(1, t, 6 + 10 * t) for t in range(1, 9)]
+
 
 class TestSampleMeterCharges:
     def test_per_epoch_charge(self):

@@ -35,11 +35,8 @@ class TestFdGradient:
 
     def test_check_catches_wrong_gradient(self, toy):
         class Broken(type(toy)):
-            def inner_jacobian(self, j, x):
-                return 1.5 * super().inner_jacobian(j, x)
-
-            def inner_jacobian_batch(self, idx, x):
-                return 1.5 * super().inner_jacobian_batch(idx, x)
+            def inner_jacobian(self, idx, x):
+                return 1.5 * super().inner_jacobian(idx, x)
 
         broken = Broken(toy.A, toy.b, toy.centers, regularizer=toy.regularizer)
         points = np.random.default_rng(1).uniform(-0.5, 0.5, size=(5, 3))
