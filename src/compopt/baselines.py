@@ -122,7 +122,7 @@ def run_ascpg(problem: CompositionProblem, config: BaselineConfig, x0,
     The inner tracker is refreshed at an extrapolated query point
     z = x_t + (1/beta_t)(x_{t+1} - x_t), which corrects the tracker's lag;
     the iterate update itself carries no momentum. Charges 3 samples per
-    iteration (Jacobian at x, inner value at z, one outer gradient).
+    iteration (inner VJP at x, inner value at z, one outer gradient).
     """
     return _scgd_core(problem, config, x0, phi_star, accelerated=True, tag="ascpg")
 
@@ -150,7 +150,7 @@ def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
         beta_t = min(1.0, config.beta0 / t**config.p_y)
         alpha_t = config.alpha0 / t**config.p_x
         if accelerated:
-            grad = problem.inner_jacobian(j, x).T @ problem.outer_grad(i, y)
+            grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
             x_new = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
             z = x + (1.0 / beta_t) * (x_new - x)
             j2 = int(rng.integers(m))
@@ -158,7 +158,7 @@ def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
             x = x_new
         else:
             y = (1.0 - beta_t) * y + beta_t * problem.inner_value(j, x)
-            grad = problem.inner_jacobian(j, x).T @ problem.outer_grad(i, y)
+            grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
             x = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
         meter.add(cost)
         _check_finite(x, tag)

@@ -1,9 +1,10 @@
 """Reference snapshots and control-variate minibatch gradient estimators.
 
 One epoch pins a reference point x~ and caches the full inner value g~, inner
-Jacobian Z~ and gradient v~ there. Minibatch estimates of the inner quantities
-and the gradient are then corrected by the cached values, so their variance
-vanishes as the iterate approaches the reference.
+Jacobian Z~ and gradient v~ there. Minibatch estimates of the inner value and
+the gradient (whose minibatch Jacobians enter only through vector-Jacobian
+products) are corrected by the cached values, so their variance vanishes as
+the iterate approaches the reference.
 """
 
 from dataclasses import dataclass
@@ -89,11 +90,10 @@ def take_snapshot(problem: CompositionProblem, x_tilde, meter: SampleMeter | Non
 
 
 def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A,
-                   meter: SampleMeter | None = None):
-    """Control-variate estimates of the inner value and Jacobian at x.
+                   meter: SampleMeter | None = None) -> np.ndarray:
+    """Control-variate estimate of the inner value at x.
 
-    g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)), and likewise for the Jacobian.
-    Charges len(A) inner samples.
+    g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)). Charges len(A) inner samples.
     """
     A = np.asarray(A)
     if A.size == 0:
@@ -101,31 +101,31 @@ def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A,
     x = np.asarray(x, dtype=float)
     g_new = problem.inner_value(A, x)
     g_ref = problem.inner_value(A, snapshot.x_tilde)
-    z_new = problem.inner_jacobian(A, x)
-    z_ref = problem.inner_jacobian(A, snapshot.x_tilde)
-    g_t = snapshot.g_tilde + (g_new - g_ref).mean(axis=0)
-    z_t = snapshot.z_tilde + (z_new - z_ref).mean(axis=0)
     if meter is not None:
         meter.add(A.size)
-    return g_t, z_t
+    return snapshot.g_tilde + (g_new - g_ref).mean(axis=0)
 
 
 def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B,
                       meter: SampleMeter | None = None) -> np.ndarray:
     """Variance-reduced gradient estimate built on the inner estimates.
 
-    v_t = v~ + mean_{i in B} ( z_t^T grad f_i(g_t) - z~^T grad f_i(g~) ).
+    v_t = v~ + mean_{i in B} ( z_t^T grad f_i(g_t) - z~^T grad f_i(g~) ), where
+    z_t = z~ + mean_{j in A} (dg_j(x) - dg_j(x~)) enters only through VJPs:
+    v_t = v~ + z~^T (df_new - df_ref) + mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new.
     Charges len(A) inner plus len(B) outer samples.
     """
-    B = np.asarray(B)
+    A, B = np.asarray(A), np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
-    g_t, z_t = estimate_inner(problem, snapshot, x, A, meter=meter)
+    x = np.asarray(x, dtype=float)
+    g_t = estimate_inner(problem, snapshot, x, A, meter=meter)
     df_new = problem.outer_grad(B, g_t).mean(axis=0)
     df_ref = problem.outer_grad(B, snapshot.g_tilde).mean(axis=0)
+    dz = problem.inner_vjp(A, x, df_new) - problem.inner_vjp(A, snapshot.x_tilde, df_new)
     if meter is not None:
         meter.add(B.size)
-    return snapshot.v_tilde + z_t.T @ df_new - snapshot.z_tilde.T @ df_ref
+    return snapshot.v_tilde + snapshot.z_tilde.T @ (df_new - df_ref) + dz.mean(axis=0)
 
 
 def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, B,
@@ -138,9 +138,11 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
     B = np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
-    g_x, Z_x = inner_mean(problem, x)
+    x, all_m = np.asarray(x, dtype=float), np.arange(problem.dims.m)
+    g_x = problem.inner_value(all_m, x).mean(axis=0)
     df_new = problem.outer_grad(B, g_x).mean(axis=0)
     df_ref = problem.outer_grad(B, snapshot.g_tilde).mean(axis=0)
     if meter is not None:
         meter.add(B.size)
-    return snapshot.v_tilde + Z_x.T @ df_new - snapshot.z_tilde.T @ df_ref
+    vjp = problem.inner_vjp(all_m, x, df_new).mean(axis=0)  # Z(x)^T df_new
+    return snapshot.v_tilde + vjp - snapshot.z_tilde.T @ df_ref

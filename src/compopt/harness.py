@@ -62,13 +62,8 @@ def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
     m, n = problem.dims.m, problem.dims.n
     if budget < 100 * (m + n):
         raise ConfigError(f"optimum budget must be >= 100 * (m + n) = {100 * (m + n)}")
-    a, b = min(5, m), min(5, n)
-    S = 1
-    while predicted_total_samples(RunConfig(S=S + 1, a=a, b=b), m, n) <= budget // 2:
-        S += 1
-    x0 = np.zeros(problem.dims.d)
-    config = RunConfig(S=S, a=a, b=b, eta=0.01, seed=0)
-    result = run_scvrg(problem, config, x0, max_samples=budget // 2)
+    config = scvrg_config_for_budget(problem, budget // 2, seed=0, a=min(5, m), b=min(5, n))
+    result = run_scvrg(problem, config, np.zeros(problem.dims.d), max_samples=budget // 2)
 
     ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
     # accelerated polish; plain prox-gradient crawls on flat instances and

@@ -5,9 +5,9 @@ The objective is Phi(x) = F(x) + r(x) with
     F(x) = (1/n) sum_i f_i( (1/m) sum_j g_j(x) ),
 
 where each g_j maps R^d -> R^k and each f_i maps R^k -> R. Problems expose
-four index-batched oracles for g_j, its Jacobian, f_i and its gradient;
-everything else (full-batch means, gradients, smoothness constants) is derived
-here.
+four index-batched oracles for g_j, its vector-Jacobian product, f_i and its
+gradient; everything else (full-batch means, gradients, smoothness constants)
+is derived here.
 """
 
 from dataclasses import dataclass
@@ -65,11 +65,11 @@ class CompositionProblem:
 
     Subclasses implement four oracles over an index `idx` that is either an
     int or a 1-D index array. An int evaluates one component and returns one
-    row: shape (k,) for an inner value, (k, d) for a Jacobian, a scalar for an
-    outer value. An array returns those rows stacked in index order; each
-    index it holds is one oracle sample. `outer_grad(i, Y)` with an int i
-    and points Y of shape (t, k) returns the gradients of f_i at every row of
-    Y, shape (t, k). Oracles must be pure: the same (index, point) pair
+    row: shape (k,) for an inner value, (d,) for a vector-Jacobian product, a
+    scalar for an outer value. An array returns those rows stacked in index
+    order; each index it holds is one oracle sample. `outer_grad(i, Y)` with
+    an int i and points Y of shape (t, k) returns the gradients of f_i at
+    every row of Y, shape (t, k). Oracles must be pure: the same (index, point) pair
     always returns the same values.
     """
 
@@ -87,8 +87,10 @@ class CompositionProblem:
         """g_j(x) for j in idx: shape (k,), or (len(idx), k)."""
         raise NotImplementedError
 
-    def inner_jacobian(self, idx, x) -> np.ndarray:
-        """Jacobian of g_j at x for j in idx: shape (k, d), or (len(idx), k, d)."""
+    def inner_vjp(self, idx, x, u) -> np.ndarray:
+        """dg_j(x)^T u for j in idx: shape (d,), or (len(idx), d). The
+        cotangent u is one (k,) vector shared by every index, or one row per
+        index, shape (len(idx), k)."""
         raise NotImplementedError
 
     def outer_value(self, idx, y):
@@ -115,11 +117,12 @@ def _check_point(problem: CompositionProblem, x) -> np.ndarray:
 
 
 def inner_mean(problem: CompositionProblem, x):
-    """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x)."""
+    """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x).
+    Jacobian row c is the mean VJP against e_c: one (m, d) array at a time."""
     x = _check_point(problem, x)
     idx = np.arange(problem.dims.m)
     g = problem.inner_value(idx, x).mean(axis=0)
-    Z = problem.inner_jacobian(idx, x).mean(axis=0)
+    Z = np.array([problem.inner_vjp(idx, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
     return g, Z
 
 
@@ -130,9 +133,12 @@ def outer_mean_grad(problem: CompositionProblem, y) -> np.ndarray:
 
 
 def full_gradient(problem: CompositionProblem, x) -> np.ndarray:
-    """Exact gradient of F via the chain rule: Z(x)^T * mean_i grad f_i(g(x))."""
-    g, Z = inner_mean(problem, x)
-    return Z.T @ outer_mean_grad(problem, g)
+    """Exact gradient of F via the chain rule: one VJP sweep over all m inner
+    maps, (1/m) sum_j dg_j(x)^T mean_i grad f_i(g(x))."""
+    x = _check_point(problem, x)
+    idx = np.arange(problem.dims.m)
+    g = problem.inner_value(idx, x).mean(axis=0)
+    return problem.inner_vjp(idx, x, outer_mean_grad(problem, g)).mean(axis=0)
 
 
 def smooth_value(problem: CompositionProblem, x) -> float:
@@ -169,7 +175,8 @@ def estimate_smoothness(problem: CompositionProblem, box_radius: float, rng,
             continue
         j = int(rng.integers(m))
         g0, g1 = problem.inner_value(j, x0), problem.inner_value(j, x1)
-        J0, J1 = problem.inner_jacobian(j, x0), problem.inner_jacobian(j, x1)
+        rows, units = np.full(k, j), np.eye(k)  # Jacobian row c: VJP against e_c
+        J0, J1 = problem.inner_vjp(rows, x0, units), problem.inner_vjp(rows, x1, units)
         L_g = max(L_g, np.linalg.norm(g1 - g0) / dx)
         ell_g = max(ell_g, np.linalg.norm(J1 - J0, 2) / dx)
         if p < 1000:

@@ -127,13 +127,8 @@ class MeanVarianceProblem(CompositionProblem):
         out[..., -1] = -R @ x
         return out
 
-    def inner_jacobian(self, idx, x):
-        R = self.returns[idx]
-        d = self.dims.d
-        out = np.empty(R.shape[:-1] + (d + 1, d))
-        out[..., :d, :] = np.eye(d)
-        out[..., d, :] = -R
-        return out
+    def inner_vjp(self, idx, x, u):
+        return u[..., :-1] - u[..., -1:] * self.returns[idx]
 
     def outer_value(self, idx, y):
         z, t = y[:-1], y[-1]
@@ -224,8 +219,8 @@ class BellmanProblem(CompositionProblem):
     def inner_value(self, idx, x):
         return self.M[idx] @ x - self.rewards[idx]
 
-    def inner_jacobian(self, idx, x):
-        return self.M[idx].copy()
+    def inner_vjp(self, idx, x, u):
+        return np.einsum("...kd,...k->...d", self.M[idx], u)
 
     def outer_value(self, idx, y):
         return 0.5 * np.sum(y**2) * np.ones(np.shape(idx))
@@ -282,8 +277,8 @@ class IdentityQuadraticToy(CompositionProblem):
     def inner_value(self, idx, x):
         return _repeat(x, idx)
 
-    def inner_jacobian(self, idx, x):
-        return _repeat(np.eye(self.dims.d), idx)
+    def inner_vjp(self, idx, x, u):
+        return np.broadcast_to(u, np.shape(idx) + (self.dims.d,)).copy()
 
     def outer_value(self, idx, y):
         return np.sum((y - self.centers[idx]) ** 2, axis=-1)
@@ -317,8 +312,8 @@ class AffineInnerProblem(CompositionProblem):
     def inner_value(self, idx, x):
         return self.A[idx] @ x + self.b[idx]
 
-    def inner_jacobian(self, idx, x):
-        return self.A[idx].copy()
+    def inner_vjp(self, idx, x, u):
+        return np.einsum("...kd,...k->...d", self.A[idx], u)
 
     def _inner_bounds(self, box_radius):
         """L_g and a bound on sup ||g_j(x)|| over the box."""

@@ -48,8 +48,8 @@ class CheckReport:
         return line
 
     def to_csv_row(self) -> str:
-        return (f"{self.name},{str(self.passed).lower()},{self.measured!r},"
-                f"{self.bound!r},{self.trials},{self.seed}")
+        return (f"{self.name},{str(self.passed).lower()},{float(self.measured)!r},"
+                f"{float(self.bound)!r},{self.trials},{self.seed}")
 
 
 REPORT_HEADER = "name,pass,measured,bound,trials,seed"
@@ -121,25 +121,22 @@ def check_unbiasedness(problem: CompositionProblem, snapshot: EpochSnapshot, x,
 
 def _per_index_tables(problem: CompositionProblem, snapshot: EpochSnapshot, x):
     """Precomputed per-index quantities for vectorized Monte-Carlo trials."""
-    m, n = problem.dims.m, problem.dims.n
-    all_m, all_n = np.arange(m), np.arange(n)
-    x_t = snapshot.x_tilde
+    all_m, all_n = np.arange(problem.dims.m), np.arange(problem.dims.n)
     Gx = problem.inner_value(all_m, x)
-    Gt = problem.inner_value(all_m, x_t)
-    Jx = problem.inner_jacobian(all_m, x)
-    Jt = problem.inner_jacobian(all_m, x_t)
+    Gt = problem.inner_value(all_m, snapshot.x_tilde)
     g_x, Z_x = inner_mean(problem, x)
     # exact per-i gradient terms at x and at the reference
     hx = problem.outer_grad(all_n, g_x) @ Z_x                  # (n, d)
     ht = problem.outer_grad(all_n, snapshot.g_tilde) @ snapshot.z_tilde
-    return Gx, Gt, Jx, Jt, hx, ht
+    return Gx, Gt, hx, ht
 
 
-def _coupled_draws(problem, snapshot, dG, dJ, a, b, trials, seed):
+def _coupled_draws(problem, snapshot, x, dG, a, b, trials, seed):
     """Paired Monte-Carlo draws of the coupled estimator, MC_CHUNK trials at a
     time: yields (B, terms) with terms[t] the mean over B[t] of
-    z_t^T grad f_i(g_t), where g_t and z_t use the inner draw A[t]."""
-    m, n, d = problem.dims.m, problem.dims.n, problem.dims.d
+    z_t^T grad f_i(g_t), where g_t and z_t use the inner draw A[t]. The term
+    is linear in grad f_i, so that is averaged over B[t] before the VJPs."""
+    m, n = problem.dims.m, problem.dims.n
     rng = np.random.default_rng(seed)
     done = 0
     while done < trials:
@@ -147,21 +144,21 @@ def _coupled_draws(problem, snapshot, dG, dJ, a, b, trials, seed):
         A = rng.integers(0, m, size=(t, a))
         B = rng.integers(0, n, size=(t, b))
         g_t = snapshot.g_tilde + dG[A].mean(axis=1)                 # (t, k)
-        z_t = snapshot.z_tilde + dJ[A].mean(axis=1)                 # (t, k, d)
-        W = np.empty((n, t, d))
-        for i in range(n):
-            Df = problem.outer_grad(i, g_t)                         # (t, k)
-            W[i] = np.einsum("tkd,tk->td", z_t, Df)
-        W = W.transpose(1, 0, 2)                                    # (t, n, d)
-        yield B, np.take_along_axis(W, B[:, :, None], axis=1).mean(axis=1)
+        Df = np.stack([problem.outer_grad(i, g_t) for i in range(n)], axis=1)  # (t, n, k)
+        Df = np.take_along_axis(Df, B[:, :, None], axis=1).mean(axis=1)       # (t, k)
+        dz = np.zeros((t, problem.dims.d))
+        for c in range(a):
+            dz += (problem.inner_vjp(A[:, c], x, Df)
+                   - problem.inner_vjp(A[:, c], snapshot.x_tilde, Df))
+        yield B, Df @ snapshot.z_tilde + dz / a
         done += t
 
 
 def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed):
     """Monte-Carlo mean of ||v_t - u_t||^2 with shared B per paired draw."""
-    Gx, Gt, Jx, Jt, hx, _ = _per_index_tables(problem, snapshot, x)
+    Gx, Gt, hx, _ = _per_index_tables(problem, snapshot, x)
     acc = 0.0
-    for B, v_terms in _coupled_draws(problem, snapshot, Gx - Gt, Jx - Jt, a, b, trials, seed):
+    for B, v_terms in _coupled_draws(problem, snapshot, x, Gx - Gt, a, b, trials, seed):
         u_terms = hx[B].mean(axis=1)
         acc += float(np.sum((v_terms - u_terms) ** 2))
     return acc / trials
@@ -229,7 +226,7 @@ def check_lemma2(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("lemma2 check requires a problem with a certified optimum")
     n = problem.dims.n
-    _, _, _, _, hx, _ = _per_index_tables(problem, snapshot, x)
+    _, _, hx, _ = _per_index_tables(problem, snapshot, x)
     grad = hx.mean(axis=0)
     rng = np.random.default_rng(seed)
     B = rng.integers(0, n, size=(trials, b))
@@ -247,10 +244,10 @@ def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x
     """Domination of ||v_t - grad F(x)||^2 by the combined variance bound."""
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("combined-bound check requires a certified optimum")
-    Gx, Gt, Jx, Jt, hx, ht = _per_index_tables(problem, snapshot, x)
+    Gx, Gt, hx, ht = _per_index_tables(problem, snapshot, x)
     grad = hx.mean(axis=0)
     acc = 0.0
-    for B, v_terms in _coupled_draws(problem, snapshot, Gx - Gt, Jx - Jt, a, b, trials, seed):
+    for B, v_terms in _coupled_draws(problem, snapshot, x, Gx - Gt, a, b, trials, seed):
         v = snapshot.v_tilde + v_terms - ht[B].mean(axis=1)
         acc += float(np.sum((v - grad) ** 2))
     measured = acc / trials

@@ -1,0 +1,20 @@
+"""The fast demos run to completion against the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# demos/01_portfolio_benchmark.py takes about 20 s and is left out
+@pytest.mark.parametrize("demo", ["02_bellman_policy_evaluation.py",
+                                  "03_estimator_verification.py"])
+def test_demo_exits_zero(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

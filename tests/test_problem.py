@@ -50,12 +50,16 @@ class TestIndexContract:
             x = rng.uniform(-0.9, 0.9, size=d) * problem.regularizer.radius
             y, Y = rng.normal(size=k), rng.normal(size=(6, k))
             A, B = rng.integers(0, m, size=7), rng.integers(0, n, size=7)
-            G, J = problem.inner_value(A, x), problem.inner_jacobian(A, x)
+            u, U = rng.normal(size=k), rng.normal(size=(7, k))
+            G = problem.inner_value(A, x)
+            V, W = problem.inner_vjp(A, x, u), problem.inner_vjp(A, x, U)
             F, D = problem.outer_value(B, y), problem.outer_grad(B, y)
-            assert (G.shape, J.shape, F.shape, D.shape) == ((7, k), (7, k, d), (7,), (7, k))
+            assert ((G.shape, V.shape, W.shape, F.shape, D.shape)
+                    == ((7, k), (7, d), (7, d), (7,), (7, k)))
             for row, j in enumerate(A):
                 same(problem.inner_value(int(j), x), G[row])
-                same(problem.inner_jacobian(int(j), x), J[row])
+                same(problem.inner_vjp(int(j), x, u), V[row])
+                same(problem.inner_vjp(int(j), x, U[row]), W[row])
             for row, i in enumerate(B):
                 assert np.ndim(problem.outer_value(int(i), y)) == 0
                 same(problem.outer_value(int(i), y), F[row])
@@ -64,6 +68,20 @@ class TestIndexContract:
                 assert many.shape == (6, k)
                 for t in range(6):
                     same(problem.outer_grad(int(i), Y[t]), many[t])
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
+    def test_vjp_matches_central_differences(self, name):
+        problem = CONTRACT_PROBLEMS[name][0]()
+        m, d, k = problem.dims.m, problem.dims.d, problem.dims.k
+        rng = np.random.default_rng(1)
+        h = 1e-6
+        for _ in range(5):
+            x = rng.uniform(-0.9, 0.9, size=d) * problem.regularizer.radius
+            u, j = rng.normal(size=k), int(rng.integers(m))
+            fd = np.array([u @ (problem.inner_value(j, x + h * e)
+                                - problem.inner_value(j, x - h * e)) / (2 * h)
+                           for e in np.eye(d)])
+            np.testing.assert_allclose(problem.inner_vjp(j, x, u), fd, rtol=1e-6)
 
 
 class TestProblemDims:

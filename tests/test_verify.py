@@ -35,8 +35,8 @@ class TestFdGradient:
 
     def test_check_catches_wrong_gradient(self, toy):
         class Broken(type(toy)):
-            def inner_jacobian(self, idx, x):
-                return 1.5 * super().inner_jacobian(idx, x)
+            def inner_vjp(self, idx, x, u):
+                return 1.5 * super().inner_vjp(idx, x, u)
 
         broken = Broken(toy.A, toy.b, toy.centers, regularizer=toy.regularizer)
         points = np.random.default_rng(1).uniform(-0.5, 0.5, size=(5, 3))
@@ -131,6 +131,12 @@ class TestReporting:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == REPORT_HEADER == "name,pass,measured,bound,trials,seed"
         assert lines[1] == "demo,true,0.5,1.0,10,0"
+
+    def test_numpy_scalars_written_as_plain_floats(self):
+        report = CheckReport(name="demo", passed=np.bool_(True),
+                             measured=np.float64(6.523180058084518e-11),
+                             bound=np.float64(1e-5), trials=10, seed=0)
+        assert report.to_csv_row() == "demo,true,6.523180058084518e-11,1e-05,10,0"
 
     def test_all_passed_treats_skip_as_ok(self):
         ok = CheckReport("a", True, 0.0, 1.0, 1, 0)
