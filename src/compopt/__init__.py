@@ -28,7 +28,7 @@ from .problems import (BellmanProblem, BellmanSpec, MeanVarianceProblem,
 from .prox import Regularizer, prox_step, reg_value
 from .solver import (EpochInfo, RunConfig, ScvrgResult, derive_theorem_params,
                      predicted_total_samples, run_epoch, run_scvrg, step_size)
-from .trace import TRACE_HEADER, TraceRecord, with_gap
+from .trace import TRACE_HEADER, TraceRecord
 from .verify import (CheckReport, all_passed, check_epoch_contraction,
                      check_gradient_fd, check_lemma1, check_lemma2,
                      check_unbiasedness, epoch_potentials, run_all_checks)

@@ -21,6 +21,10 @@ from .solver import RunConfig, run_epoch
 from .trace import Recorder
 
 
+#: SCGD and ASC-PG schedules: steps alpha0 / t^P_X, tracker weights BETA0 / t^P_Y
+P_X, BETA0, P_Y = 0.75, 1.0, 0.5
+
+
 @dataclass
 class BaselineConfig:
     """Knobs for the baseline roster; unused fields are ignored per algorithm."""
@@ -29,9 +33,6 @@ class BaselineConfig:
     seed: int = 0
     eta: float = 0.01       # constant step (VRSC-PG)
     alpha0: float = 0.1     # step scale for shrinking-step methods
-    p_x: float = 0.75       # step decay exponent
-    beta0: float = 1.0      # inner-tracker weight scale
-    p_y: float = 0.5        # tracker decay exponent
     K: int | None = None    # VRSC-PG epoch length; default ceil((m+n)^(2/3))
     a: int = 5
     b: int = 5
@@ -40,7 +41,7 @@ class BaselineConfig:
     def __post_init__(self):
         if self.max_samples <= 0:
             raise ConfigError("sample budget must be positive")
-        if self.eta <= 0 or self.alpha0 <= 0 or self.beta0 <= 0:
+        if self.eta <= 0 or self.alpha0 <= 0:
             raise ConfigError("step parameters must be positive")
 
 
@@ -109,7 +110,7 @@ def run_scgd(problem: CompositionProblem, config: BaselineConfig, x0,
              phi_star: float | None = None):
     """Two-timescale compositional SGD with a running inner-value tracker.
 
-    y_t tracks g(x_t) with weight beta0 / t^p_y; steps use alpha0 / t^p_x.
+    y_t tracks g(x_t) with weight BETA0 / t^P_Y; steps use alpha0 / t^P_X.
     Each iteration charges 2 samples (one inner, one outer).
     """
     return _scgd_core(problem, config, x0, phi_star, accelerated=False, tag="scgd")
@@ -147,8 +148,8 @@ def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
         rng = minibatch_rng(config.seed, 0, t, stream=2)
         j = int(rng.integers(m))
         i = int(rng.integers(n))
-        beta_t = min(1.0, config.beta0 / t**config.p_y)
-        alpha_t = config.alpha0 / t**config.p_x
+        beta_t = min(1.0, BETA0 / t**P_Y)
+        alpha_t = config.alpha0 / t**P_X
         if accelerated:
             grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
             x_new = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)

@@ -89,11 +89,18 @@ def take_snapshot(problem: CompositionProblem, x_tilde, meter: SampleMeter | Non
     return EpochSnapshot(x_tilde=x_tilde.copy(), g_tilde=g, z_tilde=Z, v_tilde=v)
 
 
+def _batch_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean over the minibatch axis -2; one pass also for a stack of trials."""
+    return np.einsum("...ak->...k", rows) / rows.shape[-2]
+
+
 def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A,
                    meter: SampleMeter | None = None) -> np.ndarray:
     """Control-variate estimate of the inner value at x.
 
-    g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)). Charges len(A) inner samples.
+    g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)), the mean over A's last axis:
+    A of shape (t, a) gives t estimates, shape (t, k). Charges A.size inner
+    samples.
     """
     A = np.asarray(A)
     if A.size == 0:
@@ -103,7 +110,7 @@ def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A,
     g_ref = problem.inner_value(A, snapshot.x_tilde)
     if meter is not None:
         meter.add(A.size)
-    return snapshot.g_tilde + (g_new - g_ref).mean(axis=0)
+    return snapshot.g_tilde + _batch_mean(g_new - g_ref)
 
 
 def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B,
@@ -132,17 +139,16 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
                                 meter: SampleMeter | None = None) -> np.ndarray:
     """Unbiased gradient estimate using exact inner quantities at x.
 
-    u_t = v~ + mean_{i in B} ( Z(x)^T grad f_i(g(x)) - z~^T grad f_i(g~) ).
+    u_t = v~ + mean_{i in B} ( Z(x)^T grad f_i(g(x)) - z~^T grad f_i(g~) ), the
+    mean over B's last axis: B of shape (t, b) gives t estimates, shape (t, d).
     Its mean over B draws is exactly grad F(x).
     """
     B = np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
-    x, all_m = np.asarray(x, dtype=float), np.arange(problem.dims.m)
-    g_x = problem.inner_value(all_m, x).mean(axis=0)
-    df_new = problem.outer_grad(B, g_x).mean(axis=0)
-    df_ref = problem.outer_grad(B, snapshot.g_tilde).mean(axis=0)
+    g_x, Z_x = inner_mean(problem, x)
+    df_new = _batch_mean(problem.outer_grad(B, g_x))
+    df_ref = _batch_mean(problem.outer_grad(B, snapshot.g_tilde))
     if meter is not None:
         meter.add(B.size)
-    vjp = problem.inner_vjp(all_m, x, df_new).mean(axis=0)  # Z(x)^T df_new
-    return snapshot.v_tilde + vjp - snapshot.z_tilde.T @ df_ref
+    return snapshot.v_tilde + df_new @ Z_x - df_ref @ snapshot.z_tilde

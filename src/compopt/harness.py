@@ -13,7 +13,7 @@ from .baselines import BaselineConfig
 from .errors import ConfigError, DivergenceError, InputError
 from .problem import CompositionProblem, lipschitz_bounds
 from .solver import RunConfig, predicted_total_samples, run_scvrg
-from .trace import TRACE_HEADER, TraceRecord, abort_record, with_gap
+from .trace import TRACE_HEADER, TraceRecord, abort_record
 
 log = logging.getLogger(__name__)
 
@@ -162,7 +162,6 @@ def run_benchmark(spec: ExperimentSpec) -> str:
                 log.warning("run (%s, seed %d) aborted: %s", algorithm, seed, exc)
                 rows.append(abort_record(algorithm, seed, max_samples, N))
                 continue
-            trace = [r if r.gap is not None else with_gap(r, phi_star) for r in trace]
             rows.extend(_decimate(trace))
     out_dir = os.path.dirname(os.path.abspath(spec.out))
     os.makedirs(out_dir, exist_ok=True)

@@ -63,14 +63,16 @@ class SmoothnessConstants:
 class CompositionProblem:
     """Base class bundling the component oracles, regularizer and dimensions.
 
-    Subclasses implement four oracles over an index `idx` that is either an
-    int or a 1-D index array. An int evaluates one component and returns one
-    row: shape (k,) for an inner value, (d,) for a vector-Jacobian product, a
-    scalar for an outer value. An array returns those rows stacked in index
-    order; each index it holds is one oracle sample. `outer_grad(i, Y)` with
-    an int i and points Y of shape (t, k) returns the gradients of f_i at
-    every row of Y, shape (t, k). Oracles must be pure: the same (index, point) pair
-    always returns the same values.
+    Subclasses implement four oracles over an index `idx` that is an int or
+    an index array of any shape; each index it holds is one oracle sample. An
+    int evaluates one component and returns one row: shape (k,) for an inner
+    value, (d,) for a vector-Jacobian product, a scalar for an outer value.
+    An array returns one row per index, shape idx.shape + (k,), and so on.
+    The cotangent `u` of `inner_vjp` and the point `y` of `outer_grad`
+    broadcast against idx.shape + (k,): one shared (k,) row, one row per
+    index, or a (t, 1, k) stack shared along the last axis of a (t, a)
+    index. Oracles must be pure: the same (index, point) pair always returns
+    the same values.
     """
 
     #: known optimum, if the builder can certify one (used by verification)
@@ -84,22 +86,21 @@ class CompositionProblem:
         self.N = max(dims.m, dims.n)
 
     def inner_value(self, idx, x) -> np.ndarray:
-        """g_j(x) for j in idx: shape (k,), or (len(idx), k)."""
+        """g_j(x) for j in idx: shape idx.shape + (k,)."""
         raise NotImplementedError
 
     def inner_vjp(self, idx, x, u) -> np.ndarray:
-        """dg_j(x)^T u for j in idx: shape (d,), or (len(idx), d). The
-        cotangent u is one (k,) vector shared by every index, or one row per
-        index, shape (len(idx), k)."""
+        """dg_j(x)^T u for j in idx: the broadcast shape of idx.shape + (k,)
+        and u.shape, with last axis d."""
         raise NotImplementedError
 
     def outer_value(self, idx, y):
-        """f_i(y) for i in idx: a scalar, or shape (len(idx),)."""
+        """f_i(y) for i in idx: shape idx.shape."""
         raise NotImplementedError
 
     def outer_grad(self, idx, y) -> np.ndarray:
-        """Gradient of f_i at y for i in idx: shape (k,), or (len(idx), k);
-        (t, k) for an int i at points y of shape (t, k)."""
+        """Gradient of f_i at y for i in idx: the broadcast shape of
+        idx.shape + (k,) and y.shape."""
         raise NotImplementedError
 
     def smoothness(self, box_radius: float):

@@ -16,9 +16,11 @@ MISSING_SENTINELS = (-99.99, -999.0)
 
 
 def _repeat(value, idx) -> np.ndarray:
-    """A copy of `value` for an int idx, one stacked copy per index for an array."""
+    """A copy of `value` broadcast against np.shape(idx) + (its last axis,): one
+    row per index, whether `value` is one shared row or a stack of rows."""
     value = np.asarray(value, dtype=float)
-    return np.broadcast_to(value, np.shape(idx) + value.shape).copy()
+    shape = np.broadcast_shapes(np.shape(idx) + value.shape[-1:], value.shape)
+    return np.broadcast_to(value, shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +139,10 @@ class MeanVarianceProblem(CompositionProblem):
 
     def outer_grad(self, idx, y):
         R = self.returns[idx]
-        if y.ndim == 2:  # one f_i at many points
-            u = y[:, :-1] @ R + y[:, -1]
-        else:
+        if y.ndim == 1:  # one point: a matrix-vector product
             u = R @ y[:-1] + y[-1]
+        else:
+            u = np.einsum("...d,...d->...", R, y[..., :-1]) + y[..., -1]
         out = np.empty(u.shape + (self.dims.k,))
         out[..., :-1] = (2.0 * u - 1.0)[..., None] * R
         out[..., -1] = 2.0 * u
@@ -278,7 +280,7 @@ class IdentityQuadraticToy(CompositionProblem):
         return _repeat(x, idx)
 
     def inner_vjp(self, idx, x, u):
-        return np.broadcast_to(u, np.shape(idx) + (self.dims.d,)).copy()
+        return _repeat(u, idx)
 
     def outer_value(self, idx, y):
         return np.sum((y - self.centers[idx]) ** 2, axis=-1)
@@ -310,7 +312,11 @@ class AffineInnerProblem(CompositionProblem):
         self.b_bar = b.mean(axis=0)
 
     def inner_value(self, idx, x):
-        return self.A[idx] @ x + self.b[idx]
+        # one matrix-vector product over all gathered rows, which are freed
+        # before the offsets are gathered
+        out = (self.A[idx].reshape(-1, self.dims.d) @ x).reshape(np.shape(idx) + (self.dims.k,))
+        out += self.b[idx]
+        return out
 
     def inner_vjp(self, idx, x, u):
         return np.einsum("...kd,...k->...d", self.A[idx], u)

@@ -69,9 +69,3 @@ def abort_record(algorithm: str, seed: int, samples: int, N: int) -> TraceRecord
                        samples=samples, samples_per_N=samples / N,
                        objective=math.nan, gap=math.nan)
 
-
-def with_gap(record: TraceRecord, phi_star: float) -> TraceRecord:
-    return TraceRecord(algorithm=record.algorithm, seed=record.seed, epoch=record.epoch,
-                       iteration=record.iteration, samples=record.samples,
-                       samples_per_N=record.samples_per_N, objective=record.objective,
-                       gap=record.objective - phi_star)

@@ -2,11 +2,15 @@
 validation, exhaustive unbiasedness, Monte-Carlo domination of the variance
 bounds, and the per-epoch potential contraction proxy.
 
+The Monte-Carlo checks evaluate the production estimators on a trial axis of
+index draws, shapes (trials, a) and (trials, b): g_t from `estimate_inner`, u_t
+from `unbiased_reference_gradient`; only v_t's last step is written out here.
+
 The variance bounds are one-sided (upper bounds), so the checks assert
-domination with a stated slack, never equality. Monte-Carlo slack is 1.05 and
-the seed-averaged contraction threshold 0.75 (0.5 + 1e-6 in deterministic
-full-batch mode); at the default trial counts the false-failure probability is
-negligible.
+domination with a stated slack, never equality. Monte-Carlo slack is 1.05 plus
+a roundoff floor for zero bounds, and the seed-averaged contraction threshold
+0.75 (0.5 + 1e-6 in deterministic full-batch mode); at the default trial
+counts the false-failure probability is negligible.
 """
 
 import itertools
@@ -15,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import EpochSnapshot, take_snapshot, unbiased_reference_gradient
-from .problem import (CompositionProblem, full_gradient, inner_mean,
-                      lipschitz_bounds, objective, smooth_value)
+from .estimators import (EpochSnapshot, _batch_mean, estimate_inner,
+                         take_snapshot, unbiased_reference_gradient)
+from .problem import (CompositionProblem, full_gradient, lipschitz_bounds,
+                      objective, smooth_value)
 from .solver import RunConfig, run_scvrg, step_size
 
 MC_SLACK = 1.05
@@ -103,71 +108,65 @@ def check_unbiasedness(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     n = problem.dims.n
     if n > 4 or b > 2:
         raise ConfigError(f"exhaustive regime requires n <= 4 and b <= 2, got n={n}, b={b}")
-    total = np.zeros(problem.dims.d)
-    count = 0
-    for B in itertools.product(range(n), repeat=b):
-        total += unbiased_reference_gradient(problem, snapshot, x, np.array(B))
-        count += 1
-    mean = total / count
+    draws = np.array(list(itertools.product(range(n), repeat=b)))   # (n^b, b)
+    mean = unbiased_reference_gradient(problem, snapshot, x, draws).mean(axis=0)
     exact = full_gradient(problem, x)
     rel = np.linalg.norm(mean - exact) / max(np.linalg.norm(exact), 1e-300)
     return CheckReport(name="unbiasedness", passed=rel <= tol, measured=rel,
-                       bound=tol, trials=count, seed=seed)
+                       bound=tol, trials=len(draws), seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo variance-bound checks
 # ---------------------------------------------------------------------------
 
-def _per_index_tables(problem: CompositionProblem, snapshot: EpochSnapshot, x):
-    """Precomputed per-index quantities for vectorized Monte-Carlo trials."""
-    all_m, all_n = np.arange(problem.dims.m), np.arange(problem.dims.n)
-    Gx = problem.inner_value(all_m, x)
-    Gt = problem.inner_value(all_m, snapshot.x_tilde)
-    g_x, Z_x = inner_mean(problem, x)
-    # exact per-i gradient terms at x and at the reference
-    hx = problem.outer_grad(all_n, g_x) @ Z_x                  # (n, d)
-    ht = problem.outer_grad(all_n, snapshot.g_tilde) @ snapshot.z_tilde
-    return Gx, Gt, hx, ht
+def _coupled_estimate(problem, snapshot, x, A, B):
+    """v_t for a stack of inner draws A (t, a) and outer draws B (t, b), shape (t, d)."""
+    g_t = estimate_inner(problem, snapshot, x, A)
+    # v_t is spelled out rather than estimate_gradient on the trial axis:
+    # perfbench's verify-check gate matches estimate_gradient spans to the
+    # contraction runs' ledger steps
+    df_new = _batch_mean(problem.outer_grad(B, g_t[:, None]))
+    df_ref = _batch_mean(problem.outer_grad(B, snapshot.g_tilde))
+    dz = sum(problem.inner_vjp(A[:, c], x, df_new)
+             - problem.inner_vjp(A[:, c], snapshot.x_tilde, df_new) for c in range(A.shape[1]))
+    return snapshot.v_tilde + (df_new - df_ref) @ snapshot.z_tilde + dz / A.shape[1]
 
 
-def _coupled_draws(problem, snapshot, x, dG, a, b, trials, seed):
-    """Paired Monte-Carlo draws of the coupled estimator, MC_CHUNK trials at a
-    time: yields (B, terms) with terms[t] the mean over B[t] of
-    z_t^T grad f_i(g_t), where g_t and z_t use the inner draw A[t]. The term
-    is linear in grad f_i, so that is averaged over B[t] before the VJPs."""
+def _mc_mean_sq(problem, a, b, trials, seed, deviation):
+    """Monte-Carlo mean of ||deviation(A, B)||^2 over uniform draws A (t, a)
+    and B (t, b), MC_CHUNK trials at a time."""
     m, n = problem.dims.m, problem.dims.n
     rng = np.random.default_rng(seed)
-    done = 0
-    while done < trials:
+    acc = 0.0
+    for done in range(0, trials, MC_CHUNK):
         t = min(MC_CHUNK, trials - done)
         A = rng.integers(0, m, size=(t, a))
         B = rng.integers(0, n, size=(t, b))
-        g_t = snapshot.g_tilde + dG[A].mean(axis=1)                 # (t, k)
-        Df = np.stack([problem.outer_grad(i, g_t) for i in range(n)], axis=1)  # (t, n, k)
-        Df = np.take_along_axis(Df, B[:, :, None], axis=1).mean(axis=1)       # (t, k)
-        dz = np.zeros((t, problem.dims.d))
-        for c in range(a):
-            dz += (problem.inner_vjp(A[:, c], x, Df)
-                   - problem.inner_vjp(A[:, c], snapshot.x_tilde, Df))
-        yield B, Df @ snapshot.z_tilde + dz / a
-        done += t
+        acc += float(np.sum(deviation(A, B) ** 2))
+    return acc / trials
 
 
 def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed):
     """Monte-Carlo mean of ||v_t - u_t||^2 with shared B per paired draw."""
-    Gx, Gt, hx, _ = _per_index_tables(problem, snapshot, x)
-    acc = 0.0
-    for B, v_terms in _coupled_draws(problem, snapshot, x, Gx - Gt, a, b, trials, seed):
-        u_terms = hx[B].mean(axis=1)
-        acc += float(np.sum((v_terms - u_terms) ** 2))
-    return acc / trials
+    return _mc_mean_sq(problem, a, b, trials, seed, lambda A, B: (
+        _coupled_estimate(problem, snapshot, x, A, B)
+        - unbiased_reference_gradient(problem, snapshot, x, B)))
+
+
+def _dominated(measured, bound, snapshot):
+    """measured <= MC_SLACK * bound, up to an absolute roundoff floor: a bound
+    of 0 (x == x~, or x == x~ == x*) still measures squared norms ~eps^2."""
+    floor = 1e-24 * max(1.0, float(np.sum(snapshot.v_tilde**2)))
+    return measured <= MC_SLACK * bound + floor
 
 
 def _bound_terms(problem: CompositionProblem, snapshot: EpochSnapshot, x):
     """ell, the summed objective gaps and the summed squared distances to the
     certified optimum at x and at the reference: the inputs of the Lemma 2
     and combined variance bounds."""
+    if problem.x_star is None or problem.phi_star is None:
+        raise ConfigError("the variance bounds require a problem with a certified optimum")
     ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
     x = np.asarray(x, float)
     xs, ps = problem.x_star, problem.phi_star
@@ -192,13 +191,9 @@ def check_lemma1(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     alt_bound = 2.0 * (consts.L_f**2 * consts.ell_g**2
                        + consts.L_g**4 * consts.ell_f**2) * dist_sq / a
     measured = _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed)
-    # absolute floor absorbs accumulation roundoff when x == x~ (bound is 0
-    # there but the simulated squared norms are ~eps^2 rather than exact zeros)
-    floor = 1e-24 * max(1.0, float(np.sum(snapshot.v_tilde**2)))
-    holds_main = measured <= MC_SLACK * bound + floor
-    holds_alt = measured <= MC_SLACK * alt_bound + floor
-    return CheckReport(name="lemma1_domination", passed=holds_main, measured=measured,
-                       bound=bound, trials=trials, seed=seed,
+    holds_alt = _dominated(measured, alt_bound, snapshot)
+    return CheckReport(name="lemma1_domination", passed=_dominated(measured, bound, snapshot),
+                       measured=measured, bound=bound, trials=trials, seed=seed,
                        detail=f"intermediate-constant bound {alt_bound:.6g} "
                               f"{'holds' if holds_alt else 'violated'}")
 
@@ -220,42 +215,31 @@ def check_lemma2(problem: CompositionProblem, snapshot: EpochSnapshot, x,
                  b: int, trials: int = 100_000, seed: int = 0) -> CheckReport:
     """Domination check for the unbiased-estimator variance bound.
 
-    Needs a problem with a certified optimum; the bound mixes objective gaps
-    and squared distances at x and the reference.
+    Compares the Monte-Carlo mean of ||u_t - grad F(x)||^2 against
+    16 ell (gaps) / b + 12 ell^2 (squared distances) / b, with the objective
+    gaps and distances to the certified optimum taken at x and the reference.
     """
-    if problem.x_star is None or problem.phi_star is None:
-        raise ConfigError("lemma2 check requires a problem with a certified optimum")
-    n = problem.dims.n
-    _, _, hx, _ = _per_index_tables(problem, snapshot, x)
-    grad = hx.mean(axis=0)
-    rng = np.random.default_rng(seed)
-    B = rng.integers(0, n, size=(trials, b))
-    diffs = hx[B].mean(axis=1) - grad
-    measured = float(np.mean(np.sum(diffs**2, axis=1)))
     ell, gaps, dists = _bound_terms(problem, snapshot, x)
+    grad = full_gradient(problem, x)
+    measured = _mc_mean_sq(problem, 0, b, trials, seed, lambda _, B: (  # no inner draws
+        unbiased_reference_gradient(problem, snapshot, x, B) - grad))
     bound = 16.0 * ell * gaps / b + 12.0 * ell**2 * dists / b
-    passed = measured <= MC_SLACK * bound or (measured == 0.0 and bound >= 0.0)
-    return CheckReport(name="lemma2_domination", passed=passed, measured=measured,
+    return CheckReport(name="lemma2_domination",
+                       passed=_dominated(measured, bound, snapshot), measured=measured,
                        bound=bound, trials=trials, seed=seed)
 
 
 def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x,
                          a: int, b: int, trials: int = 100_000, seed: int = 0) -> CheckReport:
     """Domination of ||v_t - grad F(x)||^2 by the combined variance bound."""
-    if problem.x_star is None or problem.phi_star is None:
-        raise ConfigError("combined-bound check requires a certified optimum")
-    Gx, Gt, hx, ht = _per_index_tables(problem, snapshot, x)
-    grad = hx.mean(axis=0)
-    acc = 0.0
-    for B, v_terms in _coupled_draws(problem, snapshot, x, Gx - Gt, a, b, trials, seed):
-        v = snapshot.v_tilde + v_terms - ht[B].mean(axis=1)
-        acc += float(np.sum((v - grad) ** 2))
-    measured = acc / trials
     ell, gaps, dists = _bound_terms(problem, snapshot, x)
+    grad = full_gradient(problem, x)
+    measured = _mc_mean_sq(problem, a, b, trials, seed, lambda A, B: (
+        _coupled_estimate(problem, snapshot, x, A, B) - grad))
     bound = (16.0 * ell * gaps / b
              + (4.0 * ell**2 / a + 12.0 * ell**2 / b) * dists)
     return CheckReport(name="combined_bound_domination",
-                       passed=measured <= MC_SLACK * bound, measured=measured,
+                       passed=_dominated(measured, bound, snapshot), measured=measured,
                        bound=bound, trials=trials, seed=seed)
 
 
@@ -372,7 +356,12 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     reports.append(check_lemma1(toy, snapshot, x, a=2, b=2, trials=trials, seed=seed))
     reports.append(check_lemma1_scaling(toy, snapshot, x, a=2, b=2,
                                         trials=max(trials, 50_000), seed=seed))
-    reports.append(check_lemma2(toy, snapshot, x, b=2, trials=trials, seed=seed))
+    # the affine toy's u_t has zero variance (constant Jacobians, and
+    # grad f_i(y) - grad f_i(y') the same for every i), so Lemma 2 runs on the
+    # mixed toy, whose outer gradients differ by scale
+    mixed = build_toy("mixed", d=3, m=4, n=2, seed=seed)
+    reports.append(check_lemma2(mixed, take_snapshot(mixed, x_ref), x, b=2,
+                                trials=trials, seed=seed))
     reports.append(check_combined_bound(toy, snapshot, x, a=2, b=2,
                                         trials=trials, seed=seed))
 

@@ -114,6 +114,17 @@ class TestLemma2Domination:
         assert report.passed
         assert report.measured <= 1.05 * report.bound
 
+    def test_domination_mixed(self):
+        # unlike the affine toy's, the mixed toy's u_t has nonzero variance
+        toy = build_toy("mixed", d=3, m=4, n=2, seed=0)
+        assert toy.x_star is not None
+        rng = np.random.default_rng(4)
+        snap = take_snapshot(toy, rng.uniform(-0.5, 0.5, size=3))
+        x = rng.uniform(-0.5, 0.5, size=3)
+        report = check_lemma2(toy, snap, x, b=2, trials=100_000, seed=0)
+        assert report.passed
+        assert 0.0 < report.measured <= 1.05 * report.bound
+
 
 class TestEpochContraction:
     """Criterion 6: seed-averaged potentials contract by 0.75 per epoch under

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from compopt.errors import ConfigError, InfeasibleQueryError, InputError
+from compopt.estimators import (estimate_inner, take_snapshot,
+                                unbiased_reference_gradient)
 from compopt.problem import (ProblemDims, SmoothnessConstants,
                              estimate_smoothness, full_gradient, inner_mean,
                              lipschitz_bounds, objective, smooth_value)
@@ -64,10 +66,44 @@ class TestIndexContract:
                 assert np.ndim(problem.outer_value(int(i), y)) == 0
                 same(problem.outer_value(int(i), y), F[row])
                 same(problem.outer_grad(int(i), y), D[row])
-                many = problem.outer_grad(int(i), Y)
+                # idx.shape == (): the points Y broadcast against (k,) alone
+                many = problem.outer_grad(np.asarray(i), Y)
                 assert many.shape == (6, k)
                 for t in range(6):
                     same(problem.outer_grad(int(i), Y[t]), many[t])
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
+    def test_trial_axis_is_stack_of_1d_calls(self, name):
+        """A (t, a) index with (t, 1, k) cotangents or points returns the t
+        1-D calls stacked, and so do the estimators built on the oracles."""
+        make, tol = CONTRACT_PROBLEMS[name]
+        problem = make()
+        m, n, d, k = problem.dims.m, problem.dims.n, problem.dims.d, problem.dims.k
+        rng = np.random.default_rng(2)
+        x, x_ref = rng.uniform(-0.9, 0.9, size=(2, d)) * problem.regularizer.radius
+        snap = take_snapshot(problem, x_ref)
+        t, a = 5, 7
+        A, B = rng.integers(0, m, size=(t, a)), rng.integers(0, n, size=(t, a))
+        y, U, Y = rng.normal(size=k), rng.normal(size=(t, 1, k)), rng.normal(size=(t, 1, k))
+        G, V = problem.inner_value(A, x), problem.inner_vjp(A, x, U)
+        F, D = problem.outer_value(B, y), problem.outer_grad(B, Y)
+        g_t = estimate_inner(problem, snap, x, A)
+        u_t = unbiased_reference_gradient(problem, snap, x, B)
+        assert ((G.shape, V.shape, F.shape, D.shape, g_t.shape, u_t.shape)
+                == ((t, a, k), (t, a, d), (t, a), (t, a, k), (t, k), (t, d)))
+        for r in range(t):
+            np.testing.assert_allclose(G[r], problem.inner_value(A[r], x), rtol=tol, atol=tol)
+            np.testing.assert_allclose(V[r], problem.inner_vjp(A[r], x, U[r, 0]),
+                                       rtol=tol, atol=tol)
+            np.testing.assert_allclose(F[r], problem.outer_value(B[r], y), rtol=tol, atol=tol)
+            np.testing.assert_allclose(D[r], problem.outer_grad(B[r], Y[r, 0]),
+                                       rtol=tol, atol=tol)
+            np.testing.assert_allclose(g_t[r], estimate_inner(problem, snap, x, A[r]),
+                                       rtol=tol, atol=tol)
+            # u_t's (t, k) @ Z(x) is a matrix product, one row's a vector
+            # product: the same sums, possibly in another order
+            np.testing.assert_allclose(u_t[r], unbiased_reference_gradient(problem, snap, x, B[r]),
+                                       rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
     def test_vjp_matches_central_differences(self, name):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from compopt import verify
 from compopt.errors import ConfigError
-from compopt.estimators import take_snapshot
-from compopt.problem import full_gradient, lipschitz_bounds
+from compopt.estimators import (estimate_inner, take_snapshot,
+                                unbiased_reference_gradient)
+from compopt.problem import full_gradient, inner_mean, lipschitz_bounds
 from compopt.problems import build_toy
 from compopt.solver import RunConfig
 from compopt.verify import (REPORT_HEADER, CheckReport, all_passed,
@@ -85,6 +87,22 @@ class TestVarianceBounds:
                               b=2, trials=40_000, seed=0)
         assert report.passed
 
+    def test_lemma2_dominates_mixed(self):
+        # the affine toy's u_t has zero variance; the mixed toy's does not
+        mixed = build_toy("mixed", d=3, m=4, n=2, seed=0)
+        snap = take_snapshot(mixed, np.array([0.2, 0.0, -0.1]))
+        report = check_lemma2(mixed, snap, np.array([-0.3, 0.4, 0.1]),
+                              b=2, trials=40_000, seed=0)
+        assert report.passed
+        assert 0.0 < report.measured <= 1.05 * report.bound
+
+    def test_lemma2_zero_at_optimum(self, toy):
+        # x == x~ == x*: the bound is 0 and u_t == v~ == grad F(x) up to roundoff
+        snap = take_snapshot(toy, toy.x_star)
+        report = check_lemma2(toy, snap, toy.x_star, b=2, trials=1000, seed=0)
+        assert report.passed
+        assert report.measured <= 1e-24
+
     def test_lemma2_needs_certified_optimum(self):
         from compopt.problems import build_mean_variance, synthetic_returns
         p = build_mean_variance(synthetic_returns(20, 3, seed=0), lam=1e-2)
@@ -152,3 +170,32 @@ class TestRunAllChecks:
         assert len(reports) >= 10
         failing = [r.name for r in reports if not (r.passed or r.skipped)]
         assert failing == []
+
+
+def _biased_inner(problem, snapshot, x, A, meter=None):
+    return estimate_inner(problem, snapshot, x, A, meter) + 0.3 * snapshot.g_tilde
+
+
+def _plain_unbiased(problem, snapshot, x, B, meter=None):
+    """Z(x)^T mean_B grad f_i(g(x)), without the control variate."""
+    g, Z = inner_mean(problem, x)
+    return problem.outer_grad(np.asarray(B), g).mean(axis=-2) @ Z
+
+
+def _biased_unbiased(problem, snapshot, x, B, meter=None):
+    return unbiased_reference_gradient(problem, snapshot, x, B, meter) + 0.3 * snapshot.v_tilde
+
+
+class TestNegativeControls:
+    """The suite reads the production estimators, so a broken one must fail it."""
+
+    @pytest.mark.parametrize("target, broken", [
+        ("estimate_inner", _biased_inner),
+        ("unbiased_reference_gradient", _plain_unbiased),
+        ("unbiased_reference_gradient", _biased_unbiased),
+    ], ids=["g_t_biased", "u_t_no_control_variate", "u_t_biased"])
+    def test_broken_estimator_fails_suite(self, monkeypatch, target, broken):
+        monkeypatch.setattr(verify, target, broken)
+        for seed in range(4):
+            reports = run_all_checks(seed=seed, trials=20_000, contraction_seeds=2)
+            assert not all_passed(reports), f"seed {seed}: every check passed"
