@@ -50,56 +50,33 @@ def _check_finite(x, algorithm):
         raise DivergenceError(f"{algorithm}: non-finite iterate")
 
 
-def restart_fista(problem: CompositionProblem, x0, step: float, algorithm: str):
-    """Accelerated full-gradient proximal steps with function restarts.
-
-    Each step takes one full gradient at the extrapolated point and a prox
-    step of length `step`. A step that would raise the objective is not taken:
-    it restarts the momentum from the current iterate instead. Yields after
-    every step the current iterate, its objective, and the objective decrease
-    the step made (None for a restart). Raises DivergenceError on a
-    non-finite iterate.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    y = x.copy()
-    t_k = 1.0
-    phi = objective(problem, x)
-    while True:
-        x_new = prox_step(problem.regularizer, y - step * full_gradient(problem, y), step)
-        _check_finite(x_new, algorithm)
-        phi_new = objective(problem, x_new)
-        if phi_new > phi:
-            t_k = 1.0
-            y = x.copy()
-            yield x, phi, None
-            continue
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-        y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-        t_k = t_next
-        decrease = phi - phi_new
-        x, phi = x_new, phi_new
-        yield x, phi, decrease
-
-
 def run_agd(problem: CompositionProblem, config: BaselineConfig, x0,
             phi_star: float | None = None):
     """Accelerated full-batch proximal gradient with function restarts.
 
     Step 1/ell from the problem's smoothness bound; every iteration charges
-    m + n samples (one full gradient).
+    m + n samples (one full gradient). A step that would raise the objective
+    is not taken: the momentum restarts from the current iterate instead.
     """
     m, n = problem.dims.m, problem.dims.n
-    ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
+    step = 1.0 / lipschitz_bounds(problem, problem.regularizer.radius).ell
     meter = SampleMeter()
     x = np.asarray(x0, dtype=float).copy()
     rec = Recorder(problem, "agd", config.seed, meter, x, phi_star)
     rec.record(0, 0, x)
-    steps = restart_fista(problem, x, 1.0 / ell, "agd")
-    it = 0
+    y, t_k, phi, it = x.copy(), 1.0, objective(problem, x), 0
     while meter.affords(m + n, config.max_samples):
         it += 1
         meter.add(m + n)
-        x, _, _ = next(steps)
+        x_new = prox_step(problem.regularizer, y - step * full_gradient(problem, y), step)
+        _check_finite(x_new, "agd")
+        phi_new = objective(problem, x_new)
+        if phi_new > phi:
+            t_k, y = 1.0, x.copy()
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
+            y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
+            t_k, x, phi = t_next, x_new, phi_new
         if config.trace_every is not None and it % config.trace_every == 0:
             rec.record(0, it, x)
     rec.record(0, it, x)

@@ -34,10 +34,6 @@ class MiniBatchDraw:
     A: np.ndarray
     B: np.ndarray
 
-    def __post_init__(self):
-        if len(self.A) == 0 or len(self.B) == 0:
-            raise ConfigError("minibatch draws must be nonempty")
-
 
 @dataclass
 class SampleMeter:

@@ -11,7 +11,8 @@ import numpy as np
 from . import baselines
 from .baselines import BaselineConfig
 from .errors import ConfigError, DivergenceError, InputError
-from .problem import CompositionProblem, lipschitz_bounds
+from .problem import CompositionProblem, full_gradient, lipschitz_bounds, objective
+from .prox import prox_step
 from .solver import RunConfig, predicted_total_samples, run_scvrg
 from .trace import TRACE_HEADER, TraceRecord, abort_record
 
@@ -26,7 +27,8 @@ MAX_TRACE_ROWS = 10_000
 @dataclass
 class ExperimentSpec:
     """One benchmark: a problem, an algorithm roster, a sample budget in units
-    of N, and the seeds to average over."""
+    of N, and the seeds to average over. `phi_star_budget`, in samples, caps
+    the phi* polish at phi_star_budget // (m + n) full gradients."""
 
     problem: CompositionProblem
     algorithms: list
@@ -49,32 +51,64 @@ class ExperimentSpec:
             raise InputError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
 
 
-def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
-    """High-accuracy objective optimum estimate.
+@dataclass(frozen=True)
+class PhiStar:
+    """value = Phi(x+), value - Phi* <= bound, after `gradients` full gradients."""
 
-    A long doubling-epoch run spends half of the budget; the restart-FISTA
-    loop of `baselines.restart_fista` (step 1/ell) then polishes its result
-    until a step lowers the objective by < 1e-14 * (|Phi| + 1), or the budget
-    runs out. Returns the objective at the polished point, the lowest the
-    polish has seen. Logs a warning if the polish does not reach the
-    tolerance within budget.
+    value: float
+    bound: float
+    gradients: int
+
+
+def polish_phi_star(problem: CompositionProblem, budget: int) -> PhiStar:
+    """Restart-FISTA from x = 0 within budget // (m + n) full gradients.
+
+    Step 1/L backtracks on the gradient test ||grad F(x+) - grad F(y)|| <=
+    L ||x+ - y|| (Beck & Teboulle 2009), which roundoff near the optimum does
+    not trip as it does a function-value test: L starts at ell / 4096, doubles
+    per failed trial up to the closed-form ell and shrinks by 0.9 per step.
+    Momentum restarts when (y - x+).(x+ - x) > 0 (O'Donoghue & Candes 2015).
+    Stops once G = L (y - x+) has ||G|| <= 1e-12 (||grad F(y)|| + 1).
+    Bound: s = G + grad F(x+) - grad F(y) is a subgradient of Phi at x+, so
+    for convex F, Phi(x+) - Phi* <= ||s|| 2 R sqrt(d) whatever L is. The
+    gradient test gives ||s|| <= 2 ||G||; roundoff in s is ~1e-16 ||grad F||.
     """
     m, n = problem.dims.m, problem.dims.n
     if budget < 100 * (m + n):
         raise ConfigError(f"optimum budget must be >= 100 * (m + n) = {100 * (m + n)}")
-    config = scvrg_config_for_budget(problem, budget // 2, seed=0, a=min(5, m), b=min(5, n))
-    result = run_scvrg(problem, config, np.zeros(problem.dims.d), max_samples=budget // 2)
+    reg = problem.regularizer
+    ell = lipschitz_bounds(problem, reg.radius).ell
+    cap, L, t_k, bound, used, grad_y = budget // (m + n), ell / 4096, 1.0, math.inf, 0, None
+    x = y = np.zeros(problem.dims.d)
+    while used + (grad_y is None) < cap:
+        if grad_y is None:
+            grad_y, used = full_gradient(problem, y), used + 1
+        x_new = prox_step(reg, y - grad_y / L, 1.0 / L)
+        grad_new, used = full_gradient(problem, x_new), used + 1
+        if L < ell and np.linalg.norm(grad_new - grad_y) > L * np.linalg.norm(x_new - y):
+            L = min(2.0 * L, ell)
+            continue
+        G = L * (y - x_new)
+        bound = float(np.linalg.norm(G + grad_new - grad_y) * 2.0 * reg.radius * math.sqrt(x.size))
+        x_prev, x = x, x_new
+        if np.linalg.norm(G) <= 1e-12 * (np.linalg.norm(grad_y) + 1.0):
+            break
+        if (y - x) @ (x - x_prev) > 0.0:
+            t_k, y, grad_y = 1.0, x, grad_new
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
+            t_k, y, grad_y = t_next, x + ((t_k - 1.0) / t_next) * (x - x_prev), None
+        L *= 0.9
+    else:
+        log.warning("phi_star polish did not converge within %d full gradients", cap)
+    log.info("phi_star polish: L = %.3g, closed-form ell = %.3g (%.0fx), "
+             "%d full gradients, certificate %.3g", L, ell, ell / L, used, bound)
+    return PhiStar(objective(problem, x), bound, used)
 
-    ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
-    # accelerated polish; plain prox-gradient crawls on flat instances and
-    # would dominate the error of every downstream gap
-    steps = baselines.restart_fista(problem, result.x, 1.0 / ell, "phi_star polish")
-    for _ in range(max((budget - result.samples) // (m + n), 10)):
-        _, phi, decrease = next(steps)
-        if decrease is not None and decrease < 1e-14 * (abs(phi) + 1.0):
-            return phi
-    log.warning("phi_star polish did not converge within budget; returning best value seen")
-    return phi
+
+def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
+    """`polish_phi_star(problem, budget).value`: at most budget // (m + n) full gradients."""
+    return polish_phi_star(problem, budget).value
 
 
 def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
@@ -109,22 +143,18 @@ def run_one(problem: CompositionProblem, algorithm: str, seed: int,
             params: dict | None = None):
     """Run a single (algorithm, seed) pair; returns (x, trace rows)."""
     params = dict(params or {})
-    N = problem.N
     a = int(params.pop("a", 5))
     b = int(params.pop("b", 5))
-    trace_every = max(1, math.ceil(N / (a + b)))
+    trace_every = max(1, math.ceil(problem.N / (a + b)))
     x0 = params.pop("x0", np.zeros(problem.dims.d))
     if algorithm == "scvrg":
         S = params.pop("S", None)
-        k0 = int(params.pop("k0", 10))
-        eta = float(params.pop("eta", 0.01))
-        schedule = params.pop("schedule", "adaptive")
+        knobs = dict(k0=int(params.pop("k0", 10)), eta=float(params.pop("eta", 0.01)),
+                     a=a, b=b, schedule=params.pop("schedule", "adaptive"))
         if S is not None:
-            config = RunConfig(S=int(S), k0=k0, eta=eta, a=a, b=b, seed=seed,
-                               schedule=schedule)
+            config = RunConfig(S=int(S), seed=seed, **knobs)
         else:
-            config = scvrg_config_for_budget(problem, max_samples, seed, k0=k0,
-                                             eta=eta, a=a, b=b, schedule=schedule)
+            config = scvrg_config_for_budget(problem, max_samples, seed, **knobs)
         if params:
             raise ConfigError(f"unused scvrg parameters: {sorted(params)}")
         result = run_scvrg(problem, config, x0, phi_star=phi_star,

@@ -75,9 +75,7 @@ def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float,
     for name, value in (("D_x", D_x), ("D_Phi", D_Phi), ("ell", ell), ("epsilon", epsilon)):
         if value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
-    S = math.floor(math.log2((6 * D_Phi + 15 * ell * D_x**2) / epsilon)) + 1
-    if S < 1:
-        S = 1
+    S = max(1, math.floor(math.log2((6 * D_Phi + 15 * ell * D_x**2) / epsilon)) + 1)
     eta = D_x**2 / (10 * D_Phi + 25 * ell * D_x**2)
     a = math.ceil(1620 * ell**2 * D_x**4 / epsilon**2)
     b = math.ceil(810 * ell**2 * D_x**4 / epsilon**2)

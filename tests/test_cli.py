@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line entry point (in-process)."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,19 @@ class TestPhistar:
                        "--d", "2", "--budget", "500")
         assert code == 0
         float(capsys.readouterr().out.strip())  # parses
+
+    def test_meanvar_defaults_converge_with_bound_on_stderr(self, capsys, caplog):
+        with caplog.at_level(logging.WARNING, logger="compopt.harness"):
+            code = run_cli("phistar", "--problem", "meanvar")
+        assert code == 0
+        assert "did not converge" not in caplog.text
+        captured = capsys.readouterr()
+        float(captured.out.strip())
+        match = re.search(r"bound (\S+) after (\d+) full gradients", captured.err)
+        assert match is not None
+        bound = float(match.group(1))
+        assert np.isfinite(bound) and bound >= 0.0
+        assert int(match.group(2)) <= 100  # 200 units of N over m + n = 400
 
 
 class TestCheck:

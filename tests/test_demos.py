@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# demos/01_portfolio_benchmark.py takes about 20 s and is left out
-@pytest.mark.parametrize("demo", ["02_bellman_policy_evaluation.py",
+@pytest.mark.parametrize("demo", ["01_portfolio_benchmark.py",
+                                  "02_bellman_policy_evaluation.py",
                                   "03_estimator_verification.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

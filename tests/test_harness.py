@@ -5,11 +5,13 @@ import logging
 import numpy as np
 import pytest
 
+from compopt import harness
 from compopt.errors import ConfigError, InputError
-from compopt.harness import (ExperimentSpec, compute_phi_star, run_benchmark,
-                             run_one, scvrg_config_for_budget)
-from compopt.problems import (build_bellman, build_mean_variance, build_toy,
-                              random_bellman_spec, synthetic_returns)
+from compopt.harness import (ExperimentSpec, compute_phi_star, polish_phi_star,
+                             run_benchmark, run_one, scvrg_config_for_budget)
+from compopt.problems import (AffineQuadraticToy, build_bellman, build_mean_variance,
+                              build_toy, random_bellman_spec, synthetic_returns)
+from compopt.prox import Regularizer
 from compopt.solver import predicted_total_samples
 from compopt.trace import TRACE_HEADER
 
@@ -57,6 +59,66 @@ class TestComputePhiStar:
         toy = build_toy("identity", d=2, m=3, n=3, seed=0)
         with pytest.raises(ConfigError):
             compute_phi_star(toy, budget=10)
+
+
+def _stiff_toy():
+    """Affine toy with condition number 1e8 and x* = (0.5, 0.5): the polish
+    needs far more than 100 full gradients to meet its stop."""
+    A = np.tile(np.diag([1.0, 1e-4]), (3, 1, 1))
+    centers = np.array([[0.4, 4e-5], [0.6, 6e-5]])
+    return AffineQuadraticToy(A, np.zeros((3, 2)), centers, Regularizer())
+
+
+CERTIFIED = {
+    "identity": lambda: build_toy("identity", d=3, m=6, n=5, seed=0, lam=0.05),
+    "affine": lambda: build_toy("affine", d=3, m=4, n=4, seed=2, lam=0.0),
+    "mixed": lambda: build_toy("mixed", d=3, m=4, n=4, seed=0, lam=0.0),
+    "bellman_4x6": lambda: build_bellman(random_bellman_spec(4, 6, 0.9, seed=1)),
+    "bellman_10x20": lambda: build_bellman(random_bellman_spec(10, 20, 0.9, seed=0)),
+    "stiff": _stiff_toy,
+}
+
+
+class TestPolishPhiStar:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_bound_brackets_certified_optimum(self, name):
+        p = CERTIFIED[name]()
+        assert p.phi_star is not None
+        result = polish_phi_star(p, budget=100_000)
+        roundoff = 1e-15 * (abs(p.phi_star) + 1.0)
+        assert -roundoff <= result.value - p.phi_star <= result.bound + roundoff
+        assert np.isfinite(result.bound) and result.bound >= 0.0
+        assert result.value == compute_phi_star(p, budget=100_000)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_mean_variance(synthetic_returns(200, 10, seed=0), lam=1e-2),
+        _stiff_toy], ids=["meanvar", "stiff"])
+    def test_full_gradients_within_cap(self, build, monkeypatch):
+        p = build()
+        budget = 100 * (p.dims.m + p.dims.n)
+        calls = []
+        real = harness.full_gradient
+        monkeypatch.setattr(harness, "full_gradient",
+                            lambda problem, x: calls.append(1) or real(problem, x))
+        result = polish_phi_star(p, budget)
+        assert len(calls) == result.gradients <= budget // (p.dims.m + p.dims.n)
+
+    def test_warns_when_cap_is_reached(self, caplog):
+        p = _stiff_toy()
+        with caplog.at_level(logging.WARNING, logger="compopt.harness"):
+            result = polish_phi_star(p, budget=100 * (p.dims.m + p.dims.n))
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "phi_star polish did not converge" in caplog.text
+        # the bound still holds at the last accepted point
+        assert 0.0 <= result.value - p.phi_star <= result.bound
+
+    def test_converged_run_logs_one_info_line(self, caplog):
+        p = build_mean_variance(synthetic_returns(200, 10, seed=0), lam=1e-2)
+        with caplog.at_level(logging.INFO, logger="compopt.harness"):
+            result = polish_phi_star(p, budget=100 * (p.dims.m + p.dims.n))
+        assert [r.levelno for r in caplog.records] == [logging.INFO]
+        line = caplog.records[0].getMessage()
+        assert f"{result.gradients} full gradients" in line and "closed-form ell" in line
 
 
 class TestScvrgConfigForBudget:
