@@ -3,20 +3,18 @@
 Builds a synthetic monthly-returns panel, computes a high-accuracy reference
 optimum, then runs every algorithm at the same sample budget and prints the
 seed-averaged final suboptimality gaps. A full trace CSV (one row per recorded
-iterate) is written next to this script for plotting.
+iterate) is written to portfolio_trace.csv in the current directory for
+plotting.
 
 Run:  python3 demos/01_portfolio_benchmark.py
 """
-
-import os
 
 import numpy as np
 
 from compopt.harness import ExperimentSpec, run_benchmark
 from compopt.problems import build_mean_variance, synthetic_returns
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-OUT = os.path.join(HERE, "portfolio_trace.csv")
+OUT = "portfolio_trace.csv"
 
 
 def main():

@@ -5,6 +5,11 @@ Jacobian Z~ and gradient v~ there. Minibatch estimates of the inner value and
 the gradient (whose minibatch Jacobians enter only through vector-Jacobian
 products) are corrected by the cached values, so their variance vanishes as
 the iterate approaches the reference.
+
+Minibatch indices come from Philox4x64-10 (Salmon et al., SC 2011), the
+counter-based generator numpy's `Philox` implements: `minibatch_rng` is the
+reference definition, and `draw_minibatch` hashes a whole batch of steps'
+counters in one numpy pass and reproduces its draws bit for bit.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,13 @@ import numpy as np
 from .errors import ConfigError
 from .problem import CompositionProblem, inner_mean, outer_mean_grad
 
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+# Philox4x64 multipliers (for words 0 and 2) and Weyl key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# the multipliers' 32-bit (lo, hi) halves, shape (2, 2, 1)
+_M_HALVES = np.stack((_PHILOX_M & _LO32, _PHILOX_M >> _S32))
 
 
 @dataclass(frozen=True)
@@ -54,25 +65,116 @@ class SampleMeter:
         return budget is None or self.total + cost <= budget
 
 
+def _seed_key(seed) -> np.uint64:
+    """Philox key word 0: the int64 seed's two's-complement bits."""
+    seed = int(seed)
+    if not -2**63 <= seed < 2**63:
+        raise OverflowError(f"seed {seed} does not fit in int64")
+    return np.uint64(seed % 2**64)
+
+
 def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
     """Counter-based generator keyed by (seed, epoch, iteration, stream).
 
     Philox is splittable: distinct counters give independent streams, so draws
     are reproducible per iteration regardless of execution order.
     """
-    key = np.uint64(np.int64(seed).view(np.uint64) & _U64)
-    bg = np.random.Philox(key=key, counter=[0, epoch, iteration, stream])
+    bg = np.random.Philox(key=_seed_key(seed), counter=[0, epoch, iteration, stream])
     return np.random.Generator(bg)
 
 
+def _philox_blocks(key: np.uint64, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of every counter column: (4, N) uint64 -> (4, N) uint64.
+
+    Column c is the block numpy's `Philox(key=key)` emits at counter
+    counters[:, c] (key word 1 is 0). The 64x64 -> 128-bit products are built
+    from 32-bit halves, all four partial products of both words in one pass.
+    """
+    even, odd = counters[0::2], counters[1::2]  # words (0, 2) and (1, 3)
+    k = np.array([[key], [0]], dtype=np.uint64)
+    halves = np.empty((2, 1) + even.shape, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k += _PHILOX_W
+        np.bitwise_and(even, _LO32, out=halves[0, 0])
+        np.right_shift(even, _S32, out=halves[1, 0])
+        p = halves * _M_HALVES  # p[i, j] = even's half i times M's half j
+        mid = (p[0, 0] >> _S32) + p[1, 0]
+        hi = p[1, 1] + (mid >> _S32) + ((p[0, 1] + (mid & _LO32)) >> _S32)
+        even, odd = hi[::-1] ^ odd ^ k, (even * _PHILOX_M)[::-1]
+    blocks = np.empty_like(counters)
+    blocks[0::2], blocks[1::2] = even, odd
+    return blocks
+
+
+def _uint32_draws(key: np.uint64, epoch: int, steps: np.ndarray, streams) -> list:
+    """The first `size` uint32 outputs of each step's generator, for each
+    (stream, size) in `streams`, from one kernel call.
+
+    Row t of the (len(steps), size) result is what minibatch_rng(seed, epoch,
+    steps[t], stream) draws one uint32 at a time: block b (from 1) at counter
+    [b, epoch, step, stream], each 64-bit word low half first. The values are
+    held as uint64 so a bounded draw can scale them without overflow.
+    """
+    t = steps.size
+    counters, splits = [], []
+    for stream, size in streams:
+        nb = -(-size // 8)
+        ctr = np.empty((4, t, nb), dtype=np.uint64)
+        ctr[0], ctr[1], ctr[2], ctr[3] = np.arange(1, nb + 1), epoch, steps[:, None], stream
+        counters.append(ctr.reshape(4, t * nb))
+        splits.append(t * nb)
+    words = _philox_blocks(key, np.concatenate(counters, axis=1))
+    draws = []
+    for (_, size), part in zip(streams, np.split(words, np.cumsum(splits)[:-1], axis=1)):
+        w = part.T.reshape(t, -1)
+        draws.append(np.stack((w & _LO32, w >> _S32), axis=-1).reshape(t, -1)[:, :size])
+    return draws
+
+
+def _lemire(u: np.ndarray, bound: int):
+    """numpy's bounded draw in [0, bound) from uint32 values u (bound <= 2^32):
+    (u * bound) >> 32, rejected where the low word is under (2^32 - bound) % bound.
+    Returns the draws (int64) and the rejection mask."""
+    prod = u * np.uint64(bound)
+    return (prod >> _S32).astype(np.int64), (prod & _LO32) < (2**32 - bound) % bound
+
+
+def _bounded_rows(u: np.ndarray, bound: int, seed, epoch: int, steps: np.ndarray,
+                  stream: int) -> np.ndarray:
+    """Rows of draws in [0, bound) equal to minibatch_rng(seed, epoch, step,
+    stream).integers(0, bound, size). A row whose uint32s hit a Lemire rejection
+    draws one more value and shifts, and bound > 2^32 draws 64-bit values, so
+    those rows are drawn by their reference generator instead."""
+    if bound > 2**32:
+        out, redo = np.empty(u.shape, dtype=np.int64), range(steps.size)
+    else:
+        out, rejected = _lemire(u, bound)
+        redo = np.flatnonzero(rejected.any(axis=1))
+    for r in redo:
+        out[r] = minibatch_rng(seed, epoch, int(steps[r]), stream).integers(0, bound, size=u.shape[1])
+    return out
+
+
 def draw_minibatch(m: int, n: int, a: int, b: int,
-                   seed: int, epoch: int, iteration: int) -> MiniBatchDraw:
-    """Uniform with-replacement draws of a inner and b outer indices."""
+                   seed: int, epoch: int, iteration) -> MiniBatchDraw:
+    """Uniform with-replacement draws of a inner and b outer indices.
+
+    `iteration` is one step index, giving A of shape (a,) and B of shape (b,),
+    or a 1-D array of t step indices, giving (t, a) and (t, b). Row t is
+    minibatch_rng(seed, epoch, iteration[t], stream).integers(0, m, a) with
+    stream 0 for A (and likewise n, b and stream 1 for B), bit for bit, so how
+    steps are batched never changes a draw.
+    """
     if a < 1 or b < 1:
         raise ConfigError(f"batch sizes must be >= 1, got a={a}, b={b}")
-    rng_a = minibatch_rng(seed, epoch, iteration, stream=0)
-    rng_b = minibatch_rng(seed, epoch, iteration, stream=1)
-    return MiniBatchDraw(A=rng_a.integers(0, m, size=a), B=rng_b.integers(0, n, size=b))
+    steps = np.atleast_1d(np.asarray(iteration, dtype=np.uint64))
+    u_a, u_b = _uint32_draws(_seed_key(seed), epoch, steps, ((0, a), (1, b)))
+    A = _bounded_rows(u_a, m, seed, epoch, steps, stream=0)
+    B = _bounded_rows(u_b, n, seed, epoch, steps, stream=1)
+    if np.ndim(iteration) == 0:
+        A, B = A[0], B[0]
+    return MiniBatchDraw(A=A, B=B)
 
 
 def take_snapshot(problem: CompositionProblem, x_tilde, meter: SampleMeter | None = None) -> EpochSnapshot:

@@ -21,6 +21,8 @@ from .prox import prox_step
 from .trace import Recorder
 
 SCHEDULES = ("adaptive", "constant")
+# most minibatch indices one draw_minibatch call returns within an epoch
+_DRAW_CHUNK = 2**16
 
 
 @dataclass
@@ -133,7 +135,8 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
     Returns the unweighted mean of the k pre-update iterates, the final
     iterate and the step counter l advanced by one per step taken. When a == m
     (resp. b == n) the draw enumerates every index once, making the estimate
-    exact; otherwise indices are sampled uniformly with replacement. The epoch
+    exact; otherwise indices are sampled uniformly with replacement, drawn for
+    up to _DRAW_CHUNK indices' worth of steps at a time. The epoch
     stops early, freezing the average, once max_samples cannot pay for another
     step. The recorder, if given, gets a row every trace_every steps and one
     at the end of the epoch, at the number of steps taken.
@@ -148,15 +151,16 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
 
     full_A = np.arange(m) if config.a == m else None
     full_B = np.arange(n) if config.b == n else None
+    sampled = full_A is None or full_B is None
+    chunk = max(1, _DRAW_CHUNK // (config.a + config.b))
 
     for t in range(k):
         x_sum += x
-        if full_A is not None and full_B is not None:
-            A, B = full_A, full_B
-        else:
-            draw = draw_minibatch(m, n, config.a, config.b, config.seed, epoch_index, t)
-            A = full_A if full_A is not None else draw.A
-            B = full_B if full_B is not None else draw.B
+        if sampled and t % chunk == 0:
+            draw = draw_minibatch(m, n, config.a, config.b, config.seed, epoch_index,
+                                  np.arange(t, min(t + chunk, k)))
+        A = full_A if full_A is not None else draw.A[t % chunk]
+        B = full_B if full_B is not None else draw.B[t % chunk]
         v = estimate_gradient(problem, snapshot, x, A, B, meter=meter)
         eta_t = _current_step(config, T, l)
         l += 1

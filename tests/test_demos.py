@@ -15,6 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
                                   "03_estimator_verification.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+    demos = ROOT / "demos"
+    before = set(demos.iterdir())
+    result = subprocess.run([sys.executable, str(demos / demo)], cwd=tmp_path,
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert set(demos.iterdir()) == before, "the demo wrote into the checkout"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from compopt import estimators
 from compopt.errors import ConfigError
 from compopt.estimators import (SampleMeter, draw_minibatch, estimate_gradient,
                                 estimate_inner, minibatch_rng, take_snapshot,
@@ -59,6 +60,23 @@ class TestMinibatchRng:
     def test_negative_seed_accepted(self):
         minibatch_rng(-3, 0, 0).integers(0, 10, size=2)
 
+    @pytest.mark.parametrize("seed", [0, -1, -5, 2**62, -2**63, 2**63 - 1])
+    def test_key_is_int64_twos_complement(self, seed):
+        assert estimators._seed_key(seed) == np.int64(seed).view(np.uint64)
+
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 2**64])
+    def test_seed_outside_int64_raises(self, seed):
+        with pytest.raises(OverflowError):
+            minibatch_rng(seed, 0, 0)
+        with pytest.raises(OverflowError):
+            draw_minibatch(5, 5, 2, 2, seed, 0, np.arange(3))
+
+
+def reference_rows(seed, epoch, steps, stream, bound, size):
+    """The per-step reference draws draw_minibatch must reproduce."""
+    return np.array([minibatch_rng(seed, epoch, int(t), stream).integers(0, bound, size)
+                     for t in steps])
+
 
 class TestDrawMinibatch:
     def test_shapes_and_ranges(self):
@@ -70,6 +88,69 @@ class TestDrawMinibatch:
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
             draw_minibatch(3, 3, 0, 1, 0, 0, 0)
+
+    def test_array_iteration_matches_reference_rows(self):
+        rng = np.random.default_rng(2024)
+        seeds = [0, -1, -5, 2**62, 2**63 - 1, -2**63, int(rng.integers(-2**63, 2**63))]
+        bounds = [1, 2, 3, 2**31 - 1, int(rng.integers(4, 10**6))]
+        sizes = itertools.cycle([(1, 40), (7, 1), (93, 8)])
+        for seed in seeds:
+            for m, n in zip(bounds, rng.permutation(bounds)):
+                a, b = next(sizes)
+                epoch = int(rng.integers(0, 5))
+                steps = np.sort(rng.choice(1000, size=12, replace=False))
+                draw = draw_minibatch(m, int(n), a, b, seed, epoch, steps)
+                assert draw.A.shape == (12, a) and draw.B.shape == (12, b)
+                assert draw.A.dtype == draw.B.dtype == np.int64
+                np.testing.assert_array_equal(draw.A, reference_rows(seed, epoch, steps, 0, m, a))
+                np.testing.assert_array_equal(draw.B, reference_rows(seed, epoch, steps, 1, n, b))
+
+    def test_int_iteration_is_one_row(self):
+        draw = draw_minibatch(1000, 17, 93, 5, -3, 2, 41)
+        rows = draw_minibatch(1000, 17, 93, 5, -3, 2, np.array([40, 41]))
+        np.testing.assert_array_equal(draw.A, rows.A[1])
+        np.testing.assert_array_equal(draw.B, rows.B[1])
+
+    def counting_reference(self, monkeypatch):
+        calls = []
+
+        def counted(seed, epoch, iteration, stream=0):
+            calls.append((epoch, iteration, stream))
+            return minibatch_rng(seed, epoch, iteration, stream)
+
+        monkeypatch.setattr(estimators, "minibatch_rng", counted)
+        return calls
+
+    def test_lemire_rejection_falls_back_to_reference(self, monkeypatch):
+        # (2^32 - m) % m = 2^31 - 1: about half of all uint32 values are rejected
+        m, steps = 2**31 + 1, np.arange(20)
+        calls = self.counting_reference(monkeypatch)
+        draw = draw_minibatch(m, 3, 4, 2, 11, 1, steps)
+        assert any(stream == 0 for _, _, stream in calls)
+        np.testing.assert_array_equal(draw.A, reference_rows(11, 1, steps, 0, m, 4))
+        np.testing.assert_array_equal(draw.B, reference_rows(11, 1, steps, 1, 3, 2))
+
+    def test_bound_above_2_32_falls_back_to_reference(self, monkeypatch):
+        m, steps = 2**32 + 5, np.arange(4)
+        calls = self.counting_reference(monkeypatch)
+        draw = draw_minibatch(m, 2**32, 6, 6, -9, 3, steps)
+        # B's bound of exactly 2^32 never rejects, so only A's rows fall back
+        assert sorted(calls) == [(3, t, 0) for t in steps]
+        np.testing.assert_array_equal(draw.A, reference_rows(-9, 3, steps, 0, m, 6))
+        np.testing.assert_array_equal(draw.B, reference_rows(-9, 3, steps, 1, 2**32, 6))
+
+    def test_scalar_draws_are_consecutive_bounded_uint32(self):
+        # SCGD and ASC-PG draw j, i and j2 one at a time from stream 2; each
+        # takes the next uint32 of the step's generator through the bounded draw
+        m, n, seed, steps = 2000, 77, 5, np.arange(1, 301)
+        (u,) = estimators._uint32_draws(estimators._seed_key(seed), 0,
+                                        steps.astype(np.uint64), ((2, 3),))
+        for row, t in zip(u, steps):
+            rng = minibatch_rng(seed, 0, int(t), stream=2)
+            drawn = [int(rng.integers(m)), int(rng.integers(n)), int(rng.integers(m))]
+            expected = [estimators._lemire(w, bound) for w, bound in zip(row, (m, n, m))]
+            assert not any(rejected for _, rejected in expected)
+            assert drawn == [int(value) for value, _ in expected]
 
 
 class TestTakeSnapshot:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from compopt import solver
 from compopt.errors import ConfigError, InputError
-from compopt.estimators import SampleMeter, take_snapshot
+from compopt.estimators import (MiniBatchDraw, SampleMeter, minibatch_rng,
+                                take_snapshot)
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
@@ -116,6 +118,49 @@ class TestRunEpoch:
         cfg = RunConfig(S=3, k0=10, eta=0.5, a=2, b=2)
         res = run_scvrg(toy, cfg, np.zeros(2), trace_every=1)
         assert all(abs(row.objective) < np.inf for row in res.trace)
+
+    @pytest.mark.parametrize("max_samples", [None, 250 * 400])
+    def test_chunked_draws_match_per_step_reference(self, monkeypatch, max_samples):
+        # a + b = 400 puts 163 steps in a draw chunk, so 400 steps span three
+        # chunks (the last one partial); the budget variant stops mid-chunk
+        toy = build_toy("affine", d=2, m=3, n=3, seed=5)
+        cfg = RunConfig(S=2, k0=100, eta=0.05, a=300, b=100, seed=-7)
+        x0 = np.array([0.4, -0.3])
+        snap = take_snapshot(toy, x0)
+        assert 400 * (cfg.a + cfg.b) > solver._DRAW_CHUNK
+        estimate, chunked_draw = solver.estimate_gradient, solver.draw_minibatch
+
+        def run(draw):
+            visited, calls = [], []
+
+            def spy_estimate(problem, snapshot, x, A, B, meter=None):
+                visited.append(x.copy())
+                return estimate(problem, snapshot, x, A, B, meter=meter)
+
+            def spy_draw(*args):
+                calls.append(args[-1])
+                return draw(*args)
+
+            monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
+            monkeypatch.setattr(solver, "draw_minibatch", spy_draw)
+            res = run_epoch(toy, snap, x0, k=400, l=3, config=cfg, epoch_index=2,
+                            max_samples=max_samples)
+            return res, np.array(visited), calls
+
+        def per_step(m, n, a, b, seed, epoch, iteration):
+            rows = [(minibatch_rng(seed, epoch, int(t), 0).integers(0, m, a),
+                     minibatch_rng(seed, epoch, int(t), 1).integers(0, n, b))
+                    for t in np.atleast_1d(iteration)]
+            return MiniBatchDraw(A=np.array([r[0] for r in rows]),
+                                 B=np.array([r[1] for r in rows]))
+
+        chunked, chunked_x, chunk_calls = run(chunked_draw)
+        reference, reference_x, _ = run(per_step)
+        assert len(chunk_calls) == (3 if max_samples is None else 2)
+        np.testing.assert_array_equal(chunked_x, reference_x)
+        np.testing.assert_array_equal(chunked.x_avg, reference.x_avg)
+        np.testing.assert_array_equal(chunked.x_last, reference.x_last)
+        assert chunked.l == reference.l == 3 + len(chunked_x)
 
 
 class TestRunScvrg:
