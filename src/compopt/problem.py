@@ -200,12 +200,10 @@ def estimate_smoothness(problem: CompositionProblem, box_radius: float, rng,
     return consts
 
 
-def lipschitz_bounds(problem: CompositionProblem, box_radius: float,
-                     rng=None, pairs: int = 10_000) -> SmoothnessConstants:
-    """Closed-form constants when the problem provides them, else a sampled estimate."""
+def lipschitz_bounds(problem: CompositionProblem, box_radius: float) -> SmoothnessConstants:
+    """Closed-form constants when the problem provides them, else a sampled
+    estimate from 10 000 pairs drawn with seed 0."""
     consts = problem.smoothness(box_radius)
     if consts is not None:
         return consts
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return estimate_smoothness(problem, box_radius, rng, pairs=pairs)
+    return estimate_smoothness(problem, box_radius, np.random.default_rng(0))

@@ -79,16 +79,15 @@ def load_returns_csv(path) -> ReturnsDataset:
     return ReturnsDataset(returns=returns, labels=labels)
 
 
-def synthetic_returns(N: int, d: int, seed: int, mean: float = 0.02,
-                      std: float = 0.15) -> ReturnsDataset:
+def synthetic_returns(N: int, d: int, seed: int) -> ReturnsDataset:
     """Random returns matrix (fraction units) for synthetic benchmarks.
 
-    Defaults approximate monthly equity returns (2% mean, 15% volatility);
-    wilder scales inflate the smoothness constant and destabilize every
-    fixed-step method at the standard eta = 0.01.
+    Normal returns with 2% mean and 15% volatility approximate monthly equity
+    returns; wilder scales inflate the smoothness constant and destabilize
+    every fixed-step method at the standard eta = 0.01.
     """
     rng = np.random.default_rng(seed)
-    returns = rng.normal(mean, std, size=(N, d))
+    returns = rng.normal(0.02, 0.15, size=(N, d))
     labels = tuple(f"asset_{i}" for i in range(d))
     return ReturnsDataset(returns=returns, labels=labels)
 
@@ -243,15 +242,16 @@ def build_bellman(spec: BellmanSpec, lam: float = 0.0, radius: float = 100.0) ->
     return BellmanProblem(spec, Regularizer(lam=lam, radius=radius))
 
 
-def random_bellman_spec(n_states: int, m: int, gamma: float, seed: int,
-                        laziness: float = 0.9, reward_scale: float = 0.1) -> BellmanSpec:
+def random_bellman_spec(n_states: int, m: int, gamma: float, seed: int) -> BellmanSpec:
     """Random lazy chains: mostly self-transitions keep the residual system
-    well conditioned, so desk-scale runs reach tight tolerances."""
+    well conditioned, so desk-scale runs reach tight tolerances. Rewards are
+    uniform on [0, 0.1)."""
     rng = np.random.default_rng(seed)
     Q = rng.uniform(size=(m, n_states, n_states))
     Q /= Q.sum(axis=2, keepdims=True)
-    P = laziness * np.eye(n_states)[None] + (1.0 - laziness) * Q
-    r = reward_scale * rng.uniform(size=(m, n_states))
+    lazy = 0.9  # self-transition weight
+    P = lazy * np.eye(n_states)[None] + (1.0 - lazy) * Q
+    r = 0.1 * rng.uniform(size=(m, n_states))
     return BellmanSpec(n_states=n_states, m=m, gamma=gamma, P=P, r=r)
 
 

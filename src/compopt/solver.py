@@ -60,6 +60,12 @@ class RunConfig:
         """Schedule horizon; the epoch lengths k0*2, ..., k0*2^epochs sum to 2T."""
         return self.k0 * 2**self.epochs - self.k0
 
+    def step(self, l: int) -> float:
+        """Step size at global step counter l under this config's schedule."""
+        if self.schedule == "constant":
+            return self.eta
+        return step_size(self.eta, self.T, l)
+
 
 def step_size(eta: float, T: int, l: int) -> float:
     """eta * sqrt(T) / sqrt(max(2T - l, 1)); nondecreasing in l."""
@@ -98,7 +104,6 @@ class EpochInfo:
     x_avg: np.ndarray     # unweighted mean of the k pre-update iterates
     x_last: np.ndarray    # iterate after the final update
     k: int
-    l_start: int
     eta_start: float
     samples_end: int
 
@@ -117,12 +122,6 @@ class ScvrgResult:
     epochs: list
     samples: int
     l_final: int
-
-
-def _current_step(config: RunConfig, T: int, l: int) -> float:
-    if config.schedule == "constant":
-        return config.eta
-    return step_size(config.eta, T, l)
 
 
 def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
@@ -147,7 +146,6 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
     meter = meter if meter is not None else SampleMeter()
     x = np.asarray(x0, dtype=float).copy()
     x_sum = np.zeros_like(x)
-    T = config.T
 
     full_A = np.arange(m) if config.a == m else None
     full_B = np.arange(n) if config.b == n else None
@@ -162,7 +160,7 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
         A = full_A if full_A is not None else draw.A[t % chunk]
         B = full_B if full_B is not None else draw.B[t % chunk]
         v = estimate_gradient(problem, snapshot, x, A, B, meter=meter)
-        eta_t = _current_step(config, T, l)
+        eta_t = config.step(l)
         l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)
         if not np.all(np.isfinite(x)):
@@ -179,7 +177,7 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
 
 def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
               phi_star: float | None = None, trace_every: int | None = None,
-              max_samples: int | None = None, algorithm: str = "scvrg") -> ScvrgResult:
+              max_samples: int | None = None) -> ScvrgResult:
     """Full doubling-epoch run: S epoch bodies, returning the final reference.
 
     Epoch body s (0-based) has length k0 * 2^(s+1); its snapshot is taken at
@@ -193,7 +191,7 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
         raise InputError("initial point is outside the feasible box")
     m, n = problem.dims.m, problem.dims.n
     meter = SampleMeter()
-    recorder = Recorder(problem, algorithm, config.seed, meter, x0, phi_star)
+    recorder = Recorder(problem, "scvrg", config.seed, meter, x0, phi_star)
     recorder.record(0, 0, x0)
     l = 0
     x_ref = x0.copy()
@@ -209,8 +207,7 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
                            max_samples=max_samples)
         epochs.append(EpochInfo(epoch=s + 1, x_ref=x_ref, x_start=x_cur,
                                 x_avg=result.x_avg, x_last=result.x_last, k=k,
-                                l_start=l, eta_start=_current_step(config, config.T, l),
-                                samples_end=meter.total))
+                                eta_start=config.step(l), samples_end=meter.total))
         l = result.l
         x_ref = result.x_avg
         x_cur = result.x_last

@@ -4,7 +4,8 @@ bounds, and the per-epoch potential contraction proxy.
 
 The Monte-Carlo checks evaluate the production estimators on a trial axis of
 index draws, shapes (trials, a) and (trials, b): g_t from `estimate_inner`, u_t
-from `unbiased_reference_gradient`; only v_t's last step is written out here.
+from `unbiased_reference_gradient`, and v_t from the body of
+`estimate_gradient` applied to that g_t; no estimator step is written out here.
 
 The variance bounds are one-sided (upper bounds), so the checks assert
 domination with a stated slack, never equality. Monte-Carlo slack is 1.05 plus
@@ -14,19 +15,22 @@ counts the false-failure probability is negligible.
 """
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import estimators
 from .errors import ConfigError
-from .estimators import (EpochSnapshot, _batch_mean, estimate_inner,
-                         take_snapshot, unbiased_reference_gradient)
+from .estimators import (EpochSnapshot, estimate_inner, take_snapshot,
+                         unbiased_reference_gradient)
 from .problem import (CompositionProblem, full_gradient, lipschitz_bounds,
                       objective, smooth_value)
-from .solver import RunConfig, run_scvrg, step_size
+from .solver import RunConfig, run_scvrg
 
 MC_SLACK = 1.05
-MC_CHUNK = 20_000  # Monte-Carlo trials per vectorized chunk
+MC_CHUNK = 20_000  # Monte-Carlo trials per draw
+MC_SLICE = 5_000   # trials per estimator evaluation, which bounds its (t, a, k, d) gathers
 CONTRACTION_THRESHOLD = 0.75
 CONTRACTION_THRESHOLD_DETERMINISTIC = 0.5 + 1e-6
 
@@ -71,11 +75,10 @@ def write_report_csv(reports, path):
 # gradient checks
 # ---------------------------------------------------------------------------
 
-def fd_gradient(problem: CompositionProblem, x, h: float | None = None) -> np.ndarray:
-    """Central finite differences of the smooth part F."""
+def fd_gradient(problem: CompositionProblem, x) -> np.ndarray:
+    """Central finite differences of the smooth part F, step 1e-6 (1 + ||x||)."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * (1.0 + np.linalg.norm(x))
+    h = 1e-6 * (1.0 + np.linalg.norm(x))
     grad = np.zeros_like(x)
     for t in range(x.size):
         e = np.zeros_like(x)
@@ -84,14 +87,13 @@ def fd_gradient(problem: CompositionProblem, x, h: float | None = None) -> np.nd
     return grad
 
 
-def check_gradient_fd(problem: CompositionProblem, points, h: float | None = None,
-                      tol: float = 1e-5, name: str = "gradient_fd",
-                      seed: int = 0) -> CheckReport:
+def check_gradient_fd(problem: CompositionProblem, points, tol: float = 1e-5,
+                      name: str = "gradient_fd", seed: int = 0) -> CheckReport:
     """Max relative error between the analytic gradient and central differences."""
     worst = 0.0
     for x in points:
         analytic = full_gradient(problem, x)
-        numeric = fd_gradient(problem, x, h=h)
+        numeric = fd_gradient(problem, x)
         scale = max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, np.linalg.norm(numeric - analytic) / scale)
     return CheckReport(name=name, passed=worst <= tol, measured=worst, bound=tol,
@@ -120,22 +122,17 @@ def check_unbiasedness(problem: CompositionProblem, snapshot: EpochSnapshot, x,
 # Monte-Carlo variance-bound checks
 # ---------------------------------------------------------------------------
 
-def _coupled_estimate(problem, snapshot, x, A, B):
-    """v_t for a stack of inner draws A (t, a) and outer draws B (t, b), shape (t, d)."""
+def _v_t(problem, snapshot, x, A, B):
+    """v_t for a stack of inner draws A (t, a) and outer draws B (t, b), shape
+    (t, d): the solver's estimator body on estimate_inner's g_t, uncharged."""
     g_t = estimate_inner(problem, snapshot, x, A)
-    # v_t is spelled out rather than estimate_gradient on the trial axis:
-    # perfbench's verify-check gate matches estimate_gradient spans to the
-    # contraction runs' ledger steps
-    df_new = _batch_mean(problem.outer_grad(B, g_t[:, None]))
-    df_ref = _batch_mean(problem.outer_grad(B, snapshot.g_tilde))
-    dz = sum(problem.inner_vjp(A[:, c], x, df_new)
-             - problem.inner_vjp(A[:, c], snapshot.x_tilde, df_new) for c in range(A.shape[1]))
-    return snapshot.v_tilde + (df_new - df_ref) @ snapshot.z_tilde + dz / A.shape[1]
+    return estimators._vr_gradient(problem, snapshot, x, g_t, A, B)
 
 
 def _mc_mean_sq(problem, a, b, trials, seed, deviation):
     """Monte-Carlo mean of ||deviation(A, B)||^2 over uniform draws A (t, a)
-    and B (t, b), MC_CHUNK trials at a time."""
+    and B (t, b), drawn MC_CHUNK trials at a time and evaluated MC_SLICE at a
+    time."""
     m, n = problem.dims.m, problem.dims.n
     rng = np.random.default_rng(seed)
     acc = 0.0
@@ -143,14 +140,15 @@ def _mc_mean_sq(problem, a, b, trials, seed, deviation):
         t = min(MC_CHUNK, trials - done)
         A = rng.integers(0, m, size=(t, a))
         B = rng.integers(0, n, size=(t, b))
-        acc += float(np.sum(deviation(A, B) ** 2))
+        for s in range(0, t, MC_SLICE):
+            acc += float(np.sum(deviation(A[s:s + MC_SLICE], B[s:s + MC_SLICE]) ** 2))
     return acc / trials
 
 
 def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed):
     """Monte-Carlo mean of ||v_t - u_t||^2 with shared B per paired draw."""
     return _mc_mean_sq(problem, a, b, trials, seed, lambda A, B: (
-        _coupled_estimate(problem, snapshot, x, A, B)
+        _v_t(problem, snapshot, x, A, B)
         - unbiased_reference_gradient(problem, snapshot, x, B)))
 
 
@@ -235,7 +233,7 @@ def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x
     ell, gaps, dists = _bound_terms(problem, snapshot, x)
     grad = full_gradient(problem, x)
     measured = _mc_mean_sq(problem, a, b, trials, seed, lambda A, B: (
-        _coupled_estimate(problem, snapshot, x, A, B) - grad))
+        _v_t(problem, snapshot, x, A, B) - grad))
     bound = (16.0 * ell * gaps / b
              + (4.0 * ell**2 / a + 12.0 * ell**2 / b) * dists)
     return CheckReport(name="combined_bound_domination",
@@ -247,74 +245,66 @@ def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x
 # epoch contraction proxy
 # ---------------------------------------------------------------------------
 
+def contraction_hypotheses(ell: float, beta: float, T: int):
+    """The contraction theorem's hypotheses as (a_min, b_min, eta_max):
+    a >= 2 ell^2 / beta^2, b >= ell^2 / beta^2 and
+    eta <= min(1/(30 beta T ell), 1/(25 ell))."""
+    return (2.0 * ell**2 / beta**2, ell**2 / beta**2,
+            min(1.0 / (30.0 * beta * T * ell), 1.0 / (25.0 * ell)))
+
+
 def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float,
                      ell: float, x0) -> np.ndarray:
     """Per-epoch composite potential: objective gap plus weighted distance
-    terms, evaluated from a full run's epoch diagnostics."""
+    terms at each epoch's reference, first iterate and first step, from a full
+    run's epoch records, and once more at the run's closing point."""
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("contraction check requires a problem with a certified optimum")
     xs, ps = problem.x_star, problem.phi_star
     result = run_scvrg(problem, config, x0)
-    values = []
-    for s in range(config.S + 1):
-        if s == 0:
-            x_ref, x_start = np.asarray(x0, float), result.epochs[0].x_start
-            eta0 = result.epochs[0].eta_start
-        elif s < config.S:
-            x_ref, x_start = result.epochs[s - 1].x_avg, result.epochs[s].x_start
-            eta0 = result.epochs[s].eta_start
-        else:
-            x_ref, x_start = result.epochs[-1].x_avg, result.epochs[-1].x_last
-            eta0 = (config.eta if config.schedule == "constant"
-                    else step_size(config.eta, config.T, result.l_final))
-        k_s = config.k0 * 2**s
-        value = (objective(problem, x_ref) - ps
-                 + 4.5 * beta * ell * float(np.sum((x_ref - xs) ** 2))
-                 + 3.0 * float(np.sum((x_start - xs) ** 2)) / (4.0 * eta0 * k_s)
-                 + 1.5 * (objective(problem, x_start) - ps) / k_s)
-        values.append(value)
-    return np.asarray(values)
+    last = result.epochs[-1]
+    # (reference, first iterate, first step, k_s = k0 * 2^s) for s = 0..S
+    points = [(e.x_ref, e.x_start, e.eta_start, e.k // 2) for e in result.epochs]
+    points.append((result.x, last.x_last, config.step(result.l_final), last.k))
+    return np.array([objective(problem, x_ref) - ps
+                     + 4.5 * beta * ell * float(np.sum((x_ref - xs) ** 2))
+                     + 3.0 * float(np.sum((x_start - xs) ** 2)) / (4.0 * eta0 * k_s)
+                     + 1.5 * (objective(problem, x_start) - ps) / k_s
+                     for x_ref, x_start, eta0, k_s in points])
 
 
 def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
-                            beta: float, seeds, x0=None,
-                            threshold: float | None = None) -> CheckReport:
-    """Seed-averaged potential must contract by the threshold factor per epoch.
+                            beta: float, seeds) -> CheckReport:
+    """Seed-averaged potential must contract by the threshold factor per epoch,
+    from x0 = (R/2, ..., R/2).
 
-    The hypotheses a >= 2 ell^2 / beta^2, b >= ell^2 / beta^2 and
-    eta <= min(1/(30 beta T ell), 1/(25 ell)) are verified first; a config
-    that cannot satisfy them yields a skipped report.
+    The `contraction_hypotheses` are verified first; a config that cannot
+    satisfy them yields a skipped report.
     """
     ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     deterministic = config.a == problem.dims.m and config.b == problem.dims.n
-    if threshold is None:
-        threshold = (CONTRACTION_THRESHOLD_DETERMINISTIC if deterministic
-                     else CONTRACTION_THRESHOLD)
-    eta_max = min(1.0 / (30.0 * beta * config.T * ell), 1.0 / (25.0 * ell))
+    threshold = (CONTRACTION_THRESHOLD_DETERMINISTIC if deterministic
+                 else CONTRACTION_THRESHOLD)
+    a_min, b_min, eta_max = contraction_hypotheses(ell, beta, config.T)
     reasons = []
     # full enumeration makes the gradient estimate exact, so the batch-size
     # hypotheses (which only control its variance) are vacuous there
     if not deterministic:
-        if config.a < 2.0 * ell**2 / beta**2:
-            reasons.append(f"a={config.a} < 2 ell^2/beta^2 = {2 * ell**2 / beta**2:.3g}")
-        if config.b < ell**2 / beta**2:
-            reasons.append(f"b={config.b} < ell^2/beta^2 = {ell**2 / beta**2:.3g}")
+        if config.a < a_min:
+            reasons.append(f"a={config.a} < 2 ell^2/beta^2 = {a_min:.3g}")
+        if config.b < b_min:
+            reasons.append(f"b={config.b} < ell^2/beta^2 = {b_min:.3g}")
     if config.eta > eta_max:
         reasons.append(f"eta={config.eta:.3g} > {eta_max:.3g}")
     if reasons:
         return CheckReport(name="epoch_contraction", passed=False, measured=np.nan,
                            bound=threshold, trials=len(seeds), seed=config.seed,
                            skipped=True, detail="; ".join(reasons))
-    if x0 is None:
-        x0 = np.full(problem.dims.d, 0.5 * problem.regularizer.radius)
-    totals = np.zeros(config.S + 1)
-    for seed in seeds:
-        cfg = RunConfig(S=config.S, k0=config.k0, eta=config.eta, a=config.a,
-                        b=config.b, seed=int(seed), schedule=config.schedule)
-        totals += epoch_potentials(problem, cfg, beta, ell, x0)
-    averaged = totals / len(seeds)
+    x0 = np.full(problem.dims.d, 0.5 * problem.regularizer.radius)
+    averaged = sum(epoch_potentials(problem, replace(config, seed=int(seed)), beta, ell, x0)
+                   for seed in seeds) / len(seeds)
     ratios = averaged[1:] / averaged[:-1]
     measured = float(np.max(ratios))
     return CheckReport(name="epoch_contraction", passed=measured <= threshold,
@@ -370,13 +360,10 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     contraction_toy = build_toy("affine", d=3, m=12, n=8, seed=seed)
     ell = lipschitz_bounds(contraction_toy, contraction_toy.regularizer.radius).ell
     beta = 0.9
-    S = 3
-    T = 10 * 2**S - 10
-    eta = min(1.0 / (30.0 * beta * T * ell), 1.0 / (25.0 * ell))
-    a_min = int(np.ceil(2.0 * ell**2 / beta**2))
-    b_min = int(np.ceil(ell**2 / beta**2))
-    stochastic = RunConfig(S=S, k0=10, eta=eta, a=a_min, b=b_min, seed=seed)
-    deterministic = RunConfig(S=S, k0=10, eta=eta, a=12, b=8, seed=seed)
+    config = RunConfig(S=3, k0=10, seed=seed)
+    a_min, b_min, eta_max = contraction_hypotheses(ell, beta, config.T)
+    stochastic = replace(config, eta=eta_max, a=math.ceil(a_min), b=math.ceil(b_min))
+    deterministic = replace(config, eta=eta_max, a=12, b=8)
     reports.append(check_epoch_contraction(contraction_toy, stochastic, beta,
                                            seeds=range(contraction_seeds)))
     reports.append(check_epoch_contraction(contraction_toy, deterministic, beta,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from compopt.errors import ConfigError, InfeasibleQueryError, InputError
-from compopt.estimators import (estimate_inner, take_snapshot,
-                                unbiased_reference_gradient)
+from compopt.estimators import (estimate_gradient, estimate_inner,
+                                take_snapshot, unbiased_reference_gradient)
 from compopt.problem import (ProblemDims, SmoothnessConstants,
                              estimate_smoothness, full_gradient, inner_mean,
                              lipschitz_bounds, objective, smooth_value)
@@ -89,8 +89,9 @@ class TestIndexContract:
         F, D = problem.outer_value(B, y), problem.outer_grad(B, Y)
         g_t = estimate_inner(problem, snap, x, A)
         u_t = unbiased_reference_gradient(problem, snap, x, B)
-        assert ((G.shape, V.shape, F.shape, D.shape, g_t.shape, u_t.shape)
-                == ((t, a, k), (t, a, d), (t, a), (t, a, k), (t, k), (t, d)))
+        v_t = estimate_gradient(problem, snap, x, A, B[:, :3])
+        assert ((G.shape, V.shape, F.shape, D.shape, g_t.shape, u_t.shape, v_t.shape)
+                == ((t, a, k), (t, a, d), (t, a), (t, a, k), (t, k), (t, d), (t, d)))
         for r in range(t):
             np.testing.assert_allclose(G[r], problem.inner_value(A[r], x), rtol=tol, atol=tol)
             np.testing.assert_allclose(V[r], problem.inner_vjp(A[r], x, U[r, 0]),
@@ -100,9 +101,11 @@ class TestIndexContract:
                                        rtol=tol, atol=tol)
             np.testing.assert_allclose(g_t[r], estimate_inner(problem, snap, x, A[r]),
                                        rtol=tol, atol=tol)
-            # u_t's (t, k) @ Z(x) is a matrix product, one row's a vector
-            # product: the same sums, possibly in another order
+            # u_t's and v_t's (t, k) @ Z are matrix products, one row's a
+            # vector product: the same sums, possibly in another order
             np.testing.assert_allclose(u_t[r], unbiased_reference_gradient(problem, snap, x, B[r]),
+                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(v_t[r], estimate_gradient(problem, snap, x, A[r], B[r, :3]),
                                        rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from compopt import verify
+from compopt import estimators, verify
 from compopt.errors import ConfigError
-from compopt.estimators import (estimate_inner, take_snapshot,
+from compopt.estimators import (_vr_gradient, estimate_inner, take_snapshot,
                                 unbiased_reference_gradient)
 from compopt.problem import full_gradient, inner_mean, lipschitz_bounds
 from compopt.problems import build_toy
@@ -186,16 +186,36 @@ def _biased_unbiased(problem, snapshot, x, B, meter=None):
     return unbiased_reference_gradient(problem, snapshot, x, B, meter) + 0.3 * snapshot.v_tilde
 
 
-class TestNegativeControls:
-    """The suite reads the production estimators, so a broken one must fail it."""
+def _biased_vr(problem, snapshot, x, g_t, A, B):
+    return _vr_gradient(problem, snapshot, x, g_t, A, B) + 0.3 * snapshot.v_tilde
 
-    @pytest.mark.parametrize("target, broken", [
-        ("estimate_inner", _biased_inner),
-        ("unbiased_reference_gradient", _plain_unbiased),
-        ("unbiased_reference_gradient", _biased_unbiased),
-    ], ids=["g_t_biased", "u_t_no_control_variate", "u_t_biased"])
-    def test_broken_estimator_fails_suite(self, monkeypatch, target, broken):
-        monkeypatch.setattr(verify, target, broken)
+
+def _plain_vr(problem, snapshot, x, g_t, A, B):
+    """mean_A dg_j(x)^T mean_B grad f_i(g_t), without the control variate."""
+    df = problem.outer_grad(B, g_t if g_t.ndim == 1 else g_t[..., None, :]).mean(axis=-2)
+    return problem.inner_vjp(A, x, df[..., None, :]).mean(axis=-2)
+
+
+def _zero_vr(problem, snapshot, x, g_t, A, B):
+    return np.zeros(g_t.shape[:-1] + (problem.dims.d,))
+
+
+class TestNegativeControls:
+    """The suite reads the production estimators, so a broken one must fail it.
+    v_t's body is patched in `estimators`, where the solver's
+    `estimate_gradient` and verify's Monte-Carlo checks both read it."""
+
+    @pytest.mark.parametrize("module, target, broken", [
+        (verify, "estimate_inner", _biased_inner),
+        (verify, "unbiased_reference_gradient", _plain_unbiased),
+        (verify, "unbiased_reference_gradient", _biased_unbiased),
+        (estimators, "_vr_gradient", _biased_vr),
+        (estimators, "_vr_gradient", _plain_vr),
+        (estimators, "_vr_gradient", _zero_vr),
+    ], ids=["g_t_biased", "u_t_no_control_variate", "u_t_biased",
+            "v_t_biased", "v_t_no_control_variate", "v_t_zero"])
+    def test_broken_estimator_fails_suite(self, monkeypatch, module, target, broken):
+        monkeypatch.setattr(module, target, broken)
         for seed in range(4):
             reports = run_all_checks(seed=seed, trials=20_000, contraction_seeds=2)
             assert not all_passed(reports), f"seed {seed}: every check passed"
