@@ -20,7 +20,7 @@ from .problem import (CompositionProblem, ProblemDims, SmoothnessConstants,
                       estimate_smoothness, full_gradient, inner_mean,
                       lipschitz_bounds, objective, outer_mean_grad,
                       smooth_value)
-from .problems import (BellmanProblem, BellmanSpec, MeanVarianceProblem,
+from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
                        ReturnsDataset, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, mean_variance_direct,
                        random_bellman_spec, synthetic_returns,

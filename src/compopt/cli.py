@@ -139,9 +139,8 @@ def _toygen(args):
     else:
         problem = build_toy(args.toy_kind, d=args.d, seed=args.problem_seed,
                             lam=args.lam, radius=args.radius)
-        arrays = {name: getattr(problem, name) for name in ("A", "b", "centers")
-                  if getattr(problem, name, None) is not None}
-        np.savez(args.out, kind=args.toy_kind, **arrays)
+        np.savez(args.out, kind=args.toy_kind, A=problem.A, b=problem.b,
+                 centers=problem.centers, scales=problem.scales)
     print(f"wrote {args.out}")
     return 0
 

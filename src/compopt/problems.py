@@ -1,6 +1,7 @@
 """Concrete problem builders: sparse mean-variance portfolios from returns
-data, least-squares Bellman residuals on synthetic Markov chains, and analytic
-toy fixtures with certified optima."""
+data, and one affine-quadratic class whose instances are the least-squares
+Bellman residuals on synthetic Markov chains and the analytic toy fixtures,
+each with a certified optimum where one exists in closed form."""
 
 import csv
 from dataclasses import dataclass
@@ -9,18 +10,10 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .problem import CompositionProblem, ProblemDims, SmoothnessConstants
-from .prox import Regularizer
+from .prox import Regularizer, prox_step, reg_value
 
 #: raw sentinel values marking missing months in shipped returns files
 MISSING_SENTINELS = (-99.99, -999.0)
-
-
-def _repeat(value, idx) -> np.ndarray:
-    """A copy of `value` broadcast against np.shape(idx) + (its last axis,): one
-    row per index, whether `value` is one shared row or a stack of rows."""
-    value = np.asarray(value, dtype=float)
-    shape = np.broadcast_shapes(np.shape(idx) + value.shape[-1:], value.shape)
-    return np.broadcast_to(value, shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +166,77 @@ def mean_variance_direct(problem: MeanVarianceProblem, x) -> float:
 
 
 # ---------------------------------------------------------------------------
+# affine inner maps under scaled quadratic outers
+# ---------------------------------------------------------------------------
+
+class AffineQuadraticProblem(CompositionProblem):
+    """g_j(x) = A_j x + b_j, f_i(y) = s_i ||y - c_i||^2, with S = mean(s) > 0.
+
+    With c~ = mean(s_i c_i) / S, F(x) = S ||A_bar x + b_bar - c~||^2 + spread is
+    a convex quadratic even when some scales are negative. The optimum is
+    certified when A_bar = I (the prox of r at c~ - b_bar with step 1/(2S)), or
+    when lam = 0 and the least-squares solution lies inside the box. The inner
+    Jacobians are constant, so inner-minibatch noise enters the gradient only
+    through the value estimate, linearly; useful for exact variance-scaling
+    checks.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, centers: np.ndarray,
+                 scales: np.ndarray, regularizer: Regularizer):
+        A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        centers, scales = np.asarray(centers, dtype=float), np.asarray(scales, dtype=float)
+        m, k, d = A.shape
+        super().__init__(ProblemDims(m=m, n=len(centers), d=d, k=k), regularizer)
+        if b.shape != (m, k) or centers.shape[1:] != (k,) or scales.shape != (len(centers),):
+            raise ConfigError(f"inconsistent shapes: A {A.shape}, b {b.shape}, "
+                              f"centers {centers.shape}, scales {scales.shape}")
+        S = float(scales.mean())
+        if S <= 0.0:
+            raise ConfigError(f"the outer scales must have a positive mean, got {S:g}")
+        self.A, self.b, self.centers, self.scales = A, b, centers, scales
+        self._two_scales = 2.0 * scales
+        self.A_bar = A.mean(axis=0)
+        self.b_bar = b.mean(axis=0)
+        c_tilde = (scales[:, None] * centers).mean(axis=0) / S
+        target = c_tilde - self.b_bar
+        if np.array_equal(self.A_bar, np.eye(d)):
+            x_star = prox_step(regularizer, target, 1.0 / (2.0 * S))
+        elif regularizer.lam == 0.0:
+            x_star = np.linalg.lstsq(self.A_bar, target, rcond=None)[0]
+            if np.max(np.abs(x_star)) >= regularizer.radius:
+                return
+        else:  # no closed form: x_star and phi_star stay None
+            return
+        self.x_star = x_star
+        spread = float(np.mean(scales * np.sum(centers**2, axis=1)) - S * (c_tilde @ c_tilde))
+        resid = self.A_bar @ x_star + self.b_bar - c_tilde
+        self.phi_star = float((S * resid) @ resid + spread + reg_value(regularizer, x_star))
+
+    def inner_value(self, idx, x):
+        # one matrix-vector product over all gathered rows, which are freed
+        # before the offsets are gathered
+        out = (self.A[idx].reshape(-1, self.dims.d) @ x).reshape(np.shape(idx) + (self.dims.k,))
+        out += self.b[idx]
+        return out
+
+    def inner_vjp(self, idx, x, u):
+        return np.einsum("...kd,...k->...d", self.A[idx], u)
+
+    def outer_value(self, idx, y):
+        return self.scales[idx] * np.sum((y - self.centers[idx]) ** 2, axis=-1)
+
+    def outer_grad(self, idx, y):
+        return self._two_scales[idx][..., None] * (y - self.centers[idx])
+
+    def smoothness(self, box_radius):
+        L_g = float(max(np.linalg.norm(Aj, 2) for Aj in self.A))
+        reach = L_g * box_radius * np.sqrt(self.dims.d) + np.max(np.linalg.norm(self.b, axis=1))
+        ell_f = 2.0 * float(np.max(np.abs(self.scales)))
+        L_f = ell_f * (reach + np.max(np.linalg.norm(self.centers, axis=1)))
+        return SmoothnessConstants(L_f=float(L_f), ell_f=ell_f, L_g=L_g, ell_g=0.0)
+
+
+# ---------------------------------------------------------------------------
 # Bellman residual
 # ---------------------------------------------------------------------------
 
@@ -201,45 +265,14 @@ class BellmanSpec:
             raise ConfigError("transition probabilities must be nonnegative")
 
 
-class BellmanProblem(CompositionProblem):
-    """Squared-residual value estimation: minimize (1/2) || mean_j ((I - gamma P_j) x - r_j) ||^2."""
-
-    def __init__(self, spec: BellmanSpec, regularizer: Regularizer):
-        S = spec.n_states
-        super().__init__(ProblemDims(m=spec.m, n=1, d=S, k=S), regularizer)
-        self.spec = spec
-        self.M = np.eye(S)[None] - spec.gamma * spec.P  # (m, S, S)
-        self.rewards = spec.r
-        self.M_bar = self.M.mean(axis=0)
-        self.r_bar = spec.r.mean(axis=0)
-        x_star = np.linalg.solve(self.M_bar, self.r_bar)
-        if regularizer.lam == 0.0 and np.max(np.abs(x_star)) < regularizer.radius:
-            self.x_star = x_star
-            self.phi_star = float(0.5 * np.sum((self.M_bar @ x_star - self.r_bar) ** 2))
-
-    def inner_value(self, idx, x):
-        return self.M[idx] @ x - self.rewards[idx]
-
-    def inner_vjp(self, idx, x, u):
-        return np.einsum("...kd,...k->...d", self.M[idx], u)
-
-    def outer_value(self, idx, y):
-        return 0.5 * np.sum(y**2) * np.ones(np.shape(idx))
-
-    def outer_grad(self, idx, y):
-        return _repeat(y, idx)
-
-    def smoothness(self, box_radius):
-        spec_norms = np.array([np.linalg.norm(Mj, 2) for Mj in self.M])
-        L_g = float(spec_norms.max())
-        image_bound = float(np.max(
-            spec_norms * box_radius * np.sqrt(self.dims.d)
-            + np.linalg.norm(self.rewards, axis=1)))
-        return SmoothnessConstants(L_f=image_bound, ell_f=1.0, L_g=L_g, ell_g=0.0)
-
-
-def build_bellman(spec: BellmanSpec, lam: float = 0.0, radius: float = 100.0) -> BellmanProblem:
-    return BellmanProblem(spec, Regularizer(lam=lam, radius=radius))
+def build_bellman(spec: BellmanSpec, lam: float = 0.0,
+                  radius: float = 100.0) -> AffineQuadraticProblem:
+    """Squared-residual value estimation, (1/2) ||mean_j ((I - gamma P_j) x - r_j)||^2:
+    A_j = I - gamma P_j, b_j = -r_j and one outer function with s = 1/2, c = 0."""
+    S = spec.n_states
+    return AffineQuadraticProblem(np.eye(S)[None] - spec.gamma * spec.P, -spec.r,
+                                  np.zeros((1, S)), np.array([0.5]),
+                                  Regularizer(lam=lam, radius=radius))
 
 
 def random_bellman_spec(n_states: int, m: int, gamma: float, seed: int) -> BellmanSpec:
@@ -259,151 +292,30 @@ def random_bellman_spec(n_states: int, m: int, gamma: float, seed: int) -> Bellm
 # analytic toys
 # ---------------------------------------------------------------------------
 
-class IdentityQuadraticToy(CompositionProblem):
-    """g_j(x) = x for every j, f_i(y) = ||y - c_i||^2. Closed-form optimum."""
-
-    def __init__(self, centers: np.ndarray, m: int, regularizer: Regularizer):
-        centers = np.asarray(centers, dtype=float)
-        n, d = centers.shape
-        super().__init__(ProblemDims(m=m, n=n, d=d, k=d), regularizer)
-        self.centers = centers
-        self.c_bar = centers.mean(axis=0)
-        # componentwise soft-threshold of the center mean, clamped to the box
-        lam, R = regularizer.lam, regularizer.radius
-        x = np.sign(self.c_bar) * np.maximum(np.abs(self.c_bar) - lam / 2.0, 0.0)
-        self.x_star = np.clip(x, -R, R)
-        spread = float(np.mean(np.sum(centers**2, axis=1)) - self.c_bar @ self.c_bar)
-        self.phi_star = float(np.sum((self.x_star - self.c_bar) ** 2) + spread
-                              + lam * np.sum(np.abs(self.x_star)))
-
-    def inner_value(self, idx, x):
-        return _repeat(x, idx)
-
-    def inner_vjp(self, idx, x, u):
-        return _repeat(u, idx)
-
-    def outer_value(self, idx, y):
-        return np.sum((y - self.centers[idx]) ** 2, axis=-1)
-
-    def outer_grad(self, idx, y):
-        return 2.0 * (y - self.centers[idx])
-
-    def smoothness(self, box_radius):
-        reach = box_radius * np.sqrt(self.dims.d) + np.max(
-            np.linalg.norm(self.centers, axis=1))
-        return SmoothnessConstants(L_f=2.0 * reach, ell_f=2.0, L_g=1.0, ell_g=0.0)
-
-
-class AffineInnerProblem(CompositionProblem):
-    """Base for problems whose inner maps are affine, g_j(x) = A_j x + b_j.
-
-    The inner Jacobians are constant, so inner-minibatch noise enters the
-    gradient only through the value estimate, linearly; useful for exact
-    variance-scaling checks.
-    """
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, n: int, regularizer: Regularizer):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        m, k, d = A.shape
-        super().__init__(ProblemDims(m=m, n=n, d=d, k=k), regularizer)
-        self.A, self.b = A, b
-        self.A_bar = A.mean(axis=0)
-        self.b_bar = b.mean(axis=0)
-
-    def inner_value(self, idx, x):
-        # one matrix-vector product over all gathered rows, which are freed
-        # before the offsets are gathered
-        out = (self.A[idx].reshape(-1, self.dims.d) @ x).reshape(np.shape(idx) + (self.dims.k,))
-        out += self.b[idx]
-        return out
-
-    def inner_vjp(self, idx, x, u):
-        return np.einsum("...kd,...k->...d", self.A[idx], u)
-
-    def _inner_bounds(self, box_radius):
-        """L_g and a bound on sup ||g_j(x)|| over the box."""
-        L_g = float(max(np.linalg.norm(Aj, 2) for Aj in self.A))
-        reach = L_g * box_radius * np.sqrt(self.dims.d) + np.max(np.linalg.norm(self.b, axis=1))
-        return L_g, reach
-
-
-class AffineQuadraticToy(AffineInnerProblem):
-    """g_j(x) = A_j x + b_j, f_i(y) = ||y - c_i||^2."""
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, centers: np.ndarray,
-                 regularizer: Regularizer):
-        centers = np.asarray(centers, dtype=float)
-        super().__init__(A, b, centers.shape[0], regularizer)
-        self.centers = centers
-        self.c_bar = centers.mean(axis=0)
-        if regularizer.lam == 0.0:
-            x_star, *_ = np.linalg.lstsq(self.A_bar, self.c_bar - self.b_bar, rcond=None)
-            if np.max(np.abs(x_star)) < regularizer.radius:
-                self.x_star = x_star
-                spread = float(np.mean(np.sum(centers**2, axis=1)) - self.c_bar @ self.c_bar)
-                resid = self.A_bar @ x_star + self.b_bar - self.c_bar
-                self.phi_star = float(resid @ resid + spread)
-
-    def outer_value(self, idx, y):
-        return np.sum((y - self.centers[idx]) ** 2, axis=-1)
-
-    def outer_grad(self, idx, y):
-        return 2.0 * (y - self.centers[idx])
-
-    def smoothness(self, box_radius):
-        L_g, g_reach = self._inner_bounds(box_radius)
-        reach = g_reach + np.max(np.linalg.norm(self.centers, axis=1))
-        return SmoothnessConstants(L_f=2.0 * reach, ell_f=2.0, L_g=L_g, ell_g=0.0)
-
-
-class MixedConvexityToy(AffineInnerProblem):
-    """Convex average of one strongly convex and one concave outer function.
-
-    f_1(y) = 2||y||^2, f_2(y) = -||y||^2 / 2 over an affine inner map: the
-    composition with f_2 is nonconvex, yet F = 0.75 ||g(x)||^2 is convex.
-    """
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, regularizer: Regularizer):
-        super().__init__(A, b, 2, regularizer)
-        self._scales = np.array([2.0, -0.5])
-        if regularizer.lam == 0.0:
-            x_star, *_ = np.linalg.lstsq(self.A_bar, -self.b_bar, rcond=None)
-            if np.max(np.abs(x_star)) < regularizer.radius:
-                self.x_star = x_star
-                resid = self.A_bar @ x_star + self.b_bar
-                self.phi_star = float(0.75 * resid @ resid)
-
-    def outer_value(self, idx, y):
-        return self._scales[idx] * np.sum(y**2)
-
-    def outer_grad(self, idx, y):
-        return (2.0 * self._scales[idx])[..., None] * np.asarray(y, dtype=float)
-
-    def smoothness(self, box_radius):
-        L_g, reach = self._inner_bounds(box_radius)
-        return SmoothnessConstants(L_f=4.0 * reach, ell_f=4.0, L_g=L_g, ell_g=0.0)
-
-
 TOY_KINDS = ("identity", "affine", "mixed")
 
 
 def build_toy(kind: str, d: int = 2, m: int = 3, n: int = 3, seed: int = 0,
-              lam: float = 0.0, radius: float = 1.0) -> CompositionProblem:
+              lam: float = 0.0, radius: float = 1.0) -> AffineQuadraticProblem:
     """Random toy instance of the requested kind, with a certified optimum
-    whenever lam == 0 leaves one available in closed form."""
+    whenever one is available in closed form.
+
+    identity: A_j = I, b_j = 0, f_i(y) = ||y - c_i||^2.
+    affine: A_j = I + noise, f_i(y) = ||y - c_i||^2.
+    mixed: n = 2 outer functions, f_1(y) = 2||y||^2 and f_2(y) = -||y||^2 / 2:
+    the composition with f_2 is nonconvex, yet F = 0.75 ||g(x)||^2 is convex.
+    """
     rng = np.random.default_rng(seed)
     reg = Regularizer(lam=lam, radius=radius)
     if kind == "identity":
         centers = rng.normal(0.0, 0.4, size=(n, d))
-        return IdentityQuadraticToy(centers, m=m, regularizer=reg)
+        return AffineQuadraticProblem(np.tile(np.eye(d), (m, 1, 1)), np.zeros((m, d)),
+                                      centers, np.ones(n), reg)
+    if kind not in TOY_KINDS:
+        raise InputError(f"unknown toy kind {kind!r}; expected one of {TOY_KINDS}")
+    A = np.tile(np.eye(d), (m, 1, 1)) + 0.3 * rng.normal(size=(m, d, d))
+    b = 0.1 * rng.normal(size=(m, d))
     if kind == "affine":
-        A = np.tile(np.eye(d), (m, 1, 1)) + 0.3 * rng.normal(size=(m, d, d))
-        b = 0.1 * rng.normal(size=(m, d))
         centers = 0.3 * rng.normal(size=(n, d))
-        return AffineQuadraticToy(A, b, centers, regularizer=reg)
-    if kind == "mixed":
-        A = np.tile(np.eye(d), (m, 1, 1)) + 0.3 * rng.normal(size=(m, d, d))
-        b = 0.1 * rng.normal(size=(m, d))
-        return MixedConvexityToy(A, b, regularizer=reg)
-    raise InputError(f"unknown toy kind {kind!r}; expected one of {TOY_KINDS}")
+        return AffineQuadraticProblem(A, b, centers, np.ones(n), reg)
+    return AffineQuadraticProblem(A, b, np.zeros((2, d)), np.array([2.0, -0.5]), reg)

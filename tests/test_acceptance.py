@@ -285,5 +285,5 @@ class TestKnownOptimumConvergence:
         assert trace[-1].samples <= budget
         assert trace[-1].gap <= 1e-6
         # cross-check the certified optimum against an explicit dense solve
-        x_direct = np.linalg.lstsq(problem.M_bar, problem.r_bar, rcond=None)[0]
+        x_direct = np.linalg.lstsq(problem.A_bar, -problem.b_bar, rcond=None)[0]
         np.testing.assert_allclose(problem.x_star, x_direct, atol=1e-10)

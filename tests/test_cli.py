@@ -127,11 +127,15 @@ class TestToygen:
         np.testing.assert_allclose(data["P"].sum(axis=2), 1.0, atol=1e-12)
 
     def test_toy_npz(self, tmp_path):
-        out = tmp_path / "toy.npz"
-        code = run_cli("toygen", "--problem", "toy", "--toy-kind", "affine",
-                       "--d", "3", "--out", str(out))
-        assert code == 0
-        assert "A" in np.load(str(out))
+        for kind in ("identity", "affine", "mixed"):
+            out = tmp_path / f"{kind}.npz"
+            code = run_cli("toygen", "--problem", "toy", "--toy-kind", kind,
+                           "--d", "3", "--out", str(out))
+            assert code == 0
+            data = np.load(str(out))
+            assert {"A", "b", "centers", "scales"} <= set(data.files)
+            assert data["A"].shape[1:] == (3, 3)
+            assert data["scales"].shape == data["centers"].shape[:1]
 
 
 class TestUsageErrors:

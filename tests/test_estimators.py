@@ -13,7 +13,7 @@ from compopt.estimators import (SampleMeter, draw_minibatch, estimate_gradient,
                                 unbiased_reference_gradient)
 from compopt.problem import (CompositionProblem, ProblemDims, full_gradient,
                              inner_mean)
-from compopt.problems import (IdentityQuadraticToy, build_mean_variance,
+from compopt.problems import (AffineQuadraticProblem, build_mean_variance,
                               build_toy, synthetic_returns)
 from compopt.prox import Regularizer
 
@@ -156,7 +156,8 @@ class TestDrawMinibatch:
 class TestTakeSnapshot:
     def test_scalar_square_snapshot(self):
         # g(x)=x, f(y)=y^2 at x~=1: g~=1, Z~=I, v~=2
-        toy = IdentityQuadraticToy(np.zeros((1, 1)), m=1, regularizer=Regularizer(radius=10.0))
+        toy = AffineQuadraticProblem(np.eye(1)[None], np.zeros((1, 1)), np.zeros((1, 1)),
+                                     np.ones(1), Regularizer(radius=10.0))
         snap = take_snapshot(toy, np.array([1.0]))
         np.testing.assert_allclose(snap.g_tilde, [1.0], atol=1e-15)
         np.testing.assert_allclose(snap.z_tilde, [[1.0]], atol=1e-15)

@@ -9,8 +9,9 @@ from compopt import harness
 from compopt.errors import ConfigError, InputError
 from compopt.harness import (ExperimentSpec, compute_phi_star, polish_phi_star,
                              run_benchmark, run_one, scvrg_config_for_budget)
-from compopt.problems import (AffineQuadraticToy, build_bellman, build_mean_variance,
-                              build_toy, random_bellman_spec, synthetic_returns)
+from compopt.problems import (AffineQuadraticProblem, build_bellman,
+                              build_mean_variance, build_toy,
+                              random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
 from compopt.solver import predicted_total_samples
 from compopt.trace import TRACE_HEADER
@@ -66,7 +67,7 @@ def _stiff_toy():
     needs far more than 100 full gradients to meet its stop."""
     A = np.tile(np.diag([1.0, 1e-4]), (3, 1, 1))
     centers = np.array([[0.4, 4e-5], [0.6, 6e-5]])
-    return AffineQuadraticToy(A, np.zeros((3, 2)), centers, Regularizer())
+    return AffineQuadraticProblem(A, np.zeros((3, 2)), centers, np.ones(2), Regularizer())
 
 
 CERTIFIED = {

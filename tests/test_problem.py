@@ -9,7 +9,7 @@ from compopt.estimators import (estimate_gradient, estimate_inner,
 from compopt.problem import (ProblemDims, SmoothnessConstants,
                              estimate_smoothness, full_gradient, inner_mean,
                              lipschitz_bounds, objective, smooth_value)
-from compopt.problems import (IdentityQuadraticToy, ReturnsDataset,
+from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
                               build_bellman, build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
@@ -148,7 +148,8 @@ class TestSmoothnessConstants:
 
 class TestInnerMean:
     def test_identity_inner(self):
-        toy = IdentityQuadraticToy(np.zeros((1, 2)), m=1, regularizer=Regularizer(radius=10.0))
+        toy = AffineQuadraticProblem(np.eye(2)[None], np.zeros((1, 2)), np.zeros((1, 2)),
+                                     np.ones(1), Regularizer(radius=10.0))
         g, Z = inner_mean(toy, np.array([1.0, 2.0]))
         np.testing.assert_array_equal(g, [1.0, 2.0])
         np.testing.assert_array_equal(Z, np.eye(2))
@@ -175,7 +176,8 @@ class TestInnerMean:
 class TestFullGradient:
     def test_scalar_square(self):
         # d=k=1, g(x)=x, f(y)=y^2 at x=3 -> 6
-        toy = IdentityQuadraticToy(np.zeros((1, 1)), m=1, regularizer=Regularizer(radius=10.0))
+        toy = AffineQuadraticProblem(np.eye(1)[None], np.zeros((1, 1)), np.zeros((1, 1)),
+                                     np.ones(1), Regularizer(radius=10.0))
         np.testing.assert_allclose(full_gradient(toy, np.array([3.0])), [6.0], atol=1e-12)
 
     def test_two_asset_matches_fd(self):
@@ -223,7 +225,8 @@ class TestLipschitzBounds:
 
     def test_empirical_estimate_scalar_square(self):
         # g(x)=x, f(y)=y^2 on [-1,1]: true ell = 2; sampled slopes reach it
-        toy = IdentityQuadraticToy(np.zeros((1, 1)), m=1, regularizer=Regularizer(radius=1.0))
+        toy = AffineQuadraticProblem(np.eye(1)[None], np.zeros((1, 1)), np.zeros((1, 1)),
+                                     np.ones(1), Regularizer(radius=1.0))
         rng = np.random.default_rng(0)
         c = estimate_smoothness(toy, 1.0, rng, pairs=3000, inflation=1.0)
         assert 1.9 <= c.ell <= 2.0 + 1e-9

@@ -5,10 +5,12 @@ import pytest
 
 from compopt.errors import ConfigError, InputError
 from compopt.problem import full_gradient, objective, smooth_value
-from compopt.problems import (BellmanSpec, ReturnsDataset, build_bellman,
+from compopt.problems import (AffineQuadraticProblem, BellmanSpec,
+                              ReturnsDataset, build_bellman,
                               build_mean_variance, build_toy, load_returns_csv,
                               mean_variance_direct, random_bellman_spec,
                               synthetic_returns, write_returns_csv)
+from compopt.prox import Regularizer
 
 
 class TestLoadReturnsCsv:
@@ -118,7 +120,7 @@ class TestBellman:
         spec = random_bellman_spec(4, 5, gamma=0.9, seed=2)
         p = build_bellman(spec)
         x = np.linspace(-1.0, 1.0, 4)
-        expected = p.M_bar.T @ (p.M_bar @ x - p.r_bar)
+        expected = p.A_bar.T @ (p.A_bar @ x + p.b_bar)
         np.testing.assert_allclose(full_gradient(p, x), expected, atol=1e-13)
 
     def test_no_certified_optimum_with_l1(self):
@@ -131,32 +133,42 @@ class TestToys:
     def test_identity_center_zero(self):
         toy = build_toy("identity", d=2, m=2, n=1, seed=0)
         toy.centers[:] = 0.0
-        rebuilt = type(toy)(toy.centers, m=2, regularizer=toy.regularizer)
+        rebuilt = AffineQuadraticProblem(toy.A, toy.b, toy.centers, toy.scales,
+                                         toy.regularizer)
         np.testing.assert_array_equal(rebuilt.x_star, np.zeros(2))
         assert rebuilt.phi_star == 0.0
 
     def test_identity_center_outside_box_clamped(self):
-        from compopt.problems import IdentityQuadraticToy
-        from compopt.prox import Regularizer
-        toy = IdentityQuadraticToy(np.array([[3.0, -2.0]]), m=2,
-                                   regularizer=Regularizer(lam=0.0, radius=1.0))
+        toy = AffineQuadraticProblem(np.tile(np.eye(2), (2, 1, 1)), np.zeros((2, 2)),
+                                     np.array([[3.0, -2.0]]), np.ones(1),
+                                     Regularizer(lam=0.0, radius=1.0))
         np.testing.assert_array_equal(toy.x_star, [1.0, -1.0])
 
     def test_certified_optima_are_stationary(self):
-        for kind in ("identity", "affine", "mixed"):
-            toy = build_toy(kind, d=3, m=4, n=3, seed=5)
-            assert toy.x_star is not None
+        problems = [build_toy(kind, d=3, m=4, n=3, seed=5)
+                    for kind in ("identity", "affine", "mixed")]
+        problems.append(build_bellman(random_bellman_spec(3, 5, 0.9, seed=5)))
+        for problem in problems:
+            assert problem.x_star is not None
             rng = np.random.default_rng(0)
             for _ in range(20):
                 delta = rng.normal(size=3) * 1e-4
-                x = np.clip(toy.x_star + delta, -toy.regularizer.radius,
-                            toy.regularizer.radius)
-                assert objective(toy, x) >= toy.phi_star - 1e-12
+                x = np.clip(problem.x_star + delta, -problem.regularizer.radius,
+                            problem.regularizer.radius)
+                assert objective(problem, x) >= problem.phi_star - 1e-12
 
     def test_identity_phi_star_value(self):
         toy = build_toy("identity", d=2, m=3, n=4, seed=6, lam=0.3)
         # independent evaluation at the certified minimizer
         assert objective(toy, toy.x_star) == pytest.approx(toy.phi_star, abs=1e-13)
+
+    def test_rejects_nonpositive_mean_scale_and_bad_shapes(self):
+        A, b, centers = np.tile(np.eye(2), (2, 1, 1)), np.zeros((2, 2)), np.zeros((2, 2))
+        for scales in ([1.0, -1.0], [0.5, -2.0]):
+            with pytest.raises(ConfigError, match="positive mean"):
+                AffineQuadraticProblem(A, b, centers, np.array(scales), Regularizer())
+        with pytest.raises(ConfigError, match="inconsistent shapes"):
+            AffineQuadraticProblem(A, b, centers, np.ones(3), Regularizer())
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):

@@ -40,7 +40,7 @@ class TestFdGradient:
             def inner_vjp(self, idx, x, u):
                 return 1.5 * super().inner_vjp(idx, x, u)
 
-        broken = Broken(toy.A, toy.b, toy.centers, regularizer=toy.regularizer)
+        broken = Broken(toy.A, toy.b, toy.centers, toy.scales, toy.regularizer)
         points = np.random.default_rng(1).uniform(-0.5, 0.5, size=(5, 3))
         assert not check_gradient_fd(broken, points).passed
 
@@ -170,6 +170,16 @@ class TestRunAllChecks:
         assert len(reports) >= 10
         failing = [r.name for r in reports if not (r.passed or r.skipped)]
         assert failing == []
+
+    def test_combined_bound_is_not_lemma1_again(self):
+        # on the affine toy u_t == grad F(x), so the combined bound would read
+        # Lemma 1's ||v_t - u_t||^2; on the mixed toy it measures its own value
+        for seed in range(4):
+            reports = {r.name: r for r in run_all_checks(seed=seed, trials=20_000,
+                                                          contraction_seeds=1)}
+            combined = reports["combined_bound_domination"]
+            assert combined.passed
+            assert combined.measured != reports["lemma1_domination"].measured
 
 
 def _biased_inner(problem, snapshot, x, A, meter=None):
