@@ -17,8 +17,7 @@ from .estimators import (EpochSnapshot, MiniBatchDraw, SampleMeter,
 from .harness import (ALGORITHMS, ExperimentSpec, compute_phi_star,
                       run_benchmark, run_one, scvrg_config_for_budget)
 from .problem import (CompositionProblem, ProblemDims, SmoothnessConstants,
-                      estimate_smoothness, full_gradient, inner_mean,
-                      lipschitz_bounds, objective, outer_mean_grad,
+                      full_gradient, inner_mean, objective, outer_mean_grad,
                       smooth_value)
 from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
                        ReturnsDataset, build_bellman, build_mean_variance,

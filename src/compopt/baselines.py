@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .estimators import SampleMeter, minibatch_rng, take_snapshot
-from .problem import CompositionProblem, full_gradient, lipschitz_bounds, objective
+from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
 from .solver import RunConfig, run_epoch
 from .trace import Recorder
@@ -59,7 +59,7 @@ def run_agd(problem: CompositionProblem, config: BaselineConfig, x0,
     is not taken: the momentum restarts from the current iterate instead.
     """
     m, n = problem.dims.m, problem.dims.n
-    step = 1.0 / lipschitz_bounds(problem, problem.regularizer.radius).ell
+    step = 1.0 / problem.smoothness().ell
     meter = SampleMeter()
     x = np.asarray(x0, dtype=float).copy()
     rec = Recorder(problem, "agd", config.seed, meter, x, phi_star)

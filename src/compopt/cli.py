@@ -39,7 +39,8 @@ def _add_problem_flags(parser):
                         help="l1 weight")
     parser.add_argument("--radius", type=float, default=1.0, help="box radius")
     parser.add_argument("--n", type=int, default=200,
-                        help="synthetic sample count (meanvar rows / bellman matrices)")
+                        help="synthetic sample count (meanvar rows / bellman matrices"
+                             " / toy inner maps)")
     parser.add_argument("--d", type=int, default=10, help="decision dimension")
     parser.add_argument("--states", type=int, default=10, help="bellman state count")
     parser.add_argument("--gamma", type=float, default=0.9, help="bellman discount")
@@ -73,7 +74,7 @@ def _build_problem(args):
     if args.problem == "bellman":
         spec = random_bellman_spec(args.states, args.n, args.gamma, args.problem_seed)
         return build_bellman(spec, lam=args.lam, radius=args.radius)
-    return build_toy(args.toy_kind, d=args.d, seed=args.problem_seed,
+    return build_toy(args.toy_kind, d=args.d, m=args.n, seed=args.problem_seed,
                      lam=args.lam, radius=args.radius)
 
 
@@ -137,8 +138,7 @@ def _toygen(args):
         spec = random_bellman_spec(args.states, args.n, args.gamma, args.problem_seed)
         np.savez(args.out, P=spec.P, r=spec.r, gamma=spec.gamma)
     else:
-        problem = build_toy(args.toy_kind, d=args.d, seed=args.problem_seed,
-                            lam=args.lam, radius=args.radius)
+        problem = _build_problem(args)
         np.savez(args.out, kind=args.toy_kind, A=problem.A, b=problem.b,
                  centers=problem.centers, scales=problem.scales)
     print(f"wrote {args.out}")

@@ -11,7 +11,7 @@ import numpy as np
 from . import baselines
 from .baselines import BaselineConfig
 from .errors import ConfigError, DivergenceError, InputError
-from .problem import CompositionProblem, full_gradient, lipschitz_bounds, objective
+from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
 from .solver import RunConfig, predicted_total_samples, run_scvrg
 from .trace import TRACE_HEADER, TraceRecord, abort_record
@@ -77,7 +77,7 @@ def polish_phi_star(problem: CompositionProblem, budget: int) -> PhiStar:
     if budget < 100 * (m + n):
         raise ConfigError(f"optimum budget must be >= 100 * (m + n) = {100 * (m + n)}")
     reg = problem.regularizer
-    ell = lipschitz_bounds(problem, reg.radius).ell
+    ell = problem.smoothness().ell
     cap, L, t_k, bound, used, grad_y = budget // (m + n), ell / 4096, 1.0, math.inf, 0, None
     x = y = np.zeros(problem.dims.d)
     while used + (grad_y is None) < cap:

@@ -6,8 +6,8 @@ The objective is Phi(x) = F(x) + r(x) with
 
 where each g_j maps R^d -> R^k and each f_i maps R^k -> R. Problems expose
 four index-batched oracles for g_j, its vector-Jacobian product, f_i and its
-gradient; everything else (full-batch means, gradients, smoothness constants)
-is derived here.
+gradient, and closed-form smoothness constants on the regularizer's box; the
+full-batch means, gradients and objective values are derived here.
 """
 
 from dataclasses import dataclass
@@ -103,9 +103,11 @@ class CompositionProblem:
         idx.shape + (k,) and y.shape."""
         raise NotImplementedError
 
-    def smoothness(self, box_radius: float):
-        """Closed-form SmoothnessConstants on the box, or None if unavailable."""
-        return None
+    def smoothness(self) -> SmoothnessConstants:
+        """Closed-form SmoothnessConstants on the box |x_c| <= regularizer.radius:
+        certified upper bounds, since every reader of ell relies on them."""
+        raise ConfigError(f"{type(self).__name__} does not certify its smoothness "
+                          "constants: override smoothness()")
 
 
 def _check_point(problem: CompositionProblem, x) -> np.ndarray:
@@ -156,54 +158,3 @@ def objective(problem: CompositionProblem, x) -> float:
     r = reg_value(problem.regularizer, x)  # raises if infeasible
     return smooth_value(problem, x) + r
 
-
-def estimate_smoothness(problem: CompositionProblem, box_radius: float, rng,
-                        pairs: int = 10_000, inflation: float = 1.2) -> SmoothnessConstants:
-    """Sampling-based Lipschitz estimates from pairwise slopes inside the box.
-
-    Reports the max observed slope inflated by `inflation`. This is an
-    estimate, not a certificate: slopes realized between sampled pairs can
-    only under-shoot the true constants.
-    """
-    d, k, m, n = problem.dims.d, problem.dims.k, problem.dims.m, problem.dims.n
-    X = rng.uniform(-box_radius, box_radius, size=(2 * pairs, d))
-    L_g = ell_g = L_f = ell_f = 0.0
-    images = []
-    for p in range(pairs):
-        x0, x1 = X[2 * p], X[2 * p + 1]
-        dx = np.linalg.norm(x1 - x0)
-        if dx < 1e-12:
-            continue
-        j = int(rng.integers(m))
-        g0, g1 = problem.inner_value(j, x0), problem.inner_value(j, x1)
-        rows, units = np.full(k, j), np.eye(k)  # Jacobian row c: VJP against e_c
-        J0, J1 = problem.inner_vjp(rows, x0, units), problem.inner_vjp(rows, x1, units)
-        L_g = max(L_g, np.linalg.norm(g1 - g0) / dx)
-        ell_g = max(ell_g, np.linalg.norm(J1 - J0, 2) / dx)
-        if p < 1000:
-            images.append(g0)
-            images.append(g1)
-    images = np.asarray(images)
-    for p in range(pairs):
-        y0 = images[int(rng.integers(len(images)))]
-        y1 = images[int(rng.integers(len(images)))]
-        dy = np.linalg.norm(y1 - y0)
-        i = int(rng.integers(n))
-        d0, d1 = problem.outer_grad(i, y0), problem.outer_grad(i, y1)
-        L_f = max(L_f, np.linalg.norm(d0), np.linalg.norm(d1))
-        if dy >= 1e-12:
-            ell_f = max(ell_f, np.linalg.norm(d1 - d0) / dy)
-    consts = SmoothnessConstants(L_f=inflation * L_f, ell_f=inflation * ell_f,
-                                 L_g=inflation * L_g, ell_g=inflation * ell_g)
-    if not np.isfinite(consts.ell):
-        raise InputError("smoothness estimate diverged; oracles may be unbounded on the box")
-    return consts
-
-
-def lipschitz_bounds(problem: CompositionProblem, box_radius: float) -> SmoothnessConstants:
-    """Closed-form constants when the problem provides them, else a sampled
-    estimate from 10 000 pairs drawn with seed 0."""
-    consts = problem.smoothness(box_radius)
-    if consts is not None:
-        return consts
-    return estimate_smoothness(problem, box_radius, np.random.default_rng(0))

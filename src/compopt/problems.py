@@ -140,12 +140,12 @@ class MeanVarianceProblem(CompositionProblem):
         out[..., -1] = 2.0 * u
         return out
 
-    def smoothness(self, box_radius):
+    def smoothness(self):
         norms = np.linalg.norm(self.returns, axis=1)
         L_g = float(np.sqrt(1.0 + np.max(norms) ** 2))
         ell_f = float(2.0 * np.max(norms**2 + 1.0))
         # sup ||g(x)|| over the box, used to bound the outer gradients
-        R_g = box_radius * np.sqrt(self.dims.d) * np.sqrt(
+        R_g = self.regularizer.radius * np.sqrt(self.dims.d) * np.sqrt(
             1.0 + np.linalg.norm(self.mean_return) ** 2)
         L_f = float(np.max(2.0 * (norms + 1.0) * (norms * R_g + 1.0)))
         return SmoothnessConstants(L_f=L_f, ell_f=ell_f, L_g=L_g, ell_g=0.0)
@@ -228,9 +228,10 @@ class AffineQuadraticProblem(CompositionProblem):
     def outer_grad(self, idx, y):
         return self._two_scales[idx][..., None] * (y - self.centers[idx])
 
-    def smoothness(self, box_radius):
+    def smoothness(self):
         L_g = float(max(np.linalg.norm(Aj, 2) for Aj in self.A))
-        reach = L_g * box_radius * np.sqrt(self.dims.d) + np.max(np.linalg.norm(self.b, axis=1))
+        reach = (L_g * self.regularizer.radius * np.sqrt(self.dims.d)
+                 + np.max(np.linalg.norm(self.b, axis=1)))
         ell_f = 2.0 * float(np.max(np.abs(self.scales)))
         L_f = ell_f * (reach + np.max(np.linalg.norm(self.centers, axis=1)))
         return SmoothnessConstants(L_f=float(L_f), ell_f=ell_f, L_g=L_g, ell_g=0.0)
@@ -302,8 +303,10 @@ def build_toy(kind: str, d: int = 2, m: int = 3, n: int = 3, seed: int = 0,
 
     identity: A_j = I, b_j = 0, f_i(y) = ||y - c_i||^2.
     affine: A_j = I + noise, f_i(y) = ||y - c_i||^2.
-    mixed: n = 2 outer functions, f_1(y) = 2||y||^2 and f_2(y) = -||y||^2 / 2:
-    the composition with f_2 is nonconvex, yet F = 0.75 ||g(x)||^2 is convex.
+    mixed: A_j = I + noise and n >= 2 outer functions whose scales cycle
+    2, -1/2, 2, ...: f_i(y) = 2||y||^2 or -||y||^2 / 2. Each composition with
+    a negative scale is nonconvex, yet F = S ||g(x)||^2 with S = mean(s) > 0
+    (0.75 at n = 2) is convex.
     """
     rng = np.random.default_rng(seed)
     reg = Regularizer(lam=lam, radius=radius)
@@ -318,4 +321,6 @@ def build_toy(kind: str, d: int = 2, m: int = 3, n: int = 3, seed: int = 0,
     if kind == "affine":
         centers = 0.3 * rng.normal(size=(n, d))
         return AffineQuadraticProblem(A, b, centers, np.ones(n), reg)
-    return AffineQuadraticProblem(A, b, np.zeros((2, d)), np.array([2.0, -0.5]), reg)
+    if n < 2:
+        raise ConfigError(f"the mixed toy needs n >= 2 outer functions, got {n}")
+    return AffineQuadraticProblem(A, b, np.zeros((n, d)), np.resize([2.0, -0.5], n), reg)

@@ -24,8 +24,7 @@ from . import estimators
 from .errors import ConfigError
 from .estimators import (EpochSnapshot, estimate_inner, take_snapshot,
                          unbiased_reference_gradient)
-from .problem import (CompositionProblem, full_gradient, lipschitz_bounds,
-                      objective, smooth_value)
+from .problem import CompositionProblem, full_gradient, objective, smooth_value
 from .solver import RunConfig, run_scvrg
 
 MC_SLACK = 1.05
@@ -165,7 +164,7 @@ def _bound_terms(problem: CompositionProblem, snapshot: EpochSnapshot, x):
     and combined variance bounds."""
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("the variance bounds require a problem with a certified optimum")
-    ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
+    ell = problem.smoothness().ell
     x = np.asarray(x, float)
     xs, ps = problem.x_star, problem.phi_star
     gap_x = objective(problem, x) - ps
@@ -182,7 +181,7 @@ def check_lemma1(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     Compares the Monte-Carlo mean of ||v_t - u_t||^2 against
     2 ell^2 ||x - x~||^2 / a.
     """
-    ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
+    ell = problem.smoothness().ell
     dist_sq = float(np.sum((np.asarray(x, float) - snapshot.x_tilde) ** 2))
     bound = 2.0 * ell**2 * dist_sq / a
     measured = _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed)
@@ -275,7 +274,7 @@ def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
     The `contraction_hypotheses` are verified first; a config that cannot
     satisfy them yields a skipped report.
     """
-    ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
+    ell = problem.smoothness().ell
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     deterministic = config.a == problem.dims.m and config.b == problem.dims.n
@@ -354,7 +353,7 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     # the affine toy's estimator genuinely varies with the minibatch draws,
     # unlike the identity toy whose control variates cancel all noise exactly
     contraction_toy = build_toy("affine", d=3, m=12, n=8, seed=seed)
-    ell = lipschitz_bounds(contraction_toy, contraction_toy.regularizer.radius).ell
+    ell = contraction_toy.smoothness().ell
     beta = 0.9
     config = RunConfig(S=3, k0=10, seed=seed)
     a_min, b_min, eta_max = contraction_hypotheses(ell, beta, config.T)

@@ -13,7 +13,7 @@ import pytest
 
 from compopt.estimators import draw_minibatch, estimate_gradient, take_snapshot
 from compopt.harness import compute_phi_star, run_one
-from compopt.problem import full_gradient, lipschitz_bounds, objective
+from compopt.problem import full_gradient, objective
 from compopt.problems import (build_bellman, build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer, prox_step
@@ -132,7 +132,7 @@ class TestEpochContraction:
 
     def fixture(self):
         problem = build_toy("affine", d=3, m=12, n=8, seed=0)
-        ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
+        ell = problem.smoothness().ell
         beta, S = 0.9, 3
         T = 10 * 2**S - 10
         eta = min(1.0 / (30.0 * beta * T * ell), 1.0 / (25.0 * ell))

@@ -37,8 +37,7 @@ class TestAgd:
         """lam=0, huge box: trajectory equals hand-rolled FISTA (no restarts fire
         on a convex quadratic with monotone objective)."""
         toy = build_toy("affine", d=2, m=3, n=3, seed=1, radius=1e12)
-        from compopt.problem import lipschitz_bounds
-        ell = lipschitz_bounds(toy, toy.regularizer.radius).ell
+        ell = toy.smoothness().ell
         step = 1.0 / ell
         x = y = np.zeros(2)
         t_k = 1.0

@@ -76,6 +76,15 @@ class TestBench:
                   for line in out.read_text().strip().split("\n")[1:]}
         assert max(int(e) for e in epochs) == 2
 
+    def test_toy_defaults_pay_for_a_full_epoch(self, tmp_path, caplog):
+        out = tmp_path / "bench.csv"
+        with caplog.at_level(logging.WARNING, logger="compopt.harness"):
+            code = run_cli("bench", "--problem", "toy", "--out", str(out))
+        assert code == 0
+        assert "first epoch" not in caplog.text
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert any(r[0] == "scvrg" and r[2] == "2" for r in rows)  # epoch 1 closed
+
 
 class TestPhistar:
     def test_prints_float(self, capsys):

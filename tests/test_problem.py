@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from compopt.baselines import BaselineConfig, run_agd
 from compopt.errors import ConfigError, InfeasibleQueryError, InputError
 from compopt.estimators import (estimate_gradient, estimate_inner,
                                 take_snapshot, unbiased_reference_gradient)
-from compopt.problem import (ProblemDims, SmoothnessConstants,
-                             estimate_smoothness, full_gradient, inner_mean,
-                             lipschitz_bounds, objective, smooth_value)
+from compopt.harness import polish_phi_star
+from compopt.problem import (ProblemDims, SmoothnessConstants, full_gradient,
+                             inner_mean, objective, smooth_value)
 from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
                               build_bellman, build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
+from compopt.verify import check_lemma1
 from test_estimators import CurvedInnerProblem
 
 
@@ -210,32 +212,37 @@ class TestObjective:
 class TestLipschitzBounds:
     def test_meanvar_zero_returns(self):
         ds = ReturnsDataset(returns=np.zeros((3, 2)), labels=("a", "b"))
-        c = lipschitz_bounds(build_mean_variance(ds, lam=0.0), box_radius=1.0)
+        c = build_mean_variance(ds, lam=0.0).smoothness()
         assert c.L_g == 1.0 and c.ell_g == 0.0 and c.ell_f == 2.0
         assert c.ell == 2.0
 
     def test_meanvar_two_asset_closed_form(self):
         # r=(1),(3): L_g = sqrt(10), ell_f = 2*10 = 20, ell = 10*20 = 200
         ds = ReturnsDataset(returns=np.array([[1.0], [3.0]]), labels=("a",))
-        c = lipschitz_bounds(build_mean_variance(ds, radius=1.0), box_radius=1.0)
+        c = build_mean_variance(ds, radius=1.0).smoothness()
         assert c.ell_g == 0.0
         assert c.L_g == pytest.approx(np.sqrt(10.0), abs=1e-14)
         assert c.ell_f == pytest.approx(20.0, abs=1e-14)
         assert c.ell == pytest.approx(200.0, abs=1e-12)
 
-    def test_empirical_estimate_scalar_square(self):
-        # g(x)=x, f(y)=y^2 on [-1,1]: true ell = 2; sampled slopes reach it
-        toy = AffineQuadraticProblem(np.eye(1)[None], np.zeros((1, 1)), np.zeros((1, 1)),
-                                     np.ones(1), Regularizer(radius=1.0))
-        rng = np.random.default_rng(0)
-        c = estimate_smoothness(toy, 1.0, rng, pairs=3000, inflation=1.0)
-        assert 1.9 <= c.ell <= 2.0 + 1e-9
+    def test_uncertified_problem_fails_every_reader_of_ell(self):
+        problem = CurvedInnerProblem()  # defines no smoothness()
+        snapshot = take_snapshot(problem, np.zeros(1))
+        readers = [
+            problem.smoothness,
+            lambda: polish_phi_star(problem, 100 * 4),
+            lambda: run_agd(problem, BaselineConfig(max_samples=40), np.zeros(1)),
+            lambda: check_lemma1(problem, snapshot, np.ones(1), a=2, b=2, trials=10),
+        ]
+        for read in readers:
+            with pytest.raises(ConfigError, match="CurvedInnerProblem"):
+                read()
 
 
 class TestConvexityFixture:
     def test_mixed_toy_midpoint_convexity(self):
         """F passes a sampled midpoint-convexity test while f_2 o g fails it."""
-        toy = build_toy("mixed", d=2, m=3, seed=3, radius=5.0)
+        toy = build_toy("mixed", d=2, m=3, n=3, seed=3, radius=5.0)
         rng = np.random.default_rng(0)
 
         def f2_comp(x):

@@ -170,6 +170,13 @@ class TestToys:
         with pytest.raises(ConfigError, match="inconsistent shapes"):
             AffineQuadraticProblem(A, b, centers, np.ones(3), Regularizer())
 
+    def test_mixed_kind_has_n_outer_functions(self):
+        for n in (2, 3, 5):
+            toy = build_toy("mixed", d=3, m=4, n=n, seed=5)
+            assert toy.dims.n == n and toy.scales.mean() > 0.0
+        with pytest.raises(ConfigError, match="n >= 2"):
+            build_toy("mixed", n=1)
+
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             build_toy("nope")

@@ -7,7 +7,7 @@ from compopt import estimators, verify
 from compopt.errors import ConfigError
 from compopt.estimators import (_vr_gradient, estimate_inner, take_snapshot,
                                 unbiased_reference_gradient)
-from compopt.problem import full_gradient, inner_mean, lipschitz_bounds
+from compopt.problem import full_gradient, inner_mean
 from compopt.problems import build_toy
 from compopt.solver import RunConfig
 from compopt.verify import (REPORT_HEADER, CheckReport, all_passed,
@@ -117,7 +117,7 @@ class TestEpochContraction:
 
     def test_deterministic_config_contracts(self):
         problem = self.make_problem()
-        ell = lipschitz_bounds(problem, problem.regularizer.radius).ell
+        ell = problem.smoothness().ell
         beta, S = 0.9, 3
         T = 10 * 2**S - 10
         eta = min(1.0 / (30.0 * beta * T * ell), 1.0 / (25.0 * ell))
