@@ -29,7 +29,6 @@ def main():
         budget=30.0,              # 30 N component evaluations per run
         seeds=[0, 1, 2],
         out=OUT,
-        phi_star_budget=3_000_000,  # caps the phi* polish at 3000 full gradients; it needs ~40
     )
     run_benchmark(spec)
     print(f"wrote {OUT}")

@@ -21,8 +21,8 @@ from .solver import RunConfig, run_epoch
 from .trace import Recorder
 
 
-#: SCGD and ASC-PG schedules: steps alpha0 / t^P_X, tracker weights BETA0 / t^P_Y
-P_X, BETA0, P_Y = 0.75, 1.0, 0.5
+#: SCGD and ASC-PG schedules: steps ALPHA0 / t^P_X, tracker weights BETA0 / t^P_Y
+ALPHA0, P_X, BETA0, P_Y = 0.1, 0.75, 1.0, 0.5
 
 
 @dataclass
@@ -31,18 +31,15 @@ class BaselineConfig:
 
     max_samples: int
     seed: int = 0
-    eta: float = 0.01       # constant step (VRSC-PG)
-    alpha0: float = 0.1     # step scale for shrinking-step methods
-    K: int | None = None    # VRSC-PG epoch length; default ceil((m+n)^(2/3))
-    a: int = 5
-    b: int = 5
+    eta: float = RunConfig.eta  # constant step (VRSC-PG)
+    a: int = RunConfig.a
+    b: int = RunConfig.b
     trace_every: int | None = None
 
     def __post_init__(self):
         if self.max_samples <= 0:
             raise ConfigError("sample budget must be positive")
-        if self.eta <= 0 or self.alpha0 <= 0:
-            raise ConfigError("step parameters must be positive")
+        RunConfig(S=1, eta=self.eta, a=self.a, b=self.b)  # RunConfig's rules for eta, a, b
 
 
 def _check_finite(x, algorithm):
@@ -87,7 +84,7 @@ def run_scgd(problem: CompositionProblem, config: BaselineConfig, x0,
              phi_star: float | None = None):
     """Two-timescale compositional SGD with a running inner-value tracker.
 
-    y_t tracks g(x_t) with weight BETA0 / t^P_Y; steps use alpha0 / t^P_X.
+    y_t tracks g(x_t) with weight BETA0 / t^P_Y; steps use ALPHA0 / t^P_X.
     Each iteration charges 2 samples (one inner, one outer).
     """
     return _scgd_core(problem, config, x0, phi_star, accelerated=False, tag="scgd")
@@ -126,7 +123,7 @@ def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
         j = int(rng.integers(m))
         i = int(rng.integers(n))
         beta_t = min(1.0, BETA0 / t**P_Y)
-        alpha_t = config.alpha0 / t**P_X
+        alpha_t = ALPHA0 / t**P_X
         if accelerated:
             grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
             x_new = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
@@ -150,14 +147,12 @@ def run_vrscpg(problem: CompositionProblem, config: BaselineConfig, x0,
                phi_star: float | None = None):
     """Constant-epoch variance-reduced proximal method.
 
-    Runs the solver's epoch engine with a fixed epoch length K and a constant
-    step; the reference point for each snapshot is the last iterate. Charges
-    m + n per snapshot and a + b per inner step.
+    Runs the solver's epoch engine with epochs of K = ceil((m+n)^(2/3)) steps
+    and a constant step; the reference point for each snapshot is the last
+    iterate. Charges m + n per snapshot and a + b per inner step.
     """
     m, n = problem.dims.m, problem.dims.n
-    K = config.K if config.K is not None else int(np.ceil((m + n) ** (2.0 / 3.0)))
-    if K < 1:
-        raise ConfigError(f"epoch length must be >= 1, got {K}")
+    K = math.ceil((m + n) ** (2.0 / 3.0))
     # S and k0 size only the adaptive schedule, which a constant step never reads
     engine = RunConfig(S=1, k0=K, eta=config.eta, a=config.a, b=config.b,
                        seed=config.seed, schedule="constant")
@@ -169,8 +164,7 @@ def run_vrscpg(problem: CompositionProblem, config: BaselineConfig, x0,
     while meter.affords(m + n + config.a + config.b, config.max_samples):
         epoch += 1
         snapshot = take_snapshot(problem, x, meter=meter)
-        result = run_epoch(problem, snapshot, x, K, 0, engine, epoch_index=epoch,
-                           meter=meter, recorder=rec, trace_every=config.trace_every,
-                           max_samples=config.max_samples)
-        x = result.x_last
+        x = run_epoch(problem, snapshot, x, K, 0, engine, epoch_index=epoch,
+                      meter=meter, recorder=rec, trace_every=config.trace_every,
+                      max_samples=config.max_samples).x_last
     return x, rec.rows

@@ -6,6 +6,7 @@ synthetic problem files). Exit codes: 0 success, 1 input error, 2 run abort.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -15,7 +16,12 @@ from .harness import ALGORITHMS, ExperimentSpec, polish_phi_star, run_benchmark
 from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, random_bellman_spec,
                        synthetic_returns, write_returns_csv)
+from .solver import SCHEDULES, RunConfig
 from .verify import all_passed, run_all_checks, write_report_csv
+
+#: config fields each algorithm takes from the run flags given; the rest take a, b
+_ALGO_FIELDS = {"scvrg": ("k0", "S", "eta", "a", "b", "schedule"),
+                "vrscpg": ("eta", "a", "b")}
 
 
 class _UsageError(Exception):
@@ -50,17 +56,17 @@ def _add_problem_flags(parser):
 
 
 def _add_algo_flags(parser):
-    parser.add_argument("--k0", type=int, default=10, help="first epoch length")
-    parser.add_argument("--epochs", type=int, default=None,
-                        help="epoch count S (default: fit to budget)")
-    parser.add_argument("--eta", type=float, default=0.01, help="base step size")
-    parser.add_argument("--a", type=int, default=5, help="inner batch size")
-    parser.add_argument("--b", type=int, default=5, help="outer batch size")
+    parser.add_argument("--k0", type=int, help=f"first epoch length (default {RunConfig.k0})")
+    parser.add_argument("--epochs", dest="S", type=int,
+                        help="epoch count S >= 1 (default: fit to budget)")
+    parser.add_argument("--eta", type=float, help=f"base step size (default {RunConfig.eta})")
+    parser.add_argument("--a", type=int, help=f"inner batch size (default {RunConfig.a})")
+    parser.add_argument("--b", type=int, help=f"outer batch size (default {RunConfig.b})")
     parser.add_argument("--budget", type=float, default=30.0,
                         help="sample budget in units of N")
     parser.add_argument("--seed", default="0", help="comma-separated seed list")
-    parser.add_argument("--schedule", choices=("adaptive", "constant"),
-                        default="adaptive")
+    parser.add_argument("--schedule", choices=SCHEDULES,
+                        help=f"step schedule (default {RunConfig.schedule})")
     parser.add_argument("--out", default="trace.csv", help="output CSV path")
 
 
@@ -92,17 +98,10 @@ def _parse_algos(raw):
 
 def _bench(args, algos):
     problem = _build_problem(args)
-    params = {"a": args.a, "b": args.b}
-    algo_params = {}
-    for algo in algos:
-        p = dict(params)
-        if algo == "scvrg":
-            p.update(k0=args.k0, eta=args.eta, schedule=args.schedule)
-            if args.epochs is not None:
-                p["S"] = args.epochs
-        elif algo == "vrscpg":
-            p.update(eta=args.eta)
-        algo_params[algo] = p
+    algo_params = {algo: {name: getattr(args, name)
+                          for name in _ALGO_FIELDS.get(algo, ("a", "b"))
+                          if getattr(args, name) is not None}
+                   for algo in algos}
     spec = ExperimentSpec(problem=problem, algorithms=algos, budget=args.budget,
                           seeds=_parse_seeds(args.seed), out=args.out,
                           algo_params=algo_params)
@@ -112,6 +111,8 @@ def _bench(args, algos):
 
 
 def _phistar(args):
+    if not math.isfinite(args.budget):
+        raise InputError(f"optimum budget must be finite, got {args.budget}")
     problem = _build_problem(args)
     budget = max(int(args.budget * problem.N), 100 * (problem.dims.m + problem.dims.n))
     result = polish_phi_star(problem, budget)

@@ -244,8 +244,8 @@ def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A
     return _vr_gradient(problem, snapshot, x, g_t, A, B)
 
 
-def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, B,
-                                meter: SampleMeter | None = None) -> np.ndarray:
+def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x,
+                                B) -> np.ndarray:
     """Unbiased gradient estimate using exact inner quantities at x.
 
     u_t = v~ + mean_{i in B} ( Z(x)^T grad f_i(g(x)) - z~^T grad f_i(g~) ), the
@@ -258,6 +258,4 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
     g_x, Z_x = inner_mean(problem, x)
     df_new = _batch_mean(problem.outer_grad(B, g_x))
     df_ref = _batch_mean(problem.outer_grad(B, snapshot.g_tilde))
-    if meter is not None:
-        meter.add(B.size)
     return snapshot.v_tilde + df_new @ Z_x - df_ref @ snapshot.z_tilde

@@ -4,7 +4,7 @@ algorithm suites and writes plot-ready trace CSVs."""
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,8 +27,7 @@ MAX_TRACE_ROWS = 10_000
 @dataclass
 class ExperimentSpec:
     """One benchmark: a problem, an algorithm roster, a sample budget in units
-    of N, and the seeds to average over. `phi_star_budget`, in samples, caps
-    the phi* polish at phi_star_budget // (m + n) full gradients."""
+    of N, and the seeds to average over."""
 
     problem: CompositionProblem
     algorithms: list
@@ -36,12 +35,10 @@ class ExperimentSpec:
     seeds: list
     out: str
     algo_params: dict = field(default_factory=dict)
-    phi_star: float | None = None
-    phi_star_budget: int | None = None
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ConfigError("sample budget must be positive")
+        if not 0 < self.budget < math.inf:
+            raise ConfigError(f"sample budget must be positive and finite, got {self.budget}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         if not self.seeds:
@@ -112,23 +109,22 @@ def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
 
 
 def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
-                            seed: int, k0: int = 10, eta: float = 0.01,
-                            a: int = 5, b: int = 5, schedule: str = "adaptive") -> RunConfig:
-    """Largest doubling-epoch schedule whose exact sample count fits the budget.
+                            seed: int, **knobs) -> RunConfig:
+    """Largest doubling-epoch schedule whose exact sample count fits the budget;
+    `knobs` are the other RunConfig fields.
 
     Returns S=1 even when one epoch costs more than the budget, and logs a
     warning then: such a run stops inside its first epoch.
     """
     m, n = problem.dims.m, problem.dims.n
-    epoch_cost = predicted_total_samples(RunConfig(S=1, k0=k0, a=a, b=b, eta=eta), m, n)
+    config = RunConfig(S=1, seed=seed, **knobs)
+    epoch_cost = predicted_total_samples(config, m, n)
     if epoch_cost > max_samples:
         log.warning("one scvrg epoch costs %d samples, more than the budget of %d; "
                     "the run stops inside its first epoch", epoch_cost, max_samples)
-    S = 1
-    while predicted_total_samples(
-            RunConfig(S=S + 1, k0=k0, a=a, b=b, eta=eta), m, n) <= max_samples:
-        S += 1
-    return RunConfig(S=S, k0=k0, eta=eta, a=a, b=b, seed=seed, schedule=schedule)
+    while predicted_total_samples(replace(config, S=config.S + 1), m, n) <= max_samples:
+        config = replace(config, S=config.S + 1)
+    return config
 
 
 def _decimate(rows: list) -> list:
@@ -141,30 +137,29 @@ def _decimate(rows: list) -> list:
 def run_one(problem: CompositionProblem, algorithm: str, seed: int,
             max_samples: int, phi_star: float | None = None,
             params: dict | None = None):
-    """Run a single (algorithm, seed) pair; returns (x, trace rows)."""
-    params = dict(params or {})
-    a = int(params.pop("a", 5))
-    b = int(params.pop("b", 5))
-    trace_every = max(1, math.ceil(problem.N / (a + b)))
-    x0 = params.pop("x0", np.zeros(problem.dims.d))
+    """Run a single (algorithm, seed) pair from x = 0; returns (x, trace rows).
+    `params` sets the algorithm's config fields except seed, max_samples and
+    trace_every; an scvrg run without S gets the budget-fitted schedule."""
+    params = params or {}
+    cls = RunConfig if algorithm == "scvrg" else BaselineConfig
+    allowed = {f.name for f in fields(cls)} - {"seed", "max_samples", "trace_every"}
+    unknown = sorted(set(params) - allowed)
+    if unknown:
+        raise ConfigError(f"unused {algorithm} parameters: {unknown}")
     if algorithm == "scvrg":
-        S = params.pop("S", None)
-        knobs = dict(k0=int(params.pop("k0", 10)), eta=float(params.pop("eta", 0.01)),
-                     a=a, b=b, schedule=params.pop("schedule", "adaptive"))
-        if S is not None:
-            config = RunConfig(S=int(S), seed=seed, **knobs)
-        else:
-            config = scvrg_config_for_budget(problem, max_samples, seed, **knobs)
-        if params:
-            raise ConfigError(f"unused scvrg parameters: {sorted(params)}")
-        result = run_scvrg(problem, config, x0, phi_star=phi_star,
-                           trace_every=trace_every, max_samples=max_samples)
-        return result.x, result.trace
-    config = BaselineConfig(max_samples=max_samples, seed=seed, a=a, b=b,
-                            trace_every=trace_every, **params)
-    runner = {"vrscpg": baselines.run_vrscpg, "scgd": baselines.run_scgd,
-              "ascpg": baselines.run_ascpg, "agd": baselines.run_agd}[algorithm]
-    return runner(problem, config, x0, phi_star=phi_star)
+        config = (RunConfig(seed=seed, **params) if "S" in params
+                  else scvrg_config_for_budget(problem, max_samples, seed, **params))
+    else:
+        config = BaselineConfig(max_samples=max_samples, seed=seed, **params)
+    trace_every = max(1, math.ceil(problem.N / (config.a + config.b)))
+    x0 = np.zeros(problem.dims.d)
+    if algorithm != "scvrg":
+        runner = {"vrscpg": baselines.run_vrscpg, "scgd": baselines.run_scgd,
+                  "ascpg": baselines.run_ascpg, "agd": baselines.run_agd}[algorithm]
+        return runner(problem, replace(config, trace_every=trace_every), x0, phi_star=phi_star)
+    result = run_scvrg(problem, config, x0, phi_star=phi_star, trace_every=trace_every,
+                       max_samples=max_samples)
+    return result.x, result.trace
 
 
 def run_benchmark(spec: ExperimentSpec) -> str:
@@ -176,11 +171,8 @@ def run_benchmark(spec: ExperimentSpec) -> str:
     problem = spec.problem
     N = problem.N
     max_samples = int(round(spec.budget * N))
-    phi_star = spec.phi_star
-    if phi_star is None:
-        budget = spec.phi_star_budget or max(10 * max_samples,
-                                             200 * (problem.dims.m + problem.dims.n))
-        phi_star = compute_phi_star(problem, budget)
+    phi_star = compute_phi_star(problem, max(10 * max_samples,
+                                             200 * (problem.dims.m + problem.dims.n)))
     rows: list[TraceRecord] = []
     for algorithm in spec.algorithms:
         for seed in spec.seeds:

@@ -41,24 +41,19 @@ class RunConfig:
     def __post_init__(self):
         if self.k0 < 1:
             raise ConfigError(f"first epoch length k0 must be >= 1, got {self.k0}")
-        if self.S < 0:
-            raise ConfigError(f"epoch count S must be >= 0, got {self.S}")
-        if self.eta <= 0:
-            raise ConfigError(f"base step eta must be positive, got {self.eta}")
+        if self.S < 1:
+            raise ConfigError(f"epoch count S must be >= 1, got {self.S}")
+        if not 0 < self.eta < math.inf:
+            raise ConfigError(f"base step eta must be positive and finite, got {self.eta}")
         if not (1 <= self.a < 2**31 and 1 <= self.b < 2**31):
             raise ConfigError(f"batch sizes out of range: a={self.a}, b={self.b}")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
 
     @property
-    def epochs(self) -> int:
-        """Number of epoch bodies; S = 0 still runs the first epoch."""
-        return max(self.S, 1)
-
-    @property
     def T(self) -> int:
-        """Schedule horizon; the epoch lengths k0*2, ..., k0*2^epochs sum to 2T."""
-        return self.k0 * 2**self.epochs - self.k0
+        """Schedule horizon; the epoch lengths k0*2, ..., k0*2^S sum to 2T."""
+        return self.k0 * 2**self.S - self.k0
 
     def step(self, l: int) -> float:
         """Step size at global step counter l under this config's schedule."""
@@ -72,8 +67,7 @@ def step_size(eta: float, T: int, l: int) -> float:
     return eta * math.sqrt(T) / math.sqrt(max(2 * T - l, 1))
 
 
-def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float,
-                          seed: int = 0) -> RunConfig:
+def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float) -> RunConfig:
     """Worst-case-analysis configuration for a target tolerance epsilon.
 
     k0 = 10, S = floor(log2((6 D_Phi + 15 ell D_x^2) / eps)) + 1,
@@ -91,12 +85,12 @@ def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float,
         raise ConfigError(
             f"tolerance {epsilon:g} requires batch sizes a={a}, b={b}; "
             "use a practical configuration (e.g. a=b=5) instead")
-    return RunConfig(S=S, k0=10, eta=eta, a=a, b=b, seed=seed, schedule="adaptive")
+    return RunConfig(S=S, k0=10, eta=eta, a=a, b=b, schedule="adaptive")
 
 
 @dataclass(frozen=True)
 class EpochInfo:
-    """Per-epoch diagnostics (epoch index is 1-based, matching k_s = k0*2^s)."""
+    """One epoch's record (epoch index is 1-based, matching k_s = k0*2^s)."""
 
     epoch: int
     x_ref: np.ndarray     # reference the snapshot was taken at
@@ -106,13 +100,7 @@ class EpochInfo:
     k: int
     eta_start: float
     samples_end: int
-
-
-@dataclass
-class EpochResult:
-    x_avg: np.ndarray
-    x_last: np.ndarray
-    l: int  # step counter after the epoch
+    l: int                # step counter after the epoch
 
 
 @dataclass
@@ -128,11 +116,11 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
               l: int, config: RunConfig, epoch_index: int,
               meter: SampleMeter | None = None, recorder: Recorder | None = None,
               trace_every: int | None = None,
-              max_samples: int | None = None) -> EpochResult:
+              max_samples: int | None = None) -> EpochInfo:
     """k minibatch proximal steps from x0 against one snapshot.
 
-    Returns the unweighted mean of the k pre-update iterates, the final
-    iterate and the step counter l advanced by one per step taken. When a == m
+    Returns the epoch's record: the unweighted mean of the k pre-update
+    iterates, the final iterate and l advanced by one per step. When a == m
     (resp. b == n) the draw enumerates every index once, making the estimate
     exact; otherwise indices are sampled uniformly with replacement, drawn for
     up to _DRAW_CHUNK indices' worth of steps at a time. The epoch
@@ -144,7 +132,9 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
         raise ConfigError(f"epoch length must be >= 1, got {k}")
     m, n = problem.dims.m, problem.dims.n
     meter = meter if meter is not None else SampleMeter()
-    x = np.asarray(x0, dtype=float).copy()
+    x_start = np.asarray(x0, dtype=float)
+    eta_start = config.step(l)
+    x = x_start.copy()
     x_sum = np.zeros_like(x)
 
     full_A = np.arange(m) if config.a == m else None
@@ -172,7 +162,9 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
             break
     if recorder is not None:
         recorder.record(epoch_index, t + 1, x)
-    return EpochResult(x_avg=x_sum / k, x_last=x, l=l)
+    return EpochInfo(epoch=epoch_index, x_ref=snapshot.x_tilde, x_start=x_start,
+                     x_avg=x_sum / k, x_last=x, k=k, eta_start=eta_start,
+                     samples_end=meter.total, l=l)
 
 
 def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
@@ -197,20 +189,15 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
     x_ref = x0.copy()
     x_cur = x0.copy()
     epochs: list[EpochInfo] = []
-    for s in range(config.epochs):
+    for s in range(config.S):
         if not meter.affords(m + n + config.a + config.b, max_samples):
             break
         snapshot = take_snapshot(problem, x_ref, meter=meter)
-        k = config.k0 * 2 ** (s + 1)
-        result = run_epoch(problem, snapshot, x_cur, k, l, config, epoch_index=s + 1,
-                           meter=meter, recorder=recorder, trace_every=trace_every,
-                           max_samples=max_samples)
-        epochs.append(EpochInfo(epoch=s + 1, x_ref=x_ref, x_start=x_cur,
-                                x_avg=result.x_avg, x_last=result.x_last, k=k,
-                                eta_start=config.step(l), samples_end=meter.total))
-        l = result.l
-        x_ref = result.x_avg
-        x_cur = result.x_last
+        info = run_epoch(problem, snapshot, x_cur, config.k0 * 2 ** (s + 1), l, config,
+                         epoch_index=s + 1, meter=meter, recorder=recorder,
+                         trace_every=trace_every, max_samples=max_samples)
+        epochs.append(info)
+        l, x_ref, x_cur = info.l, info.x_avg, info.x_last
     return ScvrgResult(x=x_ref, trace=recorder.rows, epochs=epochs,
                        samples=meter.total, l_final=l)
 
@@ -218,6 +205,6 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
 def predicted_total_samples(config: RunConfig, m: int, n: int) -> int:
     """Exact sample count of a full (unbudgeted) run: sum_s m + n + k_s (a+b)."""
     total = 0
-    for s in range(config.epochs):
+    for s in range(config.S):
         total += m + n + config.k0 * 2 ** (s + 1) * (config.a + config.b)
     return total

@@ -132,6 +132,8 @@ def _mc_mean_sq(problem, a, b, trials, seed, deviation):
     """Monte-Carlo mean of ||deviation(A, B)||^2 over uniform draws A (t, a)
     and B (t, b), drawn MC_CHUNK trials at a time and evaluated MC_SLICE at a
     time."""
+    if trials < 1:
+        raise ConfigError(f"Monte-Carlo trial count must be >= 1, got {trials}")
     m, n = problem.dims.m, problem.dims.n
     rng = np.random.default_rng(seed)
     acc = 0.0

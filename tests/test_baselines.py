@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from compopt.baselines import (BaselineConfig, run_agd, run_ascpg, run_scgd,
-                               run_vrscpg)
+from compopt.baselines import (ALPHA0, BaselineConfig, run_agd, run_ascpg,
+                               run_scgd, run_vrscpg)
 from compopt.errors import ConfigError
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
@@ -23,8 +23,14 @@ class TestBaselineConfig:
             BaselineConfig(max_samples=0)
 
     def test_rejects_bad_steps(self):
-        with pytest.raises(ConfigError):
-            BaselineConfig(max_samples=10, eta=-1.0)
+        for eta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                BaselineConfig(max_samples=10, eta=eta)
+
+    def test_rejects_bad_batch_sizes(self):
+        for batches in (dict(a=0, b=0), dict(a=0), dict(b=2**31)):
+            with pytest.raises(ConfigError):
+                BaselineConfig(max_samples=10, **batches)
 
 
 class TestAgd:
@@ -65,10 +71,10 @@ class TestScgd:
     def test_singleton_reduces_to_exact_gradient_step(self):
         """m=n=1 and beta_1=1: the first update is an exact prox-gradient step."""
         toy = build_toy("affine", d=2, m=1, n=1, seed=2)
-        cfg = BaselineConfig(max_samples=2, seed=0, alpha0=0.05)
+        cfg = BaselineConfig(max_samples=2, seed=0)
         x, _ = run_scgd(toy, cfg, np.zeros(2))
         expected = prox_step(toy.regularizer,
-                             -0.05 * full_gradient(toy, np.zeros(2)), 0.05)
+                             -ALPHA0 * full_gradient(toy, np.zeros(2)), ALPHA0)
         np.testing.assert_allclose(x, expected, atol=1e-14)
 
     def test_tracker_in_hull_for_affine_inner(self, toy):
@@ -107,21 +113,20 @@ class TestAscpg:
 
 class TestVrscpg:
     def test_epoch_sample_accounting(self, toy):
-        K = 7
-        cfg = BaselineConfig(max_samples=3 * (8 + K * 10), seed=0, K=K, a=5, b=5)
+        K = 4  # ceil((m + n)^(2/3)) at m + n = 8
+        cfg = BaselineConfig(max_samples=3 * (8 + K * 10), seed=0, a=5, b=5)
         _, rows = run_vrscpg(toy, cfg, np.zeros(3))
         assert rows[-1].samples == 3 * (8 + K * 10)
 
     def test_matches_scvrg_first_epoch(self):
         """K = k_1 = 2 k0, one epoch, constant step, same seed: identical iterates."""
         toy = build_toy("affine", d=2, m=3, n=3, seed=4)
-        k0 = 5
+        k0 = 2  # K = ceil((m + n)^(2/3)) = 4 at m + n = 6
         scvrg_cfg = RunConfig(S=1, k0=k0, eta=0.01, a=2, b=2, seed=11,
                               schedule="constant")
         res = run_scvrg(toy, scvrg_cfg, np.zeros(2))
         K = 2 * k0
-        base_cfg = BaselineConfig(max_samples=6 + K * 4, seed=11, eta=0.01,
-                                  K=K, a=2, b=2)
+        base_cfg = BaselineConfig(max_samples=6 + K * 4, seed=11, eta=0.01, a=2, b=2)
         x, _ = run_vrscpg(toy, base_cfg, np.zeros(2))
         np.testing.assert_array_equal(x, res.epochs[0].x_last)
 
@@ -141,9 +146,9 @@ class TestTraceSchema:
             assert all(r.samples_per_N == r.samples / toy.N for r in rows)
 
     def test_no_consecutive_duplicate_rows(self, toy):
-        # trace_every=3 divides VRSC-PG's K=6 and ASC-PG's 45 iterations, so
+        # trace_every=2 divides VRSC-PG's K=4 and ASC-PG's 46 iterations, so
         # each one's last step row would repeat as its end-of-run row
-        cfg = BaselineConfig(max_samples=136, seed=0, K=6, trace_every=3)
+        cfg = BaselineConfig(max_samples=139, seed=0, trace_every=2)
         for runner in (run_agd, run_scgd, run_ascpg, run_vrscpg):
             _, rows = runner(toy, cfg, np.zeros(3))
             keys = [(r.epoch, r.iteration, r.samples) for r in rows]

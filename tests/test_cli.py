@@ -147,6 +147,29 @@ class TestToygen:
             assert data["scales"].shape == data["centers"].shape[:1]
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ("run", "--problem", "toy", "--eta", "nan"),
+        ("run", "--problem", "toy", "--eta", "inf"),
+        ("bench", "--problem", "toy", "--algo", "vrscpg", "--eta", "nan"),
+        ("run", "--problem", "toy", "--budget", "nan"),
+        ("run", "--problem", "toy", "--budget", "inf"),
+        ("bench", "--problem", "toy", "--budget", "nan"),
+        ("phistar", "--problem", "toy", "--budget", "nan"),
+        ("bench", "--problem", "toy", "--algo", "scgd", "--a", "0", "--b", "0"),
+        ("run", "--problem", "toy", "--epochs", "0"),
+        ("check", "--trials", "0"),
+        ("check", "--trials", "-5"),
+    ], ids=" ".join)
+    def test_exits_one_with_error_line(self, argv, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "t.csv")] if argv[0] != "phistar" else []
+        assert run_cli(*argv, *out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "[PASS]" not in captured.out
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run_cli("run", "--bogus") == 1

@@ -146,8 +146,7 @@ class TestRunBenchmark:
         p = build_mean_variance(synthetic_returns(60, 4, seed=0), lam=1e-2)
         out = str(tmp_path / "trace.csv")
         spec = ExperimentSpec(problem=p, algorithms=["scvrg", "scgd"],
-                              budget=10.0, seeds=[1, 2], out=out,
-                              phi_star_budget=50_000)
+                              budget=10.0, seeds=[1, 2], out=out)
         run_benchmark(spec)
         first = open(out).read()
         run_benchmark(spec)
@@ -161,8 +160,7 @@ class TestRunBenchmark:
         p = build_mean_variance(synthetic_returns(60, 4, seed=0), lam=1e-2)
         out = str(tmp_path / "trace.csv")
         spec = ExperimentSpec(problem=p, algorithms=["scvrg", "scgd"],
-                              budget=10.0, seeds=[1, 2], out=out,
-                              phi_star_budget=50_000)
+                              budget=10.0, seeds=[1, 2], out=out)
         run_benchmark(spec)
         rows = [line.split(",") for line in open(out).read().strip().split("\n")[1:]]
         runs = {}
@@ -176,8 +174,7 @@ class TestRunBenchmark:
         toy = build_toy("identity", d=2, m=5, n=5, seed=3, lam=0.02)
         out = str(tmp_path / "trace.csv")
         spec = ExperimentSpec(problem=toy, algorithms=["scvrg", "agd"],
-                              budget=200.0, seeds=[0], out=out,
-                              phi_star_budget=50_000)
+                              budget=200.0, seeds=[0], out=out)
         run_benchmark(spec)
         gaps = [float(line.split(",")[7])
                 for line in open(out).read().strip().split("\n")[1:]]
@@ -197,6 +194,16 @@ class TestRunOne:
         toy = build_toy("identity", d=2, m=3, n=3, seed=0)
         with pytest.raises(ConfigError):
             run_one(toy, "scvrg", 0, 1000, params={"bogus": 1})
+
+    @pytest.mark.parametrize("algorithm, params", [
+        ("scgd", {"k0": 5}), ("vrscpg", {"schedule": "constant"}),
+        ("scvrg", {"seed": 3}), ("scvrg", {"max_samples": 10}),
+        ("agd", {"trace_every": 1}), ("ascpg", {"seed": 3})])
+    def test_parameters_outside_the_config_rejected(self, algorithm, params):
+        # a field the algorithm's config lacks, or one run_one sets itself
+        toy = build_toy("identity", d=2, m=3, n=3, seed=0)
+        with pytest.raises(ConfigError):
+            run_one(toy, algorithm, 0, 1000, params=params)
 
     def test_epoch_override(self):
         toy = build_toy("identity", d=2, m=3, n=3, seed=0)

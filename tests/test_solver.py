@@ -41,12 +41,10 @@ class TestRunConfig:
         cfg = RunConfig(S=4, k0=5)
         assert sum(5 * 2 ** (s + 1) for s in range(4)) == 2 * cfg.T
 
-    def test_s_zero_still_runs_one_epoch(self):
-        cfg = RunConfig(S=0, k0=10)
-        assert cfg.epochs == 1 and cfg.T == 10
-
     @pytest.mark.parametrize("bad", [dict(k0=0), dict(S=-1), dict(eta=0.0),
-                                     dict(a=0), dict(b=2**31), dict(schedule="x")])
+                                     dict(a=0), dict(b=2**31), dict(schedule="x"),
+                                     dict(S=0), dict(eta=float("nan")),
+                                     dict(eta=float("inf"))])
     def test_validation(self, bad):
         kwargs = dict(S=2)
         kwargs.update(bad)
@@ -175,12 +173,6 @@ class TestRunScvrg:
         # reference: previous epoch's average
         np.testing.assert_array_equal(res.epochs[1].x_ref, res.epochs[0].x_avg)
         np.testing.assert_array_equal(res.x, res.epochs[-1].x_avg)
-
-    def test_s_zero_runs_first_epoch(self):
-        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
-        cfg = RunConfig(S=0, k0=10, eta=0.02, a=2, b=2)
-        res = run_scvrg(toy, cfg, np.zeros(2))
-        assert len(res.epochs) == 1 and res.epochs[0].k == 20
 
     def test_sample_accounting_exact(self):
         toy = build_toy("affine", d=3, m=4, n=5, seed=1)

@@ -74,6 +74,11 @@ class TestVarianceBounds:
         assert report.passed
         assert report.bound == 0.0 and report.measured <= 1e-24
 
+    def test_lemma1_rejects_empty_trial_count(self, toy):
+        snap = take_snapshot(toy, np.array([0.2, 0.0, -0.1]))
+        with pytest.raises(ConfigError):
+            check_lemma1(toy, snap, snap.x_tilde, a=2, b=2, trials=0)
+
     def test_lemma1_scaling(self, toy):
         snap = take_snapshot(toy, np.array([0.2, 0.0, -0.1]))
         report = check_lemma1_scaling(toy, snap, np.array([-0.3, 0.4, 0.1]),
@@ -186,14 +191,14 @@ def _biased_inner(problem, snapshot, x, A, meter=None):
     return estimate_inner(problem, snapshot, x, A, meter) + 0.3 * snapshot.g_tilde
 
 
-def _plain_unbiased(problem, snapshot, x, B, meter=None):
+def _plain_unbiased(problem, snapshot, x, B):
     """Z(x)^T mean_B grad f_i(g(x)), without the control variate."""
     g, Z = inner_mean(problem, x)
     return problem.outer_grad(np.asarray(B), g).mean(axis=-2) @ Z
 
 
-def _biased_unbiased(problem, snapshot, x, B, meter=None):
-    return unbiased_reference_gradient(problem, snapshot, x, B, meter) + 0.3 * snapshot.v_tilde
+def _biased_unbiased(problem, snapshot, x, B):
+    return unbiased_reference_gradient(problem, snapshot, x, B) + 0.3 * snapshot.v_tilde
 
 
 def _biased_vr(problem, snapshot, x, g_t, A, B):
