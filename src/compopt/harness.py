@@ -27,7 +27,8 @@ MAX_TRACE_ROWS = 10_000
 @dataclass
 class ExperimentSpec:
     """One benchmark: a problem, an algorithm roster, a sample budget in units
-    of N, and the seeds to average over."""
+    of N, and the seeds to average over. Every algorithm's config is built
+    here, so a bad setting fails before any run starts."""
 
     problem: CompositionProblem
     algorithms: list
@@ -35,10 +36,15 @@ class ExperimentSpec:
     seeds: list
     out: str
     algo_params: dict = field(default_factory=dict)
+    #: each algorithm's config for the first seed; runs replace only the seed
+    configs: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.budget < math.inf:
             raise ConfigError(f"sample budget must be positive and finite, got {self.budget}")
+        if self.max_samples < 1:
+            raise ConfigError(f"sample budget {self.budget:g} x N = {self.problem.N} "
+                              "rounds to 0 samples")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         if not self.seeds:
@@ -46,6 +52,13 @@ class ExperimentSpec:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise InputError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
+        self.configs = {a: _algorithm_config(self.problem, a, self.seeds[0], self.max_samples,
+                                            self.algo_params.get(a, {}))
+                        for a in self.algorithms}
+
+    @property
+    def max_samples(self) -> int:
+        return int(round(self.budget * self.problem.N))
 
 
 @dataclass(frozen=True)
@@ -134,23 +147,25 @@ def _decimate(rows: list) -> list:
     return [rows[i] for i in keep]
 
 
-def run_one(problem: CompositionProblem, algorithm: str, seed: int,
-            max_samples: int, phi_star: float | None = None,
-            params: dict | None = None):
-    """Run a single (algorithm, seed) pair from x = 0; returns (x, trace rows).
-    `params` sets the algorithm's config fields except seed, max_samples and
-    trace_every; an scvrg run without S gets the budget-fitted schedule."""
-    params = params or {}
+def _algorithm_config(problem: CompositionProblem, algorithm: str, seed: int,
+                      max_samples: int, params: dict):
+    """The config `run_one` runs: `params` sets its fields except seed,
+    max_samples and trace_every; an scvrg run without S gets the
+    budget-fitted schedule."""
     cls = RunConfig if algorithm == "scvrg" else BaselineConfig
     allowed = {f.name for f in fields(cls)} - {"seed", "max_samples", "trace_every"}
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise ConfigError(f"unused {algorithm} parameters: {unknown}")
-    if algorithm == "scvrg":
-        config = (RunConfig(seed=seed, **params) if "S" in params
-                  else scvrg_config_for_budget(problem, max_samples, seed, **params))
-    else:
-        config = BaselineConfig(max_samples=max_samples, seed=seed, **params)
+    if algorithm != "scvrg":
+        return BaselineConfig(max_samples=max_samples, seed=seed, **params)
+    if "S" in params:
+        return RunConfig(seed=seed, **params)
+    return scvrg_config_for_budget(problem, max_samples, seed, **params)
+
+
+def _run_config(problem: CompositionProblem, algorithm: str, config, max_samples: int,
+                phi_star: float | None):
     trace_every = max(1, math.ceil(problem.N / (config.a + config.b)))
     x0 = np.zeros(problem.dims.d)
     if algorithm != "scvrg":
@@ -162,27 +177,33 @@ def run_one(problem: CompositionProblem, algorithm: str, seed: int,
     return result.x, result.trace
 
 
+def run_one(problem: CompositionProblem, algorithm: str, seed: int,
+            max_samples: int, phi_star: float | None = None,
+            params: dict | None = None):
+    """Run a single (algorithm, seed) pair from x = 0 under
+    `_algorithm_config(..., params)`; returns (x, trace rows)."""
+    config = _algorithm_config(problem, algorithm, seed, max_samples, params or {})
+    return _run_config(problem, algorithm, config, max_samples, phi_star)
+
+
 def run_benchmark(spec: ExperimentSpec) -> str:
     """Run every (algorithm, seed) pair and write one trace CSV.
 
     Aborted runs contribute a single marker row (epoch = iter = -1, NaN
     objective); the remaining runs continue.
     """
-    problem = spec.problem
-    N = problem.N
-    max_samples = int(round(spec.budget * N))
+    problem, max_samples = spec.problem, spec.max_samples
     phi_star = compute_phi_star(problem, max(10 * max_samples,
                                              200 * (problem.dims.m + problem.dims.n)))
     rows: list[TraceRecord] = []
     for algorithm in spec.algorithms:
         for seed in spec.seeds:
-            params = spec.algo_params.get(algorithm, {})
+            config = replace(spec.configs[algorithm], seed=seed)
             try:
-                _, trace = run_one(problem, algorithm, seed, max_samples,
-                                   phi_star=phi_star, params=params)
+                _, trace = _run_config(problem, algorithm, config, max_samples, phi_star)
             except DivergenceError as exc:
                 log.warning("run (%s, seed %d) aborted: %s", algorithm, seed, exc)
-                rows.append(abort_record(algorithm, seed, max_samples, N))
+                rows.append(abort_record(algorithm, seed, max_samples, problem.N))
                 continue
             rows.extend(_decimate(trace))
     out_dir = os.path.dirname(os.path.abspath(spec.out))

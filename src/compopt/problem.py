@@ -7,7 +7,10 @@ The objective is Phi(x) = F(x) + r(x) with
 where each g_j maps R^d -> R^k and each f_i maps R^k -> R. Problems expose
 four index-batched oracles for g_j, its vector-Jacobian product, f_i and its
 gradient, and closed-form smoothness constants on the regularizer's box; the
-full-batch means, gradients and objective values are derived here.
+full-batch means, gradients and objective values are derived here. A problem
+that knows its mean inner Jacobian in closed form may return it from the
+optional `mean_jacobian` hook; otherwise the snapshot builds it from k
+unit-cotangent VJP sweeps over all m inner maps.
 """
 
 from dataclasses import dataclass
@@ -109,6 +112,13 @@ class CompositionProblem:
         raise ConfigError(f"{type(self).__name__} does not certify its smoothness "
                           "constants: override smoothness()")
 
+    def mean_jacobian(self, x) -> np.ndarray | None:
+        """Optional closed form of (1/m) sum_j dg_j(x), shape (k, d), equal to
+        what `inner_mean`'s unit-cotangent sweep would build; None (the
+        default) selects that sweep. Must return an array the caller may keep,
+        fresh or read-only, never the problem's own writable data."""
+        return None
+
 
 def _check_point(problem: CompositionProblem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -121,11 +131,14 @@ def _check_point(problem: CompositionProblem, x) -> np.ndarray:
 
 def inner_mean(problem: CompositionProblem, x):
     """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x).
-    Jacobian row c is the mean VJP against e_c: one (m, d) array at a time."""
+    The Jacobian is the problem's `mean_jacobian(x)` when it gives one; else
+    row c is the mean VJP against e_c, one (m, d) sweep per row."""
     x = _check_point(problem, x)
     idx = np.arange(problem.dims.m)
     g = problem.inner_value(idx, x).mean(axis=0)
-    Z = np.array([problem.inner_vjp(idx, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
+    Z = problem.mean_jacobian(x)
+    if Z is None:
+        Z = np.array([problem.inner_vjp(idx, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
     return g, Z
 
 

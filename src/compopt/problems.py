@@ -124,6 +124,14 @@ class MeanVarianceProblem(CompositionProblem):
     def inner_vjp(self, idx, x, u):
         return u[..., :-1] - u[..., -1:] * self.returns[idx]
 
+    def mean_jacobian(self, x):
+        # rows [I; -mean r_j], built in place in one (k, d) array; 0 - mean
+        # keeps the sweep's +0 where a mean is zero
+        Z = np.zeros((self.dims.k, self.dims.d))
+        np.fill_diagonal(Z, 1.0)
+        np.subtract(0.0, self.mean_return, out=Z[-1])
+        return Z
+
     def outer_value(self, idx, y):
         z, t = y[:-1], y[-1]
         rz = self.returns[idx] @ z
@@ -221,6 +229,9 @@ class AffineQuadraticProblem(CompositionProblem):
 
     def inner_vjp(self, idx, x, u):
         return np.einsum("...kd,...k->...d", self.A[idx], u)
+
+    def mean_jacobian(self, x):
+        return self.A_bar.copy()
 
     def outer_value(self, idx, y):
         return self.scales[idx] * np.sum((y - self.centers[idx]) ** 2, axis=-1)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from compopt import baselines, harness
 from compopt.cli import cli_main
 from compopt.problems import load_returns_csv, synthetic_returns, write_returns_csv
 from compopt.trace import TRACE_HEADER
@@ -168,6 +169,27 @@ class TestBadInput:
         assert captured.err.startswith("error: ")
         assert "[PASS]" not in captured.out
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("algo", ["scvrg", "scgd"])
+    def test_budget_rounding_to_zero_samples(self, algo, tmp_path, capsys):
+        # 1e-9 x N = 200 rounds to 0 samples, whichever algorithm is asked for
+        assert run_cli("run", "--problem", "toy", "--budget", "1e-9", "--algo", algo,
+                       "--out", str(tmp_path / "t.csv")) == 1
+        assert capsys.readouterr().err == "error: sample budget 1e-09 x N = 200 rounds to 0 samples\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_bad_setting_for_a_later_algorithm_fails_before_any_run(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        started = []
+        for module, name in ((harness, "compute_phi_star"), (harness, "run_scvrg"),
+                             (baselines, "run_scgd"), (baselines, "run_ascpg")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
+        out = tmp_path / "t.csv"
+        assert run_cli("bench", "--problem", "meanvar", "--n", "2000", "--d", "25",
+                       "--algo", "scgd,ascpg,scvrg", "--epochs", "0", "--out", str(out)) == 1
+        assert "epoch count S must be >= 1" in capsys.readouterr().err
+        assert started == []
+        assert not out.exists()
 
 
 class TestUsageErrors:
