@@ -43,7 +43,8 @@ class BaselineConfig:
 
 
 def _check_finite(x, algorithm):
-    if not np.all(np.isfinite(x)):
+    # x is a prox output, in [-R, R] or NaN: its sum is finite iff every entry is
+    if not np.isfinite(x.sum()):
         raise DivergenceError(f"{algorithm}: non-finite iterate")
 
 

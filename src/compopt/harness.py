@@ -190,12 +190,14 @@ def run_benchmark(spec: ExperimentSpec) -> str:
     """Run every (algorithm, seed) pair and write one trace CSV.
 
     Aborted runs contribute a single marker row (epoch = iter = -1, NaN
-    objective); the remaining runs continue.
+    objective); the remaining runs continue, and once the CSV is written a
+    DivergenceError names the aborted runs.
     """
     problem, max_samples = spec.problem, spec.max_samples
     phi_star = compute_phi_star(problem, max(10 * max_samples,
                                              200 * (problem.dims.m + problem.dims.n)))
     rows: list[TraceRecord] = []
+    aborted = []
     for algorithm in spec.algorithms:
         for seed in spec.seeds:
             config = replace(spec.configs[algorithm], seed=seed)
@@ -204,6 +206,7 @@ def run_benchmark(spec: ExperimentSpec) -> str:
             except DivergenceError as exc:
                 log.warning("run (%s, seed %d) aborted: %s", algorithm, seed, exc)
                 rows.append(abort_record(algorithm, seed, max_samples, problem.N))
+                aborted.append(f"{algorithm} seed {seed} ({exc})")
                 continue
             rows.extend(_decimate(trace))
     out_dir = os.path.dirname(os.path.abspath(spec.out))
@@ -212,4 +215,7 @@ def run_benchmark(spec: ExperimentSpec) -> str:
         fh.write(TRACE_HEADER + "\n")
         for row in rows:
             fh.write(row.to_csv_row() + "\n")
+    if aborted:
+        raise DivergenceError(f"{len(aborted)} of {len(spec.algorithms) * len(spec.seeds)} "
+                              f"runs diverged, trace written to {spec.out}: " + "; ".join(aborted))
     return spec.out

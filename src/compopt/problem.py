@@ -10,7 +10,10 @@ gradient, and closed-form smoothness constants on the regularizer's box; the
 full-batch means, gradients and objective values are derived here. A problem
 that knows its mean inner Jacobian in closed form may return it from the
 optional `mean_jacobian` hook; otherwise the snapshot builds it from k
-unit-cotangent VJP sweeps over all m inner maps.
+unit-cotangent VJP sweeps over all m inner maps. A problem whose inner maps
+are all affine declares `constant_jacobians = True`: dg_j(x) then does not
+depend on x, so the estimators skip the Jacobian correction against the
+snapshot, which is exactly zero.
 """
 
 from dataclasses import dataclass
@@ -81,6 +84,8 @@ class CompositionProblem:
     #: known optimum, if the builder can certify one (used by verification)
     x_star = None
     phi_star = None
+    #: True when every g_j is affine, so dg_j(x) does not depend on x
+    constant_jacobians = False
 
     def __init__(self, dims: ProblemDims, regularizer: Regularizer):
         self.dims = dims

@@ -106,6 +106,8 @@ class MeanVarianceProblem(CompositionProblem):
     <r_i, z> recover the variance-minus-mean objective after averaging.
     """
 
+    constant_jacobians = True
+
     def __init__(self, returns: np.ndarray, regularizer: Regularizer):
         returns = np.asarray(returns, dtype=float)
         N, d = returns.shape
@@ -188,6 +190,8 @@ class AffineQuadraticProblem(CompositionProblem):
     through the value estimate, linearly; useful for exact variance-scaling
     checks.
     """
+
+    constant_jacobians = True
 
     def __init__(self, A: np.ndarray, b: np.ndarray, centers: np.ndarray,
                  scales: np.ndarray, regularizer: Regularizer):

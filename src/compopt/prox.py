@@ -34,12 +34,17 @@ def prox_step(reg: Regularizer, x, eta: float):
 
     The objective lam*||y||_1 + ||y - x||^2 / (2*eta) over the box is separable,
     so soft-thresholding by eta*lam followed by clipping is the exact minimizer.
+    x holds at least one dimension. Each output lies in [-radius, radius], or
+    is NaN where x is, and takes the sign of x + 0.0, so x = -0.0 maps to +0.0.
     """
     if eta <= 0:
         raise ConfigError(f"prox step size must be positive, got {eta}")
     x = np.asarray(x, dtype=float)
-    shrunk = np.sign(x) * np.maximum(np.abs(x) - eta * reg.lam, 0.0)
-    return np.clip(shrunk, -reg.radius, reg.radius)
+    out = np.abs(x)
+    out -= eta * reg.lam
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, reg.radius, out=out)
+    return np.copysign(out, x + 0.0, out=out)
 
 
 def reg_value(reg: Regularizer, x) -> float:

@@ -153,7 +153,8 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
         eta_t = config.step(l)
         l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)
-        if not np.all(np.isfinite(x)):
+        # a prox output lies in [-R, R] or is NaN: its sum is finite iff every entry is
+        if not np.isfinite(x.sum()):
             raise DivergenceError(f"non-finite iterate at epoch {epoch_index}, step {t}")
         if recorder is not None and trace_every is not None and (t + 1) % trace_every == 0:
             recorder.record(epoch_index, t + 1, x)

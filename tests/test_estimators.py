@@ -1,5 +1,6 @@
 """Tests for snapshots, seeded draws, and the control-variate estimators."""
 
+import copy
 import itertools
 import tracemalloc
 
@@ -8,13 +9,14 @@ import pytest
 
 from compopt import estimators
 from compopt.errors import ConfigError
-from compopt.estimators import (SampleMeter, draw_minibatch, estimate_gradient,
-                                estimate_inner, minibatch_rng, take_snapshot,
-                                unbiased_reference_gradient)
+from compopt.estimators import (SampleMeter, _vr_gradient, draw_minibatch,
+                                estimate_gradient, estimate_inner, minibatch_rng,
+                                take_snapshot, unbiased_reference_gradient)
 from compopt.problem import (CompositionProblem, ProblemDims, full_gradient,
                              inner_mean)
-from compopt.problems import (AffineQuadraticProblem, build_mean_variance,
-                              build_toy, synthetic_returns)
+from compopt.problems import (AffineQuadraticProblem, build_bellman,
+                              build_mean_variance, build_toy,
+                              random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
 
 
@@ -281,3 +283,60 @@ class TestUnbiasedReference:
         mean_u = np.mean([unbiased_reference_gradient(affine_toy, snap, x, np.array([i]))
                           for i in range(n)], axis=0)
         np.testing.assert_allclose(mean_u, full_gradient(affine_toy, x), atol=1e-14)
+
+
+SHIPPED_BUILDERS = {
+    "identity": lambda: build_toy("identity", d=3, m=6, n=4, seed=5),
+    "affine": lambda: build_toy("affine", d=3, m=6, n=4, seed=5),
+    "mixed": lambda: build_toy("mixed", d=3, m=6, n=3, seed=5),
+    "bellman": lambda: build_bellman(random_bellman_spec(8, 40, 0.9, seed=5)),
+    "meanvar": lambda: build_mean_variance(synthetic_returns(50, 7, seed=5)),
+}
+
+
+def general_path(problem):
+    """A copy of problem whose class declares no constant Jacobians, so
+    `_vr_gradient` evaluates the inner-VJP correction."""
+    general = copy.copy(problem)
+    general.__class__ = type("General", (type(problem),), {"constant_jacobians": False})
+    return general
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestConstantJacobians:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_BUILDERS))
+    def test_declaration_holds(self, name):
+        problem = SHIPPED_BUILDERS[name]()
+        m, d, k = problem.dims.m, problem.dims.d, problem.dims.k
+        assert problem.constant_jacobians
+        assert problem.smoothness().ell_g == 0.0
+        rng = np.random.default_rng(1)
+        A = rng.integers(0, m, size=9)
+        for u in (rng.normal(size=k), rng.normal(size=(9, k))):
+            for _ in range(5):
+                x, x2 = rng.uniform(-1.0, 1.0, size=(2, d)) * problem.regularizer.radius
+                assert_same_bits(problem.inner_vjp(A, x, u), problem.inner_vjp(A, x2, u))
+
+    def test_curved_problem_keeps_the_general_path(self):
+        assert not CurvedInnerProblem().constant_jacobians
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_BUILDERS))
+    @pytest.mark.parametrize("t", [None, 40])
+    def test_shortcut_matches_general_path_bit_for_bit(self, name, t):
+        problem = SHIPPED_BUILDERS[name]()
+        general = general_path(problem)
+        problem.inner_vjp = lambda *args: pytest.fail("the shortcut evaluated an inner VJP")
+        m, n, d = problem.dims.m, problem.dims.n, problem.dims.d
+        rng = np.random.default_rng(2)
+        shape = () if t is None else (t,)
+        for _ in range(10):
+            x_ref, x = rng.uniform(-0.9, 0.9, size=(2, d)) * problem.regularizer.radius
+            snap = take_snapshot(general, x_ref)
+            A, B = rng.integers(0, m, size=shape + (5,)), rng.integers(0, n, size=shape + (3,))
+            g_t = estimate_inner(general, snap, x, A)
+            assert_same_bits(_vr_gradient(problem, snap, x, g_t, A, B),
+                             _vr_gradient(general, snap, x, g_t, A, B))

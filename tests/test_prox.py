@@ -92,6 +92,29 @@ class TestProxStep:
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
+def reference_prox(reg, x, eta):
+    """The prox as sign(x) * max(|x| - eta*lam, 0), clipped to the box."""
+    shrunk = np.sign(x) * np.maximum(np.abs(x) - eta * reg.lam, 0.0)
+    return np.clip(shrunk, -reg.radius, reg.radius)
+
+
+class TestProxBits:
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for trial in range(2000):
+            lam = 0.0 if trial % 5 == 0 else rng.uniform(0.0, 2.0)
+            reg = Regularizer(lam=lam, radius=rng.uniform(0.1, 3.0))
+            eta = rng.uniform(0.01, 2.0)
+            t, R = eta * lam, reg.radius
+            edges = [0.0, -0.0, np.inf, -np.inf, np.nan, t, -t, 0.5 * t, -0.25 * t,
+                     R, -R, R + t, -(R + t)]
+            x = np.concatenate((rng.normal(0.0, 3.0, size=8), rng.choice(edges, size=8)))
+            got, want = prox_step(reg, x, eta), reference_prox(reg, x, eta)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 class TestRegValue:
     def test_l1_value(self):
         assert reg_value(Regularizer(lam=1.0, radius=5.0), [1.0, -2.0]) == 3.0
