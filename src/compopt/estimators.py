@@ -215,14 +215,14 @@ def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, g_t, A
     """v_t from the inner estimate g_t, charging nothing: A (a,), B (b,) and
     g_t (k,) give shape (d,); A (t, a), B (t, b) and g_t (t, k) give (t, d).
 
-    When the problem declares `constant_jacobians`, the Jacobian correction
-    dz = mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new is exactly zero and is
-    skipped: no inner VJP is evaluated."""
+    When the problem sets `constant_jacobian`, its inner maps are affine, so
+    the Jacobian correction dz = mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new
+    is exactly zero and is skipped: no inner VJP is evaluated."""
     stack = g_t.ndim > 1
     df_new = _batch_mean(problem.outer_grad(B, g_t[..., None, :] if stack else g_t))
     df_ref = _batch_mean(problem.outer_grad(B, snapshot.g_tilde))
     v = snapshot.v_tilde + (df_new - df_ref) @ snapshot.z_tilde
-    if problem.constant_jacobians:
+    if problem.constant_jacobian is not None:
         return v
     # a step keeps one (k,) point and cotangent (the oracles' one-point path); a
     # stack copies its cotangents out to (t, a, k): einsum over (t, 1, k) is ~3x slower

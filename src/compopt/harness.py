@@ -147,14 +147,18 @@ def _decimate(rows: list) -> list:
     return [rows[i] for i in keep]
 
 
+def config_fields(algorithm: str) -> set:
+    """The fields `params` may set on `algorithm`'s config (RunConfig for
+    scvrg, else BaselineConfig): all but seed, max_samples and trace_every."""
+    cls = RunConfig if algorithm == "scvrg" else BaselineConfig
+    return {f.name for f in fields(cls)} - {"seed", "max_samples", "trace_every"}
+
+
 def _algorithm_config(problem: CompositionProblem, algorithm: str, seed: int,
                       max_samples: int, params: dict):
-    """The config `run_one` runs: `params` sets its fields except seed,
-    max_samples and trace_every; an scvrg run without S gets the
-    budget-fitted schedule."""
-    cls = RunConfig if algorithm == "scvrg" else BaselineConfig
-    allowed = {f.name for f in fields(cls)} - {"seed", "max_samples", "trace_every"}
-    unknown = sorted(set(params) - allowed)
+    """The config `run_one` runs: `params` sets any of `config_fields(algorithm)`;
+    an scvrg run without S gets the budget-fitted schedule."""
+    unknown = sorted(set(params) - config_fields(algorithm))
     if unknown:
         raise ConfigError(f"unused {algorithm} parameters: {unknown}")
     if algorithm != "scvrg":

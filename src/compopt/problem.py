@@ -8,12 +8,11 @@ where each g_j maps R^d -> R^k and each f_i maps R^k -> R. Problems expose
 four index-batched oracles for g_j, its vector-Jacobian product, f_i and its
 gradient, and closed-form smoothness constants on the regularizer's box; the
 full-batch means, gradients and objective values are derived here. A problem
-that knows its mean inner Jacobian in closed form may return it from the
-optional `mean_jacobian` hook; otherwise the snapshot builds it from k
-unit-cotangent VJP sweeps over all m inner maps. A problem whose inner maps
-are all affine declares `constant_jacobians = True`: dg_j(x) then does not
-depend on x, so the estimators skip the Jacobian correction against the
-snapshot, which is exactly zero.
+whose inner maps are all affine sets `constant_jacobian` to its mean inner
+Jacobian, which then does not depend on x: every snapshot shares that array,
+and the estimators skip the Jacobian correction against the snapshot, which
+is exactly zero. Otherwise the snapshot builds the mean Jacobian from k
+unit-cotangent VJP sweeps over all m inner maps.
 """
 
 from dataclasses import dataclass
@@ -84,8 +83,8 @@ class CompositionProblem:
     #: known optimum, if the builder can certify one (used by verification)
     x_star = None
     phi_star = None
-    #: True when every g_j is affine, so dg_j(x) does not depend on x
-    constant_jacobians = False
+    #: (1/m) sum_j dg_j, shape (k, d), read-only, set when every g_j is affine
+    constant_jacobian = None
 
     def __init__(self, dims: ProblemDims, regularizer: Regularizer):
         self.dims = dims
@@ -117,13 +116,6 @@ class CompositionProblem:
         raise ConfigError(f"{type(self).__name__} does not certify its smoothness "
                           "constants: override smoothness()")
 
-    def mean_jacobian(self, x) -> np.ndarray | None:
-        """Optional closed form of (1/m) sum_j dg_j(x), shape (k, d), equal to
-        what `inner_mean`'s unit-cotangent sweep would build; None (the
-        default) selects that sweep. Must return an array the caller may keep,
-        fresh or read-only, never the problem's own writable data."""
-        return None
-
 
 def _check_point(problem: CompositionProblem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -136,12 +128,12 @@ def _check_point(problem: CompositionProblem, x) -> np.ndarray:
 
 def inner_mean(problem: CompositionProblem, x):
     """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x).
-    The Jacobian is the problem's `mean_jacobian(x)` when it gives one; else
-    row c is the mean VJP against e_c, one (m, d) sweep per row."""
+    The Jacobian is the problem's read-only `constant_jacobian` when it sets
+    one; else row c is the mean VJP against e_c, one (m, d) sweep per row."""
     x = _check_point(problem, x)
     idx = np.arange(problem.dims.m)
     g = problem.inner_value(idx, x).mean(axis=0)
-    Z = problem.mean_jacobian(x)
+    Z = problem.constant_jacobian
     if Z is None:
         Z = np.array([problem.inner_vjp(idx, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
     return g, Z
@@ -172,7 +164,6 @@ def smooth_value(problem: CompositionProblem, x) -> float:
 
 def objective(problem: CompositionProblem, x) -> float:
     """Phi(x) = F(x) + r(x); raises InfeasibleQueryError outside the box."""
-    x = _check_point(problem, x)
-    r = reg_value(problem.regularizer, x)  # raises if infeasible
-    return smooth_value(problem, x) + r
+    F = smooth_value(problem, x)  # raises InputError for a bad point
+    return F + reg_value(problem.regularizer, x)
 

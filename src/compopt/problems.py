@@ -106,15 +106,15 @@ class MeanVarianceProblem(CompositionProblem):
     <r_i, z> recover the variance-minus-mean objective after averaging.
     """
 
-    constant_jacobians = True
-
     def __init__(self, returns: np.ndarray, regularizer: Regularizer):
         returns = np.asarray(returns, dtype=float)
         N, d = returns.shape
         super().__init__(ProblemDims(m=N, n=N, d=d, k=d + 1), regularizer)
         self.returns = returns
         self.mean_return = returns.mean(axis=0)
-        self.N = N
+        # rows [I; -mean r_j]; 0 - mean keeps the sweep's +0 where a mean is zero
+        self.constant_jacobian = np.vstack((np.eye(d), 0.0 - self.mean_return))
+        self.constant_jacobian.flags.writeable = False
 
     def inner_value(self, idx, x):
         R = self.returns[idx]
@@ -125,14 +125,6 @@ class MeanVarianceProblem(CompositionProblem):
 
     def inner_vjp(self, idx, x, u):
         return u[..., :-1] - u[..., -1:] * self.returns[idx]
-
-    def mean_jacobian(self, x):
-        # rows [I; -mean r_j], built in place in one (k, d) array; 0 - mean
-        # keeps the sweep's +0 where a mean is zero
-        Z = np.zeros((self.dims.k, self.dims.d))
-        np.fill_diagonal(Z, 1.0)
-        np.subtract(0.0, self.mean_return, out=Z[-1])
-        return Z
 
     def outer_value(self, idx, y):
         z, t = y[:-1], y[-1]
@@ -191,8 +183,6 @@ class AffineQuadraticProblem(CompositionProblem):
     checks.
     """
 
-    constant_jacobians = True
-
     def __init__(self, A: np.ndarray, b: np.ndarray, centers: np.ndarray,
                  scales: np.ndarray, regularizer: Regularizer):
         A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
@@ -207,7 +197,8 @@ class AffineQuadraticProblem(CompositionProblem):
             raise ConfigError(f"the outer scales must have a positive mean, got {S:g}")
         self.A, self.b, self.centers, self.scales = A, b, centers, scales
         self._two_scales = 2.0 * scales
-        self.A_bar = A.mean(axis=0)
+        self.A_bar = self.constant_jacobian = A.mean(axis=0)
+        self.A_bar.flags.writeable = False
         self.b_bar = b.mean(axis=0)
         c_tilde = (scales[:, None] * centers).mean(axis=0) / S
         target = c_tilde - self.b_bar
@@ -233,9 +224,6 @@ class AffineQuadraticProblem(CompositionProblem):
 
     def inner_vjp(self, idx, x, u):
         return np.einsum("...kd,...k->...d", self.A[idx], u)
-
-    def mean_jacobian(self, x):
-        return self.A_bar.copy()
 
     def outer_value(self, idx, y):
         return self.scales[idx] * np.sum((y - self.centers[idx]) ** 2, axis=-1)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from compopt import baselines, harness
+from compopt import baselines, cli, harness
 from compopt.cli import cli_main
 from compopt.problems import load_returns_csv, synthetic_returns, write_returns_csv
 from compopt.trace import TRACE_HEADER
@@ -76,6 +76,14 @@ class TestBench:
         epochs = {line.split(",")[2]
                   for line in out.read_text().strip().split("\n")[1:]}
         assert max(int(e) for e in epochs) == 2
+
+    def test_flags_go_to_every_algorithm_that_reads_them(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run_benchmark", lambda spec: specs.append(spec) or spec.out)
+        assert run_cli("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--k0", "20",
+                       "--eta", "0.05", "--out", str(tmp_path / "t.csv")) == 0
+        assert specs[0].algo_params == {"scvrg": {"k0": 20, "eta": 0.05}, "scgd": {"eta": 0.05}}
+        assert specs[0].configs["scvrg"].k0 == 20
 
     def test_toy_defaults_pay_for_a_full_epoch(self, tmp_path, caplog):
         out = tmp_path / "bench.csv"
@@ -157,8 +165,13 @@ class TestBadInput:
         ("run", "--problem", "toy", "--budget", "inf"),
         ("bench", "--problem", "toy", "--budget", "nan"),
         ("phistar", "--problem", "toy", "--budget", "nan"),
+        ("phistar", "--problem", "toy", "--budget", "0"),
+        ("phistar", "--problem", "toy", "--budget", "-5"),
         ("bench", "--problem", "toy", "--algo", "scgd", "--a", "0", "--b", "0"),
         ("run", "--problem", "toy", "--epochs", "0"),
+        ("run", "--problem", "toy", "--algo", "scgd", "--eta", "nan"),
+        ("bench", "--problem", "toy", "--algo", "scgd", "--k0", "0", "--epochs", "-3",
+         "--schedule", "constant"),
         ("check", "--trials", "0"),
         ("check", "--trials", "-5"),
     ], ids=" ".join)

@@ -14,7 +14,7 @@ from compopt.estimators import (SampleMeter, _vr_gradient, draw_minibatch,
                                 take_snapshot, unbiased_reference_gradient)
 from compopt.problem import (CompositionProblem, ProblemDims, full_gradient,
                              inner_mean)
-from compopt.problems import (AffineQuadraticProblem, build_bellman,
+from compopt.problems import (AffineQuadraticProblem, ReturnsDataset, build_bellman,
                               build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
@@ -293,13 +293,36 @@ SHIPPED_BUILDERS = {
     "meanvar": lambda: build_mean_variance(synthetic_returns(50, 7, seed=5)),
 }
 
+MEAN_JACOBIAN_BUILDERS = {
+    "meanvar-d25": lambda: build_mean_variance(synthetic_returns(2000, 25, seed=0)),
+    "meanvar-d200": lambda: build_mean_variance(synthetic_returns(2000, 200, seed=7)),
+    "identity": lambda: build_toy("identity", d=4, m=5, n=4, seed=3),
+    "affine": lambda: build_toy("affine", d=4, m=5, n=4, seed=3),
+    "mixed": lambda: build_toy("mixed", d=4, m=5, n=3, seed=3),
+    "bellman-50x200": lambda: build_bellman(random_bellman_spec(50, 200, 0.9, seed=0)),
+    "bellman-10x200": lambda: build_bellman(random_bellman_spec(10, 200, 0.9, seed=0)),
+}
+
+
+def unit_cotangent_sweep(problem, x):
+    """Mean Jacobian row c as the mean VJP against e_c over all m inner maps."""
+    idx = np.arange(problem.dims.m)
+    return np.array([problem.inner_vjp(idx, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
+
 
 def general_path(problem):
-    """A copy of problem whose class declares no constant Jacobians, so
+    """A copy of problem without its constant Jacobian, so snapshots sweep and
     `_vr_gradient` evaluates the inner-VJP correction."""
     general = copy.copy(problem)
-    general.__class__ = type("General", (type(problem),), {"constant_jacobians": False})
+    general.constant_jacobian = None
     return general
+
+
+def count_inner_vjps(problem) -> list:
+    """Wrap problem.inner_vjp to record each call; returns the record."""
+    calls, vjp = [], problem.inner_vjp
+    problem.inner_vjp = lambda *args: calls.append(args) or vjp(*args)
+    return calls
 
 
 def assert_same_bits(a, b):
@@ -308,11 +331,15 @@ def assert_same_bits(a, b):
 
 
 class TestConstantJacobians:
+    """`constant_jacobian`, the one declaration of affine inner maps: it equals
+    the unit-cotangent sweep bit for bit, is read-only, and its shortcut in
+    `_vr_gradient` equals the general path that curved maps keep."""
+
     @pytest.mark.parametrize("name", sorted(SHIPPED_BUILDERS))
     def test_declaration_holds(self, name):
         problem = SHIPPED_BUILDERS[name]()
         m, d, k = problem.dims.m, problem.dims.d, problem.dims.k
-        assert problem.constant_jacobians
+        assert problem.constant_jacobian.shape == (k, d)
         assert problem.smoothness().ell_g == 0.0
         rng = np.random.default_rng(1)
         A = rng.integers(0, m, size=9)
@@ -321,8 +348,57 @@ class TestConstantJacobians:
                 x, x2 = rng.uniform(-1.0, 1.0, size=(2, d)) * problem.regularizer.radius
                 assert_same_bits(problem.inner_vjp(A, x, u), problem.inner_vjp(A, x2, u))
 
+    @pytest.mark.parametrize("name", sorted(MEAN_JACOBIAN_BUILDERS))
+    def test_declaration_equals_sweep_bit_for_bit(self, name):
+        problem = MEAN_JACOBIAN_BUILDERS[name]()
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-0.9, 0.9, size=problem.dims.d) * problem.regularizer.radius
+        swept = unit_cotangent_sweep(problem, x)
+        assert inner_mean(problem, x)[1] is problem.constant_jacobian
+        assert_same_bits(problem.constant_jacobian, swept)
+
+    def test_zero_mean_return_keeps_the_sweeps_positive_zero(self):
+        # column means +0 and -0: the sweep's 0 - r_j rows average to +0 in both
+        ds = ReturnsDataset(returns=np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -1.0]]),
+                            labels=("a", "b", "c"))
+        p = build_mean_variance(ds, radius=10.0)
+        Z, swept = p.constant_jacobian, unit_cotangent_sweep(p, np.zeros(3))
+        assert np.array_equal(Z, swept) and not np.any(np.signbit(Z[-1]))
+
+    @pytest.mark.parametrize("name", ["meanvar-d25", "affine"])
+    def test_writes_to_the_shared_jacobian_raise(self, name):
+        problem = MEAN_JACOBIAN_BUILDERS[name]()
+        x = np.zeros(problem.dims.d)
+        expected = problem.constant_jacobian.copy()
+        snap = take_snapshot(problem, x)
+        assert snap.z_tilde is problem.constant_jacobian
+        for Z in (problem.constant_jacobian, snap.z_tilde):
+            with pytest.raises(ValueError, match="read-only"):
+                Z += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                Z[0, 0] = 7.0
+        assert_same_bits(problem.constant_jacobian, expected)
+        assert_same_bits(unit_cotangent_sweep(problem, x), expected)
+        assert_same_bits(take_snapshot(problem, x).z_tilde, expected)
+
+    def test_curved_problem_gets_the_sweep(self):
+        # g_1 = x^2, g_2 = x: the mean Jacobian (2x + 1) / 2 moves with x
+        p = CurvedInnerProblem()
+        for x in (np.array([0.3]), np.array([-1.7])):
+            assert p.constant_jacobian is None
+            _, Z = inner_mean(p, x)
+            np.testing.assert_array_equal(Z, unit_cotangent_sweep(p, x))
+            np.testing.assert_array_equal(Z, [[(2.0 * x[0] + 1.0) / 2.0]])
+
     def test_curved_problem_keeps_the_general_path(self):
-        assert not CurvedInnerProblem().constant_jacobians
+        problem = CurvedInnerProblem()
+        snap = take_snapshot(problem, np.array([0.4]))
+        calls = count_inner_vjps(problem)
+        rng = np.random.default_rng(3)
+        for step in range(1, 6):
+            A, B = rng.integers(0, 2, size=(2, 4))
+            estimate_gradient(problem, snap, np.array([0.1 * step]), A, B)
+            assert len(calls) == 2 * step
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_BUILDERS))
     @pytest.mark.parametrize("t", [None, 40])
@@ -333,10 +409,13 @@ class TestConstantJacobians:
         m, n, d = problem.dims.m, problem.dims.n, problem.dims.d
         rng = np.random.default_rng(2)
         shape = () if t is None else (t,)
+        calls = count_inner_vjps(general)
         for _ in range(10):
             x_ref, x = rng.uniform(-0.9, 0.9, size=(2, d)) * problem.regularizer.radius
             snap = take_snapshot(general, x_ref)
             A, B = rng.integers(0, m, size=shape + (5,)), rng.integers(0, n, size=shape + (3,))
             g_t = estimate_inner(general, snap, x, A)
+            before = len(calls)
             assert_same_bits(_vr_gradient(problem, snap, x, g_t, A, B),
                              _vr_gradient(general, snap, x, g_t, A, B))
+            assert len(calls) == before + 2  # the general side took the inner-VJP pair

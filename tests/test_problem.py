@@ -175,63 +175,6 @@ class TestInnerMean:
             inner_mean(p, np.zeros(3))
 
 
-def unit_cotangent_sweep(problem, x):
-    """Mean Jacobian row c as the mean VJP against e_c over all m inner maps."""
-    idx = np.arange(problem.dims.m)
-    return np.array([problem.inner_vjp(idx, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
-
-
-MEAN_JACOBIAN_BUILDERS = {
-    "meanvar-d25": lambda: build_mean_variance(synthetic_returns(2000, 25, seed=0)),
-    "meanvar-d200": lambda: build_mean_variance(synthetic_returns(2000, 200, seed=7)),
-    "identity": lambda: build_toy("identity", d=4, m=5, n=4, seed=3),
-    "affine": lambda: build_toy("affine", d=4, m=5, n=4, seed=3),
-    "mixed": lambda: build_toy("mixed", d=4, m=5, n=3, seed=3),
-    "bellman-50x200": lambda: build_bellman(random_bellman_spec(50, 200, 0.9, seed=0)),
-    "bellman-10x200": lambda: build_bellman(random_bellman_spec(10, 200, 0.9, seed=0)),
-}
-
-
-class TestMeanJacobian:
-    @pytest.mark.parametrize("name", sorted(MEAN_JACOBIAN_BUILDERS))
-    def test_hook_equals_sweep_bit_for_bit(self, name):
-        problem = MEAN_JACOBIAN_BUILDERS[name]()
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-0.9, 0.9, size=problem.dims.d) * problem.regularizer.radius
-        swept = unit_cotangent_sweep(problem, x)
-        for Z in (problem.mean_jacobian(x), inner_mean(problem, x)[1]):
-            assert Z.shape == swept.shape
-            assert np.array_equal(Z, swept)
-            assert np.array_equal(np.signbit(Z), np.signbit(swept))
-
-    def test_zero_mean_return_keeps_the_sweeps_positive_zero(self):
-        # column means +0 and -0: the sweep's 0 - r_j rows average to +0 in both
-        ds = ReturnsDataset(returns=np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -1.0]]),
-                            labels=("a", "b", "c"))
-        p = build_mean_variance(ds, radius=10.0)
-        Z, swept = p.mean_jacobian(np.zeros(3)), unit_cotangent_sweep(p, np.zeros(3))
-        assert np.array_equal(Z, swept) and not np.any(np.signbit(Z[-1]))
-
-    @pytest.mark.parametrize("name", ["meanvar-d25", "affine"])
-    def test_hook_returns_an_array_the_caller_may_keep(self, name):
-        problem = MEAN_JACOBIAN_BUILDERS[name]()
-        x = np.zeros(problem.dims.d)
-        Z = problem.mean_jacobian(x)
-        expected = Z.copy()
-        Z += 1.0
-        np.testing.assert_array_equal(problem.mean_jacobian(x), expected)
-        np.testing.assert_array_equal(take_snapshot(problem, x).z_tilde, expected)
-
-    def test_problem_without_hook_gets_the_sweep(self):
-        # g_1 = x^2, g_2 = x: the mean Jacobian (2x + 1) / 2 moves with x
-        p = CurvedInnerProblem()
-        for x in (np.array([0.3]), np.array([-1.7])):
-            assert p.mean_jacobian(x) is None
-            _, Z = inner_mean(p, x)
-            np.testing.assert_array_equal(Z, unit_cotangent_sweep(p, x))
-            np.testing.assert_array_equal(Z, [[(2.0 * x[0] + 1.0) / 2.0]])
-
-
 class TestFullGradient:
     def test_scalar_square(self):
         # d=k=1, g(x)=x, f(y)=y^2 at x=3 -> 6
@@ -264,6 +207,11 @@ class TestObjective:
         p = two_asset_problem()
         with pytest.raises(InfeasibleQueryError):
             objective(p, np.array([11.0]))
+
+    @pytest.mark.parametrize("x", [[np.nan], [np.inf], [11.0, 0.5], [[0.5]]], ids=str)
+    def test_bad_point_is_input_error_before_the_box(self, x):
+        with pytest.raises(InputError):
+            objective(two_asset_problem(), np.array(x))
 
 
 class TestLipschitzBounds:
