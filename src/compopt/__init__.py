@@ -6,8 +6,7 @@ residual, analytic toys), a benchmark harness with a shared trace schema, and
 an empirical verification suite for the estimator variance bounds.
 """
 
-from .baselines import (BaselineConfig, run_agd, run_ascpg, run_scgd,
-                        run_vrscpg)
+from .baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from .errors import (CompoptError, ConfigError, DivergenceError,
                      InfeasibleQueryError, InputError)
 from .estimators import (EpochSnapshot, MiniBatchDraw, SampleMeter,
@@ -26,7 +25,7 @@ from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
                        write_returns_csv)
 from .prox import Regularizer, prox_step, reg_value
 from .solver import (EpochInfo, RunConfig, ScvrgResult, derive_theorem_params,
-                     predicted_total_samples, run_epoch, run_scvrg, step_size)
+                     predicted_total_samples, run_epoch, run_scvrg)
 from .trace import TRACE_HEADER, TraceRecord
 from .verify import (CheckReport, all_passed, check_epoch_contraction,
                      check_gradient_fd, check_lemma1, check_lemma2,

@@ -6,14 +6,17 @@ the two-timescale compositional stochastic gradient method (SCGD), its
 accelerated proximal variant (ASC-PG), and the constant-epoch variance-reduced
 method (VRSC-PG). All of them emit the shared trace schema with the same
 sample-charging rules as the main solver, so their x-axes are comparable.
+Every runner takes `run_scvrg`'s arguments: a `RunConfig`, a sample budget,
+phi* for the gap column and a trace cadence. SCGD, ASC-PG and AGD read only
+the config's seed; VRSC-PG also reads eta, a and b.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 from .estimators import SampleMeter, minibatch_rng, take_snapshot
 from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
@@ -25,31 +28,14 @@ from .trace import Recorder
 ALPHA0, P_X, BETA0, P_Y = 0.1, 0.75, 1.0, 0.5
 
 
-@dataclass
-class BaselineConfig:
-    """Knobs for the baseline roster; unused fields are ignored per algorithm."""
-
-    max_samples: int
-    seed: int = 0
-    eta: float = RunConfig.eta  # constant step (VRSC-PG)
-    a: int = RunConfig.a
-    b: int = RunConfig.b
-    trace_every: int | None = None
-
-    def __post_init__(self):
-        if self.max_samples <= 0:
-            raise ConfigError("sample budget must be positive")
-        RunConfig(S=1, eta=self.eta, a=self.a, b=self.b)  # RunConfig's rules for eta, a, b
-
-
 def _check_finite(x, algorithm):
     # x is a prox output, in [-R, R] or NaN: its sum is finite iff every entry is
     if not np.isfinite(x.sum()):
         raise DivergenceError(f"{algorithm}: non-finite iterate")
 
 
-def run_agd(problem: CompositionProblem, config: BaselineConfig, x0,
-            phi_star: float | None = None):
+def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
+            phi_star: float | None = None, trace_every: int | None = None):
     """Accelerated full-batch proximal gradient with function restarts.
 
     Step 1/ell from the problem's smoothness bound; every iteration charges
@@ -58,12 +44,11 @@ def run_agd(problem: CompositionProblem, config: BaselineConfig, x0,
     """
     m, n = problem.dims.m, problem.dims.n
     step = 1.0 / problem.smoothness().ell
-    meter = SampleMeter()
+    meter = SampleMeter(max_samples)
     x = np.asarray(x0, dtype=float).copy()
-    rec = Recorder(problem, "agd", config.seed, meter, x, phi_star)
-    rec.record(0, 0, x)
+    rec = Recorder(problem, "agd", config.seed, meter, x, phi_star, every=trace_every)
     y, t_k, phi, it = x.copy(), 1.0, objective(problem, x), 0
-    while meter.affords(m + n, config.max_samples):
+    while meter.affords(m + n):
         it += 1
         meter.add(m + n)
         x_new = prox_step(problem.regularizer, y - step * full_gradient(problem, y), step)
@@ -75,24 +60,24 @@ def run_agd(problem: CompositionProblem, config: BaselineConfig, x0,
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
             y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
             t_k, x, phi = t_next, x_new, phi_new
-        if config.trace_every is not None and it % config.trace_every == 0:
-            rec.record(0, it, x)
+        rec.record_step(0, it, x)
     rec.record(0, it, x)
     return x, rec.rows
 
 
-def run_scgd(problem: CompositionProblem, config: BaselineConfig, x0,
-             phi_star: float | None = None):
+def run_scgd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
+             phi_star: float | None = None, trace_every: int | None = None):
     """Two-timescale compositional SGD with a running inner-value tracker.
 
     y_t tracks g(x_t) with weight BETA0 / t^P_Y; steps use ALPHA0 / t^P_X.
     Each iteration charges 2 samples (one inner, one outer).
     """
-    return _scgd_core(problem, config, x0, phi_star, accelerated=False, tag="scgd")
+    return _scgd_core(problem, config.seed, x0, max_samples, phi_star, trace_every,
+                      accelerated=False)
 
 
-def run_ascpg(problem: CompositionProblem, config: BaselineConfig, x0,
-              phi_star: float | None = None):
+def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
+              phi_star: float | None = None, trace_every: int | None = None):
     """Accelerated proximal variant of the two-timescale method.
 
     The inner tracker is refreshed at an extrapolated query point
@@ -100,27 +85,27 @@ def run_ascpg(problem: CompositionProblem, config: BaselineConfig, x0,
     the iterate update itself carries no momentum. Charges 3 samples per
     iteration (inner VJP at x, inner value at z, one outer gradient).
     """
-    return _scgd_core(problem, config, x0, phi_star, accelerated=True, tag="ascpg")
+    return _scgd_core(problem, config.seed, x0, max_samples, phi_star, trace_every,
+                      accelerated=True)
 
 
-def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
+def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerated):
     m, n = problem.dims.m, problem.dims.n
-    meter = SampleMeter()
+    meter = SampleMeter(max_samples)
     x = np.asarray(x0, dtype=float).copy()
-    rec = Recorder(problem, tag, config.seed, meter, x, phi_star)
-    cost = 3 if accelerated else 2
+    tag, cost = ("ascpg", 3) if accelerated else ("scgd", 2)
     if accelerated:
         # seed the tracker with one inner sample at the start point
-        rng0 = minibatch_rng(config.seed, 0, 0, stream=2)
+        rng0 = minibatch_rng(seed, 0, 0, stream=2)
         y = problem.inner_value(int(rng0.integers(m)), x)
         meter.add(1)
     else:
         y = np.zeros(problem.dims.k)
-    rec.record(0, 0, x)
+    rec = Recorder(problem, tag, seed, meter, x, phi_star, every=trace_every)
     t = 0
-    while meter.affords(cost, config.max_samples):
+    while meter.affords(cost):
         t += 1
-        rng = minibatch_rng(config.seed, 0, t, stream=2)
+        rng = minibatch_rng(seed, 0, t, stream=2)
         j = int(rng.integers(m))
         i = int(rng.integers(n))
         beta_t = min(1.0, BETA0 / t**P_Y)
@@ -138,14 +123,13 @@ def _scgd_core(problem, config, x0, phi_star, accelerated, tag):
             x = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
         meter.add(cost)
         _check_finite(x, tag)
-        if config.trace_every is not None and t % config.trace_every == 0:
-            rec.record(0, t, x)
+        rec.record_step(0, t, x)
     rec.record(0, t, x)
     return x, rec.rows
 
 
-def run_vrscpg(problem: CompositionProblem, config: BaselineConfig, x0,
-               phi_star: float | None = None):
+def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
+               phi_star: float | None = None, trace_every: int | None = None):
     """Constant-epoch variance-reduced proximal method.
 
     Runs the solver's epoch engine with epochs of K = ceil((m+n)^(2/3)) steps
@@ -154,18 +138,15 @@ def run_vrscpg(problem: CompositionProblem, config: BaselineConfig, x0,
     """
     m, n = problem.dims.m, problem.dims.n
     K = math.ceil((m + n) ** (2.0 / 3.0))
-    # S and k0 size only the adaptive schedule, which a constant step never reads
-    engine = RunConfig(S=1, k0=K, eta=config.eta, a=config.a, b=config.b,
-                       seed=config.seed, schedule="constant")
-    meter = SampleMeter()
+    # a constant step never reads S or k0, which size only the adaptive schedule
+    engine = replace(config, k0=K, schedule="constant")
+    meter = SampleMeter(max_samples)
     x = np.asarray(x0, dtype=float).copy()
-    rec = Recorder(problem, "vrscpg", config.seed, meter, x, phi_star)
-    rec.record(0, 0, x)
+    rec = Recorder(problem, "vrscpg", config.seed, meter, x, phi_star, every=trace_every)
     epoch = 0
-    while meter.affords(m + n + config.a + config.b, config.max_samples):
+    while meter.affords(m + n + config.a + config.b):
         epoch += 1
         snapshot = take_snapshot(problem, x, meter=meter)
         x = run_epoch(problem, snapshot, x, K, 0, engine, epoch_index=epoch,
-                      meter=meter, recorder=rec, trace_every=config.trace_every,
-                      max_samples=config.max_samples).x_last
+                      meter=meter, recorder=rec).x_last
     return x, rec.rows

@@ -12,18 +12,13 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InputError
-from .harness import (ALGORITHMS, ExperimentSpec, config_fields, polish_phi_star,
+from .harness import (ALGORITHMS, FIELDS_READ, ExperimentSpec, polish_phi_star,
                       run_benchmark)
 from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, random_bellman_spec,
                        synthetic_returns, write_returns_csv)
 from .solver import SCHEDULES, RunConfig
 from .verify import all_passed, run_all_checks, write_report_csv
-
-#: the run flags that set config fields, by field name
-_CONFIG_FLAGS = {"k0": "--k0", "S": "--epochs", "eta": "--eta", "a": "--a", "b": "--b",
-                 "schedule": "--schedule"}
-
 
 class _UsageError(Exception):
     pass
@@ -98,21 +93,13 @@ def _parse_algos(raw):
 
 
 def _bench(args, algos):
-    """Each given config flag goes to every chosen algorithm whose config has
-    that field; a flag that none of them has is an input error."""
+    """Every given config flag goes to every chosen algorithm; `ExperimentSpec`
+    rejects one that no chosen algorithm reads."""
     problem = _build_problem(args)
-    given = {name: getattr(args, name) for name in _CONFIG_FLAGS
-             if getattr(args, name) is not None}
-    algo_params = {algo: {name: value for name, value in given.items()
-                          if name in config_fields(algo)}
-                   for algo in algos}
+    params = {name: getattr(args, name) for name in set().union(*FIELDS_READ.values())
+              if getattr(args, name) is not None}
     spec = ExperimentSpec(problem=problem, algorithms=algos, budget=args.budget,
-                          seeds=_parse_seeds(args.seed), out=args.out,
-                          algo_params=algo_params)
-    unread = [_CONFIG_FLAGS[name] for name in given
-              if not any(name in params for params in algo_params.values())]
-    if unread:
-        raise InputError(f"{', '.join(unread)} not read by {', '.join(algos)}")
+                          seeds=_parse_seeds(args.seed), out=args.out, params=params)
     path = run_benchmark(spec)
     print(f"wrote {path}")
     return 0

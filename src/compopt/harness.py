@@ -4,12 +4,11 @@ algorithm suites and writes plot-ready trace CSVs."""
 import logging
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import baselines
-from .baselines import BaselineConfig
 from .errors import ConfigError, DivergenceError, InputError
 from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
@@ -18,7 +17,11 @@ from .trace import TRACE_HEADER, TraceRecord, abort_record
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = ("scvrg", "vrscpg", "scgd", "ascpg", "agd")
+#: the RunConfig fields each algorithm reads; a run's `params` may set only these
+FIELDS_READ = {"scvrg": {"S", "k0", "eta", "a", "b", "schedule"},
+               "vrscpg": {"eta", "a", "b"},
+               "scgd": set(), "ascpg": set(), "agd": set()}
+ALGORITHMS = tuple(FIELDS_READ)
 
 #: hard cap on trace rows per run; longer traces are decimated
 MAX_TRACE_ROWS = 10_000
@@ -27,15 +30,16 @@ MAX_TRACE_ROWS = 10_000
 @dataclass
 class ExperimentSpec:
     """One benchmark: a problem, an algorithm roster, a sample budget in units
-    of N, and the seeds to average over. Every algorithm's config is built
-    here, so a bad setting fails before any run starts."""
+    of N, the seeds to average over, and the RunConfig fields `params` that
+    every algorithm's config gets. Every config is built here, so a bad
+    setting, or one no chosen algorithm reads, fails before any run starts."""
 
     problem: CompositionProblem
     algorithms: list
     budget: float
     seeds: list
     out: str
-    algo_params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
     #: each algorithm's config for the first seed; runs replace only the seed
     configs: dict = field(init=False, repr=False)
 
@@ -49,11 +53,13 @@ class ExperimentSpec:
             raise ConfigError("at least one algorithm is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise InputError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
+        _check_roster(self.algorithms, self.params)
+        for name, chosen in (("algorithms", self.algorithms), ("seeds", self.seeds)):
+            repeated = sorted({c for c in chosen if chosen.count(c) > 1})
+            if repeated:
+                raise ConfigError(f"repeated {name} {repeated}")
         self.configs = {a: _algorithm_config(self.problem, a, self.seeds[0], self.max_samples,
-                                            self.algo_params.get(a, {}))
+                                            self.params)
                         for a in self.algorithms}
 
     @property
@@ -147,46 +153,48 @@ def _decimate(rows: list) -> list:
     return [rows[i] for i in keep]
 
 
-def config_fields(algorithm: str) -> set:
-    """The fields `params` may set on `algorithm`'s config (RunConfig for
-    scvrg, else BaselineConfig): all but seed, max_samples and trace_every."""
-    cls = RunConfig if algorithm == "scvrg" else BaselineConfig
-    return {f.name for f in fields(cls)} - {"seed", "max_samples", "trace_every"}
+def _check_roster(algorithms: list, params: dict):
+    """Raise InputError for an unknown algorithm, and ConfigError for a field
+    of `params` that no algorithm in `algorithms` reads (FIELDS_READ)."""
+    unknown = [a for a in algorithms if a not in FIELDS_READ]
+    if unknown:
+        raise InputError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
+    unread = sorted(set(params) - set().union(*(FIELDS_READ[a] for a in algorithms)))
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} not read by {' or '.join(algorithms)}")
 
 
 def _algorithm_config(problem: CompositionProblem, algorithm: str, seed: int,
-                      max_samples: int, params: dict):
-    """The config `run_one` runs: `params` sets any of `config_fields(algorithm)`;
+                      max_samples: int, params: dict) -> RunConfig:
+    """The config `algorithm` runs: RunConfig's defaults overridden by `params`;
     an scvrg run without S gets the budget-fitted schedule."""
-    unknown = sorted(set(params) - config_fields(algorithm))
-    if unknown:
-        raise ConfigError(f"unused {algorithm} parameters: {unknown}")
-    if algorithm != "scvrg":
-        return BaselineConfig(max_samples=max_samples, seed=seed, **params)
-    if "S" in params:
-        return RunConfig(seed=seed, **params)
-    return scvrg_config_for_budget(problem, max_samples, seed, **params)
+    if algorithm == "scvrg" and "S" not in params:
+        return scvrg_config_for_budget(problem, max_samples, seed, **params)
+    # only scvrg reads S; the other algorithms need a valid placeholder
+    return RunConfig(**{"S": 1, **params}, seed=seed)
 
 
-def _run_config(problem: CompositionProblem, algorithm: str, config, max_samples: int,
-                phi_star: float | None):
+def _run_config(problem: CompositionProblem, algorithm: str, config: RunConfig,
+                max_samples: int, phi_star: float | None):
     trace_every = max(1, math.ceil(problem.N / (config.a + config.b)))
     x0 = np.zeros(problem.dims.d)
-    if algorithm != "scvrg":
-        runner = {"vrscpg": baselines.run_vrscpg, "scgd": baselines.run_scgd,
-                  "ascpg": baselines.run_ascpg, "agd": baselines.run_agd}[algorithm]
-        return runner(problem, replace(config, trace_every=trace_every), x0, phi_star=phi_star)
-    result = run_scvrg(problem, config, x0, phi_star=phi_star, trace_every=trace_every,
-                       max_samples=max_samples)
-    return result.x, result.trace
+    if algorithm == "scvrg":
+        result = run_scvrg(problem, config, x0, max_samples, phi_star, trace_every)
+        return result.x, result.trace
+    runner = {"vrscpg": baselines.run_vrscpg, "scgd": baselines.run_scgd,
+              "ascpg": baselines.run_ascpg, "agd": baselines.run_agd}[algorithm]
+    return runner(problem, config, x0, max_samples, phi_star, trace_every)
 
 
 def run_one(problem: CompositionProblem, algorithm: str, seed: int,
             max_samples: int, phi_star: float | None = None,
             params: dict | None = None):
     """Run a single (algorithm, seed) pair from x = 0 under
-    `_algorithm_config(..., params)`; returns (x, trace rows)."""
-    config = _algorithm_config(problem, algorithm, seed, max_samples, params or {})
+    `_algorithm_config(..., params)`, whose fields `algorithm` must read;
+    returns (x, trace rows)."""
+    params = params or {}
+    _check_roster([algorithm], params)
+    config = _algorithm_config(problem, algorithm, seed, max_samples, params)
     return _run_config(problem, algorithm, config, max_samples, phi_star)
 
 

@@ -56,15 +56,12 @@ class RunConfig:
         return self.k0 * 2**self.S - self.k0
 
     def step(self, l: int) -> float:
-        """Step size at global step counter l under this config's schedule."""
+        """Step size at global step counter l: eta under the constant schedule,
+        else eta * sqrt(T) / sqrt(max(2T - l, 1)), nondecreasing in l."""
         if self.schedule == "constant":
             return self.eta
-        return step_size(self.eta, self.T, l)
-
-
-def step_size(eta: float, T: int, l: int) -> float:
-    """eta * sqrt(T) / sqrt(max(2T - l, 1)); nondecreasing in l."""
-    return eta * math.sqrt(T) / math.sqrt(max(2 * T - l, 1))
+        T = self.T
+        return self.eta * math.sqrt(T) / math.sqrt(max(2 * T - l, 1))
 
 
 def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float) -> RunConfig:
@@ -114,9 +111,8 @@ class ScvrgResult:
 
 def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
               l: int, config: RunConfig, epoch_index: int,
-              meter: SampleMeter | None = None, recorder: Recorder | None = None,
-              trace_every: int | None = None,
-              max_samples: int | None = None) -> EpochInfo:
+              meter: SampleMeter | None = None,
+              recorder: Recorder | None = None) -> EpochInfo:
     """k minibatch proximal steps from x0 against one snapshot.
 
     Returns the epoch's record: the unweighted mean of the k pre-update
@@ -124,9 +120,9 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
     (resp. b == n) the draw enumerates every index once, making the estimate
     exact; otherwise indices are sampled uniformly with replacement, drawn for
     up to _DRAW_CHUNK indices' worth of steps at a time. The epoch
-    stops early, freezing the average, once max_samples cannot pay for another
-    step. The recorder, if given, gets a row every trace_every steps and one
-    at the end of the epoch, at the number of steps taken.
+    stops early, freezing the average, once the meter's budget cannot pay for
+    another step. The recorder, if given, gets a row at its cadence and one at
+    the end of the epoch, at the number of steps taken.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
@@ -156,9 +152,9 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
         # a prox output lies in [-R, R] or is NaN: its sum is finite iff every entry is
         if not np.isfinite(x.sum()):
             raise DivergenceError(f"non-finite iterate at epoch {epoch_index}, step {t}")
-        if recorder is not None and trace_every is not None and (t + 1) % trace_every == 0:
-            recorder.record(epoch_index, t + 1, x)
-        if not meter.affords(config.a + config.b, max_samples):
+        if recorder is not None:
+            recorder.record_step(epoch_index, t + 1, x)
+        if not meter.affords(config.a + config.b):
             x_sum += x * (k - t - 1)  # freeze the average at the stop point
             break
     if recorder is not None:
@@ -169,8 +165,8 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
 
 
 def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
-              phi_star: float | None = None, trace_every: int | None = None,
-              max_samples: int | None = None) -> ScvrgResult:
+              max_samples: int | None = None, phi_star: float | None = None,
+              trace_every: int | None = None) -> ScvrgResult:
     """Full doubling-epoch run: S epoch bodies, returning the final reference.
 
     Epoch body s (0-based) has length k0 * 2^(s+1); its snapshot is taken at
@@ -183,20 +179,18 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
     if not problem.regularizer.contains(x0):
         raise InputError("initial point is outside the feasible box")
     m, n = problem.dims.m, problem.dims.n
-    meter = SampleMeter()
-    recorder = Recorder(problem, "scvrg", config.seed, meter, x0, phi_star)
-    recorder.record(0, 0, x0)
+    meter = SampleMeter(max_samples)
+    recorder = Recorder(problem, "scvrg", config.seed, meter, x0, phi_star, every=trace_every)
     l = 0
     x_ref = x0.copy()
     x_cur = x0.copy()
     epochs: list[EpochInfo] = []
     for s in range(config.S):
-        if not meter.affords(m + n + config.a + config.b, max_samples):
+        if not meter.affords(m + n + config.a + config.b):
             break
         snapshot = take_snapshot(problem, x_ref, meter=meter)
         info = run_epoch(problem, snapshot, x_cur, config.k0 * 2 ** (s + 1), l, config,
-                         epoch_index=s + 1, meter=meter, recorder=recorder,
-                         trace_every=trace_every, max_samples=max_samples)
+                         epoch_index=s + 1, meter=meter, recorder=recorder)
         epochs.append(info)
         l, x_ref, x_cur = info.l, info.x_avg, info.x_last
     return ScvrgResult(x=x_ref, trace=recorder.rows, epochs=epochs,

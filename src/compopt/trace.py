@@ -30,22 +30,32 @@ class TraceRecord:
 
 
 class Recorder:
-    """Collects one run's trace rows at the samples its meter has charged, and
-    aborts the run once the objective exceeds 1e6 * (|Phi(x0)| + 1).
+    """Collects one run's trace rows at the samples its meter has charged,
+    starting with the row at x0 (epoch 0, iteration 0), and aborts the run
+    once the objective exceeds 1e6 * (|Phi(x0)| + 1).
 
-    A row that repeats the previous row's (epoch, iteration, samples) is
-    dropped: no sample was charged in between, so the iterate is unchanged.
+    `record_step` keeps a row every `every` steps (None: none). A row that
+    repeats the previous row's (epoch, iteration, samples) is dropped: no
+    sample was charged in between, so the iterate is unchanged.
     """
 
     def __init__(self, problem, algorithm: str, seed: int, meter, x0,
-                 phi_star: float | None = None):
+                 phi_star: float | None = None, every: int | None = None):
         self.problem = problem
         self.algorithm = algorithm
         self.seed = seed
         self.meter = meter
         self.phi_star = phi_star
-        self.phi_limit = 1e6 * (abs(objective(problem, x0)) + 1.0)
+        self.every = every
+        self.phi_limit = math.inf
         self.rows: list[TraceRecord] = []
+        self.record(0, 0, x0)
+        self.phi_limit = 1e6 * (abs(self.rows[0].objective) + 1.0)
+
+    def record_step(self, epoch: int, steps: int, x):
+        """Record the iterate after `steps` steps if the cadence is due."""
+        if self.every is not None and steps % self.every == 0:
+            self.record(epoch, steps, x)
 
     def record(self, epoch: int, iteration: int, x):
         if self.rows and (self.rows[-1].epoch, self.rows[-1].iteration,

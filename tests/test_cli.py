@@ -82,8 +82,20 @@ class TestBench:
         monkeypatch.setattr(cli, "run_benchmark", lambda spec: specs.append(spec) or spec.out)
         assert run_cli("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--k0", "20",
                        "--eta", "0.05", "--out", str(tmp_path / "t.csv")) == 0
-        assert specs[0].algo_params == {"scvrg": {"k0": 20, "eta": 0.05}, "scgd": {"eta": 0.05}}
+        assert specs[0].params == {"k0": 20, "eta": 0.05}
         assert specs[0].configs["scvrg"].k0 == 20
+        assert specs[0].configs["scgd"].eta == 0.05
+
+    def test_batch_flags_set_every_algorithms_trace_cadence(self, tmp_path):
+        # scgd reads no field, but its rows come every ceil(N / (a + b)) steps
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--a", "2",
+                       "--b", "3", "--budget", "5", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        iters = [int(r[3]) for r in rows if r[0] == "scgd"]
+        every = -(-200 // 5)  # the default toy has N = m = 200
+        assert iters[:-1] == list(range(0, iters[-1], every))
+        assert iters[-1] == 5 * 200 // 2  # the last step, at 2 samples each
 
     def test_toy_defaults_pay_for_a_full_epoch(self, tmp_path, caplog):
         out = tmp_path / "bench.csv"
@@ -172,6 +184,12 @@ class TestBadInput:
         ("run", "--problem", "toy", "--algo", "scgd", "--eta", "nan"),
         ("bench", "--problem", "toy", "--algo", "scgd", "--k0", "0", "--epochs", "-3",
          "--schedule", "constant"),
+        *[("run", "--problem", "toy", "--algo", algo, flag, value)
+          for algo in ("scgd", "ascpg", "agd")
+          for flag, value in (("--eta", "0.5"), ("--a", "2"), ("--b", "2"))],
+        *[("run", "--problem", "toy", "--algo", "vrscpg", flag, value)
+          for flag, value in (("--epochs", "2"), ("--k0", "3"), ("--schedule", "constant"))],
+        ("bench", "--problem", "toy", "--algo", "scgd,scgd", "--seed", "0,0"),
         ("check", "--trials", "0"),
         ("check", "--trials", "-5"),
     ], ids=" ".join)

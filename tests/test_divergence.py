@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from compopt import cli, harness
-from compopt.baselines import BaselineConfig, run_agd, run_ascpg, run_scgd, run_vrscpg
+from compopt.baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from compopt.errors import DivergenceError
 from compopt.problems import AffineQuadraticProblem, build_toy
 from compopt.solver import RunConfig, run_scvrg
@@ -26,20 +26,15 @@ class NanAfterProblem(AffineQuadraticProblem):
         return grad if self.good >= 0 else np.full_like(grad, np.nan)
 
 
-RUNNERS = {
-    "scvrg": lambda p: run_scvrg(p, RunConfig(S=3), np.zeros(3), max_samples=10_000),
-    "vrscpg": lambda p: run_vrscpg(p, BaselineConfig(max_samples=10_000), np.zeros(3)),
-    "scgd": lambda p: run_scgd(p, BaselineConfig(max_samples=10_000), np.zeros(3)),
-    "ascpg": lambda p: run_ascpg(p, BaselineConfig(max_samples=10_000), np.zeros(3)),
-    "agd": lambda p: run_agd(p, BaselineConfig(max_samples=10_000), np.zeros(3)),
-}
+RUNNERS = {"scvrg": run_scvrg, "vrscpg": run_vrscpg, "scgd": run_scgd,
+           "ascpg": run_ascpg, "agd": run_agd}
 
 
 @pytest.mark.parametrize("algorithm", RUNNERS)
 def test_nan_oracle_raises_divergence(algorithm):
     problem = NanAfterProblem()
     with pytest.raises(DivergenceError, match="non-finite iterate"):
-        RUNNERS[algorithm](problem)
+        RUNNERS[algorithm](problem, RunConfig(S=3), np.zeros(3), 10_000)
     assert problem.good < 0  # the run reached the NaN oracle before it aborted
 
 

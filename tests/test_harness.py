@@ -39,6 +39,19 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             self.make(seeds=[])
 
+    @pytest.mark.parametrize("kw", [dict(algorithms=["scvrg", "scgd", "scvrg"]),
+                                    dict(seeds=[0, 1, 0])])
+    def test_rejects_repeats(self, kw):
+        with pytest.raises(ConfigError, match="repeated"):
+            self.make(**kw)
+
+    @pytest.mark.parametrize("algorithms, params", [
+        (["scgd", "ascpg", "agd"], {"eta": 0.5}), (["vrscpg", "agd"], {"k0": 3}),
+        (["vrscpg"], {"S": 2}), (["scvrg"], {"seed": 1})])
+    def test_rejects_params_no_algorithm_reads(self, algorithms, params):
+        with pytest.raises(ConfigError, match="not read by"):
+            self.make(algorithms=algorithms, params=params)
+
 
 class TestComputePhiStar:
     def test_identity_toy_matches_closed_form(self):
@@ -195,12 +208,17 @@ class TestRunOne:
         with pytest.raises(ConfigError):
             run_one(toy, "scvrg", 0, 1000, params={"bogus": 1})
 
+    def test_unknown_algorithm_is_input_error(self):
+        toy = build_toy("identity", d=2, m=3, n=3, seed=0)
+        with pytest.raises(InputError, match="unknown algorithms"):
+            run_one(toy, "sgd", 0, 1000)
+
     @pytest.mark.parametrize("algorithm, params", [
         ("scgd", {"k0": 5}), ("vrscpg", {"schedule": "constant"}),
         ("scvrg", {"seed": 3}), ("scvrg", {"max_samples": 10}),
         ("agd", {"trace_every": 1}), ("ascpg", {"seed": 3})])
     def test_parameters_outside_the_config_rejected(self, algorithm, params):
-        # a field the algorithm's config lacks, or one run_one sets itself
+        # a field the algorithm does not read, or one run_one sets itself
         toy = build_toy("identity", d=2, m=3, n=3, seed=0)
         with pytest.raises(ConfigError):
             run_one(toy, algorithm, 0, 1000, params=params)

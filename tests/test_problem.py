@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from compopt.baselines import BaselineConfig, run_agd
+from compopt.baselines import run_agd
 from compopt.errors import ConfigError, InfeasibleQueryError, InputError
 from compopt.estimators import (estimate_gradient, estimate_inner,
                                 take_snapshot, unbiased_reference_gradient)
@@ -14,6 +14,7 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
                               build_bellman, build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
+from compopt.solver import RunConfig
 from compopt.verify import check_lemma1
 from test_estimators import CurvedInnerProblem
 
@@ -236,7 +237,7 @@ class TestLipschitzBounds:
         readers = [
             problem.smoothness,
             lambda: polish_phi_star(problem, 100 * 4),
-            lambda: run_agd(problem, BaselineConfig(max_samples=40), np.zeros(1)),
+            lambda: run_agd(problem, RunConfig(S=1), np.zeros(1), 40),
             lambda: check_lemma1(problem, snapshot, np.ones(1), a=2, b=2, trials=10),
         ]
         for read in readers:

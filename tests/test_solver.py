@@ -11,25 +11,27 @@ from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
 from compopt.solver import (RunConfig, derive_theorem_params,
-                            predicted_total_samples, run_epoch, run_scvrg,
-                            step_size)
+                            predicted_total_samples, run_epoch, run_scvrg)
+
+# one epoch of k0 * 2 = 100 steps: schedule horizon T = 50
+STEPS = RunConfig(S=1, k0=50, eta=0.01)
 
 
 class TestStepSize:
     def test_first_step(self):
-        assert step_size(0.01, 50, 0) == pytest.approx(0.01 * np.sqrt(50) / 10.0)
+        assert STEPS.step(0) == pytest.approx(0.01 * np.sqrt(50) / 10.0)
 
     def test_midpoint_gives_base(self):
-        assert step_size(0.01, 50, 50) == pytest.approx(0.01)
+        assert STEPS.step(50) == pytest.approx(0.01)
 
     def test_last_guarded(self):
-        assert step_size(0.01, 50, 99) == pytest.approx(0.01 * np.sqrt(50))
+        assert STEPS.step(99) == pytest.approx(0.01 * np.sqrt(50))
 
     def test_guard_absorbs_overrun(self):
-        assert step_size(0.01, 50, 150) == pytest.approx(0.01 * np.sqrt(50))
+        assert STEPS.step(150) == pytest.approx(0.01 * np.sqrt(50))
 
     def test_nondecreasing(self):
-        vals = [step_size(0.01, 50, l) for l in range(100)]
+        vals = [STEPS.step(l) for l in range(100)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -85,7 +87,7 @@ class TestRunEpoch:
         x0 = np.array([0.3, -0.2])
         snap = take_snapshot(toy, x0)
         res = run_epoch(toy, snap, x0, k=1, l=0, config=cfg, epoch_index=1)
-        eta1 = step_size(cfg.eta, cfg.T, 0)
+        eta1 = cfg.eta * np.sqrt(cfg.T) / np.sqrt(2 * cfg.T)
         np.testing.assert_allclose(res.x_last, x0 - eta1 * full_gradient(toy, x0), atol=1e-14)
         np.testing.assert_array_equal(res.x_avg, x0)
         assert res.l == 1
@@ -142,7 +144,7 @@ class TestRunEpoch:
             monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
             monkeypatch.setattr(solver, "draw_minibatch", spy_draw)
             res = run_epoch(toy, snap, x0, k=400, l=3, config=cfg, epoch_index=2,
-                            max_samples=max_samples)
+                            meter=SampleMeter(max_samples))
             return res, np.array(visited), calls
 
         def per_step(m, n, a, b, seed, epoch, iteration):
