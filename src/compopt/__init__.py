@@ -15,9 +15,9 @@ from .estimators import (EpochSnapshot, MiniBatchDraw, SampleMeter,
                          unbiased_reference_gradient)
 from .harness import (ALGORITHMS, ExperimentSpec, compute_phi_star,
                       run_benchmark, run_one, scvrg_config_for_budget)
-from .problem import (CompositionProblem, ProblemDims, SmoothnessConstants,
-                      full_gradient, inner_mean, objective, outer_mean_grad,
-                      smooth_value)
+from .problem import (ALL, CompositionProblem, ProblemDims, SmoothnessConstants,
+                      full_gradient, inner_mean, mean_jacobian, objective,
+                      outer_mean_grad, smooth_value)
 from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
                        ReturnsDataset, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, mean_variance_direct,

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .estimators import SampleMeter, minibatch_rng, take_snapshot
 from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
@@ -26,6 +26,15 @@ from .trace import Recorder
 
 #: SCGD and ASC-PG schedules: steps ALPHA0 / t^P_X, tracker weights BETA0 / t^P_Y
 ALPHA0, P_X, BETA0, P_Y = 0.1, 0.75, 1.0, 0.5
+
+
+def _budget_meter(max_samples, algorithm) -> SampleMeter:
+    """The run's meter; these runs stop only once their budget is spent, so
+    they require one."""
+    if max_samples is None:
+        raise ConfigError(f"{algorithm} runs until its sample budget is spent: "
+                          "max_samples is required")
+    return SampleMeter(max_samples)
 
 
 def _check_finite(x, algorithm):
@@ -43,8 +52,8 @@ def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int
     is not taken: the momentum restarts from the current iterate instead.
     """
     m, n = problem.dims.m, problem.dims.n
+    meter = _budget_meter(max_samples, "agd")
     step = 1.0 / problem.smoothness().ell
-    meter = SampleMeter(max_samples)
     x = np.asarray(x0, dtype=float).copy()
     rec = Recorder(problem, "agd", config.seed, meter, x, phi_star, every=trace_every)
     y, t_k, phi, it = x.copy(), 1.0, objective(problem, x), 0
@@ -91,9 +100,9 @@ def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: i
 
 def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerated):
     m, n = problem.dims.m, problem.dims.n
-    meter = SampleMeter(max_samples)
-    x = np.asarray(x0, dtype=float).copy()
     tag, cost = ("ascpg", 3) if accelerated else ("scgd", 2)
+    meter = _budget_meter(max_samples, tag)
+    x = np.asarray(x0, dtype=float).copy()
     if accelerated:
         # seed the tracker with one inner sample at the start point
         rng0 = minibatch_rng(seed, 0, 0, stream=2)
@@ -140,7 +149,7 @@ def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: 
     K = math.ceil((m + n) ** (2.0 / 3.0))
     # a constant step never reads S or k0, which size only the adaptive schedule
     engine = replace(config, k0=K, schedule="constant")
-    meter = SampleMeter(max_samples)
+    meter = _budget_meter(max_samples, "vrscpg")
     x = np.asarray(x0, dtype=float).copy()
     rec = Recorder(problem, "vrscpg", config.seed, meter, x, phi_star, every=trace_every)
     epoch = 0

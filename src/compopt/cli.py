@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, InputError
-from .harness import (ALGORITHMS, FIELDS_READ, ExperimentSpec, polish_phi_star,
+from .harness import (ALGORITHMS, ExperimentSpec, check_roster, polish_phi_star,
                       run_benchmark)
 from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, random_bellman_spec,
@@ -49,6 +49,11 @@ def _add_problem_flags(parser):
     parser.add_argument("--toy-kind", choices=TOY_KINDS, default="affine")
     parser.add_argument("--problem-seed", type=int, default=0,
                         help="seed for synthetic problem generation")
+
+
+#: the flag that sets each RunConfig field, as errors name it
+_CONFIG_FLAGS = {"k0": "--k0", "S": "--epochs", "eta": "--eta", "a": "--a", "b": "--b",
+                 "schedule": "--schedule"}
 
 
 def _add_algo_flags(parser):
@@ -93,11 +98,12 @@ def _parse_algos(raw):
 
 
 def _bench(args, algos):
-    """Every given config flag goes to every chosen algorithm; `ExperimentSpec`
-    rejects one that no chosen algorithm reads."""
-    problem = _build_problem(args)
-    params = {name: getattr(args, name) for name in set().union(*FIELDS_READ.values())
+    """Every given config flag goes to every chosen algorithm; one that no
+    chosen algorithm reads is rejected, by its flag, before the problem is built."""
+    params = {name: getattr(args, name) for name in _CONFIG_FLAGS
               if getattr(args, name) is not None}
+    check_roster(algos, params, names=_CONFIG_FLAGS)
+    problem = _build_problem(args)
     spec = ExperimentSpec(problem=problem, algorithms=algos, budget=args.budget,
                           seeds=_parse_seeds(args.seed), out=args.out, params=params)
     path = run_benchmark(spec)

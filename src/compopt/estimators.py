@@ -1,10 +1,12 @@
 """Reference snapshots and control-variate minibatch gradient estimators.
 
 One epoch pins a reference point x~ and caches the full inner value g~, inner
-Jacobian Z~ and gradient v~ there. Minibatch estimates of the inner value and
-the gradient (whose minibatch Jacobians enter only through vector-Jacobian
-products) are corrected by the cached values, so their variance vanishes as
-the iterate approaches the reference.
+Jacobian Z~ and gradient v~ there, with the rows g_j(x~) and grad f_i(g~)
+they average, from which every step gathers its x~ terms (the oracles are
+row-exact, so a gathered row is what a fresh call returns). Minibatch estimates
+of the inner value and the gradient (whose minibatch Jacobians enter only
+through vector-Jacobian products) are corrected by the cached values, so their
+variance vanishes as the iterate approaches the reference.
 
 Minibatch indices come from Philox4x64-10 (Salmon et al., SC 2011), the
 counter-based generator numpy's `Philox` implements: `minibatch_rng` is the
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .problem import CompositionProblem, inner_mean, outer_mean_grad
+from .problem import ALL, CompositionProblem, check_point, inner_mean, mean_jacobian
 
 # Philox4x64 multipliers (for words 0 and 2) and Weyl key increments
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
@@ -30,12 +32,14 @@ _M_HALVES = np.stack((_PHILOX_M & _LO32, _PHILOX_M >> _S32))
 
 @dataclass(frozen=True)
 class EpochSnapshot:
-    """Reference point with its exact full-batch quantities."""
+    """Reference point with its exact full-batch quantities and their rows."""
 
     x_tilde: np.ndarray
     g_tilde: np.ndarray   # (k,)
     z_tilde: np.ndarray   # (k, d)
     v_tilde: np.ndarray   # (d,)
+    g_rows: np.ndarray    # (m, k): g_j(x~)
+    df_rows: np.ndarray   # (n, k): grad f_i(g~)
 
 
 @dataclass(frozen=True)
@@ -184,13 +188,17 @@ def draw_minibatch(m: int, n: int, a: int, b: int,
 
 
 def take_snapshot(problem: CompositionProblem, x_tilde, meter: SampleMeter | None = None) -> EpochSnapshot:
-    """Full-batch snapshot at x_tilde; charges m+n samples."""
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    g, Z = inner_mean(problem, x_tilde)
-    v = Z.T @ outer_mean_grad(problem, g)
+    """Full-batch snapshot at x_tilde, with its (m + n) k rows; charges m+n samples."""
+    x_tilde = check_point(problem, x_tilde).copy()
+    g_rows = problem.inner_value(ALL, x_tilde)
+    g = g_rows.mean(axis=0)
+    Z = mean_jacobian(problem, x_tilde)
+    df_rows = problem.outer_grad(ALL, g)
+    v = Z.T @ df_rows.mean(axis=0)
     if meter is not None:
         meter.add(problem.dims.m + problem.dims.n)
-    return EpochSnapshot(x_tilde=x_tilde.copy(), g_tilde=g, z_tilde=Z, v_tilde=v)
+    return EpochSnapshot(x_tilde=x_tilde, g_tilde=g, z_tilde=Z, v_tilde=v,
+                         g_rows=g_rows, df_rows=df_rows)
 
 
 def _batch_mean(rows: np.ndarray) -> np.ndarray:
@@ -203,31 +211,31 @@ def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A,
     """Control-variate estimate of the inner value at x.
 
     g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)), the mean over A's last axis:
-    A of shape (t, a) gives t estimates, shape (t, k). Charges A.size inner
-    samples.
+    A of shape (t, a) gives t estimates, shape (t, k). The g_j(x~) are the
+    snapshot's rows. Charges A.size inner samples.
     """
     A = np.asarray(A)
     if A.size == 0:
         raise ConfigError("inner minibatch A must be nonempty")
     x = np.asarray(x, dtype=float)
     g_new = problem.inner_value(A, x)
-    g_ref = problem.inner_value(A, snapshot.x_tilde)
     if meter is not None:
         meter.add(A.size)
-    return snapshot.g_tilde + _batch_mean(g_new - g_ref)
+    return snapshot.g_tilde + _batch_mean(g_new - snapshot.g_rows[A])
 
 
 def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, g_t, A, B):
     """v_t from the inner estimate g_t, charging nothing: A (a,), B (b,) and
     g_t (k,) give shape (d,); A (t, a), B (t, b) and g_t (t, k) give (t, d).
 
-    When the problem sets `constant_jacobian`, its inner maps are affine, so
-    the Jacobian correction dz = mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new
-    is exactly zero and is skipped: no inner VJP is evaluated."""
+    The grad f_i(g~) are the snapshot's rows. When the problem sets
+    `constant_jacobian`, its inner maps are affine, so the Jacobian correction
+    dz = mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new is exactly zero and is
+    skipped: no inner VJP is evaluated. Otherwise the pair is evaluated at x
+    and x~, since its cotangent df_new changes every step."""
     stack = g_t.ndim > 1
     df_new = _batch_mean(problem.outer_grad(B, g_t[..., None, :] if stack else g_t))
-    df_ref = _batch_mean(problem.outer_grad(B, snapshot.g_tilde))
-    v = snapshot.v_tilde + (df_new - df_ref) @ snapshot.z_tilde
+    v = snapshot.v_tilde + (df_new - _batch_mean(snapshot.df_rows[B])) @ snapshot.z_tilde
     if problem.constant_jacobian is not None:
         return v
     # a step keeps one (k,) point and cotangent (the oracles' one-point path); a
@@ -262,12 +270,13 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
 
     u_t = v~ + mean_{i in B} ( Z(x)^T grad f_i(g(x)) - z~^T grad f_i(g~) ), the
     mean over B's last axis: B of shape (t, b) gives t estimates, shape (t, d).
-    Its mean over B draws is exactly grad F(x).
+    The grad f_i(g~) are the snapshot's rows. Its mean over B draws is exactly
+    grad F(x).
     """
     B = np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
     g_x, Z_x = inner_mean(problem, x)
     df_new = _batch_mean(problem.outer_grad(B, g_x))
-    df_ref = _batch_mean(problem.outer_grad(B, snapshot.g_tilde))
+    df_ref = _batch_mean(snapshot.df_rows[B])
     return snapshot.v_tilde + df_new @ Z_x - df_ref @ snapshot.z_tilde

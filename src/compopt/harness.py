@@ -53,7 +53,7 @@ class ExperimentSpec:
             raise ConfigError("at least one algorithm is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        _check_roster(self.algorithms, self.params)
+        check_roster(self.algorithms, self.params)
         for name, chosen in (("algorithms", self.algorithms), ("seeds", self.seeds)):
             repeated = sorted({c for c in chosen if chosen.count(c) > 1})
             if repeated:
@@ -153,15 +153,17 @@ def _decimate(rows: list) -> list:
     return [rows[i] for i in keep]
 
 
-def _check_roster(algorithms: list, params: dict):
+def check_roster(algorithms: list, params: dict, names: dict | None = None):
     """Raise InputError for an unknown algorithm, and ConfigError for a field
-    of `params` that no algorithm in `algorithms` reads (FIELDS_READ)."""
+    of `params` that no algorithm in `algorithms` reads (FIELDS_READ). The
+    error spells each field as `names` maps it (by default, the field name)."""
     unknown = [a for a in algorithms if a not in FIELDS_READ]
     if unknown:
         raise InputError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
-    unread = sorted(set(params) - set().union(*(FIELDS_READ[a] for a in algorithms)))
+    unread = set(params) - set().union(*(FIELDS_READ[a] for a in algorithms))
     if unread:
-        raise ConfigError(f"{', '.join(unread)} not read by {' or '.join(algorithms)}")
+        spelled = sorted((names or {}).get(f, f) for f in unread)
+        raise ConfigError(f"{', '.join(spelled)} not read by {' or '.join(algorithms)}")
 
 
 def _algorithm_config(problem: CompositionProblem, algorithm: str, seed: int,
@@ -193,7 +195,7 @@ def run_one(problem: CompositionProblem, algorithm: str, seed: int,
     `_algorithm_config(..., params)`, whose fields `algorithm` must read;
     returns (x, trace rows)."""
     params = params or {}
-    _check_roster([algorithm], params)
+    check_roster([algorithm], params)
     config = _algorithm_config(problem, algorithm, seed, max_samples, params)
     return _run_config(problem, algorithm, config, max_samples, phi_star)
 

@@ -7,7 +7,8 @@ The objective is Phi(x) = F(x) + r(x) with
 where each g_j maps R^d -> R^k and each f_i maps R^k -> R. Problems expose
 four index-batched oracles for g_j, its vector-Jacobian product, f_i and its
 gradient, and closed-form smoothness constants on the regularizer's box; the
-full-batch means, gradients and objective values are derived here. A problem
+full-batch means, gradients and objective values are derived here, each from
+one call with the all-components index `ALL`, which copies no data. A problem
 whose inner maps are all affine sets `constant_jacobian` to its mean inner
 Jacobian, which then does not depend on x: every snapshot shares that array,
 and the estimators skip the Jacobian correction against the snapshot, which
@@ -21,6 +22,9 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .prox import Regularizer, reg_value
+
+#: the all-components index: every oracle reads it as a view of its data
+ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -68,16 +72,20 @@ class SmoothnessConstants:
 class CompositionProblem:
     """Base class bundling the component oracles, regularizer and dimensions.
 
-    Subclasses implement four oracles over an index `idx` that is an int or
-    an index array of any shape; each index it holds is one oracle sample. An
-    int evaluates one component and returns one row: shape (k,) for an inner
-    value, (d,) for a vector-Jacobian product, a scalar for an outer value.
-    An array returns one row per index, shape idx.shape + (k,), and so on.
-    The cotangent `u` of `inner_vjp` and the point `y` of `outer_grad`
-    broadcast against idx.shape + (k,): one shared (k,) row, one row per
-    index, or a (t, 1, k) stack shared along the last axis of a (t, a)
-    index. Oracles must be pure: the same (index, point) pair always returns
-    the same values.
+    Subclasses implement four oracles over an index `idx` that is an int, an
+    index array of any shape, or `ALL` (slice(None)); each index it holds is
+    one oracle sample. An int evaluates one component and returns one row:
+    shape (k,) for an inner value, (d,) for a vector-Jacobian product, a
+    scalar for an outer value. An array returns one row per index, shape
+    idx.shape + (k,), and so on; `ALL` returns every row in order, as
+    np.arange(m) (or n) would, but reads the problem's data as a view. The
+    cotangent `u` of `inner_vjp` and the point `y` of `outer_grad` broadcast
+    against idx.shape + (k,): one shared (k,) row, one row per index, or a
+    (t, 1, k) stack shared along the last axis of a (t, a) index. Oracles
+    must be pure and row-exact: a (component, point) pair gives the same bits
+    under every index form, since a snapshot's rows stand in for every step's
+    reference terms. So each component gets its own dot or matrix-vector
+    product: a BLAS product's rows can differ from the one-row call's.
     """
 
     #: known optimum, if the builder can certify one (used by verification)
@@ -117,7 +125,8 @@ class CompositionProblem:
                           "constants: override smoothness()")
 
 
-def _check_point(problem: CompositionProblem, x) -> np.ndarray:
+def check_point(problem: CompositionProblem, x) -> np.ndarray:
+    """x as a float (d,) array; InputError for another shape or a non-finite entry."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dims.d,):
         raise InputError(f"expected point of shape ({problem.dims.d},), got {x.shape}")
@@ -126,44 +135,43 @@ def _check_point(problem: CompositionProblem, x) -> np.ndarray:
     return x
 
 
-def inner_mean(problem: CompositionProblem, x):
-    """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x).
-    The Jacobian is the problem's read-only `constant_jacobian` when it sets
-    one; else row c is the mean VJP against e_c, one (m, d) sweep per row."""
-    x = _check_point(problem, x)
-    idx = np.arange(problem.dims.m)
-    g = problem.inner_value(idx, x).mean(axis=0)
+def mean_jacobian(problem: CompositionProblem, x) -> np.ndarray:
+    """(1/m) sum_j dg_j(x), shape (k, d): the problem's read-only
+    `constant_jacobian` when it sets one; else row c is the mean VJP against
+    e_c, one (m, d) sweep per row."""
     Z = problem.constant_jacobian
     if Z is None:
-        Z = np.array([problem.inner_vjp(idx, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
-    return g, Z
+        Z = np.array([problem.inner_vjp(ALL, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
+    return Z
+
+
+def inner_mean(problem: CompositionProblem, x):
+    """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x)."""
+    x = check_point(problem, x)
+    return problem.inner_value(ALL, x).mean(axis=0), mean_jacobian(problem, x)
 
 
 def outer_mean_grad(problem: CompositionProblem, y) -> np.ndarray:
     """(1/n) sum_i grad f_i(y)."""
-    idx = np.arange(problem.dims.n)
-    return problem.outer_grad(idx, y).mean(axis=0)
+    return problem.outer_grad(ALL, y).mean(axis=0)
 
 
 def full_gradient(problem: CompositionProblem, x) -> np.ndarray:
     """Exact gradient of F via the chain rule: one VJP sweep over all m inner
     maps, (1/m) sum_j dg_j(x)^T mean_i grad f_i(g(x))."""
-    x = _check_point(problem, x)
-    idx = np.arange(problem.dims.m)
-    g = problem.inner_value(idx, x).mean(axis=0)
-    return problem.inner_vjp(idx, x, outer_mean_grad(problem, g)).mean(axis=0)
+    x = check_point(problem, x)
+    g = problem.inner_value(ALL, x).mean(axis=0)
+    return problem.inner_vjp(ALL, x, outer_mean_grad(problem, g)).mean(axis=0)
 
 
 def smooth_value(problem: CompositionProblem, x) -> float:
     """F(x) without the regularizer; no feasibility requirement."""
-    x = _check_point(problem, x)
-    g = problem.inner_value(np.arange(problem.dims.m), x).mean(axis=0)
-    idx = np.arange(problem.dims.n)
-    return float(problem.outer_value(idx, g).mean())
+    x = check_point(problem, x)
+    g = problem.inner_value(ALL, x).mean(axis=0)
+    return float(problem.outer_value(ALL, g).mean())
 
 
 def objective(problem: CompositionProblem, x) -> float:
     """Phi(x) = F(x) + r(x); raises InfeasibleQueryError outside the box."""
     F = smooth_value(problem, x)  # raises InputError for a bad point
     return F + reg_value(problem.regularizer, x)
-

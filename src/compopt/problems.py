@@ -116,11 +116,13 @@ class MeanVarianceProblem(CompositionProblem):
         self.constant_jacobian = np.vstack((np.eye(d), 0.0 - self.mean_return))
         self.constant_jacobian.flags.writeable = False
 
+    # each <r_j, .> is its own dot product (np.vecdot), so a row never depends
+    # on the batch it was evaluated in, as a matrix-vector product's may
     def inner_value(self, idx, x):
         R = self.returns[idx]
         out = np.empty(R.shape[:-1] + (self.dims.k,))
         out[..., :-1] = x
-        out[..., -1] = -R @ x
+        out[..., -1] = -np.vecdot(R, x)
         return out
 
     def inner_vjp(self, idx, x, u):
@@ -128,15 +130,13 @@ class MeanVarianceProblem(CompositionProblem):
 
     def outer_value(self, idx, y):
         z, t = y[:-1], y[-1]
-        rz = self.returns[idx] @ z
-        return (rz + t) ** 2 - rz
+        rz = np.vecdot(self.returns[idx], z)
+        # np.square, not ** 2: a float64 scalar's power calls pow(), an array's squares
+        return np.square(rz + t) - rz
 
     def outer_grad(self, idx, y):
         R = self.returns[idx]
-        if y.ndim == 1:  # one point: a matrix-vector product
-            u = R @ y[:-1] + y[-1]
-        else:
-            u = np.einsum("...d,...d->...", R, y[..., :-1]) + y[..., -1]
+        u = np.vecdot(R, y[..., :-1]) + y[..., -1]
         out = np.empty(u.shape + (self.dims.k,))
         out[..., :-1] = (2.0 * u - 1.0)[..., None] * R
         out[..., -1] = 2.0 * u
@@ -216,9 +216,9 @@ class AffineQuadraticProblem(CompositionProblem):
         self.phi_star = float((S * resid) @ resid + spread + reg_value(regularizer, x_star))
 
     def inner_value(self, idx, x):
-        # one matrix-vector product over all gathered rows, which are freed
-        # before the offsets are gathered
-        out = (self.A[idx].reshape(-1, self.dims.d) @ x).reshape(np.shape(idx) + (self.dims.k,))
+        # one matrix-vector product per component, as an int index computes it;
+        # the gathered A_j are freed before the offsets are gathered and added in place
+        out = self.A[idx] @ x
         out += self.b[idx]
         return out
 

@@ -32,6 +32,13 @@ class TestSampleBudget:
                     runner(toy, config(), np.zeros(3), budget)
 
 
+    @pytest.mark.parametrize("runner", [run_agd, run_scgd, run_ascpg, run_vrscpg])
+    def test_unbudgeted_baseline_is_config_error(self, toy, runner):
+        # each of these runs stops only once its budget is spent
+        with pytest.raises(ConfigError, match="max_samples is required"):
+            runner(toy, config(), np.zeros(3), None)
+
+
 class TestAgd:
     def test_charges_m_plus_n_per_iteration(self, toy):
         _, rows = run_agd(toy, config(), np.zeros(3), 8 * 5)

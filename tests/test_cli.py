@@ -201,6 +201,16 @@ class TestBadInput:
         assert "[PASS]" not in captured.out
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("run", "--algo", "vrscpg", "--epochs", "2", "--schedule", "constant"),
+         "--epochs, --schedule not read by vrscpg"),
+        (("bench", "--algo", "scgd,ascpg", "--k0", "3", "--eta", "0.5"),
+         "--eta, --k0 not read by scgd or ascpg"),
+    ], ids=["vrscpg", "scgd,ascpg"])
+    def test_unread_setting_is_named_by_its_flag(self, argv, message, tmp_path, capsys):
+        assert run_cli(*argv, "--problem", "toy", "--out", str(tmp_path / "t.csv")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("algo", ["scvrg", "scgd"])
     def test_budget_rounding_to_zero_samples(self, algo, tmp_path, capsys):
         # 1e-9 x N = 200 rounds to 0 samples, whichever algorithm is asked for

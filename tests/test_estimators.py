@@ -35,16 +35,40 @@ class CurvedInnerProblem(CompositionProblem):
     def inner_vjp(self, idx, x, u):
         return np.array([[2.0 * x[0]], [1.0]])[idx] * u
 
+    #: f_i's weight i + 1, an array so that every index form gathers from it
+    weights = np.array([1.0, 2.0])
+
     def outer_value(self, idx, y):
-        return (np.asarray(idx) + 1) * y[0] ** 2
+        return self.weights[idx] * y[0] ** 2
 
     def outer_grad(self, idx, y):
-        return (2.0 * (np.asarray(idx) + 1))[..., None] * y
+        return (2.0 * self.weights[idx])[..., None] * y
 
 
 @pytest.fixture
 def affine_toy():
     return build_toy("affine", d=2, m=3, n=3, seed=0)
+
+
+#: an estimate at x = x~ is the snapshot's bit for bit on each of these
+FIXED_POINT_BUILDERS = {
+    "affine": lambda: build_toy("affine", d=2, m=3, n=3, seed=0),
+    "meanvar-d25": lambda: build_mean_variance(synthetic_returns(2000, 25, seed=0)),
+    "bellman-50x800": lambda: build_bellman(random_bellman_spec(50, 800, 0.9, seed=0)),
+    "curved": CurvedInnerProblem,
+}
+
+
+def fixed_point_cases():
+    """(name, problem, snapshot, draw of 20 steps) per FIXED_POINT_BUILDERS
+    entry, the snapshot at a random point of the box."""
+    rng = np.random.default_rng(6)
+    for name, make in FIXED_POINT_BUILDERS.items():
+        problem = make()
+        m, n, d = problem.dims.m, problem.dims.n, problem.dims.d
+        snap = take_snapshot(problem, rng.uniform(-0.9, 0.9, size=d) * problem.regularizer.radius)
+        yield name, problem, snap, draw_minibatch(m, n, 5, 5, seed=1, epoch=1,
+                                                  iteration=np.arange(20))
 
 
 class TestMinibatchRng:
@@ -191,10 +215,12 @@ class TestTakeSnapshot:
 
 
 class TestEstimateInner:
-    def test_fixed_point_at_reference(self, affine_toy):
-        snap = take_snapshot(affine_toy, np.array([0.2, 0.1]))
-        g_t = estimate_inner(affine_toy, snap, snap.x_tilde, A=np.array([1, 2]))
-        np.testing.assert_array_equal(g_t, snap.g_tilde)
+    def test_fixed_point_at_reference(self):
+        for name, problem, snap, draw in fixed_point_cases():
+            for A in (draw.A[0], draw.A):  # one step, and a (t, a) stack
+                g_t = estimate_inner(problem, snap, snap.x_tilde, A)
+                np.testing.assert_array_equal(g_t, np.broadcast_to(snap.g_tilde, g_t.shape),
+                                              err_msg=name)
 
     def test_full_enumeration_exact_on_affine(self, affine_toy):
         snap = take_snapshot(affine_toy, np.zeros(2))
@@ -221,12 +247,15 @@ class TestEstimateInner:
 
 
 class TestEstimateGradient:
-    def test_fixed_point_at_reference(self, affine_toy):
-        snap = take_snapshot(affine_toy, np.array([0.3, -0.1]))
-        for trial in range(20):
-            draw = draw_minibatch(3, 3, 2, 2, seed=trial, epoch=1, iteration=0)
-            v = estimate_gradient(affine_toy, snap, snap.x_tilde, draw.A, draw.B)
-            np.testing.assert_allclose(v, snap.v_tilde, atol=1e-12)
+    def test_fixed_point_at_reference(self):
+        # the gathered snapshot rows equal fresh x~ evaluations bit for bit,
+        # so every correction is exactly zero
+        for name, problem, snap, draw in fixed_point_cases():
+            for t in range(20):
+                v = estimate_gradient(problem, snap, snap.x_tilde, draw.A[t], draw.B[t])
+                np.testing.assert_array_equal(v, snap.v_tilde, err_msg=name)
+            v = estimate_gradient(problem, snap, snap.x_tilde, draw.A, draw.B)
+            np.testing.assert_array_equal(v, np.broadcast_to(snap.v_tilde, v.shape), err_msg=name)
 
     def test_singleton_problem_exact(self):
         toy = build_toy("affine", d=2, m=1, n=1, seed=1)

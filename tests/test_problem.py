@@ -1,5 +1,7 @@
 """Tests for the oracle model: dims, full-batch quantities, smoothness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from compopt.errors import ConfigError, InfeasibleQueryError, InputError
 from compopt.estimators import (estimate_gradient, estimate_inner,
                                 take_snapshot, unbiased_reference_gradient)
 from compopt.harness import polish_phi_star
-from compopt.problem import (ProblemDims, SmoothnessConstants, full_gradient,
+from compopt.problem import (ALL, ProblemDims, SmoothnessConstants, full_gradient,
                              inner_mean, objective, smooth_value)
 from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
                               build_bellman, build_mean_variance, build_toy,
@@ -16,7 +18,7 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig
 from compopt.verify import check_lemma1
-from test_estimators import CurvedInnerProblem
+from test_estimators import CurvedInnerProblem, assert_same_bits
 
 
 def two_asset_problem(lam=0.0):
@@ -26,30 +28,31 @@ def two_asset_problem(lam=0.0):
 
 
 CONTRACT_PROBLEMS = {
-    # mean-variance: an int index runs a 1-D dot, an array a matrix-vector
-    # product; both add the same d products, in different orders
-    "meanvar": (lambda: build_mean_variance(synthetic_returns(40, 25, seed=3)), 1e-14),
-    "bellman": (lambda: build_bellman(random_bellman_spec(6, 8, 0.9, seed=3)), 0.0),
-    "identity": (lambda: build_toy("identity", d=4, m=5, n=4, seed=3), 0.0),
-    "affine": (lambda: build_toy("affine", d=4, m=5, n=4, seed=3), 0.0),
-    "mixed": (lambda: build_toy("mixed", d=4, m=5, n=2, seed=3), 0.0),
-    "curved": (CurvedInnerProblem, 0.0),
+    "meanvar": lambda: build_mean_variance(synthetic_returns(40, 25, seed=3)),
+    "bellman": lambda: build_bellman(random_bellman_spec(6, 8, 0.9, seed=3)),
+    "identity": lambda: build_toy("identity", d=4, m=5, n=4, seed=3),
+    "affine": lambda: build_toy("affine", d=4, m=5, n=4, seed=3),
+    "mixed": lambda: build_toy("mixed", d=4, m=5, n=2, seed=3),
+    "curved": CurvedInnerProblem,
+}
+
+#: every shipped class at the sizes the benchmarks and acceptance runs use
+ROW_EXACT_PROBLEMS = {
+    "meanvar-d25": lambda: build_mean_variance(synthetic_returns(2000, 25, seed=0)),
+    "meanvar-d200": lambda: build_mean_variance(synthetic_returns(2000, 200, seed=7)),
+    "bellman-50x800": lambda: build_bellman(random_bellman_spec(50, 800, 0.9, seed=0)),
+    "identity": lambda: build_toy("identity", d=4, m=5, n=4, seed=3),
+    "affine": lambda: build_toy("affine", d=4, m=5, n=4, seed=3),
+    "mixed": lambda: build_toy("mixed", d=4, m=5, n=2, seed=3),
 }
 
 
 class TestIndexContract:
     @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
     def test_int_call_is_row_of_array_call(self, name):
-        make, tol = CONTRACT_PROBLEMS[name]
-        problem = make()
+        problem = CONTRACT_PROBLEMS[name]()
         m, n, d, k = problem.dims.m, problem.dims.n, problem.dims.d, problem.dims.k
-
-        def same(a, b):
-            if tol == 0.0:
-                np.testing.assert_array_equal(a, b)
-            else:
-                np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
-
+        same = np.testing.assert_array_equal
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.uniform(-0.9, 0.9, size=d) * problem.regularizer.radius
@@ -79,8 +82,8 @@ class TestIndexContract:
     def test_trial_axis_is_stack_of_1d_calls(self, name):
         """A (t, a) index with (t, 1, k) cotangents or points returns the t
         1-D calls stacked, and so do the estimators built on the oracles."""
-        make, tol = CONTRACT_PROBLEMS[name]
-        problem = make()
+        problem = CONTRACT_PROBLEMS[name]()
+        same = np.testing.assert_array_equal
         m, n, d, k = problem.dims.m, problem.dims.n, problem.dims.d, problem.dims.k
         rng = np.random.default_rng(2)
         x, x_ref = rng.uniform(-0.9, 0.9, size=(2, d)) * problem.regularizer.radius
@@ -96,14 +99,11 @@ class TestIndexContract:
         assert ((G.shape, V.shape, F.shape, D.shape, g_t.shape, u_t.shape, v_t.shape)
                 == ((t, a, k), (t, a, d), (t, a), (t, a, k), (t, k), (t, d), (t, d)))
         for r in range(t):
-            np.testing.assert_allclose(G[r], problem.inner_value(A[r], x), rtol=tol, atol=tol)
-            np.testing.assert_allclose(V[r], problem.inner_vjp(A[r], x, U[r, 0]),
-                                       rtol=tol, atol=tol)
-            np.testing.assert_allclose(F[r], problem.outer_value(B[r], y), rtol=tol, atol=tol)
-            np.testing.assert_allclose(D[r], problem.outer_grad(B[r], Y[r, 0]),
-                                       rtol=tol, atol=tol)
-            np.testing.assert_allclose(g_t[r], estimate_inner(problem, snap, x, A[r]),
-                                       rtol=tol, atol=tol)
+            same(G[r], problem.inner_value(A[r], x))
+            same(V[r], problem.inner_vjp(A[r], x, U[r, 0]))
+            same(F[r], problem.outer_value(B[r], y))
+            same(D[r], problem.outer_grad(B[r], Y[r, 0]))
+            same(g_t[r], estimate_inner(problem, snap, x, A[r]))
             # u_t's and v_t's (t, k) @ Z are matrix products, one row's a
             # vector product: the same sums, possibly in another order
             np.testing.assert_allclose(u_t[r], unbiased_reference_gradient(problem, snap, x, B[r]),
@@ -113,7 +113,7 @@ class TestIndexContract:
 
     @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
     def test_vjp_matches_central_differences(self, name):
-        problem = CONTRACT_PROBLEMS[name][0]()
+        problem = CONTRACT_PROBLEMS[name]()
         m, d, k = problem.dims.m, problem.dims.d, problem.dims.k
         rng = np.random.default_rng(1)
         h = 1e-6
@@ -124,6 +124,44 @@ class TestIndexContract:
                                 - problem.inner_value(j, x - h * e)) / (2 * h)
                            for e in np.eye(d)])
             np.testing.assert_allclose(problem.inner_vjp(j, x, u), fd, rtol=1e-6)
+
+
+class TestRowExactness:
+    """Every index form returns a component's row bit for bit: the int call,
+    an (a,) call, a (t, a) call and the all-components call `ALL`. A snapshot's
+    rows stand in for every step's reference terms only because of this."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_EXACT_PROBLEMS))
+    def test_every_index_form_gives_the_same_row(self, name):
+        problem = ROW_EXACT_PROBLEMS[name]()
+        m, n, d, k = problem.dims.m, problem.dims.n, problem.dims.d, problem.dims.k
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-0.9, 0.9, size=d) * problem.regularizer.radius
+        y, u = rng.normal(size=(2, k))
+        oracles = {"inner_value": (m, lambda idx: problem.inner_value(idx, x)),
+                   "inner_vjp": (m, lambda idx: problem.inner_vjp(idx, x, u)),
+                   "outer_value": (n, lambda idx: problem.outer_value(idx, y)),
+                   "outer_grad": (n, lambda idx: problem.outer_grad(idx, y))}
+        for label, (count, oracle) in oracles.items():
+            rows = oracle(ALL)
+            assert rows.shape[0] == count, label
+            assert_same_bits(np.array([oracle(j) for j in range(count)]), rows)
+            for shape in ((5,), (40, 5)):
+                idx = rng.integers(0, count, size=shape)
+                assert_same_bits(oracle(idx), rows[idx])
+
+    @pytest.mark.parametrize("full_batch", [full_gradient, smooth_value])
+    def test_full_batch_reads_a_view(self, full_batch):
+        # A is (800, 50, 50), 16.0 MB: an np.arange(m) index would copy all of it
+        problem = ROW_EXACT_PROBLEMS["bellman-50x800"]()
+        x = np.full(problem.dims.d, 0.1)
+        tracemalloc.start()
+        try:
+            full_batch(problem, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < problem.A.nbytes / 10
 
 
 class TestProblemDims:
