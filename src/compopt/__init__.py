@@ -26,7 +26,7 @@ from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
 from .prox import Regularizer, prox_step, reg_value
 from .solver import (EpochInfo, RunConfig, ScvrgResult, derive_theorem_params,
                      predicted_total_samples, run_epoch, run_scvrg)
-from .trace import TRACE_HEADER, TraceRecord
+from .trace import TRACE_HEADER, Recorder, TraceRecord
 from .verify import (CheckReport, all_passed, check_epoch_contraction,
                      check_gradient_fd, check_lemma1, check_lemma2,
                      check_unbiasedness, epoch_potentials, run_all_checks)

@@ -16,9 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .estimators import SampleMeter, minibatch_rng, take_snapshot
-from .problem import CompositionProblem, full_gradient, objective
+from .errors import ConfigError
+from .estimators import SampleMeter, minibatch_rng
+from .problem import CompositionProblem, full_gradient, objective, start_point
 from .prox import prox_step
 from .solver import RunConfig, run_epoch
 from .trace import Recorder
@@ -37,12 +37,6 @@ def _budget_meter(max_samples, algorithm) -> SampleMeter:
     return SampleMeter(max_samples)
 
 
-def _check_finite(x, algorithm):
-    # x is a prox output, in [-R, R] or NaN: its sum is finite iff every entry is
-    if not np.isfinite(x.sum()):
-        raise DivergenceError(f"{algorithm}: non-finite iterate")
-
-
 def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
             phi_star: float | None = None, trace_every: int | None = None):
     """Accelerated full-batch proximal gradient with function restarts.
@@ -54,14 +48,14 @@ def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int
     m, n = problem.dims.m, problem.dims.n
     meter = _budget_meter(max_samples, "agd")
     step = 1.0 / problem.smoothness().ell
-    x = np.asarray(x0, dtype=float).copy()
+    x = start_point(problem, x0)
     rec = Recorder(problem, "agd", config.seed, meter, x, phi_star, every=trace_every)
     y, t_k, phi, it = x.copy(), 1.0, objective(problem, x), 0
     while meter.affords(m + n):
         it += 1
         meter.add(m + n)
         x_new = prox_step(problem.regularizer, y - step * full_gradient(problem, y), step)
-        _check_finite(x_new, "agd")
+        rec.check_finite(0, it, x_new)
         phi_new = objective(problem, x_new)
         if phi_new > phi:
             t_k, y = 1.0, x.copy()
@@ -102,7 +96,7 @@ def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerate
     m, n = problem.dims.m, problem.dims.n
     tag, cost = ("ascpg", 3) if accelerated else ("scgd", 2)
     meter = _budget_meter(max_samples, tag)
-    x = np.asarray(x0, dtype=float).copy()
+    x = start_point(problem, x0)
     if accelerated:
         # seed the tracker with one inner sample at the start point
         rng0 = minibatch_rng(seed, 0, 0, stream=2)
@@ -131,7 +125,6 @@ def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerate
             grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
             x = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
         meter.add(cost)
-        _check_finite(x, tag)
         rec.record_step(0, t, x)
     rec.record(0, t, x)
     return x, rec.rows
@@ -145,17 +138,12 @@ def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: 
     and a constant step; the reference point for each snapshot is the last
     iterate. Charges m + n per snapshot and a + b per inner step.
     """
-    m, n = problem.dims.m, problem.dims.n
-    K = math.ceil((m + n) ** (2.0 / 3.0))
-    # a constant step never reads S or k0, which size only the adaptive schedule
-    engine = replace(config, k0=K, schedule="constant")
-    meter = _budget_meter(max_samples, "vrscpg")
-    x = np.asarray(x0, dtype=float).copy()
-    rec = Recorder(problem, "vrscpg", config.seed, meter, x, phi_star, every=trace_every)
-    epoch = 0
-    while meter.affords(m + n + config.a + config.b):
-        epoch += 1
-        snapshot = take_snapshot(problem, x, meter=meter)
-        x = run_epoch(problem, snapshot, x, K, 0, engine, epoch_index=epoch,
-                      meter=meter, recorder=rec).x_last
+    K = math.ceil((problem.dims.m + problem.dims.n) ** (2.0 / 3.0))
+    engine = replace(config, schedule="constant")
+    x = start_point(problem, x0)
+    rec = Recorder(problem, "vrscpg", config.seed, _budget_meter(max_samples, "vrscpg"), x,
+                   phi_star, every=trace_every)
+    epoch = 1
+    while (info := run_epoch(problem, x, x, K, 0, engine, epoch, rec)) is not None:
+        x, epoch = info.x_last, epoch + 1
     return x, rec.rows

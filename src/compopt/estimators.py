@@ -56,7 +56,8 @@ class SampleMeter:
     unbudgeted), shared by all algorithms.
 
     One inner index costs 1 (the g_j/dg_j pair at one point), one outer index
-    costs 1, a full snapshot costs m+n.
+    costs 1, a full snapshot costs m+n. The snapshot and the estimators charge
+    nothing: each cost is charged by the loop that checks `affords` for it.
     """
 
     budget: int | None = None
@@ -187,16 +188,15 @@ def draw_minibatch(m: int, n: int, a: int, b: int,
     return MiniBatchDraw(A=A, B=B)
 
 
-def take_snapshot(problem: CompositionProblem, x_tilde, meter: SampleMeter | None = None) -> EpochSnapshot:
-    """Full-batch snapshot at x_tilde, with its (m + n) k rows; charges m+n samples."""
+def take_snapshot(problem: CompositionProblem, x_tilde) -> EpochSnapshot:
+    """Full-batch snapshot at x_tilde, with its (m + n) k rows: m + n samples,
+    which the caller charges."""
     x_tilde = check_point(problem, x_tilde).copy()
     g_rows = problem.inner_value(ALL, x_tilde)
     g = g_rows.mean(axis=0)
     Z = mean_jacobian(problem, x_tilde)
     df_rows = problem.outer_grad(ALL, g)
     v = Z.T @ df_rows.mean(axis=0)
-    if meter is not None:
-        meter.add(problem.dims.m + problem.dims.n)
     return EpochSnapshot(x_tilde=x_tilde, g_tilde=g, z_tilde=Z, v_tilde=v,
                          g_rows=g_rows, df_rows=df_rows)
 
@@ -206,26 +206,23 @@ def _batch_mean(rows: np.ndarray) -> np.ndarray:
     return np.einsum("...ak->...k", rows) / rows.shape[-2]
 
 
-def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A,
-                   meter: SampleMeter | None = None) -> np.ndarray:
+def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A) -> np.ndarray:
     """Control-variate estimate of the inner value at x.
 
     g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)), the mean over A's last axis:
     A of shape (t, a) gives t estimates, shape (t, k). The g_j(x~) are the
-    snapshot's rows. Charges A.size inner samples.
+    snapshot's rows. Costs A.size inner samples.
     """
     A = np.asarray(A)
     if A.size == 0:
         raise ConfigError("inner minibatch A must be nonempty")
     x = np.asarray(x, dtype=float)
     g_new = problem.inner_value(A, x)
-    if meter is not None:
-        meter.add(A.size)
     return snapshot.g_tilde + _batch_mean(g_new - snapshot.g_rows[A])
 
 
 def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, g_t, A, B):
-    """v_t from the inner estimate g_t, charging nothing: A (a,), B (b,) and
+    """v_t from the inner estimate g_t: A (a,), B (b,) and
     g_t (k,) give shape (d,); A (t, a), B (t, b) and g_t (t, k) give (t, d).
 
     The grad f_i(g~) are the snapshot's rows. When the problem sets
@@ -244,23 +241,20 @@ def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, g_t, A
     return v + _batch_mean(problem.inner_vjp(A, x, u) - problem.inner_vjp(A, snapshot.x_tilde, u))
 
 
-def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B,
-                      meter: SampleMeter | None = None) -> np.ndarray:
+def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B) -> np.ndarray:
     """Variance-reduced gradient estimate built on the inner estimates.
 
     v_t = v~ + mean_{i in B} ( z_t^T grad f_i(g_t) - z~^T grad f_i(g~) ), where
     z_t = z~ + mean_{j in A} (dg_j(x) - dg_j(x~)) enters only through VJPs:
     v_t = v~ + z~^T (df_new - df_ref) + mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new.
     A of shape (t, a) and B of shape (t, b) give t estimates, shape (t, d).
-    Charges A.size inner plus B.size outer samples.
+    Costs A.size inner plus B.size outer samples.
     """
     A, B = np.asarray(A), np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
     x = np.asarray(x, dtype=float)
-    g_t = estimate_inner(problem, snapshot, x, A, meter=meter)
-    if meter is not None:
-        meter.add(B.size)
+    g_t = estimate_inner(problem, snapshot, x, A)
     return _vr_gradient(problem, snapshot, x, g_t, A, B)
 
 

@@ -135,6 +135,14 @@ def check_point(problem: CompositionProblem, x) -> np.ndarray:
     return x
 
 
+def start_point(problem: CompositionProblem, x0) -> np.ndarray:
+    """A run's first iterate: check_point(x0) copied; InputError outside the box."""
+    x = check_point(problem, x0).copy()
+    if not problem.regularizer.contains(x):
+        raise InputError("initial point is outside the feasible box")
+    return x
+
+
 def mean_jacobian(problem: CompositionProblem, x) -> np.ndarray:
     """(1/m) sum_j dg_j(x), shape (k, d): the problem's read-only
     `constant_jacobian` when it sets one; else row c is the mean VJP against

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InputError
-from .estimators import (EpochSnapshot, SampleMeter, draw_minibatch,
-                         estimate_gradient, take_snapshot)
-from .problem import CompositionProblem
+from .errors import ConfigError
+from .estimators import SampleMeter, draw_minibatch, estimate_gradient, take_snapshot
+from .problem import CompositionProblem, start_point
 from .prox import prox_step
 from .trace import Recorder
 
@@ -49,6 +48,10 @@ class RunConfig:
             raise ConfigError(f"batch sizes out of range: a={self.a}, b={self.b}")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+        # no run takes 2^63 steps, and a float step cannot hold T; S >= 64 skips 2^S
+        if self.S >= 64 or self.T >= 2**63:
+            raise ConfigError(f"schedule horizon T = k0 * 2^S - k0 must be below 2^63, "
+                              f"got k0={self.k0}, S={self.S}")
 
     @property
     def T(self) -> int:
@@ -109,25 +112,29 @@ class ScvrgResult:
     l_final: int
 
 
-def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
-              l: int, config: RunConfig, epoch_index: int,
-              meter: SampleMeter | None = None,
-              recorder: Recorder | None = None) -> EpochInfo:
-    """k minibatch proximal steps from x0 against one snapshot.
+def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: RunConfig,
+              epoch_index: int, recorder: Recorder) -> EpochInfo | None:
+    """The epoch body: a snapshot at x_ref, then k minibatch proximal steps
+    from x0 against it, or None, with nothing charged, if the recorder's meter
+    cannot pay m + n + a + b. It charges m + n for the snapshot and a + b per step.
 
     Returns the epoch's record: the unweighted mean of the k pre-update
     iterates, the final iterate and l advanced by one per step. When a == m
     (resp. b == n) the draw enumerates every index once, making the estimate
     exact; otherwise indices are sampled uniformly with replacement, drawn for
-    up to _DRAW_CHUNK indices' worth of steps at a time. The epoch
-    stops early, freezing the average, once the meter's budget cannot pay for
-    another step. The recorder, if given, gets a row at its cadence and one at
+    up to _DRAW_CHUNK indices' worth of steps at a time. The epoch stops
+    early, freezing the average, once the meter cannot pay for another step.
+    The recorder checks every step, and keeps a row at its cadence and one at
     the end of the epoch, at the number of steps taken.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
     m, n = problem.dims.m, problem.dims.n
-    meter = meter if meter is not None else SampleMeter()
+    meter, step_cost = recorder.meter, config.a + config.b
+    if not meter.affords(m + n + step_cost):
+        return None
+    snapshot = take_snapshot(problem, x_ref)
+    meter.add(m + n)
     x_start = np.asarray(x0, dtype=float)
     eta_start = config.step(l)
     x = x_start.copy()
@@ -136,7 +143,7 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
     full_A = np.arange(m) if config.a == m else None
     full_B = np.arange(n) if config.b == n else None
     sampled = full_A is None or full_B is None
-    chunk = max(1, _DRAW_CHUNK // (config.a + config.b))
+    chunk = max(1, _DRAW_CHUNK // step_cost)
 
     for t in range(k):
         x_sum += x
@@ -145,20 +152,16 @@ def run_epoch(problem: CompositionProblem, snapshot: EpochSnapshot, x0, k: int,
                                   np.arange(t, min(t + chunk, k)))
         A = full_A if full_A is not None else draw.A[t % chunk]
         B = full_B if full_B is not None else draw.B[t % chunk]
-        v = estimate_gradient(problem, snapshot, x, A, B, meter=meter)
+        v = estimate_gradient(problem, snapshot, x, A, B)
+        meter.add(step_cost)
         eta_t = config.step(l)
         l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)
-        # a prox output lies in [-R, R] or is NaN: its sum is finite iff every entry is
-        if not np.isfinite(x.sum()):
-            raise DivergenceError(f"non-finite iterate at epoch {epoch_index}, step {t}")
-        if recorder is not None:
-            recorder.record_step(epoch_index, t + 1, x)
-        if not meter.affords(config.a + config.b):
+        recorder.record_step(epoch_index, t + 1, x)
+        if not meter.affords(step_cost):
             x_sum += x * (k - t - 1)  # freeze the average at the stop point
             break
-    if recorder is not None:
-        recorder.record(epoch_index, t + 1, x)
+    recorder.record(epoch_index, t + 1, x)
     return EpochInfo(epoch=epoch_index, x_ref=snapshot.x_tilde, x_start=x_start,
                      x_avg=x_sum / k, x_last=x, k=k, eta_start=eta_start,
                      samples_end=meter.total, l=l)
@@ -175,26 +178,20 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
     m + n + k * (a + b); no snapshot or step starts that max_samples cannot
     pay for.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not problem.regularizer.contains(x0):
-        raise InputError("initial point is outside the feasible box")
-    m, n = problem.dims.m, problem.dims.n
-    meter = SampleMeter(max_samples)
-    recorder = Recorder(problem, "scvrg", config.seed, meter, x0, phi_star, every=trace_every)
+    x_ref = x_cur = start_point(problem, x0)
+    recorder = Recorder(problem, "scvrg", config.seed, SampleMeter(max_samples), x_ref,
+                        phi_star, every=trace_every)
     l = 0
-    x_ref = x0.copy()
-    x_cur = x0.copy()
     epochs: list[EpochInfo] = []
     for s in range(config.S):
-        if not meter.affords(m + n + config.a + config.b):
+        info = run_epoch(problem, x_ref, x_cur, config.k0 * 2 ** (s + 1), l, config,
+                         s + 1, recorder)
+        if info is None:
             break
-        snapshot = take_snapshot(problem, x_ref, meter=meter)
-        info = run_epoch(problem, snapshot, x_cur, config.k0 * 2 ** (s + 1), l, config,
-                         epoch_index=s + 1, meter=meter, recorder=recorder)
         epochs.append(info)
         l, x_ref, x_cur = info.l, info.x_avg, info.x_last
     return ScvrgResult(x=x_ref, trace=recorder.rows, epochs=epochs,
-                       samples=meter.total, l_final=l)
+                       samples=recorder.meter.total, l_final=l)
 
 
 def predicted_total_samples(config: RunConfig, m: int, n: int) -> int:

@@ -32,7 +32,8 @@ class TraceRecord:
 class Recorder:
     """Collects one run's trace rows at the samples its meter has charged,
     starting with the row at x0 (epoch 0, iteration 0), and aborts the run
-    once the objective exceeds 1e6 * (|Phi(x0)| + 1).
+    once a step's iterate is non-finite or a row's objective exceeds
+    1e6 * (|Phi(x0)| + 1).
 
     `record_step` keeps a row every `every` steps (None: none). A row that
     repeats the previous row's (epoch, iteration, samples) is dropped: no
@@ -52,8 +53,18 @@ class Recorder:
         self.record(0, 0, x0)
         self.phi_limit = 1e6 * (abs(self.rows[0].objective) + 1.0)
 
+    def _abort(self, what: str, epoch: int, iteration: int):
+        raise DivergenceError(f"{self.algorithm}: {what} at epoch {epoch}, iteration {iteration}")
+
+    def check_finite(self, epoch: int, steps: int, x):
+        """Abort the run if the iterate after `steps` steps is non-finite."""
+        # x is a prox output, in [-R, R] or NaN: its sum is finite iff every entry is
+        if not math.isfinite(x.sum()):
+            self._abort("non-finite iterate", epoch, steps)
+
     def record_step(self, epoch: int, steps: int, x):
-        """Record the iterate after `steps` steps if the cadence is due."""
+        """Check the iterate after `steps` steps, and record it if the cadence is due."""
+        self.check_finite(epoch, steps, x)
         if self.every is not None and steps % self.every == 0:
             self.record(epoch, steps, x)
 
@@ -63,9 +74,7 @@ class Recorder:
             return
         obj = objective(self.problem, x)
         if obj > self.phi_limit:
-            raise DivergenceError(
-                f"{self.algorithm}: objective {obj:g} exceeded the divergence limit "
-                f"at epoch {epoch}, iteration {iteration}")
+            self._abort(f"objective {obj:g} exceeded the divergence limit", epoch, iteration)
         gap = None if self.phi_star is None else obj - self.phi_star
         self.rows.append(TraceRecord(
             algorithm=self.algorithm, seed=self.seed, epoch=epoch, iteration=iteration,

@@ -123,7 +123,7 @@ def check_unbiasedness(problem: CompositionProblem, snapshot: EpochSnapshot, x,
 
 def _v_t(problem, snapshot, x, A, B):
     """v_t for a stack of inner draws A (t, a) and outer draws B (t, b), shape
-    (t, d): the solver's estimator body on estimate_inner's g_t, uncharged."""
+    (t, d): the solver's estimator body on estimate_inner's g_t."""
     g_t = estimate_inner(problem, snapshot, x, A)
     return estimators._vr_gradient(problem, snapshot, x, g_t, A, B)
 
@@ -333,7 +333,7 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
         reports.append(check_gradient_fd(problem, points, name=f"gradient_fd_{label}",
                                          seed=seed))
 
-    toy = build_toy("affine", d=3, m=4, n=3, seed=seed)
+    toy = builders["toy_affine"]
     x_ref = rng.uniform(-0.5, 0.5, size=toy.dims.d)
     x = rng.uniform(-0.5, 0.5, size=toy.dims.d)
     snapshot = take_snapshot(toy, x_ref)
@@ -346,7 +346,7 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     # combined bound run on the mixed toy, whose outer gradients differ by
     # scale; on the affine toy the combined bound would measure Lemma 1's
     # ||v_t - u_t||^2 again
-    mixed = build_toy("mixed", d=3, m=4, n=2, seed=seed)
+    mixed = builders["toy_mixed"]
     mixed_snapshot = take_snapshot(mixed, x_ref)
     reports.append(check_lemma2(mixed, mixed_snapshot, x, b=2, trials=trials, seed=seed))
     reports.append(check_combined_bound(mixed, mixed_snapshot, x, a=2, b=2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compopt.baselines import ALPHA0, run_agd, run_ascpg, run_scgd, run_vrscpg
-from compopt.errors import ConfigError
+from compopt.errors import ConfigError, InputError
 from compopt.estimators import SampleMeter
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
@@ -37,6 +37,23 @@ class TestSampleBudget:
         # each of these runs stops only once its budget is spent
         with pytest.raises(ConfigError, match="max_samples is required"):
             runner(toy, config(), np.zeros(3), None)
+
+
+class TestStartPoint:
+    @pytest.mark.parametrize("runner", [run_scvrg, run_vrscpg, run_scgd, run_ascpg, run_agd])
+    @pytest.mark.parametrize("x0, message", [
+        ([2.0, 0.0, 0.0], "outside the feasible box"),
+        ([np.nan, 0.0, 0.0], "non-finite"),
+        ([0.0, 0.0], "shape"),
+    ], ids=["infeasible", "nan", "shape"])
+    def test_bad_start_is_input_error_before_any_oracle(self, toy, monkeypatch, runner,
+                                                        x0, message):
+        # every runner checks its start point first; ASC-PG's tracker sample
+        # would otherwise query the inner map there
+        for oracle in ("inner_value", "inner_vjp", "outer_value", "outer_grad"):
+            monkeypatch.setattr(toy, oracle, lambda *a: pytest.fail("oracle called"))
+        with pytest.raises(InputError, match=message):
+            runner(toy, config(), np.array(x0), 100)
 
 
 class TestAgd:

@@ -181,6 +181,7 @@ class TestBadInput:
         ("phistar", "--problem", "toy", "--budget", "-5"),
         ("bench", "--problem", "toy", "--algo", "scgd", "--a", "0", "--b", "0"),
         ("run", "--problem", "toy", "--epochs", "0"),
+        ("run", "--problem", "toy", "--d", "2", "--n", "4", "--epochs", "1100", "--budget", "5"),
         ("run", "--problem", "toy", "--algo", "scgd", "--eta", "nan"),
         ("bench", "--problem", "toy", "--algo", "scgd", "--k0", "0", "--epochs", "-3",
          "--schedule", "constant"),

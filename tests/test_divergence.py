@@ -1,5 +1,6 @@
-"""The divergence path: a run whose iterate turns non-finite aborts with
-DivergenceError in every algorithm, and the command line exits with code 2."""
+"""The divergence path: a run whose iterate turns non-finite, or whose
+objective exceeds its Recorder's limit, aborts with DivergenceError, and the
+command line exits with code 2."""
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ RUNNERS = {"scvrg": run_scvrg, "vrscpg": run_vrscpg, "scgd": run_scgd,
 @pytest.mark.parametrize("algorithm", RUNNERS)
 def test_nan_oracle_raises_divergence(algorithm):
     problem = NanAfterProblem()
-    with pytest.raises(DivergenceError, match="non-finite iterate"):
+    with pytest.raises(DivergenceError,
+                       match=rf"^{algorithm}: non-finite iterate at epoch \d+, iteration \d+$"):
         RUNNERS[algorithm](problem, RunConfig(S=3), np.zeros(3), 10_000)
     assert problem.good < 0  # the run reached the NaN oracle before it aborted
 
@@ -47,3 +49,22 @@ def test_nan_oracle_run_exits_two(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("run aborted: 1 of 1 runs diverged")
     rows = out.read_text().strip().split("\n")
     assert rows[1].startswith("scvrg,0,-1,-1,")  # the abort marker is still written
+
+
+def test_objective_limit_raises_divergence():
+    # eta = 10 on a box of radius 1e6 throws the iterate far from the optimum
+    toy = build_toy("affine", d=3, m=4, seed=0, radius=1e6)
+    with pytest.raises(DivergenceError,
+                       match=r"^scvrg: objective \S+ exceeded the divergence limit at epoch 1, "
+                             r"iteration 20$"):
+        run_scvrg(toy, RunConfig(S=1, eta=10.0), np.zeros(3))
+
+
+def test_objective_limit_run_exits_two(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert cli.cli_main(["run", "--problem", "toy", "--d", "3", "--n", "4", "--radius", "1e6",
+                         "--eta", "10", "--budget", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted: 1 of 1 runs diverged")
+    assert "exceeded the divergence limit" in err
+    assert out.read_text().strip().split("\n")[1].startswith("scvrg,0,-1,-1,")

@@ -18,6 +18,8 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset, build_bell
                               build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
+from compopt.solver import RunConfig, run_epoch
+from compopt.trace import Recorder
 
 
 class CurvedInnerProblem(CompositionProblem):
@@ -48,6 +50,14 @@ class CurvedInnerProblem(CompositionProblem):
 @pytest.fixture
 def affine_toy():
     return build_toy("affine", d=2, m=3, n=3, seed=0)
+
+
+def one_epoch_ledger(problem, k, a, b):
+    """The samples column of one k-step epoch from 0, a row per step."""
+    x0 = np.zeros(problem.dims.d)
+    rec = Recorder(problem, "scvrg", 0, SampleMeter(), x0, every=1)
+    run_epoch(problem, x0, x0, k, 0, RunConfig(S=1, a=a, b=b), 1, rec)
+    return [row.samples for row in rec.rows]
 
 
 #: an estimate at x = x~ is the snapshot's bit for bit on each of these
@@ -195,9 +205,10 @@ class TestTakeSnapshot:
         np.testing.assert_allclose(snap.v_tilde, full_gradient(affine_toy, x), atol=1e-14)
 
     def test_charges_m_plus_n(self, affine_toy):
-        meter = SampleMeter()
-        take_snapshot(affine_toy, np.zeros(2), meter=meter)
-        assert meter.total == affine_toy.dims.m + affine_toy.dims.n
+        # the snapshot charges nothing itself: its epoch charges m + n for it,
+        # then a + b for the first step
+        rows = one_epoch_ledger(affine_toy, k=1, a=1, b=1)
+        assert rows == [0, affine_toy.dims.m + affine_toy.dims.n + 2]
 
     @pytest.mark.parametrize("full_batch", [take_snapshot, full_gradient])
     def test_memory_does_not_grow_as_m_k_d(self, full_batch):
@@ -240,10 +251,10 @@ class TestEstimateInner:
         np.testing.assert_allclose(mean_g, g_exact, atol=1e-14)
 
     def test_charges_a(self, affine_toy):
-        meter = SampleMeter()
-        snap = take_snapshot(affine_toy, np.zeros(2))
-        estimate_inner(affine_toy, snap, np.zeros(2), A=np.array([0, 1, 1]), meter=meter)
-        assert meter.total == 3
+        # the estimate charges nothing itself: its epoch charges each step's
+        # a = 3 inner and b = 1 outer indices
+        m_n = affine_toy.dims.m + affine_toy.dims.n
+        assert one_epoch_ledger(affine_toy, k=2, a=3, b=1) == [0, m_n + 4, m_n + 8]
 
 
 class TestEstimateGradient:

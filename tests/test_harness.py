@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: phi* computation, CSV emission."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,9 +162,9 @@ class TestRunBenchmark:
         spec = ExperimentSpec(problem=p, algorithms=["scvrg", "scgd"],
                               budget=10.0, seeds=[1, 2], out=out)
         run_benchmark(spec)
-        first = open(out).read()
+        first = Path(out).read_text()
         run_benchmark(spec)
-        second = open(out).read()
+        second = Path(out).read_text()
         assert first == second  # bit-identical rerun
         lines = first.strip().split("\n")
         assert lines[0] == TRACE_HEADER
@@ -175,7 +176,7 @@ class TestRunBenchmark:
         spec = ExperimentSpec(problem=p, algorithms=["scvrg", "scgd"],
                               budget=10.0, seeds=[1, 2], out=out)
         run_benchmark(spec)
-        rows = [line.split(",") for line in open(out).read().strip().split("\n")[1:]]
+        rows = [line.split(",") for line in Path(out).read_text().strip().split("\n")[1:]]
         runs = {}
         for r in rows:
             runs.setdefault((r[0], r[1]), []).append(int(r[4]))
@@ -190,7 +191,7 @@ class TestRunBenchmark:
                               budget=200.0, seeds=[0], out=out)
         run_benchmark(spec)
         gaps = [float(line.split(",")[7])
-                for line in open(out).read().strip().split("\n")[1:]]
+                for line in Path(out).read_text().strip().split("\n")[1:]]
         assert min(gaps) >= -1e-9
 
     def test_medium_profile_under_a_minute(self, tmp_path):

@@ -5,16 +5,21 @@ import pytest
 
 from compopt import solver
 from compopt.errors import ConfigError, InputError
-from compopt.estimators import (MiniBatchDraw, SampleMeter, minibatch_rng,
-                                take_snapshot)
+from compopt.estimators import MiniBatchDraw, SampleMeter, minibatch_rng
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
 from compopt.solver import (RunConfig, derive_theorem_params,
                             predicted_total_samples, run_epoch, run_scvrg)
+from compopt.trace import Recorder
 
 # one epoch of k0 * 2 = 100 steps: schedule horizon T = 50
 STEPS = RunConfig(S=1, k0=50, eta=0.01)
+
+
+def recorder(problem, x0, max_samples=None, every=None):
+    """A fresh run's recorder and meter, as run_scvrg makes them."""
+    return Recorder(problem, "scvrg", 0, SampleMeter(max_samples), x0, every=every)
 
 
 class TestStepSize:
@@ -39,6 +44,12 @@ class TestRunConfig:
     def test_horizon(self):
         assert RunConfig(S=3, k0=10).T == 70
 
+    def test_horizon_just_below_2_63_steps(self):
+        # T = 2^63 - 1 is accepted, and its step schedule is a float
+        cfg = RunConfig(S=63, k0=1)
+        assert cfg.T == 2**63 - 1
+        assert cfg.step(0) == pytest.approx(cfg.eta / np.sqrt(2.0))
+
     def test_epoch_lengths_sum_to_2T(self):
         cfg = RunConfig(S=4, k0=5)
         assert sum(5 * 2 ** (s + 1) for s in range(4)) == 2 * cfg.T
@@ -46,7 +57,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("bad", [dict(k0=0), dict(S=-1), dict(eta=0.0),
                                      dict(a=0), dict(b=2**31), dict(schedule="x"),
                                      dict(S=0), dict(eta=float("nan")),
-                                     dict(eta=float("inf"))])
+                                     dict(eta=float("inf")), dict(S=64), dict(S=1100),
+                                     dict(S=60, k0=9)])
     def test_validation(self, bad):
         kwargs = dict(S=2)
         kwargs.update(bad)
@@ -85,8 +97,8 @@ class TestRunEpoch:
         toy = build_toy("affine", d=2, m=3, n=3, seed=0, radius=1e6)
         cfg = RunConfig(S=2, k0=1, eta=0.01, a=3, b=3)
         x0 = np.array([0.3, -0.2])
-        snap = take_snapshot(toy, x0)
-        res = run_epoch(toy, snap, x0, k=1, l=0, config=cfg, epoch_index=1)
+        res = run_epoch(toy, x0, x0, k=1, l=0, config=cfg, epoch_index=1,
+                        recorder=recorder(toy, x0))
         eta1 = cfg.eta * np.sqrt(cfg.T) / np.sqrt(2 * cfg.T)
         np.testing.assert_allclose(res.x_last, x0 - eta1 * full_gradient(toy, x0), atol=1e-14)
         np.testing.assert_array_equal(res.x_avg, x0)
@@ -95,20 +107,18 @@ class TestRunEpoch:
     def test_stationary_point_fixed(self):
         toy = build_toy("identity", d=2, m=2, n=2, seed=1, radius=5.0)
         x_star = toy.x_star
-        snap = take_snapshot(toy, x_star)
         cfg = RunConfig(S=2, k0=5, eta=0.05, a=2, b=2)
-        res = run_epoch(toy, snap, x_star, k=10, l=0,
-                        config=cfg, epoch_index=1)
+        res = run_epoch(toy, x_star, x_star, k=10, l=0, config=cfg, epoch_index=1,
+                        recorder=recorder(toy, x_star))
         np.testing.assert_allclose(res.x_last, x_star, atol=1e-12)
 
     def test_average_is_pre_update_mean(self):
         toy = build_toy("affine", d=2, m=2, n=2, seed=2)
         cfg = RunConfig(S=1, k0=2, eta=0.01, a=2, b=2, schedule="constant")
         x0 = np.array([0.5, 0.5])
-        snap = take_snapshot(toy, x0)
         # replicate the k=2 loop by hand: average covers x_0 and x_1, not x_2
-        res = run_epoch(toy, snap, x0, k=2, l=0,
-                        config=cfg, epoch_index=1)
+        res = run_epoch(toy, x0, x0, k=2, l=0, config=cfg, epoch_index=1,
+                        recorder=recorder(toy, x0))
         x1 = prox_step(toy.regularizer,
                        x0 - cfg.eta * full_gradient(toy, x0), cfg.eta)
         np.testing.assert_allclose(res.x_avg, 0.5 * (x0 + x1), atol=1e-13)
@@ -122,20 +132,20 @@ class TestRunEpoch:
     @pytest.mark.parametrize("max_samples", [None, 250 * 400])
     def test_chunked_draws_match_per_step_reference(self, monkeypatch, max_samples):
         # a + b = 400 puts 163 steps in a draw chunk, so 400 steps span three
-        # chunks (the last one partial); the budget variant stops mid-chunk
+        # chunks (the last one partial); the budget variant pays for the
+        # snapshot (6) and 249 steps, and stops mid-chunk
         toy = build_toy("affine", d=2, m=3, n=3, seed=5)
         cfg = RunConfig(S=2, k0=100, eta=0.05, a=300, b=100, seed=-7)
         x0 = np.array([0.4, -0.3])
-        snap = take_snapshot(toy, x0)
         assert 400 * (cfg.a + cfg.b) > solver._DRAW_CHUNK
         estimate, chunked_draw = solver.estimate_gradient, solver.draw_minibatch
 
         def run(draw):
             visited, calls = [], []
 
-            def spy_estimate(problem, snapshot, x, A, B, meter=None):
+            def spy_estimate(problem, snapshot, x, A, B):
                 visited.append(x.copy())
-                return estimate(problem, snapshot, x, A, B, meter=meter)
+                return estimate(problem, snapshot, x, A, B)
 
             def spy_draw(*args):
                 calls.append(args[-1])
@@ -143,8 +153,8 @@ class TestRunEpoch:
 
             monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
             monkeypatch.setattr(solver, "draw_minibatch", spy_draw)
-            res = run_epoch(toy, snap, x0, k=400, l=3, config=cfg, epoch_index=2,
-                            meter=SampleMeter(max_samples))
+            res = run_epoch(toy, x0, x0, k=400, l=3, config=cfg, epoch_index=2,
+                            recorder=recorder(toy, x0, max_samples))
             return res, np.array(visited), calls
 
         def per_step(m, n, a, b, seed, epoch, iteration):
@@ -157,6 +167,7 @@ class TestRunEpoch:
         chunked, chunked_x, chunk_calls = run(chunked_draw)
         reference, reference_x, _ = run(per_step)
         assert len(chunk_calls) == (3 if max_samples is None else 2)
+        assert len(chunked_x) == (400 if max_samples is None else 249)
         np.testing.assert_array_equal(chunked_x, reference_x)
         np.testing.assert_array_equal(chunked.x_avg, reference.x_avg)
         np.testing.assert_array_equal(chunked.x_last, reference.x_last)
@@ -235,10 +246,27 @@ class TestSampleMeterCharges:
     def test_per_epoch_charge(self):
         toy = build_toy("affine", d=2, m=3, n=4, seed=0)
         cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2)
-        snap_meter = SampleMeter()
-        snap = take_snapshot(toy, np.zeros(2), meter=snap_meter)
-        res_meter = SampleMeter()
-        run_epoch(toy, snap, np.zeros(2), k=12, l=0,
-                  config=cfg, epoch_index=1, meter=res_meter)
-        assert snap_meter.total == 7
-        assert res_meter.total == 12 * (2 + 2)
+        rec = recorder(toy, np.zeros(2))
+        info = run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg, epoch_index=1,
+                         recorder=rec)
+        assert rec.meter.total == info.samples_end == 7 + 12 * (2 + 2)
+
+    @pytest.mark.parametrize("max_samples", [1, 3 + 4 + 2 + 2 - 1])
+    def test_epoch_the_meter_cannot_pay_charges_nothing(self, max_samples):
+        # an epoch starts only when its snapshot and one step, m + n + a + b, fit
+        toy = build_toy("affine", d=2, m=3, n=4, seed=0)
+        cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2)
+        rec = recorder(toy, np.zeros(2), max_samples, every=1)
+        assert run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg,
+                         epoch_index=1, recorder=rec) is None
+        assert rec.meter.total == 0
+        assert [(r.epoch, r.iteration) for r in rec.rows] == [(0, 0)]
+
+    def test_epoch_the_meter_just_pays_takes_one_step(self):
+        toy = build_toy("affine", d=2, m=3, n=4, seed=0)
+        cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2)
+        rec = recorder(toy, np.zeros(2), 3 + 4 + 2 + 2, every=1)
+        info = run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg,
+                         epoch_index=1, recorder=rec)
+        assert info.l == 1 and info.samples_end == 11
+        assert [(r.epoch, r.iteration, r.samples) for r in rec.rows] == [(0, 0, 0), (1, 1, 11)]

@@ -187,8 +187,8 @@ class TestRunAllChecks:
             assert combined.measured != reports["lemma1_domination"].measured
 
 
-def _biased_inner(problem, snapshot, x, A, meter=None):
-    return estimate_inner(problem, snapshot, x, A, meter) + 0.3 * snapshot.g_tilde
+def _biased_inner(problem, snapshot, x, A):
+    return estimate_inner(problem, snapshot, x, A) + 0.3 * snapshot.g_tilde
 
 
 def _plain_unbiased(problem, snapshot, x, B):
