@@ -9,10 +9,9 @@ an empirical verification suite for the estimator variance bounds.
 from .baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from .errors import (CompoptError, ConfigError, DivergenceError,
                      InfeasibleQueryError, InputError)
-from .estimators import (EpochSnapshot, MiniBatchDraw, SampleMeter,
-                         draw_minibatch, estimate_gradient, estimate_inner,
-                         minibatch_rng, take_snapshot,
-                         unbiased_reference_gradient)
+from .estimators import (EpochSnapshot, MiniBatchDraw, draw_minibatch,
+                         estimate_gradient, estimate_inner, minibatch_rng,
+                         take_snapshot, unbiased_reference_gradient)
 from .harness import (ALGORITHMS, ExperimentSpec, compute_phi_star,
                       run_benchmark, run_one, scvrg_config_for_budget)
 from .problem import (ALL, CompositionProblem, ProblemDims, SmoothnessConstants,

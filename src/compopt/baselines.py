@@ -16,8 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError
-from .estimators import SampleMeter, minibatch_rng
+from .estimators import minibatch_rng
 from .problem import CompositionProblem, full_gradient, objective, start_point
 from .prox import prox_step
 from .solver import RunConfig, run_epoch
@@ -26,15 +25,6 @@ from .trace import Recorder
 
 #: SCGD and ASC-PG schedules: steps ALPHA0 / t^P_X, tracker weights BETA0 / t^P_Y
 ALPHA0, P_X, BETA0, P_Y = 0.1, 0.75, 1.0, 0.5
-
-
-def _budget_meter(max_samples, algorithm) -> SampleMeter:
-    """The run's meter; these runs stop only once their budget is spent, so
-    they require one."""
-    if max_samples is None:
-        raise ConfigError(f"{algorithm} runs until its sample budget is spent: "
-                          "max_samples is required")
-    return SampleMeter(max_samples)
 
 
 def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
@@ -46,14 +36,14 @@ def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int
     is not taken: the momentum restarts from the current iterate instead.
     """
     m, n = problem.dims.m, problem.dims.n
-    meter = _budget_meter(max_samples, "agd")
     step = 1.0 / problem.smoothness().ell
     x = start_point(problem, x0)
-    rec = Recorder(problem, "agd", config.seed, meter, x, phi_star, every=trace_every)
+    rec = Recorder(problem, "agd", config.seed, x, max_samples, phi_star=phi_star,
+                   every=trace_every)
     y, t_k, phi, it = x.copy(), 1.0, objective(problem, x), 0
-    while meter.affords(m + n):
+    while rec.affords(m + n):
         it += 1
-        meter.add(m + n)
+        rec.charge(m + n)
         x_new = prox_step(problem.regularizer, y - step * full_gradient(problem, y), step)
         rec.check_finite(0, it, x_new)
         phi_new = objective(problem, x_new)
@@ -94,19 +84,17 @@ def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: i
 
 def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerated):
     m, n = problem.dims.m, problem.dims.n
-    tag, cost = ("ascpg", 3) if accelerated else ("scgd", 2)
-    meter = _budget_meter(max_samples, tag)
+    # ASC-PG charges its tracker's seed sample at the start point before its first row
+    tag, cost, charged = ("ascpg", 3, 1) if accelerated else ("scgd", 2, 0)
     x = start_point(problem, x0)
+    rec = Recorder(problem, tag, seed, x, max_samples, charged, phi_star, every=trace_every)
     if accelerated:
-        # seed the tracker with one inner sample at the start point
         rng0 = minibatch_rng(seed, 0, 0, stream=2)
         y = problem.inner_value(int(rng0.integers(m)), x)
-        meter.add(1)
     else:
         y = np.zeros(problem.dims.k)
-    rec = Recorder(problem, tag, seed, meter, x, phi_star, every=trace_every)
     t = 0
-    while meter.affords(cost):
+    while rec.affords(cost):
         t += 1
         rng = minibatch_rng(seed, 0, t, stream=2)
         j = int(rng.integers(m))
@@ -124,7 +112,7 @@ def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerate
             y = (1.0 - beta_t) * y + beta_t * problem.inner_value(j, x)
             grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
             x = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
-        meter.add(cost)
+        rec.charge(cost)
         rec.record_step(0, t, x)
     rec.record(0, t, x)
     return x, rec.rows
@@ -141,8 +129,8 @@ def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: 
     K = math.ceil((problem.dims.m + problem.dims.n) ** (2.0 / 3.0))
     engine = replace(config, schedule="constant")
     x = start_point(problem, x0)
-    rec = Recorder(problem, "vrscpg", config.seed, _budget_meter(max_samples, "vrscpg"), x,
-                   phi_star, every=trace_every)
+    rec = Recorder(problem, "vrscpg", config.seed, x, max_samples, phi_star=phi_star,
+                   every=trace_every)
     epoch = 1
     while (info := run_epoch(problem, x, x, K, 0, engine, epoch, rec)) is not None:
         x, epoch = info.x_last, epoch + 1

@@ -50,32 +50,6 @@ class MiniBatchDraw:
     B: np.ndarray
 
 
-@dataclass
-class SampleMeter:
-    """Running count of oracle samples against a run's sample budget (None:
-    unbudgeted), shared by all algorithms.
-
-    One inner index costs 1 (the g_j/dg_j pair at one point), one outer index
-    costs 1, a full snapshot costs m+n. The snapshot and the estimators charge
-    nothing: each cost is charged by the loop that checks `affords` for it.
-    """
-
-    budget: int | None = None
-    total: int = 0
-
-    def __post_init__(self):
-        if self.budget is not None and self.budget < 1:
-            raise ConfigError(f"sample budget must be positive, got {self.budget}")
-
-    def add(self, count: int):
-        self.total += int(count)
-
-    def affords(self, cost: int) -> bool:
-        """Whether charging `cost` more keeps the total within the budget; every
-        algorithm starts a snapshot or a step only when it does."""
-        return self.budget is None or self.total + cost <= self.budget
-
-
 def _seed_key(seed) -> np.uint64:
     """Philox key word 0: the int64 seed's two's-complement bits."""
     seed = int(seed)

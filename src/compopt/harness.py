@@ -49,11 +49,11 @@ class ExperimentSpec:
         if self.max_samples < 1:
             raise ConfigError(f"sample budget {self.budget:g} x N = {self.problem.N} "
                               "rounds to 0 samples")
-        if not self.algorithms:
-            raise ConfigError("at least one algorithm is required")
+        check_roster(self.algorithms, self.params)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        check_roster(self.algorithms, self.params)
+        for seed in self.seeds:
+            RunConfig(S=1, seed=seed)  # RunConfig owns the seed's range
         for name, chosen in (("algorithms", self.algorithms), ("seeds", self.seeds)):
             repeated = sorted({c for c in chosen if chosen.count(c) > 1})
             if repeated:
@@ -135,6 +135,9 @@ def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
     Returns S=1 even when one epoch costs more than the budget, and logs a
     warning then: such a run stops inside its first epoch.
     """
+    if max_samples is None:
+        raise ConfigError("scvrg fits its epoch count to its sample budget: "
+                          "max_samples is required")
     m, n = problem.dims.m, problem.dims.n
     config = RunConfig(S=1, seed=seed, **knobs)
     epoch_cost = predicted_total_samples(config, m, n)
@@ -154,9 +157,12 @@ def _decimate(rows: list) -> list:
 
 
 def check_roster(algorithms: list, params: dict, names: dict | None = None):
-    """Raise InputError for an unknown algorithm, and ConfigError for a field
-    of `params` that no algorithm in `algorithms` reads (FIELDS_READ). The
-    error spells each field as `names` maps it (by default, the field name)."""
+    """Raise ConfigError for an empty roster, InputError for an unknown
+    algorithm, and ConfigError for a field of `params` that no algorithm in
+    `algorithms` reads (FIELDS_READ). The error spells each field as `names`
+    maps it (by default, the field name)."""
+    if not algorithms:
+        raise ConfigError("at least one algorithm is required")
     unknown = [a for a in algorithms if a not in FIELDS_READ]
     if unknown:
         raise InputError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")

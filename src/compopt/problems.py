@@ -65,6 +65,8 @@ def load_returns_csv(path) -> ReturnsDataset:
                 raise InputError(f"{path}:{lineno}: unparseable value ({exc})") from None
             if any(v in MISSING_SENTINELS for v in values):
                 continue
+            if not np.isfinite(values).all():
+                raise InputError(f"{path}:{lineno}: non-finite value")
             rows.append(values)
     if len(rows) < 2:
         raise InputError(f"{path}: fewer than 2 usable rows after sentinel filtering")

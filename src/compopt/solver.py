@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import SampleMeter, draw_minibatch, estimate_gradient, take_snapshot
+from .estimators import draw_minibatch, estimate_gradient, take_snapshot
 from .problem import CompositionProblem, start_point
 from .prox import prox_step
 from .trace import Recorder
@@ -46,6 +46,8 @@ class RunConfig:
             raise ConfigError(f"base step eta must be positive and finite, got {self.eta}")
         if not (1 <= self.a < 2**31 and 1 <= self.b < 2**31):
             raise ConfigError(f"batch sizes out of range: a={self.a}, b={self.b}")
+        if not -2**63 <= self.seed < 2**63:
+            raise ConfigError(f"seed must fit in int64, got {self.seed}")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         # no run takes 2^63 steps, and a float step cannot hold T; S >= 64 skips 2^S
@@ -115,26 +117,26 @@ class ScvrgResult:
 def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: RunConfig,
               epoch_index: int, recorder: Recorder) -> EpochInfo | None:
     """The epoch body: a snapshot at x_ref, then k minibatch proximal steps
-    from x0 against it, or None, with nothing charged, if the recorder's meter
-    cannot pay m + n + a + b. It charges m + n for the snapshot and a + b per step.
+    from x0 against it, or None, with nothing charged, if the recorder cannot
+    pay m + n + a + b. It charges m + n for the snapshot and a + b per step.
 
     Returns the epoch's record: the unweighted mean of the k pre-update
     iterates, the final iterate and l advanced by one per step. When a == m
     (resp. b == n) the draw enumerates every index once, making the estimate
     exact; otherwise indices are sampled uniformly with replacement, drawn for
     up to _DRAW_CHUNK indices' worth of steps at a time. The epoch stops
-    early, freezing the average, once the meter cannot pay for another step.
+    early, freezing the average, once the recorder cannot pay for another step.
     The recorder checks every step, and keeps a row at its cadence and one at
     the end of the epoch, at the number of steps taken.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
     m, n = problem.dims.m, problem.dims.n
-    meter, step_cost = recorder.meter, config.a + config.b
-    if not meter.affords(m + n + step_cost):
+    step_cost = config.a + config.b
+    if not recorder.affords(m + n + step_cost):
         return None
     snapshot = take_snapshot(problem, x_ref)
-    meter.add(m + n)
+    recorder.charge(m + n)
     x_start = np.asarray(x0, dtype=float)
     eta_start = config.step(l)
     x = x_start.copy()
@@ -153,18 +155,18 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
         A = full_A if full_A is not None else draw.A[t % chunk]
         B = full_B if full_B is not None else draw.B[t % chunk]
         v = estimate_gradient(problem, snapshot, x, A, B)
-        meter.add(step_cost)
+        recorder.charge(step_cost)
         eta_t = config.step(l)
         l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)
         recorder.record_step(epoch_index, t + 1, x)
-        if not meter.affords(step_cost):
+        if not recorder.affords(step_cost):
             x_sum += x * (k - t - 1)  # freeze the average at the stop point
             break
     recorder.record(epoch_index, t + 1, x)
     return EpochInfo(epoch=epoch_index, x_ref=snapshot.x_tilde, x_start=x_start,
                      x_avg=x_sum / k, x_last=x, k=k, eta_start=eta_start,
-                     samples_end=meter.total, l=l)
+                     samples_end=recorder.samples, l=l)
 
 
 def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
@@ -176,11 +178,14 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
     the previous epoch's average (the initial point for s = 0) and its first
     iterate is the previous epoch's last iterate. Per-epoch sample charge is
     m + n + k * (a + b); no snapshot or step starts that max_samples cannot
-    pay for.
+    pay for. Without max_samples the budget is the S epochs' exact cost,
+    `predicted_total_samples`, so all S run in full.
     """
     x_ref = x_cur = start_point(problem, x0)
-    recorder = Recorder(problem, "scvrg", config.seed, SampleMeter(max_samples), x_ref,
-                        phi_star, every=trace_every)
+    if max_samples is None:
+        max_samples = predicted_total_samples(config, problem.dims.m, problem.dims.n)
+    recorder = Recorder(problem, "scvrg", config.seed, x_ref, max_samples, phi_star=phi_star,
+                        every=trace_every)
     l = 0
     epochs: list[EpochInfo] = []
     for s in range(config.S):
@@ -191,12 +196,10 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
         epochs.append(info)
         l, x_ref, x_cur = info.l, info.x_avg, info.x_last
     return ScvrgResult(x=x_ref, trace=recorder.rows, epochs=epochs,
-                       samples=recorder.meter.total, l_final=l)
+                       samples=recorder.samples, l_final=l)
 
 
 def predicted_total_samples(config: RunConfig, m: int, n: int) -> int:
-    """Exact sample count of a full (unbudgeted) run: sum_s m + n + k_s (a+b)."""
-    total = 0
-    for s in range(config.S):
-        total += m + n + config.k0 * 2 ** (s + 1) * (config.a + config.b)
-    return total
+    """Exact sample count of S full epochs: sum_s m + n + k_s (a+b), where the
+    epoch lengths k_s sum to 2T."""
+    return config.S * (m + n) + 2 * config.T * (config.a + config.b)

@@ -1,9 +1,10 @@
-"""Shared per-iteration trace schema and the recorder every algorithm uses."""
+"""Shared per-iteration trace schema and the recorder that is every run's ledger."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .problem import objective
 
 #: bit-exact CSV header for benchmark output
@@ -30,28 +31,47 @@ class TraceRecord:
 
 
 class Recorder:
-    """Collects one run's trace rows at the samples its meter has charged,
-    starting with the row at x0 (epoch 0, iteration 0), and aborts the run
-    once a step's iterate is non-finite or a row's objective exceeds
-    1e6 * (|Phi(x0)| + 1).
+    """One run's ledger: its sample budget, the samples charged against it and
+    its trace rows, starting with the row at x0 (epoch 0, iteration 0) after
+    the `charged` samples spent before it. It aborts the run once a step's
+    iterate is non-finite or a row's objective exceeds 1e6 * (|Phi(x0)| + 1).
+
+    One inner index costs 1 (the g_j/dg_j pair at one point), one outer index
+    costs 1 and a full snapshot costs m + n. The snapshot and the estimators
+    charge nothing: each cost is charged by the loop that checks `affords` for
+    it, so a run never charges more than its budget.
 
     `record_step` keeps a row every `every` steps (None: none). A row that
     repeats the previous row's (epoch, iteration, samples) is dropped: no
     sample was charged in between, so the iterate is unchanged.
     """
 
-    def __init__(self, problem, algorithm: str, seed: int, meter, x0,
+    def __init__(self, problem, algorithm: str, seed: int, x0, budget: int, charged: int = 0,
                  phi_star: float | None = None, every: int | None = None):
+        if budget is None:
+            raise ConfigError(f"{algorithm} runs until its sample budget is spent: "
+                              "max_samples is required")
+        if not isinstance(budget, numbers.Integral) or budget < 1:
+            raise ConfigError(f"sample budget must be positive and whole, got {budget!r}")
         self.problem = problem
         self.algorithm = algorithm
         self.seed = seed
-        self.meter = meter
+        self.budget = budget
+        self.samples = charged
         self.phi_star = phi_star
         self.every = every
         self.phi_limit = math.inf
         self.rows: list[TraceRecord] = []
         self.record(0, 0, x0)
         self.phi_limit = 1e6 * (abs(self.rows[0].objective) + 1.0)
+
+    def affords(self, cost: int) -> bool:
+        """Whether charging `cost` more keeps the run within its budget; every
+        algorithm starts a snapshot or a step only when it does."""
+        return self.samples + cost <= self.budget
+
+    def charge(self, cost: int):
+        self.samples += int(cost)
 
     def _abort(self, what: str, epoch: int, iteration: int):
         raise DivergenceError(f"{self.algorithm}: {what} at epoch {epoch}, iteration {iteration}")
@@ -70,7 +90,7 @@ class Recorder:
 
     def record(self, epoch: int, iteration: int, x):
         if self.rows and (self.rows[-1].epoch, self.rows[-1].iteration,
-                          self.rows[-1].samples) == (epoch, iteration, self.meter.total):
+                          self.rows[-1].samples) == (epoch, iteration, self.samples):
             return
         obj = objective(self.problem, x)
         if obj > self.phi_limit:
@@ -78,7 +98,7 @@ class Recorder:
         gap = None if self.phi_star is None else obj - self.phi_star
         self.rows.append(TraceRecord(
             algorithm=self.algorithm, seed=self.seed, epoch=epoch, iteration=iteration,
-            samples=self.meter.total, samples_per_N=self.meter.total / self.problem.N,
+            samples=self.samples, samples_per_N=self.samples / self.problem.N,
             objective=obj, gap=gap))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from compopt.baselines import ALPHA0, run_agd, run_ascpg, run_scgd, run_vrscpg
 from compopt.errors import ConfigError, InputError
-from compopt.estimators import SampleMeter
+from compopt.harness import ALGORITHMS, run_one
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
@@ -24,17 +24,18 @@ def config(seed=0, **fields):
 
 class TestSampleBudget:
     def test_rejects_bad_budget(self, toy):
-        for budget in (0, -5):
-            with pytest.raises(ConfigError, match="sample budget must be positive"):
-                SampleMeter(budget)
+        for budget in (0, -5, 2.5):
             for runner in (run_agd, run_scgd, run_ascpg, run_vrscpg, run_scvrg):
                 with pytest.raises(ConfigError, match="sample budget must be positive"):
                     runner(toy, config(), np.zeros(3), budget)
 
 
-    @pytest.mark.parametrize("runner", [run_agd, run_scgd, run_ascpg, run_vrscpg])
+    @pytest.mark.parametrize("runner", [run_agd, run_scgd, run_ascpg, run_vrscpg, *[
+        pytest.param(lambda p, cfg, x0, budget, a=a: run_one(p, a, cfg.seed, budget),
+                     id=f"run_one-{a}") for a in ALGORITHMS]])
     def test_unbudgeted_baseline_is_config_error(self, toy, runner):
-        # each of these runs stops only once its budget is spent
+        # each of these runs stops only once its budget is spent, and run_one
+        # fits scvrg's epoch count to its budget
         with pytest.raises(ConfigError, match="max_samples is required"):
             runner(toy, config(), np.zeros(3), None)
 
@@ -145,14 +146,6 @@ class TestVrscpg:
         K = 2 * k0
         x, _ = run_vrscpg(toy, config(11, eta=0.01, a=2, b=2), np.zeros(2), 6 + K * 4)
         np.testing.assert_array_equal(x, res.epochs[0].x_last)
-
-    def test_reads_only_eta_and_batch_sizes(self, toy):
-        # S, k0 and schedule size scvrg's schedule; VRSC-PG fixes its own
-        x, rows = run_vrscpg(toy, config(), np.zeros(3), 500)
-        other = RunConfig(S=4, k0=7, schedule="constant", seed=0)
-        x2, rows2 = run_vrscpg(toy, other, np.zeros(3), 500)
-        np.testing.assert_array_equal(x, x2)
-        assert rows == rows2
 
     def test_converges_at_small_budget(self, toy):
         x, _ = run_vrscpg(toy, config(eta=0.05), np.zeros(3), 100 * 8)

@@ -191,6 +191,8 @@ class TestBadInput:
         *[("run", "--problem", "toy", "--algo", "vrscpg", flag, value)
           for flag, value in (("--epochs", "2"), ("--k0", "3"), ("--schedule", "constant"))],
         ("bench", "--problem", "toy", "--algo", "scgd,scgd", "--seed", "0,0"),
+        ("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--seed", "0,99999999999999999999"),
+        ("bench", "--problem", "toy", "--algo", ",", "--eta", "0.1"),
         ("check", "--trials", "0"),
         ("check", "--trials", "-5"),
     ], ids=" ".join)
@@ -211,6 +213,11 @@ class TestBadInput:
     def test_unread_setting_is_named_by_its_flag(self, argv, message, tmp_path, capsys):
         assert run_cli(*argv, "--problem", "toy", "--out", str(tmp_path / "t.csv")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_roster_is_named_before_its_unread_flags(self, tmp_path, capsys):
+        assert run_cli("bench", "--problem", "toy", "--algo", ",", "--eta", "0.1",
+                       "--out", str(tmp_path / "t.csv")) == 1
+        assert capsys.readouterr().err == "error: at least one algorithm is required\n"
 
     @pytest.mark.parametrize("algo", ["scvrg", "scgd"])
     def test_budget_rounding_to_zero_samples(self, algo, tmp_path, capsys):

@@ -9,9 +9,9 @@ import pytest
 
 from compopt import estimators
 from compopt.errors import ConfigError
-from compopt.estimators import (SampleMeter, _vr_gradient, draw_minibatch,
-                                estimate_gradient, estimate_inner, minibatch_rng,
-                                take_snapshot, unbiased_reference_gradient)
+from compopt.estimators import (_vr_gradient, draw_minibatch, estimate_gradient,
+                                estimate_inner, minibatch_rng, take_snapshot,
+                                unbiased_reference_gradient)
 from compopt.problem import (CompositionProblem, ProblemDims, full_gradient,
                              inner_mean)
 from compopt.problems import (AffineQuadraticProblem, ReturnsDataset, build_bellman,
@@ -53,9 +53,11 @@ def affine_toy():
 
 
 def one_epoch_ledger(problem, k, a, b):
-    """The samples column of one k-step epoch from 0, a row per step."""
+    """The samples column of one k-step epoch from 0, a row per step, under a
+    budget that pays for exactly that epoch."""
     x0 = np.zeros(problem.dims.d)
-    rec = Recorder(problem, "scvrg", 0, SampleMeter(), x0, every=1)
+    m, n = problem.dims.m, problem.dims.n
+    rec = Recorder(problem, "scvrg", 0, x0, m + n + k * (a + b), every=1)
     run_epoch(problem, x0, x0, k, 0, RunConfig(S=1, a=a, b=b), 1, rec)
     return [row.samples for row in rec.rows]
 

@@ -1,20 +1,23 @@
 """Tests for the benchmark harness: phi* computation, CSV emission."""
 
 import logging
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from compopt import harness
+from compopt.baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from compopt.errors import ConfigError, InputError
-from compopt.harness import (ExperimentSpec, compute_phi_star, polish_phi_star,
-                             run_benchmark, run_one, scvrg_config_for_budget)
+from compopt.harness import (ALGORITHMS, FIELDS_READ, ExperimentSpec, compute_phi_star,
+                             polish_phi_star, run_benchmark, run_one,
+                             scvrg_config_for_budget)
 from compopt.problems import (AffineQuadraticProblem, build_bellman,
                               build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
-from compopt.solver import predicted_total_samples
+from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.trace import TRACE_HEADER
 
 
@@ -40,6 +43,15 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             self.make(seeds=[])
 
+    def test_rejects_empty_roster(self):
+        with pytest.raises(ConfigError, match="at least one algorithm is required"):
+            self.make(algorithms=[], params={"eta": 0.1})
+
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+    def test_rejects_seed_outside_int64_after_the_first(self, seed):
+        with pytest.raises(ConfigError, match="seed must fit in int64"):
+            self.make(seeds=[0, seed])
+
     @pytest.mark.parametrize("kw", [dict(algorithms=["scvrg", "scgd", "scvrg"]),
                                     dict(seeds=[0, 1, 0])])
     def test_rejects_repeats(self, kw):
@@ -52,6 +64,41 @@ class TestExperimentSpec:
     def test_rejects_params_no_algorithm_reads(self, algorithms, params):
         with pytest.raises(ConfigError, match="not read by"):
             self.make(algorithms=algorithms, params=params)
+
+
+class TestFieldsRead:
+    #: a value for every RunConfig field but the seed, and another one
+    BASE = RunConfig(S=3, k0=5, eta=0.02, a=2, b=3, seed=1)
+    OTHER = dict(S=4, k0=7, eta=0.03, a=3, b=2, schedule="constant")
+
+    def run(self, algorithm, config):
+        """The final iterate's bytes and every trace row, under a budget of
+        2000 samples, more than either schedule's S epochs cost."""
+        toy = build_toy("affine", d=3, m=4, n=5, seed=0)
+        x0 = np.zeros(3)
+        if algorithm == "scvrg":
+            result = run_scvrg(toy, config, x0, 2000, trace_every=1)
+            x, rows = result.x, result.trace
+        else:
+            runner = {"vrscpg": run_vrscpg, "scgd": run_scgd, "ascpg": run_ascpg,
+                      "agd": run_agd}[algorithm]
+            x, rows = runner(toy, config, x0, 2000, trace_every=1)
+        return x.tobytes(), [r.to_csv_row() for r in rows]
+
+    def test_other_values_cover_every_field_but_the_seed(self):
+        assert set(self.OTHER) == {f.name for f in fields(RunConfig)} - {"seed"}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_unread_fields_leave_run_unchanged(self, algorithm):
+        base = self.run(algorithm, self.BASE)
+        for name in set(self.OTHER) - FIELDS_READ[algorithm]:
+            assert self.run(algorithm, replace(self.BASE, **{name: self.OTHER[name]})) == base, name
+
+    @pytest.mark.parametrize("algorithm", ["scvrg", "vrscpg"])
+    def test_read_fields_change_the_run(self, algorithm):
+        base = self.run(algorithm, self.BASE)
+        for name in FIELDS_READ[algorithm]:
+            assert self.run(algorithm, replace(self.BASE, **{name: self.OTHER[name]})) != base, name
 
 
 class TestComputePhiStar:

@@ -46,6 +46,12 @@ class TestLoadReturnsCsv:
         with pytest.raises(InputError, match=":3:"):
             load_returns_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, cell):
+        path = self.write(tmp_path, f"date,A,B\n1,1.0,2.0\n2,1.0,{cell}\n3,1.0,2.0\n")
+        with pytest.raises(InputError, match=f"^{path}:3: non-finite value$"):
+            load_returns_csv(path)
+
     def test_column_count_mismatch(self, tmp_path):
         path = self.write(tmp_path, "date,A\n1,1.0\n2,1.0,2.0\n")
         with pytest.raises(InputError, match=":3:"):

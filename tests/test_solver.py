@@ -5,7 +5,7 @@ import pytest
 
 from compopt import solver
 from compopt.errors import ConfigError, InputError
-from compopt.estimators import MiniBatchDraw, SampleMeter, minibatch_rng
+from compopt.estimators import MiniBatchDraw, minibatch_rng
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
@@ -17,9 +17,10 @@ from compopt.trace import Recorder
 STEPS = RunConfig(S=1, k0=50, eta=0.01)
 
 
-def recorder(problem, x0, max_samples=None, every=None):
-    """A fresh run's recorder and meter, as run_scvrg makes them."""
-    return Recorder(problem, "scvrg", 0, SampleMeter(max_samples), x0, every=every)
+def recorder(problem, x0, max_samples=10**9, every=None):
+    """A fresh run's recorder, as run_scvrg makes it; the default budget is
+    more than any epoch here spends."""
+    return Recorder(problem, "scvrg", 0, x0, max_samples, every=every)
 
 
 class TestStepSize:
@@ -58,7 +59,8 @@ class TestRunConfig:
                                      dict(a=0), dict(b=2**31), dict(schedule="x"),
                                      dict(S=0), dict(eta=float("nan")),
                                      dict(eta=float("inf")), dict(S=64), dict(S=1100),
-                                     dict(S=60, k0=9)])
+                                     dict(S=60, k0=9), dict(seed=2**63),
+                                     dict(seed=-2**63 - 1)])
     def test_validation(self, bad):
         kwargs = dict(S=2)
         kwargs.update(bad)
@@ -132,8 +134,9 @@ class TestRunEpoch:
     @pytest.mark.parametrize("max_samples", [None, 250 * 400])
     def test_chunked_draws_match_per_step_reference(self, monkeypatch, max_samples):
         # a + b = 400 puts 163 steps in a draw chunk, so 400 steps span three
-        # chunks (the last one partial); the budget variant pays for the
-        # snapshot (6) and 249 steps, and stops mid-chunk
+        # chunks (the last one partial); None budgets the whole epoch, 6 + 400 * 400
+        # samples, and the budget variant pays for the snapshot (6) and 249
+        # steps, and stops mid-chunk
         toy = build_toy("affine", d=2, m=3, n=3, seed=5)
         cfg = RunConfig(S=2, k0=100, eta=0.05, a=300, b=100, seed=-7)
         x0 = np.array([0.4, -0.3])
@@ -154,7 +157,7 @@ class TestRunEpoch:
             monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
             monkeypatch.setattr(solver, "draw_minibatch", spy_draw)
             res = run_epoch(toy, x0, x0, k=400, l=3, config=cfg, epoch_index=2,
-                            recorder=recorder(toy, x0, max_samples))
+                            recorder=recorder(toy, x0, max_samples or 6 + 400 * 400))
             return res, np.array(visited), calls
 
         def per_step(m, n, a, b, seed, epoch, iteration):
@@ -193,6 +196,22 @@ class TestRunScvrg:
         res = run_scvrg(toy, cfg, np.zeros(3))
         assert res.samples == predicted_total_samples(cfg, 4, 5)
         assert res.samples == sum(4 + 5 + 3 * 2 ** (s + 1) * (2 + 3) for s in range(4))
+
+    def test_unbudgeted_run_is_budgeted_at_its_exact_cost(self):
+        toy = build_toy("mixed", d=3, m=4, n=5, seed=2)
+        cfg = RunConfig(S=4, k0=3, eta=0.05, a=2, b=3, seed=-1)
+        unbudgeted = run_scvrg(toy, cfg, np.zeros(3), trace_every=1)
+        budgeted = run_scvrg(toy, cfg, np.zeros(3), trace_every=1,
+                             max_samples=predicted_total_samples(cfg, 4, 5))
+        assert ([r.to_csv_row() for r in unbudgeted.trace]
+                == [r.to_csv_row() for r in budgeted.trace])
+        assert unbudgeted.x.tobytes() == budgeted.x.tobytes()
+        assert len(unbudgeted.epochs) == len(budgeted.epochs) == 4
+        for e, f in zip(unbudgeted.epochs, budgeted.epochs):
+            assert (e.epoch, e.k, e.eta_start, e.samples_end, e.l) == \
+                (f.epoch, f.k, f.eta_start, f.samples_end, f.l)
+            for name in ("x_ref", "x_start", "x_avg", "x_last"):
+                assert getattr(e, name).tobytes() == getattr(f, name).tobytes()
 
     def test_deterministic_trace(self):
         toy = build_toy("affine", d=2, m=3, n=3, seed=5)
@@ -249,7 +268,7 @@ class TestSampleMeterCharges:
         rec = recorder(toy, np.zeros(2))
         info = run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg, epoch_index=1,
                          recorder=rec)
-        assert rec.meter.total == info.samples_end == 7 + 12 * (2 + 2)
+        assert rec.samples == info.samples_end == 7 + 12 * (2 + 2)
 
     @pytest.mark.parametrize("max_samples", [1, 3 + 4 + 2 + 2 - 1])
     def test_epoch_the_meter_cannot_pay_charges_nothing(self, max_samples):
@@ -259,7 +278,7 @@ class TestSampleMeterCharges:
         rec = recorder(toy, np.zeros(2), max_samples, every=1)
         assert run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg,
                          epoch_index=1, recorder=rec) is None
-        assert rec.meter.total == 0
+        assert rec.samples == 0
         assert [(r.epoch, r.iteration) for r in rec.rows] == [(0, 0)]
 
     def test_epoch_the_meter_just_pays_takes_one_step(self):
