@@ -9,14 +9,14 @@ an empirical verification suite for the estimator variance bounds.
 from .baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from .errors import (CompoptError, ConfigError, DivergenceError,
                      InfeasibleQueryError, InputError)
-from .estimators import (EpochSnapshot, MiniBatchDraw, draw_minibatch,
-                         estimate_gradient, estimate_inner, minibatch_rng,
-                         take_snapshot, unbiased_reference_gradient)
+from .estimators import (EpochSnapshot, draw_minibatch, estimate_gradient,
+                         estimate_inner, minibatch_rng, take_snapshot,
+                         unbiased_reference_gradient)
 from .harness import (ALGORITHMS, ExperimentSpec, compute_phi_star,
                       run_benchmark, run_one, scvrg_config_for_budget)
 from .problem import (ALL, CompositionProblem, ProblemDims, SmoothnessConstants,
                       full_gradient, inner_mean, mean_jacobian, objective,
-                      outer_mean_grad, smooth_value)
+                      smooth_value)
 from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
                        ReturnsDataset, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, mean_variance_direct,

@@ -20,18 +20,6 @@ from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
 from .solver import SCHEDULES, RunConfig
 from .verify import all_passed, run_all_checks, write_report_csv
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage errors via exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageError(message)
-
 
 def _add_problem_flags(parser):
     parser.add_argument("--problem", choices=("meanvar", "bellman", "toy"),
@@ -98,7 +86,7 @@ def _parse_algos(raw):
 
 
 def _bench(args, algos):
-    """Every given config flag goes to every chosen algorithm; one that no
+    """Each config flag goes to the chosen algorithms that read it; one that no
     chosen algorithm reads is rejected, by its flag, before the problem is built."""
     params = {name: getattr(args, name) for name in _CONFIG_FLAGS
               if getattr(args, name) is not None}
@@ -147,11 +135,11 @@ def _toygen(args):
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="compopt")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="compopt")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[], help="run a single algorithm")
+    p_run = sub.add_parser("run", help="run a single algorithm")
     _add_problem_flags(p_run)
     _add_algo_flags(p_run)
     p_run.add_argument("--algo", default="scvrg",
@@ -180,9 +168,11 @@ def build_parser() -> _Parser:
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
+        return 1 if exc.code == 2 else exc.code
+    try:
         if args.command == "run":
             algos = _parse_algos(args.algo)
             if len(algos) != 1:
@@ -194,11 +184,7 @@ def cli_main(argv=None) -> int:
             return _phistar(args)
         if args.command == "check":
             return _check(args)
-        if args.command == "toygen":
-            return _toygen(args)
-        raise InputError(f"unknown command {args.command!r}")
-    except _UsageError:
-        return 1
+        return _toygen(args)  # the parser admits no other command
     except (InputError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

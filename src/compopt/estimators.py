@@ -42,14 +42,6 @@ class EpochSnapshot:
     df_rows: np.ndarray   # (n, k): grad f_i(g~)
 
 
-@dataclass(frozen=True)
-class MiniBatchDraw:
-    """Index draws for one iteration: A over inner maps, B over outer functions."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-
 def _seed_key(seed) -> np.uint64:
     """Philox key word 0: the int64 seed's two's-complement bits."""
     seed = int(seed)
@@ -142,8 +134,8 @@ def _bounded_rows(u: np.ndarray, bound: int, seed, epoch: int, steps: np.ndarray
 
 
 def draw_minibatch(m: int, n: int, a: int, b: int,
-                   seed: int, epoch: int, iteration) -> MiniBatchDraw:
-    """Uniform with-replacement draws of a inner and b outer indices.
+                   seed: int, epoch: int, iteration) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform with-replacement draws (A, B) of a inner and b outer indices.
 
     `iteration` is one step index, giving A of shape (a,) and B of shape (b,),
     or a 1-D array of t step indices, giving (t, a) and (t, b). Row t is
@@ -158,8 +150,8 @@ def draw_minibatch(m: int, n: int, a: int, b: int,
     A = _bounded_rows(u_a, m, seed, epoch, steps, stream=0)
     B = _bounded_rows(u_b, n, seed, epoch, steps, stream=1)
     if np.ndim(iteration) == 0:
-        A, B = A[0], B[0]
-    return MiniBatchDraw(A=A, B=B)
+        return A[0], B[0]
+    return A, B
 
 
 def take_snapshot(problem: CompositionProblem, x_tilde) -> EpochSnapshot:

@@ -30,8 +30,8 @@ MAX_TRACE_ROWS = 10_000
 @dataclass
 class ExperimentSpec:
     """One benchmark: a problem, an algorithm roster, a sample budget in units
-    of N, the seeds to average over, and the RunConfig fields `params` that
-    every algorithm's config gets. Every config is built here, so a bad
+    of N, the seeds to average over, and the RunConfig fields `params`, each
+    given to the algorithms that read it. Every config is built here, so a bad
     setting, or one no chosen algorithm reads, fails before any run starts."""
 
     problem: CompositionProblem
@@ -174,8 +174,10 @@ def check_roster(algorithms: list, params: dict, names: dict | None = None):
 
 def _algorithm_config(problem: CompositionProblem, algorithm: str, seed: int,
                       max_samples: int, params: dict) -> RunConfig:
-    """The config `algorithm` runs: RunConfig's defaults overridden by `params`;
-    an scvrg run without S gets the budget-fitted schedule."""
+    """The config `algorithm` runs: RunConfig's defaults overridden by the
+    fields of `params` it reads (FIELDS_READ); an scvrg run without S gets the
+    budget-fitted schedule."""
+    params = {f: v for f, v in params.items() if f in FIELDS_READ[algorithm]}
     if algorithm == "scvrg" and "S" not in params:
         return scvrg_config_for_budget(problem, max_samples, seed, **params)
     # only scvrg reads S; the other algorithms need a valid placeholder

@@ -159,17 +159,12 @@ def inner_mean(problem: CompositionProblem, x):
     return problem.inner_value(ALL, x).mean(axis=0), mean_jacobian(problem, x)
 
 
-def outer_mean_grad(problem: CompositionProblem, y) -> np.ndarray:
-    """(1/n) sum_i grad f_i(y)."""
-    return problem.outer_grad(ALL, y).mean(axis=0)
-
-
 def full_gradient(problem: CompositionProblem, x) -> np.ndarray:
     """Exact gradient of F via the chain rule: one VJP sweep over all m inner
     maps, (1/m) sum_j dg_j(x)^T mean_i grad f_i(g(x))."""
     x = check_point(problem, x)
     g = problem.inner_value(ALL, x).mean(axis=0)
-    return problem.inner_vjp(ALL, x, outer_mean_grad(problem, g)).mean(axis=0)
+    return problem.inner_vjp(ALL, x, problem.outer_grad(ALL, g).mean(axis=0)).mean(axis=0)
 
 
 def smooth_value(problem: CompositionProblem, x) -> float:

@@ -111,7 +111,6 @@ class ScvrgResult:
     trace: list
     epochs: list
     samples: int
-    l_final: int
 
 
 def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: RunConfig,
@@ -150,10 +149,10 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
     for t in range(k):
         x_sum += x
         if sampled and t % chunk == 0:
-            draw = draw_minibatch(m, n, config.a, config.b, config.seed, epoch_index,
-                                  np.arange(t, min(t + chunk, k)))
-        A = full_A if full_A is not None else draw.A[t % chunk]
-        B = full_B if full_B is not None else draw.B[t % chunk]
+            rows_A, rows_B = draw_minibatch(m, n, config.a, config.b, config.seed, epoch_index,
+                                            np.arange(t, min(t + chunk, k)))
+        A = full_A if full_A is not None else rows_A[t % chunk]
+        B = full_B if full_B is not None else rows_B[t % chunk]
         v = estimate_gradient(problem, snapshot, x, A, B)
         recorder.charge(step_cost)
         eta_t = config.step(l)
@@ -196,7 +195,7 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
         epochs.append(info)
         l, x_ref, x_cur = info.l, info.x_avg, info.x_last
     return ScvrgResult(x=x_ref, trace=recorder.rows, epochs=epochs,
-                       samples=recorder.samples, l_final=l)
+                       samples=recorder.samples)
 
 
 def predicted_total_samples(config: RunConfig, m: int, n: int) -> int:

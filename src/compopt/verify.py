@@ -260,7 +260,7 @@ def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float
     last = result.epochs[-1]
     # (reference, first iterate, first step, k_s = k0 * 2^s) for s = 0..S
     points = [(e.x_ref, e.x_start, e.eta_start, e.k // 2) for e in result.epochs]
-    points.append((result.x, last.x_last, config.step(result.l_final), last.k))
+    points.append((result.x, last.x_last, config.step(last.l), last.k))
     return np.array([objective(problem, x_ref) - ps
                      + 4.5 * beta * ell * float(np.sum((x_ref - xs) ** 2))
                      + 3.0 * float(np.sum((x_start - xs) ** 2)) / (4.0 * eta0 * k_s)
@@ -317,6 +317,7 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     so the CLI stays interactive."""
     from .problems import build_mean_variance, build_toy, random_bellman_spec, build_bellman, synthetic_returns
 
+    config = RunConfig(S=3, k0=10, seed=seed)  # refuses a bad seed before any check runs
     reports = []
     rng = np.random.default_rng(seed)
 
@@ -357,7 +358,6 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     contraction_toy = build_toy("affine", d=3, m=12, n=8, seed=seed)
     ell = contraction_toy.smoothness().ell
     beta = 0.9
-    config = RunConfig(S=3, k0=10, seed=seed)
     a_min, b_min, eta_max = contraction_hypotheses(ell, beta, config.T)
     stochastic = replace(config, eta=eta_max, a=math.ceil(a_min), b=math.ceil(b_min))
     deterministic = replace(config, eta=eta_max, a=12, b=8)

@@ -9,6 +9,7 @@ import pytest
 from compopt import baselines, cli, harness
 from compopt.cli import cli_main
 from compopt.problems import load_returns_csv, synthetic_returns, write_returns_csv
+from compopt.solver import RunConfig
 from compopt.trace import TRACE_HEADER
 
 
@@ -84,18 +85,26 @@ class TestBench:
                        "--eta", "0.05", "--out", str(tmp_path / "t.csv")) == 0
         assert specs[0].params == {"k0": 20, "eta": 0.05}
         assert specs[0].configs["scvrg"].k0 == 20
-        assert specs[0].configs["scgd"].eta == 0.05
+        assert specs[0].configs["scvrg"].eta == 0.05
+        assert specs[0].configs["scgd"].eta == RunConfig.eta  # scgd reads no field
 
-    def test_batch_flags_set_every_algorithms_trace_cadence(self, tmp_path):
-        # scgd reads no field, but its rows come every ceil(N / (a + b)) steps
+    def test_batch_flags_leave_unread_algorithms_trace_cadence(self, tmp_path):
+        # --a and --b go to scvrg only: scgd keeps a row every ceil(N / (5 + 5)) steps
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--a", "2",
                        "--b", "3", "--budget", "5", "--out", str(out)) == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         iters = [int(r[3]) for r in rows if r[0] == "scgd"]
-        every = -(-200 // 5)  # the default toy has N = m = 200
+        every = -(-200 // 10)  # the default toy has N = m = 200
         assert iters[:-1] == list(range(0, iters[-1], every))
         assert iters[-1] == 5 * 200 // 2  # the last step, at 2 samples each
+
+    def test_bellman_problem(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--problem", "bellman", "--states", "4", "--n", "6",
+                       "--algo", "scvrg,agd", "--budget", "20", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert {r[0] for r in rows} == {"scvrg", "agd"}
 
     def test_toy_defaults_pay_for_a_full_epoch(self, tmp_path, caplog):
         out = tmp_path / "bench.csv"
@@ -248,6 +257,11 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith("usage: compopt")
 
     def test_console_script_installed(self):
         import shutil

@@ -118,10 +118,10 @@ def reference_rows(seed, epoch, steps, stream, bound, size):
 
 class TestDrawMinibatch:
     def test_shapes_and_ranges(self):
-        draw = draw_minibatch(m=7, n=4, a=5, b=3, seed=0, epoch=1, iteration=2)
-        assert draw.A.shape == (5,) and draw.B.shape == (3,)
-        assert np.all((0 <= draw.A) & (draw.A < 7))
-        assert np.all((0 <= draw.B) & (draw.B < 4))
+        A, B = draw_minibatch(m=7, n=4, a=5, b=3, seed=0, epoch=1, iteration=2)
+        assert A.shape == (5,) and B.shape == (3,)
+        assert np.all((0 <= A) & (A < 7))
+        assert np.all((0 <= B) & (B < 4))
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -137,17 +137,17 @@ class TestDrawMinibatch:
                 a, b = next(sizes)
                 epoch = int(rng.integers(0, 5))
                 steps = np.sort(rng.choice(1000, size=12, replace=False))
-                draw = draw_minibatch(m, int(n), a, b, seed, epoch, steps)
-                assert draw.A.shape == (12, a) and draw.B.shape == (12, b)
-                assert draw.A.dtype == draw.B.dtype == np.int64
-                np.testing.assert_array_equal(draw.A, reference_rows(seed, epoch, steps, 0, m, a))
-                np.testing.assert_array_equal(draw.B, reference_rows(seed, epoch, steps, 1, n, b))
+                A, B = draw_minibatch(m, int(n), a, b, seed, epoch, steps)
+                assert A.shape == (12, a) and B.shape == (12, b)
+                assert A.dtype == B.dtype == np.int64
+                np.testing.assert_array_equal(A, reference_rows(seed, epoch, steps, 0, m, a))
+                np.testing.assert_array_equal(B, reference_rows(seed, epoch, steps, 1, n, b))
 
     def test_int_iteration_is_one_row(self):
         draw = draw_minibatch(1000, 17, 93, 5, -3, 2, 41)
         rows = draw_minibatch(1000, 17, 93, 5, -3, 2, np.array([40, 41]))
-        np.testing.assert_array_equal(draw.A, rows.A[1])
-        np.testing.assert_array_equal(draw.B, rows.B[1])
+        np.testing.assert_array_equal(draw[0], rows[0][1])
+        np.testing.assert_array_equal(draw[1], rows[1][1])
 
     def counting_reference(self, monkeypatch):
         calls = []
@@ -163,19 +163,19 @@ class TestDrawMinibatch:
         # (2^32 - m) % m = 2^31 - 1: about half of all uint32 values are rejected
         m, steps = 2**31 + 1, np.arange(20)
         calls = self.counting_reference(monkeypatch)
-        draw = draw_minibatch(m, 3, 4, 2, 11, 1, steps)
+        A, B = draw_minibatch(m, 3, 4, 2, 11, 1, steps)
         assert any(stream == 0 for _, _, stream in calls)
-        np.testing.assert_array_equal(draw.A, reference_rows(11, 1, steps, 0, m, 4))
-        np.testing.assert_array_equal(draw.B, reference_rows(11, 1, steps, 1, 3, 2))
+        np.testing.assert_array_equal(A, reference_rows(11, 1, steps, 0, m, 4))
+        np.testing.assert_array_equal(B, reference_rows(11, 1, steps, 1, 3, 2))
 
     def test_bound_above_2_32_falls_back_to_reference(self, monkeypatch):
         m, steps = 2**32 + 5, np.arange(4)
         calls = self.counting_reference(monkeypatch)
-        draw = draw_minibatch(m, 2**32, 6, 6, -9, 3, steps)
+        A, B = draw_minibatch(m, 2**32, 6, 6, -9, 3, steps)
         # B's bound of exactly 2^32 never rejects, so only A's rows fall back
         assert sorted(calls) == [(3, t, 0) for t in steps]
-        np.testing.assert_array_equal(draw.A, reference_rows(-9, 3, steps, 0, m, 6))
-        np.testing.assert_array_equal(draw.B, reference_rows(-9, 3, steps, 1, 2**32, 6))
+        np.testing.assert_array_equal(A, reference_rows(-9, 3, steps, 0, m, 6))
+        np.testing.assert_array_equal(B, reference_rows(-9, 3, steps, 1, 2**32, 6))
 
     def test_scalar_draws_are_consecutive_bounded_uint32(self):
         # SCGD and ASC-PG draw j, i and j2 one at a time from stream 2; each
@@ -229,8 +229,8 @@ class TestTakeSnapshot:
 
 class TestEstimateInner:
     def test_fixed_point_at_reference(self):
-        for name, problem, snap, draw in fixed_point_cases():
-            for A in (draw.A[0], draw.A):  # one step, and a (t, a) stack
+        for name, problem, snap, (rows_A, _) in fixed_point_cases():
+            for A in (rows_A[0], rows_A):  # one step, and a (t, a) stack
                 g_t = estimate_inner(problem, snap, snap.x_tilde, A)
                 np.testing.assert_array_equal(g_t, np.broadcast_to(snap.g_tilde, g_t.shape),
                                               err_msg=name)
@@ -263,11 +263,11 @@ class TestEstimateGradient:
     def test_fixed_point_at_reference(self):
         # the gathered snapshot rows equal fresh x~ evaluations bit for bit,
         # so every correction is exactly zero
-        for name, problem, snap, draw in fixed_point_cases():
+        for name, problem, snap, (A, B) in fixed_point_cases():
             for t in range(20):
-                v = estimate_gradient(problem, snap, snap.x_tilde, draw.A[t], draw.B[t])
+                v = estimate_gradient(problem, snap, snap.x_tilde, A[t], B[t])
                 np.testing.assert_array_equal(v, snap.v_tilde, err_msg=name)
-            v = estimate_gradient(problem, snap, snap.x_tilde, draw.A, draw.B)
+            v = estimate_gradient(problem, snap, snap.x_tilde, A, B)
             np.testing.assert_array_equal(v, np.broadcast_to(snap.v_tilde, v.shape), err_msg=name)
 
     def test_singleton_problem_exact(self):

@@ -241,6 +241,28 @@ class TestRunBenchmark:
                 for line in Path(out).read_text().strip().split("\n")[1:]]
         assert min(gaps) >= -1e-9
 
+    def test_long_traces_keep_at_most_the_cap_with_both_ends(self, tmp_path, monkeypatch):
+        toy = build_toy("affine", d=3, m=20, n=20, seed=0)
+
+        def runs(cap):
+            monkeypatch.setattr(harness, "MAX_TRACE_ROWS", cap)
+            out = tmp_path / f"trace-{cap}.csv"
+            run_benchmark(ExperimentSpec(problem=toy, algorithms=["scvrg", "scgd"],
+                                         budget=50.0, seeds=[0, 1], out=str(out)))
+            by_run = {}
+            for line in out.read_text().strip().split("\n")[1:]:
+                by_run.setdefault(tuple(line.split(",")[:2]), []).append(line)
+            return by_run
+
+        full, cut = runs(10**9), runs(5)
+        assert full.keys() == cut.keys() and len(full) == 4
+        for run, rows in full.items():
+            kept = cut[run]
+            assert len(rows) > 5 >= len(kept)
+            assert kept[0] == rows[0] and kept[-1] == rows[-1]
+            remaining = iter(rows)
+            assert all(row in remaining for row in kept)  # kept rows, in order
+
     def test_medium_profile_under_a_minute(self, tmp_path):
         import time
         p = build_mean_variance(synthetic_returns(7240, 25, seed=0), lam=1e-2)

@@ -5,7 +5,7 @@ import pytest
 
 from compopt import solver
 from compopt.errors import ConfigError, InputError
-from compopt.estimators import MiniBatchDraw, minibatch_rng
+from compopt.estimators import minibatch_rng
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
@@ -164,8 +164,7 @@ class TestRunEpoch:
             rows = [(minibatch_rng(seed, epoch, int(t), 0).integers(0, m, a),
                      minibatch_rng(seed, epoch, int(t), 1).integers(0, n, b))
                     for t in np.atleast_1d(iteration)]
-            return MiniBatchDraw(A=np.array([r[0] for r in rows]),
-                                 B=np.array([r[1] for r in rows]))
+            return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
         chunked, chunked_x, chunk_calls = run(chunked_draw)
         reference, reference_x, _ = run(per_step)
@@ -183,7 +182,7 @@ class TestRunScvrg:
         cfg = RunConfig(S=3, k0=5, eta=0.02, a=2, b=2, seed=4)
         res = run_scvrg(toy, cfg, np.zeros(2))
         assert [e.k for e in res.epochs] == [10, 20, 40]
-        assert res.l_final == 2 * cfg.T
+        assert res.epochs[-1].l == 2 * cfg.T
         # chaining: each epoch starts at the previous epoch's last iterate
         np.testing.assert_array_equal(res.epochs[1].x_start, res.epochs[0].x_last)
         # reference: previous epoch's average

@@ -186,6 +186,14 @@ class TestRunAllChecks:
             assert combined.passed
             assert combined.measured != reports["lemma1_domination"].measured
 
+    def test_bad_seed_is_refused_before_any_check_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before the seed was validated")
+
+        monkeypatch.setattr(verify, "check_gradient_fd", fail)
+        with pytest.raises(ConfigError, match="seed must fit in int64"):
+            run_all_checks(seed=2**63)
+
 
 def _biased_inner(problem, snapshot, x, A):
     return estimate_inner(problem, snapshot, x, A) + 0.3 * snapshot.g_tilde
