@@ -12,7 +12,8 @@ import numpy as np
 
 from compopt.problem import objective
 from compopt.problems import build_bellman, random_bellman_spec
-from compopt.solver import RunConfig, run_scvrg
+from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
+from compopt.trace import Recorder
 
 
 def main():
@@ -26,8 +27,9 @@ def main():
     # the residual system is flat (gradient-Lipschitz constant ~ 0.1), so the
     # base step must be much larger than the portfolio default of 0.01
     config = RunConfig(S=5, k0=10, eta=3.0, a=5, b=1, seed=0)
-    result = run_scvrg(problem, config, np.zeros(problem.dims.d),
-                       phi_star=problem.phi_star)
+    # budgeted at the S epochs' exact cost, so every epoch runs in full
+    budget = predicted_total_samples(config, problem.dims.m, problem.dims.n)
+    result = run_scvrg(problem, config, np.zeros(problem.dims.d), Recorder(problem, budget))
 
     print("\ngap at each epoch boundary:")
     for info in result.epochs:

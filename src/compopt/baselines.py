@@ -6,9 +6,10 @@ the two-timescale compositional stochastic gradient method (SCGD), its
 accelerated proximal variant (ASC-PG), and the constant-epoch variance-reduced
 method (VRSC-PG). All of them emit the shared trace schema with the same
 sample-charging rules as the main solver, so their x-axes are comparable.
-Every runner takes `run_scvrg`'s arguments: a `RunConfig`, a sample budget,
-phi* for the gap column and a trace cadence. SCGD, ASC-PG and AGD read only
-the config's seed; VRSC-PG also reads eta, a and b.
+Every runner takes `run_scvrg`'s arguments `(problem, config, x0, recorder)`:
+the caller's `Recorder` holds the budget, phi* for the gap column and the
+trace cadence, and the runner returns its final iterate. SCGD, ASC-PG and AGD
+read only the config's seed; VRSC-PG also reads eta, a and b.
 """
 
 import math
@@ -27,8 +28,7 @@ from .trace import Recorder
 ALPHA0, P_X, BETA0, P_Y = 0.1, 0.75, 1.0, 0.5
 
 
-def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
-            phi_star: float | None = None, trace_every: int | None = None):
+def run_agd(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder):
     """Accelerated full-batch proximal gradient with function restarts.
 
     Step 1/ell from the problem's smoothness bound; every iteration charges
@@ -38,8 +38,7 @@ def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int
     m, n = problem.dims.m, problem.dims.n
     step = 1.0 / problem.smoothness().ell
     x = start_point(problem, x0)
-    rec = Recorder(problem, "agd", config.seed, x, max_samples, phi_star=phi_star,
-                   every=trace_every)
+    rec.start("agd", config.seed, x)
     y, t_k, phi, it = x.copy(), 1.0, objective(problem, x), 0
     while rec.affords(m + n):
         it += 1
@@ -55,22 +54,19 @@ def run_agd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int
             t_k, x, phi = t_next, x_new, phi_new
         rec.record_step(0, it, x)
     rec.record(0, it, x)
-    return x, rec.rows
+    return x
 
 
-def run_scgd(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
-             phi_star: float | None = None, trace_every: int | None = None):
+def run_scgd(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder):
     """Two-timescale compositional SGD with a running inner-value tracker.
 
     y_t tracks g(x_t) with weight BETA0 / t^P_Y; steps use ALPHA0 / t^P_X.
     Each iteration charges 2 samples (one inner, one outer).
     """
-    return _scgd_core(problem, config.seed, x0, max_samples, phi_star, trace_every,
-                      accelerated=False)
+    return _scgd_core(problem, config.seed, x0, rec, accelerated=False)
 
 
-def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
-              phi_star: float | None = None, trace_every: int | None = None):
+def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder):
     """Accelerated proximal variant of the two-timescale method.
 
     The inner tracker is refreshed at an extrapolated query point
@@ -78,22 +74,19 @@ def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: i
     the iterate update itself carries no momentum. Charges 3 samples per
     iteration (inner VJP at x, inner value at z, one outer gradient).
     """
-    return _scgd_core(problem, config.seed, x0, max_samples, phi_star, trace_every,
-                      accelerated=True)
+    return _scgd_core(problem, config.seed, x0, rec, accelerated=True)
 
 
-def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerated):
+def _scgd_core(problem, seed, x0, rec, accelerated):
     m, n = problem.dims.m, problem.dims.n
-    # ASC-PG charges its tracker's seed sample at the start point before its first row
-    tag, cost, charged = ("ascpg", 3, 1) if accelerated else ("scgd", 2, 0)
     x = start_point(problem, x0)
-    rec = Recorder(problem, tag, seed, x, max_samples, charged, phi_star, every=trace_every)
-    if accelerated:
-        rng0 = minibatch_rng(seed, 0, 0, stream=2)
-        y = problem.inner_value(int(rng0.integers(m)), x)
+    if accelerated:  # the tracker's seed sample at the start point, charged before its row
+        y = problem.inner_value(int(minibatch_rng(seed, 0, 0, stream=2).integers(m)), x)
+        rec.charge(1)
     else:
         y = np.zeros(problem.dims.k)
-    t = 0
+    rec.start("ascpg" if accelerated else "scgd", seed, x)
+    cost, t = (3 if accelerated else 2), 0
     while rec.affords(cost):
         t += 1
         rng = minibatch_rng(seed, 0, t, stream=2)
@@ -115,11 +108,10 @@ def _scgd_core(problem, seed, x0, max_samples, phi_star, trace_every, accelerate
         rec.charge(cost)
         rec.record_step(0, t, x)
     rec.record(0, t, x)
-    return x, rec.rows
+    return x
 
 
-def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: int,
-               phi_star: float | None = None, trace_every: int | None = None):
+def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder):
     """Constant-epoch variance-reduced proximal method.
 
     Runs the solver's epoch engine with epochs of K = ceil((m+n)^(2/3)) steps
@@ -129,9 +121,8 @@ def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, max_samples: 
     K = math.ceil((problem.dims.m + problem.dims.n) ** (2.0 / 3.0))
     engine = replace(config, schedule="constant")
     x = start_point(problem, x0)
-    rec = Recorder(problem, "vrscpg", config.seed, x, max_samples, phi_star=phi_star,
-                   every=trace_every)
+    rec.start("vrscpg", config.seed, x)
     epoch = 1
     while (info := run_epoch(problem, x, x, K, 0, engine, epoch, rec)) is not None:
         x, epoch = info.x_last, epoch + 1
-    return x, rec.rows
+    return x

@@ -13,7 +13,7 @@ from .errors import ConfigError, DivergenceError, InputError
 from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
 from .solver import RunConfig, predicted_total_samples, run_scvrg
-from .trace import TRACE_HEADER, TraceRecord, abort_record
+from .trace import TRACE_HEADER, Recorder, TraceRecord, abort_record
 
 log = logging.getLogger(__name__)
 
@@ -185,15 +185,12 @@ def _algorithm_config(problem: CompositionProblem, algorithm: str, seed: int,
 
 
 def _run_config(problem: CompositionProblem, algorithm: str, config: RunConfig,
-                max_samples: int, phi_star: float | None):
-    trace_every = max(1, math.ceil(problem.N / (config.a + config.b)))
-    x0 = np.zeros(problem.dims.d)
-    if algorithm == "scvrg":
-        result = run_scvrg(problem, config, x0, max_samples, phi_star, trace_every)
-        return result.x, result.trace
-    runner = {"vrscpg": baselines.run_vrscpg, "scgd": baselines.run_scgd,
-              "ascpg": baselines.run_ascpg, "agd": baselines.run_agd}[algorithm]
-    return runner(problem, config, x0, max_samples, phi_star, trace_every)
+                recorder: Recorder):
+    """Run `algorithm` from x = 0, charged to `recorder`; returns its final iterate."""
+    runner = {"scvrg": lambda *args: run_scvrg(*args).x, "vrscpg": baselines.run_vrscpg,
+              "scgd": baselines.run_scgd, "ascpg": baselines.run_ascpg,
+              "agd": baselines.run_agd}[algorithm]
+    return runner(problem, config, np.zeros(problem.dims.d), recorder)
 
 
 def run_one(problem: CompositionProblem, algorithm: str, seed: int,
@@ -205,7 +202,8 @@ def run_one(problem: CompositionProblem, algorithm: str, seed: int,
     params = params or {}
     check_roster([algorithm], params)
     config = _algorithm_config(problem, algorithm, seed, max_samples, params)
-    return _run_config(problem, algorithm, config, max_samples, phi_star)
+    recorder = Recorder(problem, max_samples, phi_star, every=problem.N)
+    return _run_config(problem, algorithm, config, recorder), recorder.rows
 
 
 def run_benchmark(spec: ExperimentSpec) -> str:
@@ -223,14 +221,15 @@ def run_benchmark(spec: ExperimentSpec) -> str:
     for algorithm in spec.algorithms:
         for seed in spec.seeds:
             config = replace(spec.configs[algorithm], seed=seed)
+            recorder = Recorder(problem, max_samples, phi_star, every=problem.N)
             try:
-                _, trace = _run_config(problem, algorithm, config, max_samples, phi_star)
+                _run_config(problem, algorithm, config, recorder)
             except DivergenceError as exc:
                 log.warning("run (%s, seed %d) aborted: %s", algorithm, seed, exc)
-                rows.append(abort_record(algorithm, seed, max_samples, problem.N))
+                rows.append(abort_record(algorithm, seed, recorder.samples, problem.N))
                 aborted.append(f"{algorithm} seed {seed} ({exc})")
                 continue
-            rows.extend(_decimate(trace))
+            rows.extend(_decimate(recorder.rows))
     out_dir = os.path.dirname(os.path.abspath(spec.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(spec.out, "w") as fh:

@@ -108,7 +108,6 @@ class EpochInfo:
 @dataclass
 class ScvrgResult:
     x: np.ndarray
-    trace: list
     epochs: list
     samples: int
 
@@ -125,8 +124,9 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
     exact; otherwise indices are sampled uniformly with replacement, drawn for
     up to _DRAW_CHUNK indices' worth of steps at a time. The epoch stops
     early, freezing the average, once the recorder cannot pay for another step.
-    The recorder checks every step, and keeps a row at its cadence and one at
-    the end of the epoch, at the number of steps taken.
+    The recorder, which its runner has started, checks every step and keeps a
+    row at its sample cadence and one at the end of the epoch, at the number
+    of steps taken.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
@@ -169,22 +169,18 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
 
 
 def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
-              max_samples: int | None = None, phi_star: float | None = None,
-              trace_every: int | None = None) -> ScvrgResult:
+              recorder: Recorder) -> ScvrgResult:
     """Full doubling-epoch run: S epoch bodies, returning the final reference.
 
     Epoch body s (0-based) has length k0 * 2^(s+1); its snapshot is taken at
     the previous epoch's average (the initial point for s = 0) and its first
     iterate is the previous epoch's last iterate. Per-epoch sample charge is
-    m + n + k * (a + b); no snapshot or step starts that max_samples cannot
-    pay for. Without max_samples the budget is the S epochs' exact cost,
-    `predicted_total_samples`, so all S run in full.
+    m + n + k * (a + b); no snapshot or step starts that the recorder's
+    budget cannot pay for. A budget of `predicted_total_samples` runs all S
+    epochs in full.
     """
     x_ref = x_cur = start_point(problem, x0)
-    if max_samples is None:
-        max_samples = predicted_total_samples(config, problem.dims.m, problem.dims.n)
-    recorder = Recorder(problem, "scvrg", config.seed, x_ref, max_samples, phi_star=phi_star,
-                        every=trace_every)
+    recorder.start("scvrg", config.seed, x_ref)
     l = 0
     epochs: list[EpochInfo] = []
     for s in range(config.S):
@@ -194,8 +190,7 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
             break
         epochs.append(info)
         l, x_ref, x_cur = info.l, info.x_avg, info.x_last
-    return ScvrgResult(x=x_ref, trace=recorder.rows, epochs=epochs,
-                       samples=recorder.samples)
+    return ScvrgResult(x=x_ref, epochs=epochs, samples=recorder.samples)
 
 
 def predicted_total_samples(config: RunConfig, m: int, n: int) -> int:

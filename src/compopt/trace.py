@@ -32,37 +32,41 @@ class TraceRecord:
 
 class Recorder:
     """One run's ledger: its sample budget, the samples charged against it and
-    its trace rows, starting with the row at x0 (epoch 0, iteration 0) after
-    the `charged` samples spent before it. It aborts the run once a step's
-    iterate is non-finite or a row's objective exceeds 1e6 * (|Phi(x0)| + 1).
+    its trace rows. The caller builds it; the runner names the run and writes
+    its first row at its start point with `start`, after any samples spent
+    before it. It aborts the run once a step's iterate is non-finite or a
+    row's objective exceeds 1e6 * (|Phi(x0)| + 1).
 
     One inner index costs 1 (the g_j/dg_j pair at one point), one outer index
     costs 1 and a full snapshot costs m + n. The snapshot and the estimators
     charge nothing: each cost is charged by the loop that checks `affords` for
     it, so a run never charges more than its budget.
 
-    `record_step` keeps a row every `every` steps (None: none). A row that
+    `record_step` keeps a row at the first step whose samples reach the next
+    multiple of `every` above the previous row's (None: none). A row that
     repeats the previous row's (epoch, iteration, samples) is dropped: no
     sample was charged in between, so the iterate is unchanged.
     """
 
-    def __init__(self, problem, algorithm: str, seed: int, x0, budget: int, charged: int = 0,
-                 phi_star: float | None = None, every: int | None = None):
+    def __init__(self, problem, budget: int, phi_star: float | None = None,
+                 every: int | None = None):
         if budget is None:
-            raise ConfigError(f"{algorithm} runs until its sample budget is spent: "
+            raise ConfigError("a run stops only once its sample budget is spent: "
                               "max_samples is required")
         if not isinstance(budget, numbers.Integral) or budget < 1:
             raise ConfigError(f"sample budget must be positive and whole, got {budget!r}")
         self.problem = problem
-        self.algorithm = algorithm
-        self.seed = seed
         self.budget = budget
-        self.samples = charged
+        self.samples = 0
         self.phi_star = phi_star
         self.every = every
-        self.phi_limit = math.inf
+        self.next_row = self.phi_limit = math.inf
         self.rows: list[TraceRecord] = []
-        self.record(0, 0, x0)
+
+    def start(self, algorithm: str, seed: int, x):
+        """Name the run and write its first row, at x (epoch 0, iteration 0)."""
+        self.algorithm, self.seed = algorithm, seed
+        self.record(0, 0, x)
         self.phi_limit = 1e6 * (abs(self.rows[0].objective) + 1.0)
 
     def affords(self, cost: int) -> bool:
@@ -85,7 +89,7 @@ class Recorder:
     def record_step(self, epoch: int, steps: int, x):
         """Check the iterate after `steps` steps, and record it if the cadence is due."""
         self.check_finite(epoch, steps, x)
-        if self.every is not None and steps % self.every == 0:
+        if self.samples >= self.next_row:
             self.record(epoch, steps, x)
 
     def record(self, epoch: int, iteration: int, x):
@@ -96,6 +100,8 @@ class Recorder:
         if obj > self.phi_limit:
             self._abort(f"objective {obj:g} exceeded the divergence limit", epoch, iteration)
         gap = None if self.phi_star is None else obj - self.phi_star
+        if self.every is not None:
+            self.next_row = (self.samples // self.every + 1) * self.every
         self.rows.append(TraceRecord(
             algorithm=self.algorithm, seed=self.seed, epoch=epoch, iteration=iteration,
             samples=self.samples, samples_per_N=self.samples / self.problem.N,

@@ -25,7 +25,8 @@ from .errors import ConfigError
 from .estimators import (EpochSnapshot, estimate_inner, take_snapshot,
                          unbiased_reference_gradient)
 from .problem import CompositionProblem, full_gradient, objective, smooth_value
-from .solver import RunConfig, run_scvrg
+from .solver import RunConfig, predicted_total_samples, run_scvrg
+from .trace import Recorder
 
 MC_SLACK = 1.05
 MC_CHUNK = 20_000  # Monte-Carlo trials per draw
@@ -256,7 +257,9 @@ def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("contraction check requires a problem with a certified optimum")
     xs, ps = problem.x_star, problem.phi_star
-    result = run_scvrg(problem, config, x0)
+    budget = predicted_total_samples(config, problem.dims.m, problem.dims.n)
+    # by keyword: perfbench times this call through a (problem, config, x0, **kwargs) wrapper
+    result = run_scvrg(problem, config, x0, recorder=Recorder(problem, budget))
     last = result.epochs[-1]
     # (reference, first iterate, first step, k_s = k0 * 2^s) for s = 0..S
     points = [(e.x_ref, e.x_start, e.eta_start, e.k // 2) for e in result.epochs]

@@ -1,0 +1,21 @@
+"""Shared test helpers."""
+
+from compopt.solver import run_epoch
+from compopt.trace import Recorder
+
+
+def run(runner, problem, config, x0, budget, phi_star=None, every=None):
+    """Run `runner(problem, config, x0, recorder)` on a Recorder of its own,
+    as the harness does; returns what the runner returned (the final iterate,
+    or run_scvrg's result) and the recorder's rows."""
+    recorder = Recorder(problem, budget, phi_star, every)
+    return runner(problem, config, x0, recorder), recorder.rows
+
+
+def epoch_runner(k, l=0, epoch_index=1):
+    """A runner for `run` that starts its recorder at x0 and runs one k-step
+    epoch from x0 with its snapshot there; returns the epoch's record."""
+    def runner(problem, config, x0, recorder):
+        recorder.start("scvrg", config.seed, x0)
+        return run_epoch(problem, x0, x0, k, l, config, epoch_index, recorder)
+    return runner

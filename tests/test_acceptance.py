@@ -21,6 +21,7 @@ from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.verify import (check_epoch_contraction, check_gradient_fd,
                             check_lemma1, check_lemma1_scaling, check_lemma2,
                             check_unbiasedness)
+from conftest import run
 from test_prox import numeric_prox_1d
 
 
@@ -168,10 +169,10 @@ class TestSampleAccounting:
         toy = build_toy("affine", d=3, m=7, n=5, seed=0)
         for S in (1, 2, 3):
             config = RunConfig(S=S, k0=4, eta=1e-3, a=3, b=2, seed=0)
-            result = run_scvrg(toy, config, np.zeros(3))
+            result, rows = run(run_scvrg, toy, config, np.zeros(3), 10**9)
             ledger = sum(7 + 5 + 4 * 2 ** (s + 1) * (3 + 2) for s in range(S))
             assert result.samples == ledger
-            assert result.trace[-1].samples == ledger
+            assert rows[-1].samples == ledger
             assert predicted_total_samples(config, 7, 5) == ledger
 
     def test_closed_form_display(self):
@@ -205,13 +206,15 @@ class TestFullBatchDegeneration:
         # 50 steps = one epoch of k = 50 (k0 = 25, S = 1)
         config = RunConfig(S=1, k0=25, eta=eta, a=m, b=n, seed=0,
                            schedule="constant")
-        result = run_scvrg(toy, config, np.zeros(3))
+        result, _ = run(run_scvrg, toy, config, np.zeros(3),
+                        predicted_total_samples(config, m, n))
         np.testing.assert_allclose(result.epochs[0].x_last, oracle[-1],
                                    rtol=0, atol=1e-12)
         # epoch boundaries of a doubling run hit steps 10 and 30
         config = RunConfig(S=2, k0=5, eta=eta, a=m, b=n, seed=0,
                            schedule="constant")
-        result = run_scvrg(toy, config, np.zeros(3))
+        result, _ = run(run_scvrg, toy, config, np.zeros(3),
+                        predicted_total_samples(config, m, n))
         np.testing.assert_allclose(result.epochs[0].x_last, oracle[9],
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.epochs[1].x_last, oracle[29],

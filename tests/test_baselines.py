@@ -9,7 +9,9 @@ from compopt.harness import ALGORITHMS, run_one
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
-from compopt.solver import RunConfig, run_scvrg
+from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
+from compopt.trace import Recorder
+from conftest import run
 
 
 @pytest.fixture
@@ -24,20 +26,24 @@ def config(seed=0, **fields):
 
 class TestSampleBudget:
     def test_rejects_bad_budget(self, toy):
+        # the Recorder holds the budget, so every run refuses a bad one
         for budget in (0, -5, 2.5):
-            for runner in (run_agd, run_scgd, run_ascpg, run_vrscpg, run_scvrg):
+            with pytest.raises(ConfigError, match="sample budget must be positive"):
+                Recorder(toy, budget)
+            for algorithm in ALGORITHMS:
                 with pytest.raises(ConfigError, match="sample budget must be positive"):
-                    runner(toy, config(), np.zeros(3), budget)
+                    run_one(toy, algorithm, 0, budget)
 
-
-    @pytest.mark.parametrize("runner", [run_agd, run_scgd, run_ascpg, run_vrscpg, *[
-        pytest.param(lambda p, cfg, x0, budget, a=a: run_one(p, a, cfg.seed, budget),
-                     id=f"run_one-{a}") for a in ALGORITHMS]])
-    def test_unbudgeted_baseline_is_config_error(self, toy, runner):
+    @pytest.mark.parametrize("call", [
+        *[pytest.param(lambda p, budget, r=r: run(r, p, config(), np.zeros(3), budget),
+                       id=r.__name__) for r in (run_agd, run_scgd, run_ascpg, run_vrscpg)],
+        *[pytest.param(lambda p, budget, a=a: run_one(p, a, 0, budget),
+                       id=f"run_one-{a}") for a in ALGORITHMS]])
+    def test_unbudgeted_baseline_is_config_error(self, toy, call):
         # each of these runs stops only once its budget is spent, and run_one
         # fits scvrg's epoch count to its budget
         with pytest.raises(ConfigError, match="max_samples is required"):
-            runner(toy, config(), np.zeros(3), None)
+            call(toy, None)
 
 
 class TestStartPoint:
@@ -54,12 +60,12 @@ class TestStartPoint:
         for oracle in ("inner_value", "inner_vjp", "outer_value", "outer_grad"):
             monkeypatch.setattr(toy, oracle, lambda *a: pytest.fail("oracle called"))
         with pytest.raises(InputError, match=message):
-            runner(toy, config(), np.array(x0), 100)
+            run(runner, toy, config(), np.array(x0), 100)
 
 
 class TestAgd:
     def test_charges_m_plus_n_per_iteration(self, toy):
-        _, rows = run_agd(toy, config(), np.zeros(3), 8 * 5)
+        _, rows = run(run_agd, toy, config(), np.zeros(3), 8 * 5)
         assert rows[-1].samples == 8 * 5  # 5 iterations at m+n = 8
 
     def test_matches_unconstrained_accelerated_oracle(self):
@@ -75,23 +81,23 @@ class TestAgd:
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
             y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
             t_k, x = t_next, x_new
-        got, _ = run_agd(toy, config(), np.zeros(2), 50 * 6)
+        got, _ = run(run_agd, toy, config(), np.zeros(2), 50 * 6)
         np.testing.assert_allclose(got, x, atol=1e-10)
 
     def test_converges_on_toy(self, toy):
-        x, _ = run_agd(toy, config(), np.zeros(3), 200 * 8)
+        x, _ = run(run_agd, toy, config(), np.zeros(3), 200 * 8)
         assert objective(toy, x) - toy.phi_star <= 1e-8
 
 
 class TestScgd:
     def test_charges_two_per_iteration(self, toy):
-        _, rows = run_scgd(toy, config(), np.zeros(3), 100)
+        _, rows = run(run_scgd, toy, config(), np.zeros(3), 100)
         assert rows[-1].samples == 100
 
     def test_singleton_reduces_to_exact_gradient_step(self):
         """m=n=1 and beta_1=1: the first update is an exact prox-gradient step."""
         toy = build_toy("affine", d=2, m=1, n=1, seed=2)
-        x, _ = run_scgd(toy, config(), np.zeros(2), 2)
+        x, _ = run(run_scgd, toy, config(), np.zeros(2), 2)
         expected = prox_step(toy.regularizer,
                              -ALPHA0 * full_gradient(toy, np.zeros(2)), ALPHA0)
         np.testing.assert_allclose(x, expected, atol=1e-14)
@@ -99,41 +105,41 @@ class TestScgd:
     def test_tracker_in_hull_for_affine_inner(self, toy):
         # identity inner map: y_t must stay a convex combination of iterates,
         # all inside the box, so componentwise |y_t| <= radius
-        x, rows = run_scgd(toy, config(1), np.zeros(3), 2000)
+        x, rows = run(run_scgd, toy, config(1), np.zeros(3), 2000)
         assert np.max(np.abs(x)) <= toy.regularizer.radius + 1e-12
 
     def test_long_run_convergence(self, toy):
-        x, _ = run_scgd(toy, config(), np.zeros(3), 200_000)
+        x, _ = run(run_scgd, toy, config(), np.zeros(3), 200_000)
         assert objective(toy, x) - toy.phi_star <= 1e-2
 
 
 class TestAscpg:
     def test_long_run_convergence(self, toy):
-        x, _ = run_ascpg(toy, config(), np.zeros(3), 200_000)
+        x, _ = run(run_ascpg, toy, config(), np.zeros(3), 200_000)
         assert objective(toy, x) - toy.phi_star <= 1e-2
 
     def test_stays_near_scgd_regime(self, toy):
         """With lam=0 the accelerated variant lands in the same basin: final
         gaps differ by under 10% of the initial gap."""
         init_gap = objective(toy, np.zeros(3)) - toy.phi_star
-        g1 = objective(toy, run_scgd(toy, config(), np.zeros(3), 20_000)[0]) - toy.phi_star
-        g2 = objective(toy, run_ascpg(toy, config(), np.zeros(3), 20_000)[0]) - toy.phi_star
+        g1 = objective(toy, run(run_scgd, toy, config(), np.zeros(3), 20_000)[0]) - toy.phi_star
+        g2 = objective(toy, run(run_ascpg, toy, config(), np.zeros(3), 20_000)[0]) - toy.phi_star
         assert abs(g1 - g2) <= 0.1 * init_gap
 
     def test_feasible_iterates(self, toy):
-        x, _ = run_ascpg(toy, config(3), np.zeros(3), 5000)
+        x, _ = run(run_ascpg, toy, config(3), np.zeros(3), 5000)
         assert np.max(np.abs(x)) <= toy.regularizer.radius + 1e-12
 
     def test_first_row_follows_the_tracker_seed(self, toy):
         # the tracker's seeding draw is charged before the start-point row
-        _, rows = run_ascpg(toy, config(), np.zeros(3), 100)
+        _, rows = run(run_ascpg, toy, config(), np.zeros(3), 100)
         assert (rows[0].epoch, rows[0].iteration, rows[0].samples) == (0, 0, 1)
 
 
 class TestVrscpg:
     def test_epoch_sample_accounting(self, toy):
         K = 4  # ceil((m + n)^(2/3)) at m + n = 8
-        _, rows = run_vrscpg(toy, config(a=5, b=5), np.zeros(3), 3 * (8 + K * 10))
+        _, rows = run(run_vrscpg, toy, config(a=5, b=5), np.zeros(3), 3 * (8 + K * 10))
         assert rows[-1].samples == 3 * (8 + K * 10)
 
     def test_matches_scvrg_first_epoch(self):
@@ -142,28 +148,29 @@ class TestVrscpg:
         k0 = 2  # K = ceil((m + n)^(2/3)) = 4 at m + n = 6
         scvrg_cfg = RunConfig(S=1, k0=k0, eta=0.01, a=2, b=2, seed=11,
                               schedule="constant")
-        res = run_scvrg(toy, scvrg_cfg, np.zeros(2))
+        res, _ = run(run_scvrg, toy, scvrg_cfg, np.zeros(2),
+                     predicted_total_samples(scvrg_cfg, 3, 3))
         K = 2 * k0
-        x, _ = run_vrscpg(toy, config(11, eta=0.01, a=2, b=2), np.zeros(2), 6 + K * 4)
+        x, _ = run(run_vrscpg, toy, config(11, eta=0.01, a=2, b=2), np.zeros(2), 6 + K * 4)
         np.testing.assert_array_equal(x, res.epochs[0].x_last)
 
     def test_converges_at_small_budget(self, toy):
-        x, _ = run_vrscpg(toy, config(eta=0.05), np.zeros(3), 100 * 8)
+        x, _ = run(run_vrscpg, toy, config(eta=0.05), np.zeros(3), 100 * 8)
         assert objective(toy, x) - toy.phi_star <= 1e-6
 
 
 class TestTraceSchema:
     def test_monotone_samples_and_common_schema(self, toy):
         for runner in (run_agd, run_scgd, run_ascpg, run_vrscpg):
-            _, rows = runner(toy, config(), np.zeros(3), 500, trace_every=3)
+            _, rows = run(runner, toy, config(), np.zeros(3), 500, every=3)
             samples = [r.samples for r in rows]
             assert samples == sorted(samples)
             assert all(r.samples_per_N == r.samples / toy.N for r in rows)
 
     def test_no_consecutive_duplicate_rows(self, toy):
-        # trace_every=2 divides VRSC-PG's K=4 and ASC-PG's 46 iterations, so
-        # each one's last step row would repeat as its end-of-run row
+        # a cadence of 2 samples keeps every step's row, so each one's last
+        # step row would repeat as its end-of-run row
         for runner in (run_agd, run_scgd, run_ascpg, run_vrscpg):
-            _, rows = runner(toy, config(), np.zeros(3), 139, trace_every=2)
+            _, rows = run(runner, toy, config(), np.zeros(3), 139, every=2)
             keys = [(r.epoch, r.iteration, r.samples) for r in rows]
             assert all(a != b for a, b in zip(keys, keys[1:])), runner.__name__

@@ -89,15 +89,17 @@ class TestBench:
         assert specs[0].configs["scgd"].eta == RunConfig.eta  # scgd reads no field
 
     def test_batch_flags_leave_unread_algorithms_trace_cadence(self, tmp_path):
-        # --a and --b go to scvrg only: scgd keeps a row every ceil(N / (5 + 5)) steps
-        out = tmp_path / "bench.csv"
-        assert run_cli("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--a", "2",
-                       "--b", "3", "--budget", "5", "--out", str(out)) == 0
-        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
-        iters = [int(r[3]) for r in rows if r[0] == "scgd"]
-        every = -(-200 // 10)  # the default toy has N = m = 200
-        assert iters[:-1] == list(range(0, iters[-1], every))
-        assert iters[-1] == 5 * 200 // 2  # the last step, at 2 samples each
+        # --a and --b go to scvrg only, and the cadence counts samples: scgd
+        # keeps a row at the first step that reaches each multiple of N = 200
+        # (the default toy has N = m = 200), at 2 samples a step
+        scgd = []
+        for flags in (["--a", "2", "--b", "3"], ["--a", "7", "--b", "1"]):
+            out = tmp_path / "bench.csv"
+            assert run_cli("bench", "--problem", "toy", "--algo", "scvrg,scgd", *flags,
+                           "--budget", "5", "--out", str(out)) == 0
+            rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+            scgd.append([(int(r[3]), int(r[4])) for r in rows if r[0] == "scgd"])
+        assert scgd[0] == scgd[1] == [(100 * q, 200 * q) for q in range(6)]
 
     def test_bellman_problem(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -9,7 +9,8 @@ from compopt import cli, harness
 from compopt.baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from compopt.errors import DivergenceError
 from compopt.problems import AffineQuadraticProblem, build_toy
-from compopt.solver import RunConfig, run_scvrg
+from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
+from conftest import run
 
 
 class NanAfterProblem(AffineQuadraticProblem):
@@ -36,7 +37,7 @@ def test_nan_oracle_raises_divergence(algorithm):
     problem = NanAfterProblem()
     with pytest.raises(DivergenceError,
                        match=rf"^{algorithm}: non-finite iterate at epoch \d+, iteration \d+$"):
-        RUNNERS[algorithm](problem, RunConfig(S=3), np.zeros(3), 10_000)
+        run(RUNNERS[algorithm], problem, RunConfig(S=3), np.zeros(3), 10_000)
     assert problem.good < 0  # the run reached the NaN oracle before it aborted
 
 
@@ -49,6 +50,9 @@ def test_nan_oracle_run_exits_two(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("run aborted: 1 of 1 runs diverged")
     rows = out.read_text().strip().split("\n")
     assert rows[1].startswith("scvrg,0,-1,-1,")  # the abort marker is still written
+    # at the samples the run had charged: its snapshot (m + n = 8) and three
+    # steps of a + b = 10, the last of which turned the iterate non-finite
+    assert rows[1].split(",")[4:6] == [str(8 + 3 * 10), repr((8 + 3 * 10) / 4)]
 
 
 def test_objective_limit_raises_divergence():
@@ -57,7 +61,8 @@ def test_objective_limit_raises_divergence():
     with pytest.raises(DivergenceError,
                        match=r"^scvrg: objective \S+ exceeded the divergence limit at epoch 1, "
                              r"iteration 20$"):
-        run_scvrg(toy, RunConfig(S=1, eta=10.0), np.zeros(3))
+        config = RunConfig(S=1, eta=10.0)
+        run(run_scvrg, toy, config, np.zeros(3), predicted_total_samples(config, 4, toy.dims.n))
 
 
 def test_objective_limit_run_exits_two(tmp_path, capsys):

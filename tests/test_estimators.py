@@ -18,8 +18,8 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset, build_bell
                               build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
-from compopt.solver import RunConfig, run_epoch
-from compopt.trace import Recorder
+from compopt.solver import RunConfig
+from conftest import epoch_runner, run
 
 
 class CurvedInnerProblem(CompositionProblem):
@@ -55,11 +55,10 @@ def affine_toy():
 def one_epoch_ledger(problem, k, a, b):
     """The samples column of one k-step epoch from 0, a row per step, under a
     budget that pays for exactly that epoch."""
-    x0 = np.zeros(problem.dims.d)
     m, n = problem.dims.m, problem.dims.n
-    rec = Recorder(problem, "scvrg", 0, x0, m + n + k * (a + b), every=1)
-    run_epoch(problem, x0, x0, k, 0, RunConfig(S=1, a=a, b=b), 1, rec)
-    return [row.samples for row in rec.rows]
+    _, rows = run(epoch_runner(k), problem, RunConfig(S=1, a=a, b=b), np.zeros(problem.dims.d),
+                  m + n + k * (a + b), every=1)
+    return [row.samples for row in rows]
 
 
 #: an estimate at x = x~ is the snapshot's bit for bit on each of these

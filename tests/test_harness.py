@@ -19,6 +19,10 @@ from compopt.problems import (AffineQuadraticProblem, build_bellman,
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.trace import TRACE_HEADER
+from conftest import run
+
+RUNNERS = {"scvrg": run_scvrg, "vrscpg": run_vrscpg, "scgd": run_scgd,
+           "ascpg": run_ascpg, "agd": run_agd}
 
 
 class TestExperimentSpec:
@@ -75,15 +79,8 @@ class TestFieldsRead:
         """The final iterate's bytes and every trace row, under a budget of
         2000 samples, more than either schedule's S epochs cost."""
         toy = build_toy("affine", d=3, m=4, n=5, seed=0)
-        x0 = np.zeros(3)
-        if algorithm == "scvrg":
-            result = run_scvrg(toy, config, x0, 2000, trace_every=1)
-            x, rows = result.x, result.trace
-        else:
-            runner = {"vrscpg": run_vrscpg, "scgd": run_scgd, "ascpg": run_ascpg,
-                      "agd": run_agd}[algorithm]
-            x, rows = runner(toy, config, x0, 2000, trace_every=1)
-        return x.tobytes(), [r.to_csv_row() for r in rows]
+        x, rows = run(RUNNERS[algorithm], toy, config, np.zeros(3), 2000, every=1)
+        return getattr(x, "x", x).tobytes(), [r.to_csv_row() for r in rows]
 
     def test_other_values_cover_every_field_but_the_seed(self):
         assert set(self.OTHER) == {f.name for f in fields(RunConfig)} - {"seed"}
@@ -99,6 +96,40 @@ class TestFieldsRead:
         base = self.run(algorithm, self.BASE)
         for name in FIELDS_READ[algorithm]:
             assert self.run(algorithm, replace(self.BASE, **{name: self.OTHER[name]})) != base, name
+
+
+class TestTraceCadence:
+    """A cadence of N samples keeps the rows of a row-per-step run at the
+    first step that reaches each next multiple of N, and every epoch's end."""
+
+    @staticmethod
+    def cadence_rows(full, every):
+        """The rows a cadence of `every` samples keeps out of `full`, a trace
+        with a row per step: the start row, then each row that ends its epoch
+        or reaches the next multiple of `every` above the last row kept."""
+        kept = [full[0]]
+        for row, after in zip(full[1:], full[2:] + [None]):
+            if (after is None or after.epoch != row.epoch
+                    or row.samples >= (kept[-1].samples // every + 1) * every):
+                kept.append(row)
+        return kept
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_rows_every_n_samples_are_a_subset_of_every_step(self, algorithm):
+        # N = m = 20 while a full gradient costs m + n = 28; scvrg's four epochs
+        # cost 862 samples, so the budget stops it inside its last one
+        toy = build_toy("affine", d=3, m=20, n=8, seed=0)
+        config, budget = RunConfig(S=4, k0=5, eta=0.02, a=3, b=2, seed=2), 30 * toy.N
+        _, full = run(RUNNERS[algorithm], toy, config, np.zeros(3), budget, every=1)
+        _, rows = run(RUNNERS[algorithm], toy, config, np.zeros(3), budget, every=toy.N)
+        assert ([r.to_csv_row() for r in rows]
+                == [r.to_csv_row() for r in self.cadence_rows(full, toy.N)])
+        ends = {(r.epoch, r.iteration) for r, after in zip(rows, rows[1:] + [None])
+                if after is None or after.epoch != r.epoch}
+        cadence = [r for r in rows[1:] if (r.epoch, r.iteration) not in ends]
+        assert len(cadence) <= budget // toy.N
+        if algorithm == "agd":  # a step costs more than N: a row per step
+            assert [r.iteration for r in rows] == list(range(budget // 28 + 1))
 
 
 class TestComputePhiStar:

@@ -18,6 +18,7 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig
 from compopt.verify import check_lemma1
+from conftest import run
 from test_estimators import CurvedInnerProblem, assert_same_bits
 
 
@@ -275,7 +276,7 @@ class TestLipschitzBounds:
         readers = [
             problem.smoothness,
             lambda: polish_phi_star(problem, 100 * 4),
-            lambda: run_agd(problem, RunConfig(S=1), np.zeros(1), 40),
+            lambda: run(run_agd, problem, RunConfig(S=1), np.zeros(1), 40),
             lambda: check_lemma1(problem, snapshot, np.ones(1), a=2, b=2, trials=10),
         ]
         for read in readers:

@@ -12,15 +12,17 @@ from compopt.prox import prox_step
 from compopt.solver import (RunConfig, derive_theorem_params,
                             predicted_total_samples, run_epoch, run_scvrg)
 from compopt.trace import Recorder
+from conftest import epoch_runner, run
 
 # one epoch of k0 * 2 = 100 steps: schedule horizon T = 50
 STEPS = RunConfig(S=1, k0=50, eta=0.01)
+#: a budget more than any run here spends
+AMPLE = 10**9
 
 
-def recorder(problem, x0, max_samples=10**9, every=None):
-    """A fresh run's recorder, as run_scvrg makes it; the default budget is
-    more than any epoch here spends."""
-    return Recorder(problem, "scvrg", 0, x0, max_samples, every=every)
+def exact(cfg, problem):
+    """The budget that pays for exactly cfg's S epochs on `problem`."""
+    return predicted_total_samples(cfg, problem.dims.m, problem.dims.n)
 
 
 class TestStepSize:
@@ -99,8 +101,7 @@ class TestRunEpoch:
         toy = build_toy("affine", d=2, m=3, n=3, seed=0, radius=1e6)
         cfg = RunConfig(S=2, k0=1, eta=0.01, a=3, b=3)
         x0 = np.array([0.3, -0.2])
-        res = run_epoch(toy, x0, x0, k=1, l=0, config=cfg, epoch_index=1,
-                        recorder=recorder(toy, x0))
+        res, _ = run(epoch_runner(1), toy, cfg, x0, AMPLE)
         eta1 = cfg.eta * np.sqrt(cfg.T) / np.sqrt(2 * cfg.T)
         np.testing.assert_allclose(res.x_last, x0 - eta1 * full_gradient(toy, x0), atol=1e-14)
         np.testing.assert_array_equal(res.x_avg, x0)
@@ -110,8 +111,7 @@ class TestRunEpoch:
         toy = build_toy("identity", d=2, m=2, n=2, seed=1, radius=5.0)
         x_star = toy.x_star
         cfg = RunConfig(S=2, k0=5, eta=0.05, a=2, b=2)
-        res = run_epoch(toy, x_star, x_star, k=10, l=0, config=cfg, epoch_index=1,
-                        recorder=recorder(toy, x_star))
+        res, _ = run(epoch_runner(10), toy, cfg, x_star, AMPLE)
         np.testing.assert_allclose(res.x_last, x_star, atol=1e-12)
 
     def test_average_is_pre_update_mean(self):
@@ -119,8 +119,7 @@ class TestRunEpoch:
         cfg = RunConfig(S=1, k0=2, eta=0.01, a=2, b=2, schedule="constant")
         x0 = np.array([0.5, 0.5])
         # replicate the k=2 loop by hand: average covers x_0 and x_1, not x_2
-        res = run_epoch(toy, x0, x0, k=2, l=0, config=cfg, epoch_index=1,
-                        recorder=recorder(toy, x0))
+        res, _ = run(epoch_runner(2), toy, cfg, x0, AMPLE)
         x1 = prox_step(toy.regularizer,
                        x0 - cfg.eta * full_gradient(toy, x0), cfg.eta)
         np.testing.assert_allclose(res.x_avg, 0.5 * (x0 + x1), atol=1e-13)
@@ -128,8 +127,8 @@ class TestRunEpoch:
     def test_feasibility_every_iterate(self):
         toy = build_toy("affine", d=2, m=3, n=3, seed=3, lam=0.1, radius=0.5)
         cfg = RunConfig(S=3, k0=10, eta=0.5, a=2, b=2)
-        res = run_scvrg(toy, cfg, np.zeros(2), trace_every=1)
-        assert all(abs(row.objective) < np.inf for row in res.trace)
+        _, rows = run(run_scvrg, toy, cfg, np.zeros(2), exact(cfg, toy), every=1)
+        assert all(abs(row.objective) < np.inf for row in rows)
 
     @pytest.mark.parametrize("max_samples", [None, 250 * 400])
     def test_chunked_draws_match_per_step_reference(self, monkeypatch, max_samples):
@@ -143,7 +142,7 @@ class TestRunEpoch:
         assert 400 * (cfg.a + cfg.b) > solver._DRAW_CHUNK
         estimate, chunked_draw = solver.estimate_gradient, solver.draw_minibatch
 
-        def run(draw):
+        def run_with(draw):
             visited, calls = [], []
 
             def spy_estimate(problem, snapshot, x, A, B):
@@ -156,8 +155,8 @@ class TestRunEpoch:
 
             monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
             monkeypatch.setattr(solver, "draw_minibatch", spy_draw)
-            res = run_epoch(toy, x0, x0, k=400, l=3, config=cfg, epoch_index=2,
-                            recorder=recorder(toy, x0, max_samples or 6 + 400 * 400))
+            res, _ = run(epoch_runner(400, l=3, epoch_index=2), toy, cfg, x0,
+                         max_samples or 6 + 400 * 400)
             return res, np.array(visited), calls
 
         def per_step(m, n, a, b, seed, epoch, iteration):
@@ -166,8 +165,8 @@ class TestRunEpoch:
                     for t in np.atleast_1d(iteration)]
             return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
-        chunked, chunked_x, chunk_calls = run(chunked_draw)
-        reference, reference_x, _ = run(per_step)
+        chunked, chunked_x, chunk_calls = run_with(chunked_draw)
+        reference, reference_x, _ = run_with(per_step)
         assert len(chunk_calls) == (3 if max_samples is None else 2)
         assert len(chunked_x) == (400 if max_samples is None else 249)
         np.testing.assert_array_equal(chunked_x, reference_x)
@@ -180,7 +179,7 @@ class TestRunScvrg:
     def test_epoch_structure(self):
         toy = build_toy("affine", d=2, m=3, n=3, seed=0)
         cfg = RunConfig(S=3, k0=5, eta=0.02, a=2, b=2, seed=4)
-        res = run_scvrg(toy, cfg, np.zeros(2))
+        res, _ = run(run_scvrg, toy, cfg, np.zeros(2), exact(cfg, toy))
         assert [e.k for e in res.epochs] == [10, 20, 40]
         assert res.epochs[-1].l == 2 * cfg.T
         # chaining: each epoch starts at the previous epoch's last iterate
@@ -192,48 +191,46 @@ class TestRunScvrg:
     def test_sample_accounting_exact(self):
         toy = build_toy("affine", d=3, m=4, n=5, seed=1)
         cfg = RunConfig(S=4, k0=3, eta=0.02, a=2, b=3, seed=0)
-        res = run_scvrg(toy, cfg, np.zeros(3))
+        res, _ = run(run_scvrg, toy, cfg, np.zeros(3), AMPLE)
         assert res.samples == predicted_total_samples(cfg, 4, 5)
         assert res.samples == sum(4 + 5 + 3 * 2 ** (s + 1) * (2 + 3) for s in range(4))
 
-    def test_unbudgeted_run_is_budgeted_at_its_exact_cost(self):
+    def test_predicted_budget_runs_every_epoch_and_spends_it(self):
+        # predicted_total_samples is the S epochs' exact cost: one sample less
+        # stops the last epoch a step short
         toy = build_toy("mixed", d=3, m=4, n=5, seed=2)
         cfg = RunConfig(S=4, k0=3, eta=0.05, a=2, b=3, seed=-1)
-        unbudgeted = run_scvrg(toy, cfg, np.zeros(3), trace_every=1)
-        budgeted = run_scvrg(toy, cfg, np.zeros(3), trace_every=1,
-                             max_samples=predicted_total_samples(cfg, 4, 5))
-        assert ([r.to_csv_row() for r in unbudgeted.trace]
-                == [r.to_csv_row() for r in budgeted.trace])
-        assert unbudgeted.x.tobytes() == budgeted.x.tobytes()
-        assert len(unbudgeted.epochs) == len(budgeted.epochs) == 4
-        for e, f in zip(unbudgeted.epochs, budgeted.epochs):
-            assert (e.epoch, e.k, e.eta_start, e.samples_end, e.l) == \
-                (f.epoch, f.k, f.eta_start, f.samples_end, f.l)
-            for name in ("x_ref", "x_start", "x_avg", "x_last"):
-                assert getattr(e, name).tobytes() == getattr(f, name).tobytes()
+        res, rows = run(run_scvrg, toy, cfg, np.zeros(3), exact(cfg, toy), every=1)
+        assert [(e.epoch, e.k, e.l) for e in res.epochs] == \
+            [(s, 3 * 2**s, 3 * (2 ** (s + 1) - 2)) for s in range(1, 5)]
+        assert res.samples == res.epochs[-1].samples_end == rows[-1].samples == exact(cfg, toy)
+        assert (rows[-1].epoch, rows[-1].iteration) == (4, 48)
+        short, rows = run(run_scvrg, toy, cfg, np.zeros(3), exact(cfg, toy) - 1, every=1)
+        assert len(short.epochs) == 4 and short.samples == exact(cfg, toy) - 5
+        assert (rows[-1].epoch, rows[-1].iteration) == (4, 47)
 
     def test_deterministic_trace(self):
         toy = build_toy("affine", d=2, m=3, n=3, seed=5)
         cfg = RunConfig(S=3, k0=5, eta=0.02, a=2, b=2, seed=9)
-        t1 = run_scvrg(toy, cfg, np.zeros(2), trace_every=1).trace
-        t2 = run_scvrg(toy, cfg, np.zeros(2), trace_every=1).trace
+        _, t1 = run(run_scvrg, toy, cfg, np.zeros(2), exact(cfg, toy), every=1)
+        _, t2 = run(run_scvrg, toy, cfg, np.zeros(2), exact(cfg, toy), every=1)
         assert [r.to_csv_row() for r in t1] == [r.to_csv_row() for r in t2]
 
     def test_infeasible_start_rejected(self):
         toy = build_toy("affine", d=2, m=3, n=3, seed=0, radius=0.5)
         with pytest.raises(InputError):
-            run_scvrg(toy, RunConfig(S=1), np.array([2.0, 0.0]))
+            run(run_scvrg, toy, RunConfig(S=1), np.array([2.0, 0.0]), AMPLE)
 
     def test_converges_on_toy(self):
         toy = build_toy("identity", d=3, m=4, n=4, seed=0)
         cfg = RunConfig(S=4, k0=5, eta=0.05, a=4, b=4, seed=1)
-        res = run_scvrg(toy, cfg, np.zeros(3))
+        res, _ = run(run_scvrg, toy, cfg, np.zeros(3), exact(cfg, toy))
         assert objective(toy, res.x) - toy.phi_star <= 1e-8
 
     def test_budget_truncation(self):
         toy = build_toy("affine", d=2, m=3, n=3, seed=0)
         cfg = RunConfig(S=5, k0=5, eta=0.02, a=2, b=2)
-        res = run_scvrg(toy, cfg, np.zeros(2), max_samples=200)
+        res, _ = run(run_scvrg, toy, cfg, np.zeros(2), 200)
         assert res.samples <= 200 + (cfg.a + cfg.b)
 
     def test_budget_pays_for_every_step(self):
@@ -241,22 +238,22 @@ class TestRunScvrg:
         # stops after 15 steps, since a 16th would reach 202 > 200
         toy = build_toy("affine", d=2, m=3, n=3, seed=0)
         cfg = RunConfig(S=5, k0=5, eta=0.02, a=2, b=2)
-        res = run_scvrg(toy, cfg, np.zeros(2), max_samples=200)
-        assert res.samples == res.trace[-1].samples == 198
+        res, rows = run(run_scvrg, toy, cfg, np.zeros(2), 200)
+        assert res.samples == rows[-1].samples == 198
         assert len(res.epochs) == 3
 
     def test_starved_budget_writes_start_row(self):
         # one snapshot and one step cost 3 + 3 + 5 + 5 = 16 > 10
         toy = build_toy("affine", d=2, m=3, n=3, seed=0)
-        res = run_scvrg(toy, RunConfig(S=1), np.zeros(2), max_samples=10)
-        assert [(r.epoch, r.iteration, r.samples) for r in res.trace] == [(0, 0, 0)]
+        res, rows = run(run_scvrg, toy, RunConfig(S=1), np.zeros(2), 10)
+        assert [(r.epoch, r.iteration, r.samples) for r in rows] == [(0, 0, 0)]
         assert res.samples == 0 and res.epochs == []
 
     def test_budget_cut_epoch_ends_at_steps_taken(self):
         # a snapshot (6) and 8 of the epoch's 20 steps (10 each) fit 90 samples
         toy = build_toy("affine", d=2, m=3, n=3, seed=0)
-        res = run_scvrg(toy, RunConfig(S=1), np.zeros(2), trace_every=1, max_samples=90)
-        rows = [(r.epoch, r.iteration, r.samples) for r in res.trace]
+        _, rows = run(run_scvrg, toy, RunConfig(S=1), np.zeros(2), 90, every=1)
+        rows = [(r.epoch, r.iteration, r.samples) for r in rows]
         assert rows == [(0, 0, 0)] + [(1, t, 6 + 10 * t) for t in range(1, 9)]
 
 
@@ -264,17 +261,17 @@ class TestSampleMeterCharges:
     def test_per_epoch_charge(self):
         toy = build_toy("affine", d=2, m=3, n=4, seed=0)
         cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2)
-        rec = recorder(toy, np.zeros(2))
-        info = run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg, epoch_index=1,
-                         recorder=rec)
-        assert rec.samples == info.samples_end == 7 + 12 * (2 + 2)
+        info, rows = run(epoch_runner(12), toy, cfg, np.zeros(2), AMPLE)
+        assert info.samples_end == rows[-1].samples == 7 + 12 * (2 + 2)
 
     @pytest.mark.parametrize("max_samples", [1, 3 + 4 + 2 + 2 - 1])
     def test_epoch_the_meter_cannot_pay_charges_nothing(self, max_samples):
         # an epoch starts only when its snapshot and one step, m + n + a + b, fit
         toy = build_toy("affine", d=2, m=3, n=4, seed=0)
         cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2)
-        rec = recorder(toy, np.zeros(2), max_samples, every=1)
+        # the ledger itself is under test, so this test holds its Recorder
+        rec = Recorder(toy, max_samples, every=1)
+        rec.start("scvrg", cfg.seed, np.zeros(2))
         assert run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg,
                          epoch_index=1, recorder=rec) is None
         assert rec.samples == 0
@@ -283,8 +280,6 @@ class TestSampleMeterCharges:
     def test_epoch_the_meter_just_pays_takes_one_step(self):
         toy = build_toy("affine", d=2, m=3, n=4, seed=0)
         cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2)
-        rec = recorder(toy, np.zeros(2), 3 + 4 + 2 + 2, every=1)
-        info = run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg,
-                         epoch_index=1, recorder=rec)
+        info, rows = run(epoch_runner(12), toy, cfg, np.zeros(2), 3 + 4 + 2 + 2, every=1)
         assert info.l == 1 and info.samples_end == 11
-        assert [(r.epoch, r.iteration, r.samples) for r in rec.rows] == [(0, 0, 0), (1, 1, 11)]
+        assert [(r.epoch, r.iteration, r.samples) for r in rows] == [(0, 0, 0), (1, 1, 11)]
