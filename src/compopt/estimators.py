@@ -12,8 +12,13 @@ Minibatch indices come from Philox4x64-10 (Salmon et al., SC 2011), the
 counter-based generator numpy's `Philox` implements: `minibatch_rng` is the
 reference definition, and `draw_minibatch` hashes a whole batch of steps'
 counters in one numpy pass and reproduces its draws bit for bit.
+`minibatch_rng` hands `Philox` a `_PhiloxKey` seed object that yields the key
+(seed bits, 0), so numpy gathers no OS entropy for a `SeedSequence` that the
+key would overwrite; the draws are those of `Philox(key=..., counter=...)`.
 """
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +49,37 @@ class EpochSnapshot:
 
 def _seed_key(seed) -> np.uint64:
     """Philox key word 0: the int64 seed's two's-complement bits."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not -2**63 <= seed < 2**63:
-        raise OverflowError(f"seed {seed} does not fit in int64")
+        raise OverflowError(f"seed must fit in int64, got {seed}")
     return np.uint64(seed % 2**64)
+
+
+class _PhiloxKey:
+    """Seed object from which `Philox(seed=...)` reads its 128-bit key
+    (key, 0), the one `Philox(key=key)` sets, as generate_state(2, uint64),
+    the only request it serves. numpy takes it as a virtual `ISeedSequence`;
+    it is module-level so the generator that holds it pickles."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.uint64):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
+@functools.cache
+def _philox_classes():
+    """(Generator, Philox), imported on first use: `import compopt` leaves
+    numpy.random unloaded, which keeps a process's resident set small."""
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_PhiloxKey)
+    return Generator, Philox
 
 
 def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
@@ -56,8 +88,9 @@ def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
     Philox is splittable: distinct counters give independent streams, so draws
     are reproducible per iteration regardless of execution order.
     """
-    bg = np.random.Philox(key=_seed_key(seed), counter=[0, epoch, iteration, stream])
-    return np.random.Generator(bg)
+    generator, philox = _philox_classes()
+    key = _PhiloxKey(_seed_key(seed))
+    return generator(philox(key, counter=[0, epoch, iteration, stream]))
 
 
 def _philox_blocks(key: np.uint64, counters: np.ndarray) -> np.ndarray:

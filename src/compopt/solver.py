@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import draw_minibatch, estimate_gradient, take_snapshot
+from .estimators import _seed_key, draw_minibatch, estimate_gradient, take_snapshot
 from .problem import CompositionProblem, start_point
 from .prox import prox_step
 from .trace import Recorder
@@ -46,8 +46,10 @@ class RunConfig:
             raise ConfigError(f"base step eta must be positive and finite, got {self.eta}")
         if not (1 <= self.a < 2**31 and 1 <= self.b < 2**31):
             raise ConfigError(f"batch sizes out of range: a={self.a}, b={self.b}")
-        if not -2**63 <= self.seed < 2**63:
-            raise ConfigError(f"seed must fit in int64, got {self.seed}")
+        try:
+            _seed_key(self.seed)  # an int64, not a float or bool
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         # no run takes 2^63 steps, and a float step cannot hold T; S >= 64 skips 2^S

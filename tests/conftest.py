@@ -1,5 +1,8 @@
 """Shared test helpers."""
 
+import numpy as np
+
+from compopt.estimators import _seed_key
 from compopt.solver import run_epoch
 from compopt.trace import Recorder
 
@@ -19,3 +22,9 @@ def epoch_runner(k, l=0, epoch_index=1):
         recorder.start("scvrg", config.seed, x0)
         return run_epoch(problem, x0, x0, k, l, config, epoch_index, recorder)
     return runner
+
+
+def key_seeded_rng(seed, epoch, iteration, stream=0):
+    """minibatch_rng's generator as numpy's `Philox(key=...)` builds it."""
+    philox = np.random.Philox(key=_seed_key(seed), counter=[0, epoch, iteration, stream])
+    return np.random.Generator(philox)

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from compopt import baselines
 from compopt.baselines import ALPHA0, run_agd, run_ascpg, run_scgd, run_vrscpg
 from compopt.errors import ConfigError, InputError
+from compopt.estimators import minibatch_rng
 from compopt.harness import ALGORITHMS, run_one
 from compopt.problem import full_gradient, objective
-from compopt.problems import build_toy
+from compopt.problems import build_mean_variance, build_toy, synthetic_returns
 from compopt.prox import prox_step
 from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.trace import Recorder
-from conftest import run
+from conftest import key_seeded_rng, run
 
 
 @pytest.fixture
@@ -134,6 +136,35 @@ class TestAscpg:
         # the tracker's seeding draw is charged before the start-point row
         _, rows = run(run_ascpg, toy, config(), np.zeros(3), 100)
         assert (rows[0].epoch, rows[0].iteration, rows[0].samples) == (0, 0, 1)
+
+
+class TestScgdDraws:
+    """SCGD builds one generator per step and ASC-PG one more for its tracker
+    seed, so generator calls count samples: a step costs 2 (SCGD) or 3
+    (ASC-PG), and ASC-PG's seed sample 1. Their draws are numpy's key-seeded
+    Philox draws, byte for byte in every trace row and the final iterate."""
+
+    @pytest.mark.parametrize("seed", [0, -3])
+    @pytest.mark.parametrize("runner, ledger", [
+        (run_scgd, lambda samples, calls: samples == 2 * calls),
+        (run_ascpg, lambda samples, calls: samples == 1 + 3 * (calls - 1))],
+        ids=["scgd", "ascpg"])
+    def test_calls_match_ledger_and_key_seeded_draws(self, monkeypatch, runner, ledger, seed):
+        problem = build_mean_variance(synthetic_returns(40, 4, seed=0))
+        budget, x0 = 5 * problem.N + 1, np.zeros(problem.dims.d)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return minibatch_rng(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "minibatch_rng", counted)
+        x, rows = run(runner, problem, config(seed), x0, budget, every=problem.N)
+        assert ledger(rows[-1].samples, len(calls))
+        monkeypatch.setattr(baselines, "minibatch_rng", key_seeded_rng)
+        x_ref, rows_ref = run(runner, problem, config(seed), x0, budget, every=problem.N)
+        assert x.tobytes() == x_ref.tobytes()
+        assert [r.to_csv_row() for r in rows] == [r.to_csv_row() for r in rows_ref]
 
 
 class TestVrscpg:

@@ -2,7 +2,12 @@
 
 import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,9 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset, build_bell
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig
-from conftest import epoch_runner, run
+from conftest import epoch_runner, key_seeded_rng, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class CurvedInnerProblem(CompositionProblem):
@@ -107,6 +114,63 @@ class TestMinibatchRng:
             minibatch_rng(seed, 0, 0)
         with pytest.raises(OverflowError):
             draw_minibatch(5, 5, 2, 2, seed, 0, np.arange(3))
+
+    @pytest.mark.parametrize("seed", ["3", 1.5, True, False, None, np.float64(2.0),
+                                      np.bool_(True)])
+    def test_non_integer_seed_raises(self, seed):
+        # int() would take "3" and 1.5, and a bool is an int: each would run
+        # another seed's draws under its own name
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            minibatch_rng(seed, 0, 0)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            draw_minibatch(5, 5, 2, 2, seed, 0, np.arange(3))
+
+    @pytest.mark.parametrize("seed", [np.int64(-3), np.int32(7), np.uint8(200),
+                                      np.uint64(2**63 - 1)])
+    def test_numpy_integer_seed_draws_as_its_int(self, seed):
+        np.testing.assert_array_equal(minibatch_rng(seed, 1, 2).integers(0, 100, 10),
+                                      minibatch_rng(int(seed), 1, 2).integers(0, 100, 10))
+        for got, want in zip(draw_minibatch(7, 5, 3, 2, seed, 1, np.arange(4)),
+                             draw_minibatch(7, 5, 3, 2, int(seed), 1, np.arange(4))):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**62 - 1, 2**63 - 1, -2**63,
+                                      *np.random.default_rng(22).integers(
+                                          -2**63, 2**63 - 1, size=4, endpoint=True).tolist()])
+    def test_draws_match_key_seeded_philox(self, seed):
+        # the seed object gives the generator Philox(key=...) builds: 20
+        # bounded 32-bit draws run past one 4-word block (8 uint32s), then
+        # 64-bit bounded draws and doubles continue the same stream
+        counters = np.random.default_rng(seed % 2**32).integers(0, 2**64, size=(6, 3),
+                                                               dtype=np.uint64)
+        for epoch, iteration, stream in counters.tolist():
+            got = minibatch_rng(seed, epoch, iteration, stream)
+            want = key_seeded_rng(seed, epoch, iteration, stream)
+            np.testing.assert_array_equal(got.integers(0, 1000, size=20),
+                                          want.integers(0, 1000, size=20))
+            np.testing.assert_array_equal(got.integers(0, 2**40 + 7, size=5),
+                                          want.integers(0, 2**40 + 7, size=5))
+            np.testing.assert_array_equal(got.random(5), want.random(5))
+
+    def test_generator_pickles(self):
+        rng = minibatch_rng(-5, 3, 9, 2)
+        rng.integers(0, 100, size=3)  # mid-block, with a buffered uint32
+        copy_ = pickle.loads(pickle.dumps(rng))
+        np.testing.assert_array_equal(copy_.integers(0, 100, size=12),
+                                      rng.integers(0, 100, size=12))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy 2 loads numpy.random lazily; the resident set of a process
+        # that imports compopt stays smaller while nothing draws. The first
+        # draw then loads it and yields the key-seeded Philox draws.
+        code = ("import sys, compopt; loaded = 'numpy.random' in sys.modules; "
+                "print(loaded, compopt.minibatch_rng(-3, 1, 2, 1).integers(0, 10**6, 9).tolist())")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        draws = key_seeded_rng(-3, 1, 2, 1).integers(0, 10**6, 9).tolist()
+        assert out.strip() == f"False {draws}"
 
 
 def reference_rows(seed, epoch, steps, stream, bound, size):

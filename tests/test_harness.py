@@ -56,6 +56,11 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError, match="seed must fit in int64"):
             self.make(seeds=[0, seed])
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_rejects_non_integer_seed_after_the_first(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            self.make(seeds=[0, seed])
+
     @pytest.mark.parametrize("kw", [dict(algorithms=["scvrg", "scgd", "scvrg"]),
                                     dict(seeds=[0, 1, 0])])
     def test_rejects_repeats(self, kw):
@@ -68,6 +73,23 @@ class TestExperimentSpec:
     def test_rejects_params_no_algorithm_reads(self, algorithms, params):
         with pytest.raises(ConfigError, match="not read by"):
             self.make(algorithms=algorithms, params=params)
+
+
+class TestRunOneSeed:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_seed_is_config_error(self, algorithm, seed):
+        # seed 1.5 (or True) would run seed 1 and write 1.5 in the seed column
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            run_one(build_toy("identity", d=2, m=3, n=3, seed=0), algorithm, seed, 60)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_numpy_integer_seed_runs_as_its_int(self, algorithm):
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        x, rows = run_one(toy, algorithm, np.int64(-3), 60)
+        x_int, rows_int = run_one(toy, algorithm, -3, 60)
+        assert x.tobytes() == x_int.tobytes()
+        assert [r.to_csv_row() for r in rows] == [r.to_csv_row() for r in rows_int]
 
 
 class TestFieldsRead:

@@ -62,7 +62,8 @@ class TestRunConfig:
                                      dict(S=0), dict(eta=float("nan")),
                                      dict(eta=float("inf")), dict(S=64), dict(S=1100),
                                      dict(S=60, k0=9), dict(seed=2**63),
-                                     dict(seed=-2**63 - 1)])
+                                     dict(seed=-2**63 - 1), dict(seed=1.5), dict(seed=True),
+                                     dict(seed="3"), dict(seed=np.float64(1.0))])
     def test_validation(self, bad):
         kwargs = dict(S=2)
         kwargs.update(bad)
