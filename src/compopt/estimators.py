@@ -6,7 +6,12 @@ they average, from which every step gathers its x~ terms (the oracles are
 row-exact, so a gathered row is what a fresh call returns). Minibatch estimates
 of the inner value and the gradient (whose minibatch Jacobians enter only
 through vector-Jacobian products) are corrected by the cached values, so their
-variance vanishes as the iterate approaches the reference.
+variance vanishes as the iterate approaches the reference. An oracle call
+whose point (and cotangent) every index shares evaluates all components once
+and gathers the rows when its index array holds at least as many indices as
+there are components, which the batch sizes of the paper's contraction regime
+often do; row-exactness makes that the per-index call's bits, and the samples
+charged are still the indices drawn.
 
 Minibatch indices come from Philox4x64-10 (Salmon et al., SC 2011), the
 counter-based generator numpy's `Philox` implements: `minibatch_rng` is the
@@ -18,6 +23,7 @@ key would overwrite; the draws are those of `Philox(key=..., counter=...)`.
 """
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -200,6 +206,16 @@ def take_snapshot(problem: CompositionProblem, x_tilde) -> EpochSnapshot:
                          g_rows=g_rows, df_rows=df_rows)
 
 
+def _gathered(idx: np.ndarray, count: int, rows):
+    """rows(idx) for an oracle expression whose point (and cotangent) every
+    index shares: once idx holds at least `count` indices, the number of
+    components, one call over `ALL` and a gather, rows(ALL)[idx]. The oracles
+    are row-exact, so the bits are the per-index call's."""
+    if idx.size >= count:
+        return rows(ALL)[idx]
+    return rows(idx)
+
+
 def _batch_mean(rows: np.ndarray) -> np.ndarray:
     """Mean over the minibatch axis -2; one pass also for a stack of trials."""
     return np.einsum("...ak->...k", rows) / rows.shape[-2]
@@ -216,8 +232,8 @@ def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A) -
     if A.size == 0:
         raise ConfigError("inner minibatch A must be nonempty")
     x = np.asarray(x, dtype=float)
-    g_new = problem.inner_value(A, x)
-    return snapshot.g_tilde + _batch_mean(g_new - snapshot.g_rows[A])
+    return snapshot.g_tilde + _batch_mean(_gathered(
+        A, problem.dims.m, lambda idx: problem.inner_value(idx, x) - snapshot.g_rows[idx]))
 
 
 def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, g_t, A, B):
@@ -230,14 +246,18 @@ def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, g_t, A
     skipped: no inner VJP is evaluated. Otherwise the pair is evaluated at x
     and x~, since its cotangent df_new changes every step."""
     stack = g_t.ndim > 1
-    df_new = _batch_mean(problem.outer_grad(B, g_t[..., None, :] if stack else g_t))
+    # a stack's points and cotangents differ per trial, so its calls never gather
+    m, n = (math.inf, math.inf) if stack else (problem.dims.m, problem.dims.n)
+    y = g_t[..., None, :] if stack else g_t
+    df_new = _batch_mean(_gathered(B, n, lambda idx: problem.outer_grad(idx, y)))
     v = snapshot.v_tilde + (df_new - _batch_mean(snapshot.df_rows[B])) @ snapshot.z_tilde
     if problem.constant_jacobian is not None:
         return v
     # a step keeps one (k,) point and cotangent (the oracles' one-point path); a
     # stack copies its cotangents out to (t, a, k): einsum over (t, 1, k) is ~3x slower
     u = np.repeat(df_new[..., None, :], A.shape[-1], axis=-2) if stack else df_new
-    return v + _batch_mean(problem.inner_vjp(A, x, u) - problem.inner_vjp(A, snapshot.x_tilde, u))
+    return v + _batch_mean(_gathered(A, m, lambda idx: (
+        problem.inner_vjp(idx, x, u) - problem.inner_vjp(idx, snapshot.x_tilde, u))))
 
 
 def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B) -> np.ndarray:
@@ -270,6 +290,6 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
     g_x, Z_x = inner_mean(problem, x)
-    df_new = _batch_mean(problem.outer_grad(B, g_x))
+    df_new = _batch_mean(_gathered(B, problem.dims.n, lambda idx: problem.outer_grad(idx, g_x)))
     df_ref = _batch_mean(snapshot.df_rows[B])
     return snapshot.v_tilde + df_new @ Z_x - df_ref @ snapshot.z_tilde

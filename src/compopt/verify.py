@@ -30,7 +30,9 @@ from .trace import Recorder
 
 MC_SLACK = 1.05
 MC_CHUNK = 20_000  # Monte-Carlo trials per draw
-MC_SLICE = 5_000   # trials per estimator evaluation, which bounds its (t, a, k, d) gathers
+# trials per estimator evaluation, which bounds its (t, a, k) rows and the
+# (t, a, k, d) gathers of its inner VJP stacks, and of its inner values when t * a < m
+MC_SLICE = 5_000
 CONTRACTION_THRESHOLD = 0.75
 CONTRACTION_THRESHOLD_DETERMINISTIC = 0.5 + 1e-6
 
@@ -129,12 +131,16 @@ def _v_t(problem, snapshot, x, A, B):
     return estimators._vr_gradient(problem, snapshot, x, g_t, A, B)
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ConfigError(f"Monte-Carlo trial count must be >= 1, got {trials}")
+
+
 def _mc_mean_sq(problem, a, b, trials, seed, deviation):
     """Monte-Carlo mean of ||deviation(A, B)||^2 over uniform draws A (t, a)
     and B (t, b), drawn MC_CHUNK trials at a time and evaluated MC_SLICE at a
     time."""
-    if trials < 1:
-        raise ConfigError(f"Monte-Carlo trial count must be >= 1, got {trials}")
+    _check_trials(trials)
     m, n = problem.dims.m, problem.dims.n
     rng = np.random.default_rng(seed)
     acc = 0.0
@@ -320,7 +326,9 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     so the CLI stays interactive."""
     from .problems import build_mean_variance, build_toy, random_bellman_spec, build_bellman, synthetic_returns
 
-    config = RunConfig(S=3, k0=10, seed=seed)  # refuses a bad seed before any check runs
+    # refuse a bad seed or trial count before any check runs
+    config = RunConfig(S=3, k0=10, seed=seed)
+    _check_trials(trials)
     reports = []
     rng = np.random.default_rng(seed)
 

@@ -1,7 +1,11 @@
 """Shared test helpers."""
 
-import numpy as np
+import contextlib
 
+import numpy as np
+import pytest
+
+from compopt import estimators
 from compopt.estimators import _seed_key
 from compopt.solver import run_epoch
 from compopt.trace import Recorder
@@ -28,3 +32,16 @@ def key_seeded_rng(seed, epoch, iteration, stream=0):
     """minibatch_rng's generator as numpy's `Philox(key=...)` builds it."""
     philox = np.random.Philox(key=_seed_key(seed), counter=[0, epoch, iteration, stream])
     return np.random.Generator(philox)
+
+
+@pytest.fixture
+def per_index_oracles(monkeypatch):
+    """A context manager inside which every estimator oracle call takes the
+    per-index path, never the all-components call and gather: the reference
+    that path must match bit for bit."""
+    @contextlib.contextmanager
+    def per_index():
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_gathered", lambda idx, count, rows: rows(idx))
+            yield
+    return per_index

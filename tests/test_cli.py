@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from compopt import baselines, cli, harness
+from compopt import baselines, cli, harness, verify
 from compopt.cli import cli_main
 from compopt.problems import load_returns_csv, synthetic_returns, write_returns_csv
 from compopt.solver import RunConfig
@@ -214,6 +214,17 @@ class TestBadInput:
         assert captured.err.startswith("error: ")
         assert "[PASS]" not in captured.out
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bad_trial_count_is_refused_before_any_check_runs(self, trials, monkeypatch,
+                                                               capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before the trial count was validated")
+
+        monkeypatch.setattr(verify, "check_gradient_fd", fail)
+        assert run_cli("check", "--trials", trials) == 1
+        assert (capsys.readouterr().err
+                == f"error: Monte-Carlo trial count must be >= 1, got {trials}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("run", "--algo", "vrscpg", "--epochs", "2", "--schedule", "constant"),

@@ -7,7 +7,7 @@ import pytest
 
 from compopt.baselines import run_agd
 from compopt.errors import ConfigError, InfeasibleQueryError, InputError
-from compopt.estimators import (estimate_gradient, estimate_inner,
+from compopt.estimators import (draw_minibatch, estimate_gradient, estimate_inner,
                                 take_snapshot, unbiased_reference_gradient)
 from compopt.harness import polish_phi_star
 from compopt.problem import (ALL, ProblemDims, SmoothnessConstants, full_gradient,
@@ -17,7 +17,7 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig
-from compopt.verify import check_lemma1
+from compopt.verify import _v_t, check_lemma1
 from conftest import run
 from test_estimators import CurvedInnerProblem, assert_same_bits
 
@@ -163,6 +163,88 @@ class TestRowExactness:
         finally:
             tracemalloc.stop()
         assert peak < problem.A.nbytes / 10
+
+
+def gather_cases(problem, rng):
+    """(A, B) pairs whose sizes fall below, at and above m and n: single
+    steps, (3, a) stacks, and a = m, b = n as np.arange, the enumeration of
+    the deterministic contraction config."""
+    m, n = problem.dims.m, problem.dims.n
+    for a, b in zip((max(1, m - 1), m, 2 * m + 1), (max(1, n - 1), n, 2 * n + 1)):
+        yield rng.integers(0, m, size=a), rng.integers(0, n, size=b)
+        yield rng.integers(0, m, size=(3, a)), rng.integers(0, n, size=(3, b))
+    yield np.arange(m), np.arange(n)
+    yield np.tile(np.arange(m), (3, 1)), np.tile(np.arange(n), (3, 1))
+
+
+def spy_on_oracles(problem):
+    """Wraps the estimators' oracles on this instance; returns, per oracle,
+    the list that records whether each call received `ALL`."""
+    calls = {"inner_value": [], "inner_vjp": [], "outer_grad": []}
+    for name, seen in calls.items():
+        def spy(idx, *args, oracle=getattr(problem, name), seen=seen):
+            seen.append(idx is ALL)
+            return oracle(idx, *args)
+        setattr(problem, name, spy)
+    return calls
+
+
+class TestAllComponentsGather:
+    """A call whose point every index shares evaluates `ALL` once and gathers
+    when its index array covers the component count; the per-index path
+    (`per_index_oracles`) gives the same bits."""
+
+    @staticmethod
+    def instance(name):
+        """The named problem, an rng, a point x and a snapshot at another point."""
+        problem = CONTRACT_PROBLEMS[name]()
+        rng = np.random.default_rng(8)
+        x, x_ref = rng.uniform(-0.9, 0.9, size=(2, problem.dims.d)) * problem.regularizer.radius
+        return problem, rng, x, take_snapshot(problem, x_ref)
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
+    def test_both_paths_give_the_same_bits(self, name, per_index_oracles):
+        problem, rng, x, snap = self.instance(name)
+
+        def estimates(A, B):
+            return (estimate_inner(problem, snap, x, A), estimate_gradient(problem, snap, x, A, B),
+                    _v_t(problem, snap, x, A, B), unbiased_reference_gradient(problem, snap, x, B))
+
+        for A, B in gather_cases(problem, rng):
+            gathered = estimates(A, B)
+            with per_index_oracles():
+                per_index = estimates(A, B)
+            for got, want in zip(gathered, per_index):
+                assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("name", sorted(CONTRACT_PROBLEMS))
+    def test_all_exactly_when_the_batch_covers_the_components(self, name):
+        problem, rng, x, snap = self.instance(name)
+        m, n = problem.dims.m, problem.dims.n
+        calls = spy_on_oracles(problem)
+        for A, B in gather_cases(problem, rng):
+            # a stack's outer points and VJP cotangents differ per trial
+            shared = A.ndim == 1
+            for seen in calls.values():
+                seen.clear()
+            estimate_gradient(problem, snap, x, A, B)
+            vjps = [] if problem.constant_jacobian is not None else [shared and A.size >= m] * 2
+            assert calls == {"inner_value": [A.size >= m], "inner_vjp": vjps,
+                             "outer_grad": [shared and B.size >= n]}
+            calls["outer_grad"].clear()
+            unbiased_reference_gradient(problem, snap, x, B)
+            assert calls["outer_grad"] == [B.size >= n]
+
+    def test_roster_batches_stay_per_index(self):
+        # the roster's a = b = 5 of m = n = 2000, as its epochs draw them
+        problem = ROW_EXACT_PROBLEMS["meanvar-d25"]()
+        x = np.full(problem.dims.d, 0.1)
+        snap = take_snapshot(problem, np.zeros(problem.dims.d))
+        calls = spy_on_oracles(problem)
+        rows_A, rows_B = draw_minibatch(2000, 2000, 5, 5, seed=0, epoch=1, iteration=np.arange(20))
+        for A, B in zip(rows_A, rows_B):
+            estimate_gradient(problem, snap, x, A, B)
+        assert calls == {"inner_value": [False] * 20, "inner_vjp": [], "outer_grad": [False] * 20}
 
 
 class TestProblemDims:

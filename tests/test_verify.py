@@ -9,7 +9,7 @@ from compopt.estimators import (_vr_gradient, estimate_inner, take_snapshot,
                                 unbiased_reference_gradient)
 from compopt.problem import full_gradient, inner_mean
 from compopt.problems import build_toy
-from compopt.solver import RunConfig
+from compopt.solver import RunConfig, run_scvrg
 from compopt.verify import (REPORT_HEADER, CheckReport, all_passed,
                             check_epoch_contraction, check_gradient_fd,
                             check_lemma1, check_lemma1_scaling, check_lemma2,
@@ -185,6 +185,28 @@ class TestRunAllChecks:
             combined = reports["combined_bound_domination"]
             assert combined.passed
             assert combined.measured != reports["lemma1_domination"].measured
+
+    def test_gathered_oracles_change_no_output(self, monkeypatch, per_index_oracles):
+        """The suite with the estimators' all-components gathers against the
+        per-index path: the same reports, and the same samples and final
+        iterate from every contraction run, bit for bit."""
+        def outputs():
+            runs = []
+
+            def spy(*args, **kwargs):
+                result = run_scvrg(*args, **kwargs)
+                runs.append((result.samples, result.x.tobytes()))
+                return result
+
+            monkeypatch.setattr(verify, "run_scvrg", spy)
+            reports = run_all_checks(seed=0, trials=2_000)
+            return [(r.format_line(), r.to_csv_row()) for r in reports], runs
+
+        gathered = outputs()
+        with per_index_oracles():
+            per_index = outputs()
+        assert len(gathered[1]) == 21
+        assert gathered == per_index
 
     def test_bad_seed_is_refused_before_any_check_runs(self, monkeypatch):
         def fail(*args, **kwargs):
