@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .estimators import minibatch_rng
+from .estimators import _scalar_draws, minibatch_rng
 from .problem import CompositionProblem, full_gradient, objective, start_point
 from .prox import prox_step
 from .solver import RunConfig, run_epoch
@@ -78,7 +78,7 @@ def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder)
 
 
 def _scgd_core(problem, seed, x0, rec, accelerated):
-    m, n = problem.dims.m, problem.dims.n
+    m, n = int(problem.dims.m), int(problem.dims.n)
     x = start_point(problem, x0)
     if accelerated:  # the tracker's seed sample at the start point, charged before its row
         y = problem.inner_value(int(minibatch_rng(seed, 0, 0, stream=2).integers(m)), x)
@@ -86,20 +86,18 @@ def _scgd_core(problem, seed, x0, rec, accelerated):
     else:
         y = np.zeros(problem.dims.k)
     rec.start("ascpg" if accelerated else "scgd", seed, x)
-    cost, t = (3 if accelerated else 2), 0
+    # a step's j, i (and ASC-PG's j2) are its generator's first bounded draws
+    bounds, cost, t = ((m, n, m), 3, 0) if accelerated else ((m, n), 2, 0)
     while rec.affords(cost):
         t += 1
-        rng = minibatch_rng(seed, 0, t, stream=2)
-        j = int(rng.integers(m))
-        i = int(rng.integers(n))
+        j, i, *j2 = _scalar_draws(minibatch_rng(seed, 0, t, stream=2), bounds)
         beta_t = min(1.0, BETA0 / t**P_Y)
         alpha_t = ALPHA0 / t**P_X
         if accelerated:
             grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
             x_new = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
             z = x + (1.0 / beta_t) * (x_new - x)
-            j2 = int(rng.integers(m))
-            y = (1.0 - beta_t) * y + beta_t * problem.inner_value(j2, z)
+            y = (1.0 - beta_t) * y + beta_t * problem.inner_value(j2[0], z)
             x = x_new
         else:
             y = (1.0 - beta_t) * y + beta_t * problem.inner_value(j, x)

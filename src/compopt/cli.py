@@ -121,11 +121,17 @@ def _check(args):
 
 
 def _toygen(args):
+    """Builds the problem `run` would build from the generated data before
+    writing it, so a size that `run` refuses writes nothing."""
     if args.problem == "meanvar":
+        if args.n < 2:  # load_returns_csv refuses fewer rows
+            raise ConfigError(f"a returns file needs n >= 2 rows, got {args.n}")
         dataset = synthetic_returns(args.n, args.d, args.problem_seed)
+        build_mean_variance(dataset, lam=args.lam, radius=args.radius)
         write_returns_csv(dataset, args.out)
     elif args.problem == "bellman":
         spec = random_bellman_spec(args.states, args.n, args.gamma, args.problem_seed)
+        build_bellman(spec, lam=args.lam, radius=args.radius)
         np.savez(args.out, P=spec.P, r=spec.r, gamma=spec.gamma)
     else:
         problem = _build_problem(args)

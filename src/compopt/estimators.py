@@ -20,6 +20,10 @@ counters in one numpy pass and reproduces its draws bit for bit.
 `minibatch_rng` hands `Philox` a `_PhiloxKey` seed object that yields the key
 (seed bits, 0), so numpy gathers no OS entropy for a `SeedSequence` that the
 key would overwrite; the draws are those of `Philox(key=..., counter=...)`.
+Each seed's key object, with its read-only state, is built once and cached.
+SCGD and ASC-PG take a step's few scalar indices with `_scalar_draws`, which
+applies numpy's bounded draw to the generator's raw 64-bit words and returns
+what consecutive `integers(bound)` calls would, without their per-call cost.
 """
 
 import functools
@@ -53,29 +57,39 @@ class EpochSnapshot:
     df_rows: np.ndarray   # (n, k): grad f_i(g~)
 
 
-def _seed_key(seed) -> np.uint64:
-    """Philox key word 0: the int64 seed's two's-complement bits."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
+def _seed_key(seed) -> int:
+    """Philox key word 0: the int64 seed's two's-complement bits, as an int."""
+    if type(seed) is not int:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise TypeError(f"seed must be an integer, got {seed!r}")
+        seed = int(seed)
     if not -2**63 <= seed < 2**63:
         raise OverflowError(f"seed must fit in int64, got {seed}")
-    return np.uint64(seed % 2**64)
+    return seed % 2**64
 
 
 class _PhiloxKey:
     """Seed object from which `Philox(seed=...)` reads its 128-bit key
     (key, 0), the one `Philox(key=key)` sets, as generate_state(2, uint64),
     the only request it serves. numpy takes it as a virtual `ISeedSequence`;
-    it is module-level so the generator that holds it pickles."""
+    it is module-level so the generator that holds it pickles. The state is
+    built once and read-only, since every generator of the seed shares it."""
 
-    __slots__ = ("key",)
+    __slots__ = ("state",)
 
-    def __init__(self, key: np.uint64):
-        self.key = key
+    def __init__(self, key: int):
+        self.state = np.array([key, 0], dtype=np.uint64)
+        self.state.flags.writeable = False
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return np.array([self.key, 0], dtype=np.uint64)
+        return self.state
+
+
+@functools.lru_cache(maxsize=64)
+def _philox_key(key: int) -> _PhiloxKey:
+    """The seed object of a validated key word, built once per word while
+    it stays among the 64 most recently used."""
+    return _PhiloxKey(key)
 
 
 @functools.cache
@@ -95,11 +109,42 @@ def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
     are reproducible per iteration regardless of execution order.
     """
     generator, philox = _philox_classes()
-    key = _PhiloxKey(_seed_key(seed))
+    key = _philox_key(_seed_key(seed))
     return generator(philox(key, counter=[0, epoch, iteration, stream]))
 
 
-def _philox_blocks(key: np.uint64, counters: np.ndarray) -> np.ndarray:
+def _scalar_draws(rng, bounds) -> list:
+    """The ints that consecutive int(rng.integers(bound)) calls return, one
+    per (int) bound, from a generator that has drawn nothing yet.
+
+    Each bounded draw takes the next uint32 of the raw 64-bit words, low half
+    first, by `_lemire`'s rule: a rejected value takes the next uint32. A
+    bound of 1 takes none. Any bound above 2^32 sends the tuple through
+    `rng.integers`, whose draws are then 64-bit.
+    """
+    if max(bounds) > 2**32:
+        return [int(rng.integers(bound)) for bound in bounds]
+    raw = rng.bit_generator.random_raw
+    draws, high = [], None
+    for bound in bounds:
+        if bound == 1:
+            draws.append(0)
+            continue
+        threshold = (2**32 - bound) % bound
+        while True:
+            if high is None:
+                word = raw()
+                u, high = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, high = high, None
+            prod = u * bound
+            if prod & 0xFFFFFFFF >= threshold:
+                break
+        draws.append(prod >> 32)
+    return draws
+
+
+def _philox_blocks(key: int, counters: np.ndarray) -> np.ndarray:
     """Philox4x64-10 of every counter column: (4, N) uint64 -> (4, N) uint64.
 
     Column c is the block numpy's `Philox(key=key)` emits at counter
@@ -123,7 +168,7 @@ def _philox_blocks(key: np.uint64, counters: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _uint32_draws(key: np.uint64, epoch: int, steps: np.ndarray, streams) -> list:
+def _uint32_draws(key: int, epoch: int, steps: np.ndarray, streams) -> list:
     """The first `size` uint32 outputs of each step's generator, for each
     (stream, size) in `streams`, from one kernel call.
 

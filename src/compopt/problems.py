@@ -74,6 +74,14 @@ def load_returns_csv(path) -> ReturnsDataset:
     return ReturnsDataset(returns=returns, labels=labels)
 
 
+def data_rng(seed: int):
+    """numpy's default generator for synthetic problem data; it takes only a
+    non-negative seed, and a negative one is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"data seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def synthetic_returns(N: int, d: int, seed: int) -> ReturnsDataset:
     """Random returns matrix (fraction units) for synthetic benchmarks.
 
@@ -81,7 +89,7 @@ def synthetic_returns(N: int, d: int, seed: int) -> ReturnsDataset:
     returns; wilder scales inflate the smoothness constant and destabilize
     every fixed-step method at the standard eta = 0.01.
     """
-    rng = np.random.default_rng(seed)
+    rng = data_rng(seed)
     returns = rng.normal(0.02, 0.15, size=(N, d))
     labels = tuple(f"asset_{i}" for i in range(d))
     return ReturnsDataset(returns=returns, labels=labels)
@@ -285,7 +293,7 @@ def random_bellman_spec(n_states: int, m: int, gamma: float, seed: int) -> Bellm
     """Random lazy chains: mostly self-transitions keep the residual system
     well conditioned, so desk-scale runs reach tight tolerances. Rewards are
     uniform on [0, 0.1)."""
-    rng = np.random.default_rng(seed)
+    rng = data_rng(seed)
     Q = rng.uniform(size=(m, n_states, n_states))
     Q /= Q.sum(axis=2, keepdims=True)
     lazy = 0.9  # self-transition weight
@@ -313,7 +321,7 @@ def build_toy(kind: str, d: int = 2, m: int = 3, n: int = 3, seed: int = 0,
     a negative scale is nonconvex, yet F = S ||g(x)||^2 with S = mean(s) > 0
     (0.75 at n = 2) is convex.
     """
-    rng = np.random.default_rng(seed)
+    rng = data_rng(seed)
     reg = Regularizer(lam=lam, radius=radius)
     if kind == "identity":
         centers = rng.normal(0.0, 0.4, size=(n, d))

@@ -324,13 +324,14 @@ def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
 def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int = 20):
     """Standard fixture suite; smaller trial counts than the acceptance tests
     so the CLI stays interactive."""
-    from .problems import build_mean_variance, build_toy, random_bellman_spec, build_bellman, synthetic_returns
+    from .problems import (build_bellman, build_mean_variance, build_toy, data_rng,
+                           random_bellman_spec, synthetic_returns)
 
     # refuse a bad seed or trial count before any check runs
     config = RunConfig(S=3, k0=10, seed=seed)
+    rng = data_rng(seed)
     _check_trials(trials)
     reports = []
-    rng = np.random.default_rng(seed)
 
     builders = {
         "toy_identity": build_toy("identity", d=3, m=4, n=3, seed=seed),

@@ -5,7 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from compopt import estimators
+from compopt import baselines, estimators
 from compopt.estimators import _seed_key
 from compopt.solver import run_epoch
 from compopt.trace import Recorder
@@ -45,3 +45,17 @@ def per_index_oracles(monkeypatch):
             patch.setattr(estimators, "_gathered", lambda idx, count, rows: rows(idx))
             yield
     return per_index
+
+
+@pytest.fixture
+def generator_draws(monkeypatch):
+    """A context manager inside which SCGD and ASC-PG take each step's
+    indices from consecutive `rng.integers` calls, never from raw Philox
+    words: the reference that path must match bit for bit."""
+    @contextlib.contextmanager
+    def per_call():
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "_scalar_draws",
+                          lambda rng, bounds: [int(rng.integers(b)) for b in bounds])
+            yield
+    return per_call

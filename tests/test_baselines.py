@@ -9,7 +9,8 @@ from compopt.errors import ConfigError, InputError
 from compopt.estimators import minibatch_rng
 from compopt.harness import ALGORITHMS, run_one
 from compopt.problem import full_gradient, objective
-from compopt.problems import build_mean_variance, build_toy, synthetic_returns
+from compopt.problems import (build_bellman, build_mean_variance, build_toy,
+                              random_bellman_spec, synthetic_returns)
 from compopt.prox import prox_step
 from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.trace import Recorder
@@ -163,6 +164,21 @@ class TestScgdDraws:
         assert ledger(rows[-1].samples, len(calls))
         monkeypatch.setattr(baselines, "minibatch_rng", key_seeded_rng)
         x_ref, rows_ref = run(runner, problem, config(seed), x0, budget, every=problem.N)
+        assert x.tobytes() == x_ref.tobytes()
+        assert [r.to_csv_row() for r in rows] == [r.to_csv_row() for r in rows_ref]
+
+    @pytest.mark.parametrize("seed", [0, -3])
+    @pytest.mark.parametrize("runner", [run_scgd, run_ascpg], ids=["scgd", "ascpg"])
+    @pytest.mark.parametrize("build", [
+        lambda: build_mean_variance(synthetic_returns(40, 4, seed=0)),
+        lambda: build_bellman(random_bellman_spec(5, 8, 0.9, seed=1))],  # n = 1
+        ids=["meanvar", "bellman"])
+    def test_raw_word_draws_match_generator_draws(self, generator_draws, build, runner, seed):
+        problem = build()
+        budget, x0 = 5 * problem.N + 1, np.zeros(problem.dims.d)
+        x, rows = run(runner, problem, config(seed), x0, budget, every=problem.N)
+        with generator_draws():
+            x_ref, rows_ref = run(runner, problem, config(seed), x0, budget, every=problem.N)
         assert x.tobytes() == x_ref.tobytes()
         assert [r.to_csv_row() for r in rows] == [r.to_csv_row() for r in rows_ref]
 

@@ -206,6 +206,15 @@ class TestBadInput:
         ("bench", "--problem", "toy", "--algo", ",", "--eta", "0.1"),
         ("check", "--trials", "0"),
         ("check", "--trials", "-5"),
+        *[(sub, "--problem", problem, "--problem-seed", "-1")
+          for sub in ("run", "bench", "phistar", "toygen")
+          for problem in ("meanvar", "bellman", "toy")],
+        # sizes that `run` refuses, or that give a returns file with under 2 rows
+        ("toygen", "--problem", "meanvar", "--n", "0"),
+        ("toygen", "--problem", "meanvar", "--n", "1"),
+        ("toygen", "--problem", "meanvar", "--d", "0"),
+        ("toygen", "--problem", "bellman", "--states", "0"),
+        ("toygen", "--problem", "bellman", "--n", "0"),
     ], ids=" ".join)
     def test_exits_one_with_error_line(self, argv, tmp_path, capsys):
         out = ["--out", str(tmp_path / "t.csv")] if argv[0] != "phistar" else []
@@ -225,6 +234,14 @@ class TestBadInput:
         assert run_cli("check", "--trials", trials) == 1
         assert (capsys.readouterr().err
                 == f"error: Monte-Carlo trial count must be >= 1, got {trials}\n")
+
+    def test_negative_check_seed_is_refused_before_any_check_runs(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before the check seed was validated")
+
+        monkeypatch.setattr(verify, "check_gradient_fd", fail)
+        assert run_cli("check", "--check-seed", "-2") == 1
+        assert capsys.readouterr().err == "error: data seed must be non-negative, got -2\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("run", "--algo", "vrscpg", "--epochs", "2", "--schedule", "constant"),

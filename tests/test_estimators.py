@@ -116,7 +116,7 @@ class TestMinibatchRng:
             draw_minibatch(5, 5, 2, 2, seed, 0, np.arange(3))
 
     @pytest.mark.parametrize("seed", ["3", 1.5, True, False, None, np.float64(2.0),
-                                      np.bool_(True)])
+                                      np.bool_(True), [3]])
     def test_non_integer_seed_raises(self, seed):
         # int() would take "3" and 1.5, and a bool is an int: each would run
         # another seed's draws under its own name
@@ -151,6 +151,28 @@ class TestMinibatchRng:
             np.testing.assert_array_equal(got.integers(0, 2**40 + 7, size=5),
                                           want.integers(0, 2**40 + 7, size=5))
             np.testing.assert_array_equal(got.random(5), want.random(5))
+
+    def test_live_generators_of_one_seed_draw_independently(self):
+        # every generator of the seed shares its cached key object
+        live = [minibatch_rng(-4, 1, t, 2) for t in (5, 6)]
+        fresh = [key_seeded_rng(-4, 1, t, 2) for t in (5, 6)]
+        for size in (3, 1, 9, 2):
+            for got, want in zip(live, fresh):
+                np.testing.assert_array_equal(got.integers(0, 1000, size),
+                                              want.integers(0, 1000, size))
+
+    def test_key_object_is_cached_read_only_and_bounded(self):
+        key = minibatch_rng(9, 0, 1).bit_generator.seed_seq
+        assert minibatch_rng(np.int8(9), 3, 4, 1).bit_generator.seed_seq is key
+        state = key.generate_state(2, np.uint64)
+        assert state.tolist() == [9, 0] and not state.flags.writeable
+        with pytest.raises(ValueError):
+            state[0] = 1
+        maxsize = estimators._philox_key.cache_info().maxsize
+        assert maxsize is not None
+        for seed in range(-maxsize, maxsize):
+            minibatch_rng(seed, 0, 0)
+        assert estimators._philox_key.cache_info().currsize == maxsize
 
     def test_generator_pickles(self):
         rng = minibatch_rng(-5, 3, 9, 2)
@@ -252,6 +274,30 @@ class TestDrawMinibatch:
             expected = [estimators._lemire(w, bound) for w, bound in zip(row, (m, n, m))]
             assert not any(rejected for _, rejected in expected)
             assert drawn == [int(value) for value, _ in expected]
+
+    @pytest.mark.parametrize("bounds", [
+        (2000, 77, 2000), (1,), (1, 5, 1, 1, 3), (2**32, 7, 2**32), (2**32 - 1, 2),
+        (2, 3 * 2**30, 1), (2**32 + 1, 5), (9, 2**40, 1)])
+    def test_raw_word_draws_match_consecutive_integers(self, bounds):
+        # a bound of 1 takes no uint32, as in numpy, and one above 2^32 sends
+        # the tuple through rng.integers
+        for seed, t in itertools.product((0, -3), range(100)):
+            rng = minibatch_rng(seed, 0, t, stream=2)
+            want = [int(rng.integers(bound)) for bound in bounds]
+            got = estimators._scalar_draws(minibatch_rng(seed, 0, t, stream=2), bounds)
+            assert got == want and all(type(v) is int for v in got)
+
+    def test_raw_word_draws_take_the_next_uint32_after_a_rejection(self):
+        # (2^32 - 3 * 2^30) % (3 * 2^30) = 2^30: a quarter of all uint32s are rejected
+        bound, steps = 3 * 2**30, np.arange(200)
+        (u,) = estimators._uint32_draws(estimators._seed_key(5), 0, steps.astype(np.uint64),
+                                        ((2, 3),))
+        assert 0.15 < estimators._lemire(u, bound)[1].mean() < 0.35
+        for t in steps:
+            rng = minibatch_rng(5, 0, int(t), stream=2)
+            want = [int(rng.integers(bound)) for _ in range(3)]
+            assert estimators._scalar_draws(minibatch_rng(5, 0, int(t), stream=2),
+                                            (bound,) * 3) == want
 
 
 class TestTakeSnapshot:
