@@ -60,17 +60,21 @@ def _add_algo_flags(parser):
 
 
 def _build_problem(args):
+    """(problem, data): the returns dataset, Bellman spec or toy problem it is built from."""
     if args.problem == "meanvar":
         if args.data is not None:
             dataset = load_returns_csv(args.data)
         else:
             dataset = synthetic_returns(args.n, args.d, args.problem_seed)
-        return build_mean_variance(dataset, lam=args.lam, radius=args.radius)
+        return build_mean_variance(dataset, lam=args.lam, radius=args.radius), dataset
+    if args.data is not None:
+        raise InputError(f"--data is a returns file for --problem meanvar, not {args.problem}")
     if args.problem == "bellman":
         spec = random_bellman_spec(args.states, args.n, args.gamma, args.problem_seed)
-        return build_bellman(spec, lam=args.lam, radius=args.radius)
-    return build_toy(args.toy_kind, d=args.d, m=args.n, seed=args.problem_seed,
-                     lam=args.lam, radius=args.radius)
+        return build_bellman(spec, lam=args.lam, radius=args.radius), spec
+    problem = build_toy(args.toy_kind, d=args.d, m=args.n, seed=args.problem_seed,
+                        lam=args.lam, radius=args.radius)
+    return problem, problem
 
 
 def _parse_seeds(raw):
@@ -91,7 +95,7 @@ def _bench(args, algos):
     params = {name: getattr(args, name) for name in _CONFIG_FLAGS
               if getattr(args, name) is not None}
     check_roster(algos, params, names=_CONFIG_FLAGS)
-    problem = _build_problem(args)
+    problem, _ = _build_problem(args)
     spec = ExperimentSpec(problem=problem, algorithms=algos, budget=args.budget,
                           seeds=_parse_seeds(args.seed), out=args.out, params=params)
     path = run_benchmark(spec)
@@ -102,7 +106,7 @@ def _bench(args, algos):
 def _phistar(args):
     if not 0 < args.budget < math.inf:
         raise InputError(f"optimum budget must be positive and finite, got {args.budget}")
-    problem = _build_problem(args)
+    problem, _ = _build_problem(args)
     budget = max(int(args.budget * problem.N), 100 * (problem.dims.m + problem.dims.n))
     result = polish_phi_star(problem, budget)
     print(repr(result.value))
@@ -121,22 +125,18 @@ def _check(args):
 
 
 def _toygen(args):
-    """Builds the problem `run` would build from the generated data before
-    writing it, so a size that `run` refuses writes nothing."""
+    """Writes the data of the problem `run` would build, after building it,
+    so a size that `run` refuses writes nothing."""
+    if args.data is not None:
+        raise InputError("toygen generates its data and reads no --data file")
+    _, data = _build_problem(args)
     if args.problem == "meanvar":
-        if args.n < 2:  # load_returns_csv refuses fewer rows
-            raise ConfigError(f"a returns file needs n >= 2 rows, got {args.n}")
-        dataset = synthetic_returns(args.n, args.d, args.problem_seed)
-        build_mean_variance(dataset, lam=args.lam, radius=args.radius)
-        write_returns_csv(dataset, args.out)
+        write_returns_csv(data, args.out)
     elif args.problem == "bellman":
-        spec = random_bellman_spec(args.states, args.n, args.gamma, args.problem_seed)
-        build_bellman(spec, lam=args.lam, radius=args.radius)
-        np.savez(args.out, P=spec.P, r=spec.r, gamma=spec.gamma)
+        np.savez(args.out, P=data.P, r=data.r, gamma=data.gamma)
     else:
-        problem = _build_problem(args)
-        np.savez(args.out, kind=args.toy_kind, A=problem.A, b=problem.b,
-                 centers=problem.centers, scales=problem.scales)
+        np.savez(args.out, kind=args.toy_kind, A=data.A, b=data.b,
+                 centers=data.centers, scales=data.scales)
     print(f"wrote {args.out}")
     return 0
 

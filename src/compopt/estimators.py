@@ -72,8 +72,8 @@ class _PhiloxKey:
     """Seed object from which `Philox(seed=...)` reads its 128-bit key
     (key, 0), the one `Philox(key=key)` sets, as generate_state(2, uint64),
     the only request it serves. numpy takes it as a virtual `ISeedSequence`;
-    it is module-level so the generator that holds it pickles. The state is
-    built once and read-only, since every generator of the seed shares it."""
+    it is module-level so the generator that holds it pickles. `_philox_key`
+    keeps one per recently used key word, so its read-only state is built once."""
 
     __slots__ = ("state",)
 
@@ -85,11 +85,7 @@ class _PhiloxKey:
         return self.state
 
 
-@functools.lru_cache(maxsize=64)
-def _philox_key(key: int) -> _PhiloxKey:
-    """The seed object of a validated key word, built once per word while
-    it stays among the 64 most recently used."""
-    return _PhiloxKey(key)
+_philox_key = functools.lru_cache(maxsize=64)(_PhiloxKey)
 
 
 @functools.cache
@@ -281,15 +277,16 @@ def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A) -
         A, problem.dims.m, lambda idx: problem.inner_value(idx, x) - snapshot.g_rows[idx]))
 
 
-def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, g_t, A, B):
-    """v_t from the inner estimate g_t: A (a,), B (b,) and
-    g_t (k,) give shape (d,); A (t, a), B (t, b) and g_t (t, k) give (t, d).
+def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B):
+    """v_t on estimate_inner's g_t from A: A (a,) and B (b,) give shape (d,);
+    a stack of trials, A (t, a) and B (t, b), gives (t, d).
 
     The grad f_i(g~) are the snapshot's rows. When the problem sets
     `constant_jacobian`, its inner maps are affine, so the Jacobian correction
     dz = mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new is exactly zero and is
     skipped: no inner VJP is evaluated. Otherwise the pair is evaluated at x
     and x~, since its cotangent df_new changes every step."""
+    g_t = estimate_inner(problem, snapshot, x, A)
     stack = g_t.ndim > 1
     # a stack's points and cotangents differ per trial, so its calls never gather
     m, n = (math.inf, math.inf) if stack else (problem.dims.m, problem.dims.n)
@@ -312,14 +309,13 @@ def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A
     z_t = z~ + mean_{j in A} (dg_j(x) - dg_j(x~)) enters only through VJPs:
     v_t = v~ + z~^T (df_new - df_ref) + mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new.
     A of shape (t, a) and B of shape (t, b) give t estimates, shape (t, d).
-    Costs A.size inner plus B.size outer samples.
+    Costs A.size inner plus B.size outer samples. Each variance-reduced step
+    calls it once; verify's Monte-Carlo trials call `_vr_gradient` directly.
     """
     A, B = np.asarray(A), np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
-    x = np.asarray(x, dtype=float)
-    g_t = estimate_inner(problem, snapshot, x, A)
-    return _vr_gradient(problem, snapshot, x, g_t, A, B)
+    return _vr_gradient(problem, snapshot, np.asarray(x, dtype=float), A, B)
 
 
 def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x,

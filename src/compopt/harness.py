@@ -13,7 +13,7 @@ from .errors import ConfigError, DivergenceError, InputError
 from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
 from .solver import RunConfig, predicted_total_samples, run_scvrg
-from .trace import TRACE_HEADER, Recorder, TraceRecord, abort_record
+from .trace import TRACE_HEADER, Recorder, TraceRecord
 
 log = logging.getLogger(__name__)
 
@@ -226,7 +226,7 @@ def run_benchmark(spec: ExperimentSpec) -> str:
                 _run_config(problem, algorithm, config, recorder)
             except DivergenceError as exc:
                 log.warning("run (%s, seed %d) aborted: %s", algorithm, seed, exc)
-                rows.append(abort_record(algorithm, seed, recorder.samples, problem.N))
+                rows.append(recorder.abort_row())
                 aborted.append(f"{algorithm} seed {seed} ({exc})")
                 continue
             rows.extend(_decimate(recorder.rows))

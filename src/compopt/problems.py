@@ -27,14 +27,6 @@ class ReturnsDataset:
     returns: np.ndarray  # (N, d)
     labels: tuple
 
-    @property
-    def N(self) -> int:
-        return self.returns.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.returns.shape[1]
-
 
 def load_returns_csv(path) -> ReturnsDataset:
     """Load a returns CSV: date column, header of asset labels, percent units.
@@ -89,6 +81,8 @@ def synthetic_returns(N: int, d: int, seed: int) -> ReturnsDataset:
     returns; wilder scales inflate the smoothness constant and destabilize
     every fixed-step method at the standard eta = 0.01.
     """
+    if N < 2:
+        raise ConfigError(f"returns data needs N >= 2 rows, as a returns file does, got {N}")
     rng = data_rng(seed)
     returns = rng.normal(0.02, 0.15, size=(N, d))
     labels = tuple(f"asset_{i}" for i in range(d))
@@ -242,7 +236,7 @@ class AffineQuadraticProblem(CompositionProblem):
         return self._two_scales[idx][..., None] * (y - self.centers[idx])
 
     def smoothness(self):
-        L_g = float(max(np.linalg.norm(Aj, 2) for Aj in self.A))
+        L_g = float(np.linalg.norm(self.A, 2, axis=(1, 2)).max())
         reach = (L_g * self.regularizer.radius * np.sqrt(self.dims.d)
                  + np.max(np.linalg.norm(self.b, axis=1)))
         ell_f = 2.0 * float(np.max(np.abs(self.scales)))

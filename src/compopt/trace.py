@@ -107,10 +107,9 @@ class Recorder:
             samples=self.samples, samples_per_N=self.samples / self.problem.N,
             objective=obj, gap=gap))
 
-
-def abort_record(algorithm: str, seed: int, samples: int, N: int) -> TraceRecord:
-    """Marker row appended when a run is aborted (divergence): epoch/iter = -1, NaN objective."""
-    return TraceRecord(algorithm=algorithm, seed=seed, epoch=-1, iteration=-1,
-                       samples=samples, samples_per_N=samples / N,
-                       objective=math.nan, gap=math.nan)
+    def abort_row(self) -> TraceRecord:
+        """Marker row of the aborted run at its charged samples: epoch/iter = -1, NaN objective."""
+        return TraceRecord(algorithm=self.algorithm, seed=self.seed, epoch=-1, iteration=-1,
+                           samples=self.samples, samples_per_N=self.samples / self.problem.N,
+                           objective=math.nan, gap=math.nan)
 

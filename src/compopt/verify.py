@@ -3,9 +3,9 @@ validation, exhaustive unbiasedness, Monte-Carlo domination of the variance
 bounds, and the per-epoch potential contraction proxy.
 
 The Monte-Carlo checks evaluate the production estimators on a trial axis of
-index draws, shapes (trials, a) and (trials, b): g_t from `estimate_inner`, u_t
-from `unbiased_reference_gradient`, and v_t from the body of
-`estimate_gradient` applied to that g_t; no estimator step is written out here.
+index draws, shapes (trials, a) and (trials, b): u_t from
+`unbiased_reference_gradient` and v_t from `estimators._vr_gradient`, the body
+of the solver's `estimate_gradient`; no estimator step is written out here.
 
 The variance bounds are one-sided (upper bounds), so the checks assert
 domination with a stated slack, never equality. Monte-Carlo slack is 1.05 plus
@@ -22,12 +22,14 @@ import numpy as np
 
 from . import estimators
 from .errors import ConfigError
-from .estimators import (EpochSnapshot, estimate_inner, take_snapshot,
-                         unbiased_reference_gradient)
+from .estimators import EpochSnapshot, take_snapshot, unbiased_reference_gradient
 from .problem import CompositionProblem, full_gradient, objective, smooth_value
 from .solver import RunConfig, predicted_total_samples, run_scvrg
 from .trace import Recorder
 
+FD_TOL = 1e-5  # relative error of the analytic gradient against central differences
+UNBIASED_TOL = 1e-12  # relative error of the enumerated mean of u_t
+SCALING_REL_TOL = 0.10  # relative tolerance on the coupling variance's 1/a ratio
 MC_SLACK = 1.05
 MC_CHUNK = 20_000  # Monte-Carlo trials per draw
 # trials per estimator evaluation, which bounds its (t, a, k) rows and the
@@ -89,8 +91,8 @@ def fd_gradient(problem: CompositionProblem, x) -> np.ndarray:
     return grad
 
 
-def check_gradient_fd(problem: CompositionProblem, points, tol: float = 1e-5,
-                      name: str = "gradient_fd", seed: int = 0) -> CheckReport:
+def check_gradient_fd(problem: CompositionProblem, points, name: str = "gradient_fd",
+                      seed: int = 0) -> CheckReport:
     """Max relative error between the analytic gradient and central differences."""
     worst = 0.0
     for x in points:
@@ -98,12 +100,12 @@ def check_gradient_fd(problem: CompositionProblem, points, tol: float = 1e-5,
         numeric = fd_gradient(problem, x)
         scale = max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, np.linalg.norm(numeric - analytic) / scale)
-    return CheckReport(name=name, passed=worst <= tol, measured=worst, bound=tol,
+    return CheckReport(name=name, passed=worst <= FD_TOL, measured=worst, bound=FD_TOL,
                        trials=len(points), seed=seed)
 
 
 def check_unbiasedness(problem: CompositionProblem, snapshot: EpochSnapshot, x,
-                       b: int = 1, tol: float = 1e-12, seed: int = 0) -> CheckReport:
+                       b: int = 1, seed: int = 0) -> CheckReport:
     """Exhaustive-enumeration mean of the unbiased estimate vs the exact gradient.
 
     Enumerates all n^b equally likely outer draws; restricted to n <= 4, b <= 2
@@ -116,20 +118,13 @@ def check_unbiasedness(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     mean = unbiased_reference_gradient(problem, snapshot, x, draws).mean(axis=0)
     exact = full_gradient(problem, x)
     rel = np.linalg.norm(mean - exact) / max(np.linalg.norm(exact), 1e-300)
-    return CheckReport(name="unbiasedness", passed=rel <= tol, measured=rel,
-                       bound=tol, trials=len(draws), seed=seed)
+    return CheckReport(name="unbiasedness", passed=rel <= UNBIASED_TOL, measured=rel,
+                       bound=UNBIASED_TOL, trials=len(draws), seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo variance-bound checks
 # ---------------------------------------------------------------------------
-
-def _v_t(problem, snapshot, x, A, B):
-    """v_t for a stack of inner draws A (t, a) and outer draws B (t, b), shape
-    (t, d): the solver's estimator body on estimate_inner's g_t."""
-    g_t = estimate_inner(problem, snapshot, x, A)
-    return estimators._vr_gradient(problem, snapshot, x, g_t, A, B)
-
 
 def _check_trials(trials):
     if trials < 1:
@@ -156,15 +151,16 @@ def _mc_mean_sq(problem, a, b, trials, seed, deviation):
 def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed):
     """Monte-Carlo mean of ||v_t - u_t||^2 with shared B per paired draw."""
     return _mc_mean_sq(problem, a, b, trials, seed, lambda A, B: (
-        _v_t(problem, snapshot, x, A, B)
+        estimators._vr_gradient(problem, snapshot, x, A, B)
         - unbiased_reference_gradient(problem, snapshot, x, B)))
 
 
-def _dominated(measured, bound, snapshot):
-    """measured <= MC_SLACK * bound, up to an absolute roundoff floor: a bound
-    of 0 (x == x~, or x == x~ == x*) still measures squared norms ~eps^2."""
+def _dominated(name, measured, bound, snapshot, trials, seed) -> CheckReport:
+    """A domination check's report, passed when measured <= MC_SLACK * bound + a roundoff
+    floor: a bound of 0 (x == x~, or x == x~ == x*) still measures squared norms ~eps^2."""
     floor = 1e-24 * max(1.0, float(np.sum(snapshot.v_tilde**2)))
-    return measured <= MC_SLACK * bound + floor
+    return CheckReport(name=name, passed=measured <= MC_SLACK * bound + floor,
+                       measured=measured, bound=bound, trials=trials, seed=seed)
 
 
 def _bound_terms(problem: CompositionProblem, snapshot: EpochSnapshot, x):
@@ -194,21 +190,19 @@ def check_lemma1(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     dist_sq = float(np.sum((np.asarray(x, float) - snapshot.x_tilde) ** 2))
     bound = 2.0 * ell**2 * dist_sq / a
     measured = _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed)
-    return CheckReport(name="lemma1_domination", passed=_dominated(measured, bound, snapshot),
-                       measured=measured, bound=bound, trials=trials, seed=seed)
+    return _dominated("lemma1_domination", measured, bound, snapshot, trials, seed)
 
 
 def check_lemma1_scaling(problem: CompositionProblem, snapshot: EpochSnapshot, x,
-                         a: int, b: int, trials: int = 100_000, seed: int = 0,
-                         rel_tol: float = 0.10) -> CheckReport:
-    """Doubling a should halve the coupling variance to within rel_tol."""
+                         a: int, b: int, trials: int = 100_000, seed: int = 0) -> CheckReport:
+    """Doubling a should halve the coupling variance to within SCALING_REL_TOL."""
     small = _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed)
     large = _simulate_vu_sq(problem, snapshot, x, 2 * a, b, trials, seed + 1)
     ratio = small / large
-    passed = abs(ratio - 2.0) <= 2.0 * rel_tol
+    passed = abs(ratio - 2.0) <= 2.0 * SCALING_REL_TOL
     return CheckReport(name="lemma1_inverse_a_scaling", passed=passed, measured=ratio,
                        bound=2.0, trials=trials, seed=seed,
-                       detail=f"relative tolerance {rel_tol:g}")
+                       detail=f"relative tolerance {SCALING_REL_TOL:g}")
 
 
 def check_lemma2(problem: CompositionProblem, snapshot: EpochSnapshot, x,
@@ -224,9 +218,7 @@ def check_lemma2(problem: CompositionProblem, snapshot: EpochSnapshot, x,
     measured = _mc_mean_sq(problem, 0, b, trials, seed, lambda _, B: (  # no inner draws
         unbiased_reference_gradient(problem, snapshot, x, B) - grad))
     bound = 16.0 * ell * gaps / b + 12.0 * ell**2 * dists / b
-    return CheckReport(name="lemma2_domination",
-                       passed=_dominated(measured, bound, snapshot), measured=measured,
-                       bound=bound, trials=trials, seed=seed)
+    return _dominated("lemma2_domination", measured, bound, snapshot, trials, seed)
 
 
 def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x,
@@ -235,12 +227,10 @@ def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x
     ell, gaps, dists = _bound_terms(problem, snapshot, x)
     grad = full_gradient(problem, x)
     measured = _mc_mean_sq(problem, a, b, trials, seed, lambda A, B: (
-        _v_t(problem, snapshot, x, A, B) - grad))
+        estimators._vr_gradient(problem, snapshot, x, A, B) - grad))
     bound = (16.0 * ell * gaps / b
              + (4.0 * ell**2 / a + 12.0 * ell**2 / b) * dists)
-    return CheckReport(name="combined_bound_domination",
-                       passed=_dominated(measured, bound, snapshot), measured=measured,
-                       bound=bound, trials=trials, seed=seed)
+    return _dominated("combined_bound_domination", measured, bound, snapshot, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +246,13 @@ def contraction_hypotheses(ell: float, beta: float, T: int):
 
 
 def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float,
-                     ell: float, x0) -> np.ndarray:
+                     x0) -> np.ndarray:
     """Per-epoch composite potential: objective gap plus weighted distance
     terms at each epoch's reference, first iterate and first step, from a full
     run's epoch records, and once more at the run's closing point."""
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("contraction check requires a problem with a certified optimum")
-    xs, ps = problem.x_star, problem.phi_star
+    xs, ps, ell = problem.x_star, problem.phi_star, problem.smoothness().ell
     budget = predicted_total_samples(config, problem.dims.m, problem.dims.n)
     # by keyword: perfbench times this call through a (problem, config, x0, **kwargs) wrapper
     result = run_scvrg(problem, config, x0, recorder=Recorder(problem, budget))
@@ -307,7 +297,7 @@ def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
                            bound=threshold, trials=len(seeds), seed=config.seed,
                            skipped=True, detail="; ".join(reasons))
     x0 = np.full(problem.dims.d, 0.5 * problem.regularizer.radius)
-    averaged = sum(epoch_potentials(problem, replace(config, seed=int(seed)), beta, ell, x0)
+    averaged = sum(epoch_potentials(problem, replace(config, seed=int(seed)), beta, x0)
                    for seed in seeds) / len(seeds)
     ratios = averaged[1:] / averaged[:-1]
     measured = float(np.max(ratios))

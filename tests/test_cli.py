@@ -155,8 +155,7 @@ class TestToygen:
         code = run_cli("toygen", "--problem", "meanvar", "--n", "30", "--d", "4",
                        "--out", str(out))
         assert code == 0
-        ds = load_returns_csv(str(out))
-        assert (ds.N, ds.d) == (30, 4)
+        assert load_returns_csv(str(out)).returns.shape == (30, 4)
 
     def test_bellman_npz(self, tmp_path):
         out = tmp_path / "bellman.npz"
@@ -209,12 +208,18 @@ class TestBadInput:
         *[(sub, "--problem", problem, "--problem-seed", "-1")
           for sub in ("run", "bench", "phistar", "toygen")
           for problem in ("meanvar", "bellman", "toy")],
-        # sizes that `run` refuses, or that give a returns file with under 2 rows
+        # sizes that `run` refuses; returns data, like a returns file, needs 2 rows
         ("toygen", "--problem", "meanvar", "--n", "0"),
-        ("toygen", "--problem", "meanvar", "--n", "1"),
+        *[(sub, "--problem", "meanvar", "--n", "1")
+          for sub in ("run", "bench", "phistar", "toygen")],
         ("toygen", "--problem", "meanvar", "--d", "0"),
         ("toygen", "--problem", "bellman", "--states", "0"),
         ("toygen", "--problem", "bellman", "--n", "0"),
+        # --data is a returns file, read only by meanvar and never by toygen
+        *[(sub, "--problem", problem, "--data", "returns.csv")
+          for sub in ("run", "bench", "phistar") for problem in ("bellman", "toy")],
+        *[("toygen", "--problem", problem, "--data", "returns.csv")
+          for problem in ("meanvar", "bellman", "toy")],
     ], ids=" ".join)
     def test_exits_one_with_error_line(self, argv, tmp_path, capsys):
         out = ["--out", str(tmp_path / "t.csv")] if argv[0] != "phistar" else []

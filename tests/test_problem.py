@@ -7,8 +7,8 @@ import pytest
 
 from compopt.baselines import run_agd
 from compopt.errors import ConfigError, InfeasibleQueryError, InputError
-from compopt.estimators import (draw_minibatch, estimate_gradient, estimate_inner,
-                                take_snapshot, unbiased_reference_gradient)
+from compopt.estimators import (_vr_gradient, draw_minibatch, estimate_gradient,
+                                estimate_inner, take_snapshot, unbiased_reference_gradient)
 from compopt.harness import polish_phi_star
 from compopt.problem import (ALL, ProblemDims, SmoothnessConstants, full_gradient,
                              inner_mean, objective, smooth_value)
@@ -17,7 +17,7 @@ from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig
-from compopt.verify import _v_t, check_lemma1
+from compopt.verify import check_lemma1
 from conftest import run
 from test_estimators import CurvedInnerProblem, assert_same_bits
 
@@ -208,7 +208,8 @@ class TestAllComponentsGather:
 
         def estimates(A, B):
             return (estimate_inner(problem, snap, x, A), estimate_gradient(problem, snap, x, A, B),
-                    _v_t(problem, snap, x, A, B), unbiased_reference_gradient(problem, snap, x, B))
+                    _vr_gradient(problem, snap, x, A, B),
+                    unbiased_reference_gradient(problem, snap, x, B))
 
         for A, B in gather_cases(problem, rng):
             gathered = estimates(A, B)

@@ -29,12 +29,12 @@ class TestLoadReturnsCsv:
         path = self.write(tmp_path,
                           "date,A\n1,1.0\n2,-99.99\n3,2.0\n")
         ds = load_returns_csv(path)
-        assert ds.N == 2
+        assert ds.returns.shape[0] == 2
         np.testing.assert_allclose(ds.returns[:, 0], [0.01, 0.02])
 
     def test_minus_999_sentinel(self, tmp_path):
         path = self.write(tmp_path, "date,A\n1,1.0\n2,-999\n3,2.0\n")
-        assert load_returns_csv(path).N == 2
+        assert load_returns_csv(path).returns.shape[0] == 2
 
     def test_all_zero_accepted(self, tmp_path):
         path = self.write(tmp_path, "date,A\n1,0.0\n2,0.0\n")
@@ -71,7 +71,7 @@ class TestLoadReturnsCsv:
         path = str(tmp_path / "big.csv")
         write_returns_csv(ds, path)
         back = load_returns_csv(path)
-        assert (back.N, back.d) == (13781, 100)
+        assert back.returns.shape == (13781, 100)
         np.testing.assert_allclose(back.returns, ds.returns, rtol=0, atol=1e-15)
 
 

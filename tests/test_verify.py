@@ -1,5 +1,7 @@
 """Tests for the empirical verification suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,36 @@ class TestRunAllChecks:
         assert len(gathered[1]) == 21
         assert gathered == per_index
 
+    def test_estimate_gradient_calls_are_the_contraction_steps(self, monkeypatch):
+        """Every `estimate_gradient` call the suite makes is a step of one of its
+        contraction runs, whose ledger charges m + n per epoch and a + b per
+        step; the Monte-Carlo checks evaluate `_vr_gradient` directly. The spy
+        replaces the function in every compopt namespace that holds it."""
+        calls, runs = [], []
+        original = estimators.estimate_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "compopt" or name.startswith("compopt."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+
+        def spy(problem, config, x0, **kwargs):
+            result = run_scvrg(problem, config, x0, **kwargs)
+            runs.append((problem.dims.m + problem.dims.n, config.a + config.b, result))
+            return result
+
+        monkeypatch.setattr(verify, "run_scvrg", spy)
+        run_all_checks(seed=0, trials=2_000)
+        steps = [divmod(r.samples - len(r.epochs) * snapshot_cost, step_cost)
+                 for snapshot_cost, step_cost, r in runs]
+        assert len(runs) == 21 and all(rest == 0 for _, rest in steps)
+        assert len(calls) == sum(count for count, _ in steps) > 0
+
     def test_bad_seed_is_refused_before_any_check_runs(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a check ran before the seed was validated")
@@ -231,27 +263,28 @@ def _biased_unbiased(problem, snapshot, x, B):
     return unbiased_reference_gradient(problem, snapshot, x, B) + 0.3 * snapshot.v_tilde
 
 
-def _biased_vr(problem, snapshot, x, g_t, A, B):
-    return _vr_gradient(problem, snapshot, x, g_t, A, B) + 0.3 * snapshot.v_tilde
+def _biased_vr(problem, snapshot, x, A, B):
+    return _vr_gradient(problem, snapshot, x, A, B) + 0.3 * snapshot.v_tilde
 
 
-def _plain_vr(problem, snapshot, x, g_t, A, B):
+def _plain_vr(problem, snapshot, x, A, B):
     """mean_A dg_j(x)^T mean_B grad f_i(g_t), without the control variate."""
+    g_t = estimate_inner(problem, snapshot, x, A)
     df = problem.outer_grad(B, g_t if g_t.ndim == 1 else g_t[..., None, :]).mean(axis=-2)
     return problem.inner_vjp(A, x, df[..., None, :]).mean(axis=-2)
 
 
-def _zero_vr(problem, snapshot, x, g_t, A, B):
-    return np.zeros(g_t.shape[:-1] + (problem.dims.d,))
+def _zero_vr(problem, snapshot, x, A, B):
+    return np.zeros(np.shape(A)[:-1] + (problem.dims.d,))
 
 
 class TestNegativeControls:
     """The suite reads the production estimators, so a broken one must fail it.
-    v_t's body is patched in `estimators`, where the solver's
-    `estimate_gradient` and verify's Monte-Carlo checks both read it."""
+    g_t and v_t are patched in `estimators`, where the solver's
+    `estimate_gradient` and verify's Monte-Carlo checks both read them."""
 
     @pytest.mark.parametrize("module, target, broken", [
-        (verify, "estimate_inner", _biased_inner),
+        (estimators, "estimate_inner", _biased_inner),
         (verify, "unbiased_reference_gradient", _plain_unbiased),
         (verify, "unbiased_reference_gradient", _biased_unbiased),
         (estimators, "_vr_gradient", _biased_vr),
