@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line entry point (in-process)."""
 
 import logging
+import pathlib
 import re
 
 import numpy as np
@@ -11,6 +12,11 @@ from compopt.cli import cli_main
 from compopt.problems import load_returns_csv, synthetic_returns, write_returns_csv
 from compopt.solver import RunConfig
 from compopt.trace import TRACE_HEADER
+
+
+#: `check --check-seed 0` and `1` reports: the bytes that any change to the
+#: draws, the estimators or the solver must reproduce
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -147,6 +153,14 @@ class TestCheck:
         printed = capsys.readouterr().out
         assert "[PASS]" in printed and "[FAIL]" not in printed
         assert out.read_text().startswith("name,pass,measured,bound,trials,seed\n")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_report_is_byte_identical_to_the_committed_one(self, seed, tmp_path, capsys):
+        # every draw, estimate and contraction run of the suite feeds its
+        # report, so a speedup of any of them must leave it byte for byte
+        out = tmp_path / "report.csv"
+        assert run_cli("check", "--check-seed", str(seed), "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / f"check-seed-{seed}.csv").read_bytes()
 
 
 class TestToygen:
