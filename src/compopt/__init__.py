@@ -19,12 +19,11 @@ from .problem import (ALL, CompositionProblem, ProblemDims, SmoothnessConstants,
                       smooth_value)
 from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
                        ReturnsDataset, build_bellman, build_mean_variance,
-                       build_toy, load_returns_csv, mean_variance_direct,
-                       random_bellman_spec, synthetic_returns,
-                       write_returns_csv)
+                       build_toy, load_returns_csv, random_bellman_spec,
+                       synthetic_returns, write_returns_csv)
 from .prox import Regularizer, prox_step, reg_value
-from .solver import (EpochInfo, RunConfig, ScvrgResult, derive_theorem_params,
-                     predicted_total_samples, run_epoch, run_scvrg)
+from .solver import (EpochInfo, RunConfig, ScvrgResult, predicted_total_samples,
+                     run_epoch, run_scvrg)
 from .trace import TRACE_HEADER, Recorder, TraceRecord
 from .verify import (CheckReport, all_passed, check_epoch_contraction,
                      check_gradient_fd, check_lemma1, check_lemma2,

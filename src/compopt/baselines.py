@@ -12,6 +12,7 @@ trace cadence, and the runner returns its final iterate. SCGD, ASC-PG and AGD
 read only the config's seed; VRSC-PG also reads eta, a and b.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ import numpy as np
 from .estimators import _scalar_draws, minibatch_rng
 from .problem import CompositionProblem, full_gradient, objective, start_point
 from .prox import prox_step
-from .solver import RunConfig, run_epoch
+from .solver import RunConfig, _minibatches, run_epoch
 from .trace import Recorder
 
 
@@ -120,7 +121,9 @@ def run_vrscpg(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder
     engine = replace(config, schedule="constant")
     x = start_point(problem, x0)
     rec.start("vrscpg", config.seed, x)
+    minibatches = _minibatches(problem, engine, ((e, K) for e in itertools.count(1)),
+                               rec.budget - rec.samples)
     epoch = 1
-    while (info := run_epoch(problem, x, x, K, 0, engine, epoch, rec)) is not None:
+    while (info := run_epoch(problem, x, x, K, 0, engine, epoch, rec, minibatches)) is not None:
         x, epoch = info.x_last, epoch + 1
     return x

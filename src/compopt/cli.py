@@ -1,15 +1,13 @@
 """Command-line experiment runner.
 
 Subcommands: `run` (one algorithm), `bench` (algorithm suite), `phistar`
-(certified optimum), `check` (verification suite), `toygen` (emit
-synthetic problem files). Exit codes: 0 success, 1 input error, 2 run abort.
+(certified optimum), `check` (verification suite), `toygen` (emit a
+synthetic returns file). Exit codes: 0 success, 1 input error, 2 run abort.
 """
 
 import argparse
 import math
 import sys
-
-import numpy as np
 
 from .errors import ConfigError, DivergenceError, InputError
 from .harness import (ALGORITHMS, ExperimentSpec, check_roster, polish_phi_star,
@@ -60,21 +58,19 @@ def _add_algo_flags(parser):
 
 
 def _build_problem(args):
-    """(problem, data): the returns dataset, Bellman spec or toy problem it is built from."""
     if args.problem == "meanvar":
         if args.data is not None:
             dataset = load_returns_csv(args.data)
         else:
             dataset = synthetic_returns(args.n, args.d, args.problem_seed)
-        return build_mean_variance(dataset, lam=args.lam, radius=args.radius), dataset
+        return build_mean_variance(dataset, lam=args.lam, radius=args.radius)
     if args.data is not None:
         raise InputError(f"--data is a returns file for --problem meanvar, not {args.problem}")
     if args.problem == "bellman":
         spec = random_bellman_spec(args.states, args.n, args.gamma, args.problem_seed)
-        return build_bellman(spec, lam=args.lam, radius=args.radius), spec
-    problem = build_toy(args.toy_kind, d=args.d, m=args.n, seed=args.problem_seed,
-                        lam=args.lam, radius=args.radius)
-    return problem, problem
+        return build_bellman(spec, lam=args.lam, radius=args.radius)
+    return build_toy(args.toy_kind, d=args.d, m=args.n, seed=args.problem_seed,
+                     lam=args.lam, radius=args.radius)
 
 
 def _parse_seeds(raw):
@@ -95,7 +91,7 @@ def _bench(args, algos):
     params = {name: getattr(args, name) for name in _CONFIG_FLAGS
               if getattr(args, name) is not None}
     check_roster(algos, params, names=_CONFIG_FLAGS)
-    problem, _ = _build_problem(args)
+    problem = _build_problem(args)
     spec = ExperimentSpec(problem=problem, algorithms=algos, budget=args.budget,
                           seeds=_parse_seeds(args.seed), out=args.out, params=params)
     path = run_benchmark(spec)
@@ -106,7 +102,7 @@ def _bench(args, algos):
 def _phistar(args):
     if not 0 < args.budget < math.inf:
         raise InputError(f"optimum budget must be positive and finite, got {args.budget}")
-    problem, _ = _build_problem(args)
+    problem = _build_problem(args)
     budget = max(int(args.budget * problem.N), 100 * (problem.dims.m + problem.dims.n))
     result = polish_phi_star(problem, budget)
     print(repr(result.value))
@@ -125,18 +121,15 @@ def _check(args):
 
 
 def _toygen(args):
-    """Writes the data of the problem `run` would build, after building it,
-    so a size that `run` refuses writes nothing."""
-    if args.data is not None:
-        raise InputError("toygen generates its data and reads no --data file")
-    _, data = _build_problem(args)
-    if args.problem == "meanvar":
-        write_returns_csv(data, args.out)
-    elif args.problem == "bellman":
-        np.savez(args.out, P=data.P, r=data.r, gamma=data.gamma)
-    else:
-        np.savez(args.out, kind=args.toy_kind, A=data.A, b=data.b,
-                 centers=data.centers, scales=data.scales)
+    """Writes the synthetic returns of the mean-variance problem `run` would
+    build, after building it, so a size that `run` refuses writes nothing.
+    Only a returns file has a reader (--data), so the other problems are refused."""
+    if args.problem != "meanvar" or args.data is not None:
+        raise InputError("toygen writes synthetic returns for --problem meanvar only, "
+                         "and reads no --data file")
+    dataset = synthetic_returns(args.n, args.d, args.problem_seed)
+    build_mean_variance(dataset, lam=args.lam, radius=args.radius)
+    write_returns_csv(dataset, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -167,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int, default=20_000)
     p_check.add_argument("--out", default=None, help="optional report CSV path")
 
-    p_toy = sub.add_parser("toygen", help="emit synthetic problem files")
+    p_toy = sub.add_parser("toygen", help="emit a synthetic returns file")
     _add_problem_flags(p_toy)
     p_toy.add_argument("--out", default="problem_data.csv")
     return parser

@@ -11,19 +11,22 @@ whose point (and cotangent) every index shares evaluates all components once
 and gathers the rows when its index array holds at least as many indices as
 there are components, which the batch sizes of the paper's contraction regime
 often do; row-exactness makes that the per-index call's bits, and the samples
-charged are still the indices drawn.
+charged are still the indices drawn. A minibatch's mean of the rows
+grad f_i(g~) does not depend on the iterate, so the epoch engine computes it
+for a block of steps at once and hands each step its row.
 
 Minibatch indices come from Philox4x64-10 (Salmon et al., SC 2011), the
 counter-based generator numpy's `Philox` implements: `minibatch_rng` is the
-reference definition, and `draw_minibatch` hashes a whole batch of steps'
-counters in one numpy pass and reproduces its draws bit for bit.
-`minibatch_rng` hands `Philox` a `_PhiloxKey` seed object that yields the key
-(seed bits, 0), so numpy gathers no OS entropy for a `SeedSequence` that the
-key would overwrite; the draws are those of `Philox(key=..., counter=...)`.
-Each seed's key object, with its read-only state, is built once and cached.
-SCGD and ASC-PG take a step's few scalar indices with `_scalar_draws`, which
-applies numpy's bounded draw to the generator's raw 64-bit words and returns
-what consecutive `integers(bound)` calls would, without their per-call cost.
+reference definition, and `draw_minibatch` hashes the counters of a batch of
+steps, of one epoch or of many, in one numpy pass and reproduces their draws
+bit for bit. `minibatch_rng` hands `Philox` a `_PhiloxKey` seed object that
+yields the key (seed bits, 0), so numpy gathers no OS entropy for a
+`SeedSequence` that the key would overwrite; the draws are those of
+`Philox(key=..., counter=...)`. Each seed's key object, with its read-only
+state, is built once and cached. SCGD and ASC-PG take a step's few scalar
+indices with `_scalar_draws`, which applies numpy's bounded draw to the
+generator's raw 64-bit words and returns what consecutive `integers(bound)`
+calls would, without their per-call cost.
 """
 
 import functools
@@ -41,8 +44,8 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# the multipliers' 32-bit (lo, hi) halves, shape (2, 2, 1)
-_M_HALVES = np.stack((_PHILOX_M & _LO32, _PHILOX_M >> _S32))
+# the multipliers' 32-bit halves
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
 
 
 @dataclass(frozen=True)
@@ -111,15 +114,13 @@ def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
 
 def _scalar_draws(rng, bounds) -> list:
     """The ints that consecutive int(rng.integers(bound)) calls return, one
-    per (int) bound, from a generator that has drawn nothing yet.
+    per (int) bound of at most 2^32 (`ProblemDims` caps m and n below it),
+    from a generator that has drawn nothing yet.
 
     Each bounded draw takes the next uint32 of the raw 64-bit words, low half
     first, by `_lemire`'s rule: a rejected value takes the next uint32. A
-    bound of 1 takes none. Any bound above 2^32 sends the tuple through
-    `rng.integers`, whose draws are then 64-bit.
+    bound of 1 takes none.
     """
-    if max(bounds) > 2**32:
-        return [int(rng.integers(bound)) for bound in bounds]
     raw = rng.bit_generator.random_raw
     draws, high = [], None
     for bound in bounds:
@@ -141,51 +142,59 @@ def _scalar_draws(rng, bounds) -> list:
 
 
 def _philox_blocks(key: int, counters: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of every counter column: (4, N) uint64 -> (4, N) uint64.
-
-    Column c is the block numpy's `Philox(key=key)` emits at counter
-    counters[:, c] (key word 1 is 0). The 64x64 -> 128-bit products are built
-    from 32-bit halves, all four partial products of both words in one pass.
+    """Philox4x64-10 of every counter column, in place: each column of the
+    (4, N) uint64 array becomes the block numpy's `Philox(key=key)` emits at
+    that counter (key word 1 is 0). The 64x64 -> 128-bit products are built
+    from 32-bit halves in four preallocated buffers: a round allocates nothing.
     """
     even, odd = counters[0::2], counters[1::2]  # words (0, 2) and (1, 3)
     k = np.array([[key], [0]], dtype=np.uint64)
-    halves = np.empty((2, 1) + even.shape, dtype=np.uint64)
+    lo, hi, p, q = np.empty((4,) + even.shape, dtype=np.uint64)
+    hi_swapped, lo_swapped = hi[::-1], lo[::-1]
     for r in range(_PHILOX_ROUNDS):
         if r:
             k += _PHILOX_W
-        np.bitwise_and(even, _LO32, out=halves[0, 0])
-        np.right_shift(even, _S32, out=halves[1, 0])
-        p = halves * _M_HALVES  # p[i, j] = even's half i times M's half j
-        mid = (p[0, 0] >> _S32) + p[1, 0]
-        hi = p[1, 1] + (mid >> _S32) + ((p[0, 1] + (mid & _LO32)) >> _S32)
-        even, odd = hi[::-1] ^ odd ^ k, (even * _PHILOX_M)[::-1]
-    blocks = np.empty_like(counters)
-    blocks[0::2], blocks[1::2] = even, odd
-    return blocks
+        np.bitwise_and(even, _LO32, lo)
+        np.right_shift(even, _S32, hi)
+        np.multiply(lo, _M_LO, p)
+        np.right_shift(p, _S32, p)
+        np.multiply(hi, _M_LO, q)
+        np.add(p, q, p)  # mid = (lo * M_lo >> 32) + hi * M_lo
+        np.multiply(lo, _M_HI, lo)
+        np.bitwise_and(p, _LO32, q)
+        np.add(lo, q, lo)
+        np.right_shift(lo, _S32, lo)
+        np.right_shift(p, _S32, p)
+        np.multiply(hi, _M_HI, hi)
+        np.add(hi, p, hi)
+        np.add(hi, lo, hi)  # the products' high words
+        np.multiply(even, _PHILOX_M, lo)  # and their low words
+        np.bitwise_xor(hi_swapped, odd, even)
+        np.bitwise_xor(even, k, even)
+        np.copyto(odd, lo_swapped)
+    return counters
 
 
-def _uint32_draws(key: int, epoch: int, steps: np.ndarray, streams) -> list:
+def _uint32_draws(key: int, epochs, steps: np.ndarray, streams) -> list:
     """The first `size` uint32 outputs of each step's generator, for each
     (stream, size) in `streams`, from one kernel call.
 
-    Row t of the (len(steps), size) result is what minibatch_rng(seed, epoch,
-    steps[t], stream) draws one uint32 at a time: block b (from 1) at counter
-    [b, epoch, step, stream], each 64-bit word low half first. The values are
-    held as uint64 so a bounded draw can scale them without overflow.
+    Row t of the (len(steps), size) result is what minibatch_rng(seed,
+    epochs[t], steps[t], stream) draws one uint32 at a time (`epochs` may be
+    one index): block b (from 1) at counter [b, epoch, step, stream], each
+    64-bit word low half first, held as uint64 for the bounded draw.
     """
-    t = steps.size
-    counters, splits = [], []
-    for stream, size in streams:
-        nb = -(-size // 8)
-        ctr = np.empty((4, t, nb), dtype=np.uint64)
-        ctr[0], ctr[1], ctr[2], ctr[3] = np.arange(1, nb + 1), epoch, steps[:, None], stream
-        counters.append(ctr.reshape(4, t * nb))
-        splits.append(t * nb)
-    words = _philox_blocks(key, np.concatenate(counters, axis=1))
-    draws = []
-    for (_, size), part in zip(streams, np.split(words, np.cumsum(splits)[:-1], axis=1)):
-        w = part.T.reshape(t, -1)
-        draws.append(np.stack((w & _LO32, w >> _S32), axis=-1).reshape(t, -1)[:, :size])
+    blocks = [-(-size // 8) for _, size in streams]
+    ctr = np.empty((4, steps.size, sum(blocks)), dtype=np.uint64)
+    ctr[0] = np.concatenate([np.arange(1, nb + 1) for nb in blocks])
+    ctr[1], ctr[2] = np.reshape(epochs, (-1, 1)), steps[:, None]
+    ctr[3] = np.repeat([stream for stream, _ in streams], blocks)
+    _philox_blocks(key, ctr.reshape(4, -1))
+    draws, first = [], 0
+    for (_, size), nb in zip(streams, blocks):
+        w = ctr[:, :, first:first + nb].transpose(1, 2, 0).reshape(steps.size, -1)
+        draws.append(np.stack((w & _LO32, w >> _S32), axis=-1).reshape(steps.size, -1)[:, :size])
+        first += nb
     return draws
 
 
@@ -197,38 +206,33 @@ def _lemire(u: np.ndarray, bound: int):
     return (prod >> _S32).astype(np.int64), (prod & _LO32) < (2**32 - bound) % bound
 
 
-def _bounded_rows(u: np.ndarray, bound: int, seed, epoch: int, steps: np.ndarray,
-                  stream: int) -> np.ndarray:
-    """Rows of draws in [0, bound) equal to minibatch_rng(seed, epoch, step,
-    stream).integers(0, bound, size). A row whose uint32s hit a Lemire rejection
-    draws one more value and shifts, and bound > 2^32 draws 64-bit values, so
-    those rows are drawn by their reference generator instead."""
-    if bound > 2**32:
-        out, redo = np.empty(u.shape, dtype=np.int64), range(steps.size)
-    else:
-        out, rejected = _lemire(u, bound)
-        redo = np.flatnonzero(rejected.any(axis=1))
-    for r in redo:
-        out[r] = minibatch_rng(seed, epoch, int(steps[r]), stream).integers(0, bound, size=u.shape[1])
-    return out
-
-
 def draw_minibatch(m: int, n: int, a: int, b: int,
-                   seed: int, epoch: int, iteration) -> tuple[np.ndarray, np.ndarray]:
+                   seed: int, epoch, iteration) -> tuple[np.ndarray, np.ndarray]:
     """Uniform with-replacement draws (A, B) of a inner and b outer indices.
 
     `iteration` is one step index, giving A of shape (a,) and B of shape (b,),
-    or a 1-D array of t step indices, giving (t, a) and (t, b). Row t is
-    minibatch_rng(seed, epoch, iteration[t], stream).integers(0, m, a) with
-    stream 0 for A (and likewise n, b and stream 1 for B), bit for bit, so how
-    steps are batched never changes a draw.
+    or a 1-D array of t step indices, giving (t, a) and (t, b); `epoch` is one
+    epoch index, or one per row. Row t is minibatch_rng(seed, epoch[t],
+    iteration[t], stream).integers(0, m, a) with stream 0 for A (and likewise
+    n, b and stream 1 for B), bit for bit, so how steps and epochs are batched
+    never changes a draw. The draws are 32-bit: m or n above 2^32 is refused.
     """
     if a < 1 or b < 1:
         raise ConfigError(f"batch sizes must be >= 1, got a={a}, b={b}")
+    if max(m, n) > 2**32:
+        raise ConfigError(f"index bounds must be at most 2^32, got m={m}, n={n}")
     steps = np.atleast_1d(np.asarray(iteration, dtype=np.uint64))
-    u_a, u_b = _uint32_draws(_seed_key(seed), epoch, steps, ((0, a), (1, b)))
-    A = _bounded_rows(u_a, m, seed, epoch, steps, stream=0)
-    B = _bounded_rows(u_b, n, seed, epoch, steps, stream=1)
+    epochs = np.broadcast_to(np.asarray(epoch, dtype=np.uint64), steps.shape)
+    rows = []
+    for u, bound, stream in zip(_uint32_draws(_seed_key(seed), epochs, steps, ((0, a), (1, b))),
+                                (m, n), (0, 1)):
+        out, rejected = _lemire(u, bound)
+        # a rejection draws one more uint32 and shifts the row: its generator draws it
+        for r in np.flatnonzero(rejected.any(axis=1)):
+            out[r] = minibatch_rng(seed, int(epochs[r]), int(steps[r]), stream).integers(
+                0, bound, size=u.shape[1])
+        rows.append(out)
+    A, B = rows
     if np.ndim(iteration) == 0:
         return A[0], B[0]
     return A, B
@@ -250,16 +254,29 @@ def take_snapshot(problem: CompositionProblem, x_tilde) -> EpochSnapshot:
 def _gathered(idx: np.ndarray, count: int, rows):
     """rows(idx) for an oracle expression whose point (and cotangent) every
     index shares: once idx holds at least `count` indices, the number of
-    components, one call over `ALL` and a gather, rows(ALL)[idx]. The oracles
-    are row-exact, so the bits are the per-index call's."""
+    components, one call over `ALL` and a gather, rows(ALL)[idx] (by `take`,
+    a third of its cost). The oracles are row-exact, so the bits are the
+    per-index call's."""
     if idx.size >= count:
-        return rows(ALL)[idx]
+        return rows(ALL).take(idx, axis=0)
     return rows(idx)
 
 
 def _batch_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean over the minibatch axis -2; one pass also for a stack of trials."""
+    """Mean over the minibatch axis -2; a stack's rows are the one-row results."""
     return np.einsum("...ak->...k", rows) / rows.shape[-2]
+
+
+def _reference_mean(snapshot: EpochSnapshot, B: np.ndarray) -> np.ndarray:
+    """df_ref = mean_{i in B} grad f_i(g~) from the snapshot's rows, over B's
+    last axis: B (b,) gives (k,), and a stack of steps (t, b) gives (t, k)."""
+    return _batch_mean(snapshot.df_rows.take(B, axis=0))
+
+
+def _inner_estimate(problem, snapshot, x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """estimate_inner's g_t from a float x and a nonempty index array A."""
+    return snapshot.g_tilde + _batch_mean(_gathered(
+        A, problem.dims.m, lambda idx: problem.inner_value(idx, x) - snapshot.g_rows[idx]))
 
 
 def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A) -> np.ndarray:
@@ -272,27 +289,28 @@ def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A) -
     A = np.asarray(A)
     if A.size == 0:
         raise ConfigError("inner minibatch A must be nonempty")
-    x = np.asarray(x, dtype=float)
-    return snapshot.g_tilde + _batch_mean(_gathered(
-        A, problem.dims.m, lambda idx: problem.inner_value(idx, x) - snapshot.g_rows[idx]))
+    return _inner_estimate(problem, snapshot, np.asarray(x, dtype=float), A)
 
 
-def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B):
+def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B, df_ref=None):
     """v_t on estimate_inner's g_t from A: A (a,) and B (b,) give shape (d,);
-    a stack of trials, A (t, a) and B (t, b), gives (t, d).
+    a stack of trials, A (t, a) and B (t, b), gives (t, d). The inputs are
+    checked; df_ref is _reference_mean(snapshot, B), if the caller has it.
 
     The grad f_i(g~) are the snapshot's rows. When the problem sets
     `constant_jacobian`, its inner maps are affine, so the Jacobian correction
     dz = mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new is exactly zero and is
     skipped: no inner VJP is evaluated. Otherwise the pair is evaluated at x
     and x~, since its cotangent df_new changes every step."""
-    g_t = estimate_inner(problem, snapshot, x, A)
+    g_t = _inner_estimate(problem, snapshot, x, A)
     stack = g_t.ndim > 1
     # a stack's points and cotangents differ per trial, so its calls never gather
     m, n = (math.inf, math.inf) if stack else (problem.dims.m, problem.dims.n)
     y = g_t[..., None, :] if stack else g_t
     df_new = _batch_mean(_gathered(B, n, lambda idx: problem.outer_grad(idx, y)))
-    v = snapshot.v_tilde + (df_new - _batch_mean(snapshot.df_rows[B])) @ snapshot.z_tilde
+    if df_ref is None:
+        df_ref = _reference_mean(snapshot, B)
+    v = snapshot.v_tilde + (df_new - df_ref) @ snapshot.z_tilde
     if problem.constant_jacobian is not None:
         return v
     # a step keeps one (k,) point and cotangent (the oracles' one-point path); a
@@ -302,20 +320,25 @@ def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B):
         problem.inner_vjp(idx, x, u) - problem.inner_vjp(idx, snapshot.x_tilde, u))))
 
 
-def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B) -> np.ndarray:
+def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B,
+                      df_ref=None) -> np.ndarray:
     """Variance-reduced gradient estimate built on the inner estimates.
 
     v_t = v~ + mean_{i in B} ( z_t^T grad f_i(g_t) - z~^T grad f_i(g~) ), where
     z_t = z~ + mean_{j in A} (dg_j(x) - dg_j(x~)) enters only through VJPs:
     v_t = v~ + z~^T (df_new - df_ref) + mean_{j in A} (dg_j(x) - dg_j(x~))^T df_new.
     A of shape (t, a) and B of shape (t, b) give t estimates, shape (t, d).
-    Costs A.size inner plus B.size outer samples. Each variance-reduced step
-    calls it once; verify's Monte-Carlo trials call `_vr_gradient` directly.
+    The epoch engine passes df_ref = mean_{i in B} grad f_i(g~), which does not
+    depend on x, for a block of steps at once. Costs A.size inner plus B.size
+    outer samples. Each variance-reduced step calls it once, and it alone
+    checks its inputs; verify's Monte-Carlo trials call `_vr_gradient`.
     """
     A, B = np.asarray(A), np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
-    return _vr_gradient(problem, snapshot, np.asarray(x, dtype=float), A, B)
+    if A.size == 0:
+        raise ConfigError("inner minibatch A must be nonempty")
+    return _vr_gradient(problem, snapshot, np.asarray(x, dtype=float), A, B, df_ref)
 
 
 def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x,
@@ -332,5 +355,4 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
         raise ConfigError("outer minibatch B must be nonempty")
     g_x, Z_x = inner_mean(problem, x)
     df_new = _batch_mean(_gathered(B, problem.dims.n, lambda idx: problem.outer_grad(idx, g_x)))
-    df_ref = _batch_mean(snapshot.df_rows[B])
-    return snapshot.v_tilde + df_new @ Z_x - df_ref @ snapshot.z_tilde
+    return snapshot.v_tilde + df_new @ Z_x - _reference_mean(snapshot, B) @ snapshot.z_tilde

@@ -41,6 +41,8 @@ class ProblemDims:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v <= 0:
                 raise ConfigError(f"dimension {name} must be a positive integer, got {v!r}")
+        if max(self.m, self.n) >= 2**32:  # minibatch draws are 32-bit
+            raise ConfigError(f"m and n must be below 2^32, got m={self.m}, n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,7 @@ class CompositionProblem:
     phi_star = None
     #: (1/m) sum_j dg_j, shape (k, d), read-only, set when every g_j is affine
     constant_jacobian = None
+    _smoothness = None
 
     def __init__(self, dims: ProblemDims, regularizer: Regularizer):
         self.dims = dims
@@ -120,9 +123,12 @@ class CompositionProblem:
 
     def smoothness(self) -> SmoothnessConstants:
         """Closed-form SmoothnessConstants on the box |x_c| <= regularizer.radius:
-        certified upper bounds, since every reader of ell relies on them."""
-        raise ConfigError(f"{type(self).__name__} does not certify its smoothness "
-                          "constants: override smoothness()")
+        certified upper bounds, since every reader of ell relies on them. A
+        subclass sets them once, from its data, in __init__ (`_smoothness`)."""
+        if self._smoothness is None:
+            raise ConfigError(f"{type(self).__name__} does not certify its smoothness "
+                              "constants: override smoothness()")
+        return self._smoothness
 
 
 def check_point(problem: CompositionProblem, x) -> np.ndarray:

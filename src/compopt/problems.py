@@ -83,6 +83,7 @@ def synthetic_returns(N: int, d: int, seed: int) -> ReturnsDataset:
     """
     if N < 2:
         raise ConfigError(f"returns data needs N >= 2 rows, as a returns file does, got {N}")
+    ProblemDims(m=N, n=N, d=d, k=d + 1)  # refuse a size before its data is drawn
     rng = data_rng(seed)
     returns = rng.normal(0.02, 0.15, size=(N, d))
     labels = tuple(f"asset_{i}" for i in range(d))
@@ -119,6 +120,14 @@ class MeanVarianceProblem(CompositionProblem):
         # rows [I; -mean r_j]; 0 - mean keeps the sweep's +0 where a mean is zero
         self.constant_jacobian = np.vstack((np.eye(d), 0.0 - self.mean_return))
         self.constant_jacobian.flags.writeable = False
+        norms = np.linalg.norm(returns, axis=1)
+        L_g = float(np.sqrt(1.0 + np.max(norms) ** 2))
+        ell_f = float(2.0 * np.max(norms**2 + 1.0))
+        # sup ||g(x)|| over the box, used to bound the outer gradients
+        R_g = regularizer.radius * np.sqrt(d) * np.sqrt(
+            1.0 + np.linalg.norm(self.mean_return) ** 2)
+        L_f = float(np.max(2.0 * (norms + 1.0) * (norms * R_g + 1.0)))
+        self._smoothness = SmoothnessConstants(L_f=L_f, ell_f=ell_f, L_g=L_g, ell_g=0.0)
 
     # each <r_j, .> is its own dot product (np.vecdot), so a row never depends
     # on the batch it was evaluated in, as a matrix-vector product's may
@@ -146,29 +155,10 @@ class MeanVarianceProblem(CompositionProblem):
         out[..., -1] = 2.0 * u
         return out
 
-    def smoothness(self):
-        norms = np.linalg.norm(self.returns, axis=1)
-        L_g = float(np.sqrt(1.0 + np.max(norms) ** 2))
-        ell_f = float(2.0 * np.max(norms**2 + 1.0))
-        # sup ||g(x)|| over the box, used to bound the outer gradients
-        R_g = self.regularizer.radius * np.sqrt(self.dims.d) * np.sqrt(
-            1.0 + np.linalg.norm(self.mean_return) ** 2)
-        L_f = float(np.max(2.0 * (norms + 1.0) * (norms * R_g + 1.0)))
-        return SmoothnessConstants(L_f=L_f, ell_f=ell_f, L_g=L_g, ell_g=0.0)
-
 
 def build_mean_variance(dataset: ReturnsDataset, lam: float = 1e-2,
                         radius: float = 1.0) -> MeanVarianceProblem:
     return MeanVarianceProblem(dataset.returns, Regularizer(lam=lam, radius=radius))
-
-
-def mean_variance_direct(problem: MeanVarianceProblem, x) -> float:
-    """Direct (non-compositional) evaluation of the penalized objective."""
-    x = np.asarray(x, dtype=float)
-    px = problem.returns @ x
-    mean = px.mean()
-    return float(np.mean((px - mean) ** 2) - mean
-                 + problem.regularizer.lam * np.sum(np.abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +194,11 @@ class AffineQuadraticProblem(CompositionProblem):
         self.A_bar = self.constant_jacobian = A.mean(axis=0)
         self.A_bar.flags.writeable = False
         self.b_bar = b.mean(axis=0)
+        L_g = float(np.linalg.norm(A, 2, axis=(1, 2)).max())
+        reach = L_g * regularizer.radius * np.sqrt(d) + np.max(np.linalg.norm(b, axis=1))
+        ell_f = 2.0 * float(np.max(np.abs(scales)))
+        L_f = ell_f * (reach + np.max(np.linalg.norm(centers, axis=1)))
+        self._smoothness = SmoothnessConstants(L_f=float(L_f), ell_f=ell_f, L_g=L_g, ell_g=0.0)
         c_tilde = (scales[:, None] * centers).mean(axis=0) / S
         target = c_tilde - self.b_bar
         if np.array_equal(self.A_bar, np.eye(d)):
@@ -234,14 +229,6 @@ class AffineQuadraticProblem(CompositionProblem):
 
     def outer_grad(self, idx, y):
         return self._two_scales[idx][..., None] * (y - self.centers[idx])
-
-    def smoothness(self):
-        L_g = float(np.linalg.norm(self.A, 2, axis=(1, 2)).max())
-        reach = (L_g * self.regularizer.radius * np.sqrt(self.dims.d)
-                 + np.max(np.linalg.norm(self.b, axis=1)))
-        ell_f = 2.0 * float(np.max(np.abs(self.scales)))
-        L_f = ell_f * (reach + np.max(np.linalg.norm(self.centers, axis=1)))
-        return SmoothnessConstants(L_f=float(L_f), ell_f=ell_f, L_g=L_g, ell_g=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +274,7 @@ def random_bellman_spec(n_states: int, m: int, gamma: float, seed: int) -> Bellm
     """Random lazy chains: mostly self-transitions keep the residual system
     well conditioned, so desk-scale runs reach tight tolerances. Rewards are
     uniform on [0, 0.1)."""
+    ProblemDims(m=m, n=1, d=n_states, k=n_states)  # refuse a size before its data is drawn
     rng = data_rng(seed)
     Q = rng.uniform(size=(m, n_states, n_states))
     Q /= Q.sum(axis=2, keepdims=True)
@@ -315,6 +303,7 @@ def build_toy(kind: str, d: int = 2, m: int = 3, n: int = 3, seed: int = 0,
     a negative scale is nonconvex, yet F = S ||g(x)||^2 with S = mean(s) > 0
     (0.75 at n = 2) is convex.
     """
+    ProblemDims(m=m, n=n, d=d, k=d)  # refuse a size before its data is drawn
     rng = data_rng(seed)
     reg = Regularizer(lam=lam, radius=radius)
     if kind == "identity":

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import _seed_key, draw_minibatch, estimate_gradient, take_snapshot
+from .estimators import (_reference_mean, _seed_key, draw_minibatch, estimate_gradient,
+                         take_snapshot)
 from .problem import CompositionProblem, start_point
 from .prox import prox_step
 from .trace import Recorder
 
 SCHEDULES = ("adaptive", "constant")
-# most minibatch indices one draw_minibatch call returns within an epoch
+# most minibatch indices one draw_minibatch call returns, across a run's epochs,
+# and most floats one block of steps' (t, b, k) reference-mean gather holds
 _DRAW_CHUNK = 2**16
 
 
@@ -71,27 +73,6 @@ class RunConfig:
         return self.eta * math.sqrt(T) / math.sqrt(max(2 * T - l, 1))
 
 
-def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float) -> RunConfig:
-    """Worst-case-analysis configuration for a target tolerance epsilon.
-
-    k0 = 10, S = floor(log2((6 D_Phi + 15 ell D_x^2) / eps)) + 1,
-    eta = D_x^2 / (10 D_Phi + 25 ell D_x^2),
-    a = ceil(1620 ell^2 D_x^4 / eps^2), b = ceil(810 ell^2 D_x^4 / eps^2).
-    """
-    for name, value in (("D_x", D_x), ("D_Phi", D_Phi), ("ell", ell), ("epsilon", epsilon)):
-        if value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
-    S = max(1, math.floor(math.log2((6 * D_Phi + 15 * ell * D_x**2) / epsilon)) + 1)
-    eta = D_x**2 / (10 * D_Phi + 25 * ell * D_x**2)
-    a = math.ceil(1620 * ell**2 * D_x**4 / epsilon**2)
-    b = math.ceil(810 * ell**2 * D_x**4 / epsilon**2)
-    if a >= 2**31 or b >= 2**31:
-        raise ConfigError(
-            f"tolerance {epsilon:g} requires batch sizes a={a}, b={b}; "
-            "use a practical configuration (e.g. a=b=5) instead")
-    return RunConfig(S=S, k0=10, eta=eta, a=a, b=b, schedule="adaptive")
-
-
 @dataclass(frozen=True)
 class EpochInfo:
     """One epoch's record (epoch index is 1-based, matching k_s = k0*2^s)."""
@@ -114,21 +95,61 @@ class ScvrgResult:
     samples: int
 
 
+def _minibatches(problem: CompositionProblem, config: RunConfig, schedule, left: int):
+    """Index rows (t, a) and (t, b) per block of consecutive steps of one
+    epoch, in run order, for the epochs of `schedule`, (epoch index, length)
+    pairs, that `left` samples pay for as run_epoch spends them. One
+    draw_minibatch call serves up to _DRAW_CHUNK indices across epochs, so
+    Philox's fixed cost is paid once per chunk; rows past a divergence abort
+    are never charged. With a == m (b == n) each A (B) is every index once,
+    so the estimate is exact, and with both nothing is drawn.
+    """
+    m, n, a, b = problem.dims.m, problem.dims.n, config.a, config.b
+    chunk = max(1, _DRAW_CHUNK // (a + b))
+    block = min(chunk, max(1, _DRAW_CHUNK // (b * problem.dims.k)))
+
+    def drawn(pieces):  # the blocks of one draw, from their (epoch, first step, steps)
+        steps = np.concatenate([np.arange(t, t + c) for _, t, c in pieces])
+        if a != m or b != n:
+            A, B = draw_minibatch(m, n, a, b, config.seed,
+                                  np.concatenate([np.full(c, e) for e, _, c in pieces]), steps)
+        A = np.broadcast_to(np.arange(m), (steps.size, m)) if a == m else A
+        B = np.broadcast_to(np.arange(n), (steps.size, n)) if b == n else B
+        cuts = np.cumsum([c for *_, c in pieces])[:-1]
+        return zip(np.split(A, cuts), np.split(B, cuts))
+
+    pieces, size = [], 0
+    for epoch, k in schedule:
+        if left < m + n + a + b:
+            break
+        k = min(k, (left - m - n) // (a + b))
+        left -= m + n + k * (a + b)
+        t = 0
+        while t < k:
+            count = min(block, k - t, chunk - size)
+            pieces.append((epoch, t, count))
+            t, size = t + count, size + count
+            if size == chunk:
+                yield from drawn(pieces)
+                pieces, size = [], 0
+    if pieces:
+        yield from drawn(pieces)
+
+
 def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: RunConfig,
-              epoch_index: int, recorder: Recorder) -> EpochInfo | None:
+              epoch_index: int, recorder: Recorder, minibatches=None) -> EpochInfo | None:
     """The epoch body: a snapshot at x_ref, then k minibatch proximal steps
     from x0 against it, or None, with nothing charged, if the recorder cannot
     pay m + n + a + b. It charges m + n for the snapshot and a + b per step.
 
     Returns the epoch's record: the unweighted mean of the k pre-update
-    iterates, the final iterate and l advanced by one per step. When a == m
-    (resp. b == n) the draw enumerates every index once, making the estimate
-    exact; otherwise indices are sampled uniformly with replacement, drawn for
-    up to _DRAW_CHUNK indices' worth of steps at a time. The epoch stops
-    early, freezing the average, once the recorder cannot pay for another step.
-    The recorder, which its runner has started, checks every step and keeps a
-    row at its sample cadence and one at the end of the epoch, at the number
-    of steps taken.
+    iterates, the final iterate and l advanced by one per step. The index rows
+    come in blocks from the run's `minibatches` (by default, this epoch's), and
+    a block's reference means, which do not depend on the iterate, are
+    computed at once. The epoch stops early, freezing the average, once the
+    recorder cannot pay for another step. The recorder, which its runner has
+    started, checks every step and keeps a row at its sample cadence and one
+    at the end of the epoch, at the number of steps taken.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
@@ -136,6 +157,8 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
     step_cost = config.a + config.b
     if not recorder.affords(m + n + step_cost):
         return None
+    minibatches = minibatches or _minibatches(problem, config, [(epoch_index, k)],
+                                              recorder.budget - recorder.samples)
     snapshot = take_snapshot(problem, x_ref)
     recorder.charge(m + n)
     x_start = np.asarray(x0, dtype=float)
@@ -143,19 +166,15 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
     x = x_start.copy()
     x_sum = np.zeros_like(x)
 
-    full_A = np.arange(m) if config.a == m else None
-    full_B = np.arange(n) if config.b == n else None
-    sampled = full_A is None or full_B is None
-    chunk = max(1, _DRAW_CHUNK // step_cost)
-
+    end = 0
     for t in range(k):
         x_sum += x
-        if sampled and t % chunk == 0:
-            rows_A, rows_B = draw_minibatch(m, n, config.a, config.b, config.seed, epoch_index,
-                                            np.arange(t, min(t + chunk, k)))
-        A = full_A if full_A is not None else rows_A[t % chunk]
-        B = full_B if full_B is not None else rows_B[t % chunk]
-        v = estimate_gradient(problem, snapshot, x, A, B)
+        if t == end:
+            rows_A, rows_B = next(minibatches)
+            df_refs = _reference_mean(snapshot, rows_B)
+            start, end = t, t + len(rows_B)
+        v = estimate_gradient(problem, snapshot, x, rows_A[t - start], rows_B[t - start],
+                              df_refs[t - start])
         recorder.charge(step_cost)
         eta_t = config.step(l)
         l += 1
@@ -183,11 +202,12 @@ def run_scvrg(problem: CompositionProblem, config: RunConfig, x0,
     """
     x_ref = x_cur = start_point(problem, x0)
     recorder.start("scvrg", config.seed, x_ref)
+    schedule = [(s + 1, config.k0 * 2 ** (s + 1)) for s in range(config.S)]
+    minibatches = _minibatches(problem, config, schedule, recorder.budget - recorder.samples)
     l = 0
     epochs: list[EpochInfo] = []
-    for s in range(config.S):
-        info = run_epoch(problem, x_ref, x_cur, config.k0 * 2 ** (s + 1), l, config,
-                         s + 1, recorder)
+    for epoch, k in schedule:
+        info = run_epoch(problem, x_ref, x_cur, k, l, config, epoch, recorder, minibatches)
         if info is None:
             break
         epochs.append(info)

@@ -171,25 +171,22 @@ class TestToygen:
         assert code == 0
         assert load_returns_csv(str(out)).returns.shape == (30, 4)
 
-    def test_bellman_npz(self, tmp_path):
+    # only a returns file has a reader (--data), so the bellman and toy
+    # routes, which wrote .npz files, are refused and write nothing
+    def test_bellman_npz(self, tmp_path, capsys):
         out = tmp_path / "bellman.npz"
         code = run_cli("toygen", "--problem", "bellman", "--states", "4",
                        "--n", "6", "--out", str(out))
-        assert code == 0
-        data = np.load(str(out))
-        assert data["P"].shape == (6, 4, 4)
-        np.testing.assert_allclose(data["P"].sum(axis=2), 1.0, atol=1e-12)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: toygen writes synthetic returns")
 
-    def test_toy_npz(self, tmp_path):
+    def test_toy_npz(self, tmp_path, capsys):
         for kind in ("identity", "affine", "mixed"):
             out = tmp_path / f"{kind}.npz"
             code = run_cli("toygen", "--problem", "toy", "--toy-kind", kind,
                            "--d", "3", "--out", str(out))
-            assert code == 0
-            data = np.load(str(out))
-            assert {"A", "b", "centers", "scales"} <= set(data.files)
-            assert data["A"].shape[1:] == (3, 3)
-            assert data["scales"].shape == data["centers"].shape[:1]
+            assert code == 1 and not out.exists()
+            assert capsys.readouterr().err.startswith("error: toygen writes synthetic returns")
 
 
 class TestBadInput:
@@ -229,6 +226,9 @@ class TestBadInput:
         ("toygen", "--problem", "meanvar", "--d", "0"),
         ("toygen", "--problem", "bellman", "--states", "0"),
         ("toygen", "--problem", "bellman", "--n", "0"),
+        # m and n of 2^32 or more, refused before any data is drawn
+        *[("run", "--problem", problem, "--n", str(2**32))
+          for problem in ("meanvar", "bellman", "toy")],
         # --data is a returns file, read only by meanvar and never by toygen
         *[(sub, "--problem", problem, "--data", "returns.csv")
           for sub in ("run", "bench", "phistar") for problem in ("bellman", "toy")],

@@ -42,7 +42,7 @@ def test_nan_oracle_raises_divergence(algorithm):
 
 
 def test_nan_oracle_run_exits_two(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "_build_problem", lambda args: (NanAfterProblem(), None))
+    monkeypatch.setattr(cli, "_build_problem", lambda args: NanAfterProblem())
     # phi* is irrelevant here; its polish would spend the good calls first
     monkeypatch.setattr(harness, "compute_phi_star", lambda problem, budget: 0.0)
     out = tmp_path / "t.csv"

@@ -253,14 +253,35 @@ class TestDrawMinibatch:
         np.testing.assert_array_equal(A, reference_rows(11, 1, steps, 0, m, 4))
         np.testing.assert_array_equal(B, reference_rows(11, 1, steps, 1, 3, 2))
 
-    def test_bound_above_2_32_falls_back_to_reference(self, monkeypatch):
-        m, steps = 2**32 + 5, np.arange(4)
-        calls = self.counting_reference(monkeypatch)
-        A, B = draw_minibatch(m, 2**32, 6, 6, -9, 3, steps)
-        # B's bound of exactly 2^32 never rejects, so only A's rows fall back
-        assert sorted(calls) == [(3, t, 0) for t in steps]
-        np.testing.assert_array_equal(A, reference_rows(-9, 3, steps, 0, m, 6))
+    def test_bound_above_2_32_is_refused(self):
+        # draws are 32-bit, and ProblemDims keeps m and n below 2^32
+        for m, n in ((2**32 + 1, 3), (3, 2**32 + 5)):
+            with pytest.raises(ConfigError, match="at most 2\\^32"):
+                draw_minibatch(m, n, 6, 6, -9, 3, np.arange(4))
+        # a bound of exactly 2^32 takes each uint32 as it is and never rejects
+        steps = np.arange(4)
+        A, B = draw_minibatch(5, 2**32, 6, 6, -9, 3, steps)
         np.testing.assert_array_equal(B, reference_rows(-9, 3, steps, 1, 2**32, 6))
+
+    def test_epoch_per_row_matches_reference_rows(self):
+        epochs, steps = np.array([1, 1, 2, 2, 7]), np.array([18, 19, 0, 1, 0])
+        A, B = draw_minibatch(1000, 17, 93, 5, -3, epochs, steps)
+        for row, (epoch, step) in enumerate(zip(epochs, steps)):
+            np.testing.assert_array_equal(A[row], reference_rows(-3, epoch, [step], 0, 1000, 93)[0])
+            np.testing.assert_array_equal(B[row], reference_rows(-3, epoch, [step], 1, 17, 5)[0])
+
+    def test_philox_kernel_overwrites_counters_with_numpys_blocks(self):
+        # counter words stay below 2^63: from there on, numpy reads a list
+        # counter's words through float64
+        rng = np.random.default_rng(3)
+        counters = rng.integers(1, 2**63, size=(4, 9), dtype=np.uint64)
+        for key in (0, 2**64 - 1, int(rng.integers(0, 2**63))):
+            work = counters.copy()
+            assert estimators._philox_blocks(key, work) is work
+            for col, ctr in enumerate(counters.T.tolist()):
+                # numpy's Philox advances its counter before each block
+                philox = np.random.Philox(key=key, counter=[ctr[0] - 1] + ctr[1:])
+                assert work[:, col].tolist() == philox.random_raw(4).tolist()
 
     def test_scalar_draws_are_consecutive_bounded_uint32(self):
         # SCGD and ASC-PG draw j, i and j2 one at a time from stream 2; each
@@ -277,10 +298,10 @@ class TestDrawMinibatch:
 
     @pytest.mark.parametrize("bounds", [
         (2000, 77, 2000), (1,), (1, 5, 1, 1, 3), (2**32, 7, 2**32), (2**32 - 1, 2),
-        (2, 3 * 2**30, 1), (2**32 + 1, 5), (9, 2**40, 1)])
+        (2, 3 * 2**30, 1), (2**31 + 1, 2**31 + 1, 5), (1, 2**32, 2**31 - 1)])
     def test_raw_word_draws_match_consecutive_integers(self, bounds):
-        # a bound of 1 takes no uint32, as in numpy, and one above 2^32 sends
-        # the tuple through rng.integers
+        # a bound of 1 takes no uint32, as in numpy, and 2^31 + 1 rejects about
+        # half of all uint32s
         for seed, t in itertools.product((0, -3), range(100)):
             rng = minibatch_rng(seed, 0, t, stream=2)
             want = [int(rng.integers(bound)) for bound in bounds]

@@ -260,6 +260,15 @@ class TestProblemDims:
         with pytest.raises(ConfigError):
             ProblemDims(**kwargs)
 
+    @pytest.mark.parametrize("bad", [dict(m=2**32), dict(n=2**32 + 7), dict(m=np.uint64(2**63))])
+    def test_index_bounds_fit_32_bit_draws(self, bad):
+        kwargs = dict(m=2, n=3, d=4, k=5)
+        kwargs.update(bad)
+        with pytest.raises(ConfigError, match="below 2\\^32"):
+            ProblemDims(**kwargs)
+        kwargs.update({name: 2**32 - 1 for name in bad})
+        ProblemDims(**kwargs)
+
 
 class TestSmoothnessConstants:
     def test_ell_formula(self):
@@ -352,6 +361,13 @@ class TestLipschitzBounds:
         assert c.L_g == pytest.approx(np.sqrt(10.0), abs=1e-14)
         assert c.ell_f == pytest.approx(20.0, abs=1e-14)
         assert c.ell == pytest.approx(200.0, abs=1e-12)
+
+    def test_constants_are_computed_once_at_construction(self):
+        for problem in (build_mean_variance(ReturnsDataset(np.array([[1.0], [3.0]]), ("a",))),
+                        build_toy("mixed", d=3, m=4, n=2, seed=1)):
+            c = problem.smoothness()
+            assert problem.smoothness() is c
+            assert c == problem._smoothness and c.ell > 0.0
 
     def test_uncertified_problem_fails_every_reader_of_ell(self):
         problem = CurvedInnerProblem()  # defines no smoothness()

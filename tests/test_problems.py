@@ -5,12 +5,21 @@ import pytest
 
 from compopt.errors import ConfigError, InputError
 from compopt.problem import full_gradient, objective, smooth_value
-from compopt.problems import (AffineQuadraticProblem, BellmanSpec,
-                              ReturnsDataset, build_bellman,
-                              build_mean_variance, build_toy, load_returns_csv,
-                              mean_variance_direct, random_bellman_spec,
-                              synthetic_returns, write_returns_csv)
+from compopt.problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
+                              ReturnsDataset, build_bellman, build_mean_variance, build_toy,
+                              load_returns_csv, random_bellman_spec, synthetic_returns,
+                              write_returns_csv)
 from compopt.prox import Regularizer
+
+
+def mean_variance_direct(problem: MeanVarianceProblem, x) -> float:
+    """Direct (non-compositional) evaluation of the penalized objective: the
+    reference the compositional form must match."""
+    x = np.asarray(x, dtype=float)
+    px = problem.returns @ x
+    mean = px.mean()
+    return float(np.mean((px - mean) ** 2) - mean
+                 + problem.regularizer.lam * np.sum(np.abs(x)))
 
 
 class TestLoadReturnsCsv:

@@ -1,18 +1,20 @@
 """Tests for the doubling-epoch driver, step schedule, and parameter derivation."""
 
+import math
+
 import numpy as np
 import pytest
 
-from compopt import solver
+from compopt import estimators, solver
+from compopt.baselines import run_vrscpg
 from compopt.errors import ConfigError, InputError
 from compopt.estimators import minibatch_rng
 from compopt.problem import full_gradient, objective
 from compopt.problems import build_toy
 from compopt.prox import prox_step
-from compopt.solver import (RunConfig, derive_theorem_params,
-                            predicted_total_samples, run_epoch, run_scvrg)
+from compopt.solver import RunConfig, predicted_total_samples, run_epoch, run_scvrg
 from compopt.trace import Recorder
-from conftest import epoch_runner, run
+from conftest import epoch_runner, key_seeded_rng, run
 
 # one epoch of k0 * 2 = 100 steps: schedule horizon T = 50
 STEPS = RunConfig(S=1, k0=50, eta=0.01)
@@ -69,6 +71,29 @@ class TestRunConfig:
         kwargs.update(bad)
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+
+def derive_theorem_params(D_x: float, D_Phi: float, ell: float, epsilon: float) -> RunConfig:
+    """Worst-case-analysis configuration for a target tolerance epsilon, the
+    paper's theorem parameters; no run uses them, since their batch sizes are
+    impractical, so they live here with their tests.
+
+    k0 = 10, S = floor(log2((6 D_Phi + 15 ell D_x^2) / eps)) + 1,
+    eta = D_x^2 / (10 D_Phi + 25 ell D_x^2),
+    a = ceil(1620 ell^2 D_x^4 / eps^2), b = ceil(810 ell^2 D_x^4 / eps^2).
+    """
+    for name, value in (("D_x", D_x), ("D_Phi", D_Phi), ("ell", ell), ("epsilon", epsilon)):
+        if value <= 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
+    S = max(1, math.floor(math.log2((6 * D_Phi + 15 * ell * D_x**2) / epsilon)) + 1)
+    eta = D_x**2 / (10 * D_Phi + 25 * ell * D_x**2)
+    a = math.ceil(1620 * ell**2 * D_x**4 / epsilon**2)
+    b = math.ceil(810 * ell**2 * D_x**4 / epsilon**2)
+    if a >= 2**31 or b >= 2**31:
+        raise ConfigError(
+            f"tolerance {epsilon:g} requires batch sizes a={a}, b={b}; "
+            "use a practical configuration (e.g. a=b=5) instead")
+    return RunConfig(S=S, k0=10, eta=eta, a=a, b=b, schedule="adaptive")
 
 
 class TestDeriveTheoremParams:
@@ -131,49 +156,67 @@ class TestRunEpoch:
         _, rows = run(run_scvrg, toy, cfg, np.zeros(2), exact(cfg, toy), every=1)
         assert all(abs(row.objective) < np.inf for row in rows)
 
-    @pytest.mark.parametrize("max_samples", [None, 250 * 400])
-    def test_chunked_draws_match_per_step_reference(self, monkeypatch, max_samples):
-        # a + b = 400 puts 163 steps in a draw chunk, so 400 steps span three
-        # chunks (the last one partial); None budgets the whole epoch, 6 + 400 * 400
-        # samples, and the budget variant pays for the snapshot (6) and 249
-        # steps, and stops mid-chunk
+    # a + b = 400 puts 163 steps in a draw chunk. One 400-step epoch spans
+    # three chunks (the last partial); with 6 + 250 * 400 samples it pays for
+    # the snapshot and 249 steps, and stops mid-chunk. SCVRG's epochs of 200 and
+    # 400 steps share chunks, so a chunk holds rows of two epochs; with
+    # 140,012 samples its second epoch stops after 150 steps. VRSC-PG's epochs
+    # of K = 4 steps: 20,000 samples pay for 12 and one step of a 13th, all
+    # in one chunk. Every chunk forces a Lemire rejection on rows 1, 11, ...,
+    # which their reference generators redraw, each with its row's epoch.
+    @pytest.mark.parametrize("runner, max_samples, draws, steps", [
+        (epoch_runner(400, l=3, epoch_index=2), 6 + 400 * 400, 3, 400),
+        (epoch_runner(400, l=3, epoch_index=2), 250 * 400, 2, 249),
+        (run_scvrg, 2 * 6 + 600 * 400, 4, 600),
+        (run_scvrg, 2 * 6 + 350 * 400, 3, 350),
+        (run_vrscpg, 20_000, 1, 49),
+    ], ids=["None", "100000", "scvrg", "scvrg-budget", "vrscpg"])
+    def test_chunked_draws_match_per_step_reference(self, monkeypatch, runner, max_samples,
+                                                    draws, steps):
         toy = build_toy("affine", d=2, m=3, n=3, seed=5)
         cfg = RunConfig(S=2, k0=100, eta=0.05, a=300, b=100, seed=-7)
         x0 = np.array([0.4, -0.3])
-        assert 400 * (cfg.a + cfg.b) > solver._DRAW_CHUNK
-        estimate, chunked_draw = solver.estimate_gradient, solver.draw_minibatch
+        estimate, chunked_draw, lemire = (solver.estimate_gradient, solver.draw_minibatch,
+                                          estimators._lemire)
+
+        def forced_rejections(u, bound):
+            out, rejected = lemire(u, bound)
+            rejected[1::10, 0] = True
+            return out, rejected
 
         def run_with(draw):
             visited, calls = [], []
 
-            def spy_estimate(problem, snapshot, x, A, B):
+            def spy_estimate(problem, snapshot, x, A, B, df_ref=None):
                 visited.append(x.copy())
-                return estimate(problem, snapshot, x, A, B)
+                return estimate(problem, snapshot, x, A, B, df_ref)
 
             def spy_draw(*args):
-                calls.append(args[-1])
+                calls.append(args[-2:])
                 return draw(*args)
 
             monkeypatch.setattr(solver, "estimate_gradient", spy_estimate)
             monkeypatch.setattr(solver, "draw_minibatch", spy_draw)
-            res, _ = run(epoch_runner(400, l=3, epoch_index=2), toy, cfg, x0,
-                         max_samples or 6 + 400 * 400)
-            return res, np.array(visited), calls
+            _, rows = run(runner, toy, cfg, x0, max_samples, every=1)
+            return [r.to_csv_row() for r in rows], np.array(visited), calls
 
         def per_step(m, n, a, b, seed, epoch, iteration):
-            rows = [(minibatch_rng(seed, epoch, int(t), 0).integers(0, m, a),
-                     minibatch_rng(seed, epoch, int(t), 1).integers(0, n, b))
-                    for t in np.atleast_1d(iteration)]
-            return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+            pairs = list(zip(np.broadcast_to(epoch, np.shape(iteration)), iteration))
+            return tuple(np.array([key_seeded_rng(seed, int(e), int(t), stream).integers(0, bound, size)
+                                   for e, t in pairs])
+                         for stream, bound, size in ((0, m, a), (1, n, b)))
 
+        redrawn = []
+        monkeypatch.setattr(estimators, "_lemire", forced_rejections)
+        monkeypatch.setattr(estimators, "minibatch_rng",
+                            lambda *key: redrawn.append(key[1]) or minibatch_rng(*key))
         chunked, chunked_x, chunk_calls = run_with(chunked_draw)
         reference, reference_x, _ = run_with(per_step)
-        assert len(chunk_calls) == (3 if max_samples is None else 2)
-        assert len(chunked_x) == (400 if max_samples is None else 249)
+        assert len(chunk_calls) == draws and len(chunked_x) == steps
+        assert sum(len(steps) for _, steps in chunk_calls) == steps  # only paid steps are drawn
+        assert redrawn == [int(e) for epochs, _ in chunk_calls for e in 2 * list(epochs[1::10])]
         np.testing.assert_array_equal(chunked_x, reference_x)
-        np.testing.assert_array_equal(chunked.x_avg, reference.x_avg)
-        np.testing.assert_array_equal(chunked.x_last, reference.x_last)
-        assert chunked.l == reference.l == 3 + len(chunked_x)
+        assert chunked == reference
 
 
 class TestRunScvrg:

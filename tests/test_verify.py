@@ -7,7 +7,7 @@ import pytest
 
 from compopt import estimators, verify
 from compopt.errors import ConfigError
-from compopt.estimators import (_vr_gradient, estimate_inner, take_snapshot,
+from compopt.estimators import (_inner_estimate, _vr_gradient, estimate_inner, take_snapshot,
                                 unbiased_reference_gradient)
 from compopt.problem import full_gradient, inner_mean
 from compopt.problems import build_toy
@@ -250,7 +250,7 @@ class TestRunAllChecks:
 
 
 def _biased_inner(problem, snapshot, x, A):
-    return estimate_inner(problem, snapshot, x, A) + 0.3 * snapshot.g_tilde
+    return _inner_estimate(problem, snapshot, x, A) + 0.3 * snapshot.g_tilde
 
 
 def _plain_unbiased(problem, snapshot, x, B):
@@ -263,28 +263,29 @@ def _biased_unbiased(problem, snapshot, x, B):
     return unbiased_reference_gradient(problem, snapshot, x, B) + 0.3 * snapshot.v_tilde
 
 
-def _biased_vr(problem, snapshot, x, A, B):
-    return _vr_gradient(problem, snapshot, x, A, B) + 0.3 * snapshot.v_tilde
+def _biased_vr(problem, snapshot, x, A, B, df_ref=None):
+    return _vr_gradient(problem, snapshot, x, A, B, df_ref) + 0.3 * snapshot.v_tilde
 
 
-def _plain_vr(problem, snapshot, x, A, B):
+def _plain_vr(problem, snapshot, x, A, B, df_ref=None):
     """mean_A dg_j(x)^T mean_B grad f_i(g_t), without the control variate."""
     g_t = estimate_inner(problem, snapshot, x, A)
     df = problem.outer_grad(B, g_t if g_t.ndim == 1 else g_t[..., None, :]).mean(axis=-2)
     return problem.inner_vjp(A, x, df[..., None, :]).mean(axis=-2)
 
 
-def _zero_vr(problem, snapshot, x, A, B):
+def _zero_vr(problem, snapshot, x, A, B, df_ref=None):
     return np.zeros(np.shape(A)[:-1] + (problem.dims.d,))
 
 
 class TestNegativeControls:
     """The suite reads the production estimators, so a broken one must fail it.
-    g_t and v_t are patched in `estimators`, where the solver's
-    `estimate_gradient` and verify's Monte-Carlo checks both read them."""
+    g_t (`_inner_estimate`) and v_t (`_vr_gradient`) are patched in
+    `estimators`, where the solver's `estimate_gradient` and verify's
+    Monte-Carlo checks both read them."""
 
     @pytest.mark.parametrize("module, target, broken", [
-        (estimators, "estimate_inner", _biased_inner),
+        (estimators, "_inner_estimate", _biased_inner),
         (verify, "unbiased_reference_gradient", _plain_unbiased),
         (verify, "unbiased_reference_gradient", _biased_unbiased),
         (estimators, "_vr_gradient", _biased_vr),
