@@ -10,13 +10,11 @@ from .baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from .errors import (CompoptError, ConfigError, DivergenceError,
                      InfeasibleQueryError, InputError)
 from .estimators import (EpochSnapshot, draw_minibatch, estimate_gradient,
-                         estimate_inner, minibatch_rng, take_snapshot,
-                         unbiased_reference_gradient)
+                         minibatch_rng, take_snapshot, unbiased_reference_gradient)
 from .harness import (ALGORITHMS, ExperimentSpec, compute_phi_star,
                       run_benchmark, run_one, scvrg_config_for_budget)
 from .problem import (ALL, CompositionProblem, ProblemDims, SmoothnessConstants,
-                      full_gradient, inner_mean, mean_jacobian, objective,
-                      smooth_value)
+                      full_gradient, mean_jacobian, objective, smooth_value)
 from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
                        ReturnsDataset, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, random_bellman_spec,

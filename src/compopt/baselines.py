@@ -82,7 +82,7 @@ def _scgd_core(problem, seed, x0, rec, accelerated):
     m, n = int(problem.dims.m), int(problem.dims.n)
     x = start_point(problem, x0)
     if accelerated:  # the tracker's seed sample at the start point, charged before its row
-        y = problem.inner_value(int(minibatch_rng(seed, 0, 0, stream=2).integers(m)), x)
+        y = problem.inner_value(_scalar_draws(minibatch_rng(seed, 0, 0, stream=2), (m,))[0], x)
         rec.charge(1)
     else:
         y = np.zeros(problem.dims.k)

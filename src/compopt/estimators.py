@@ -22,11 +22,11 @@ steps, of one epoch or of many, in one numpy pass and reproduces their draws
 bit for bit. `minibatch_rng` hands `Philox` a `_PhiloxKey` seed object that
 yields the key (seed bits, 0), so numpy gathers no OS entropy for a
 `SeedSequence` that the key would overwrite; the draws are those of
-`Philox(key=..., counter=...)`. Each seed's key object, with its read-only
-state, is built once and cached. SCGD and ASC-PG take a step's few scalar
-indices with `_scalar_draws`, which applies numpy's bounded draw to the
-generator's raw 64-bit words and returns what consecutive `integers(bound)`
-calls would, without their per-call cost.
+`Philox(key=..., counter=...)` on exact uint64 counter words. Each seed's key
+object, with its read-only state, is built once and cached. A step's generator
+is read only as raw 64-bit words: `_scalar_draws` applies numpy's bounded
+draw to them, as consecutive `integers(bound)` calls would without their
+per-call cost, for an SCGD or ASC-PG step and a rejected `draw_minibatch` row.
 """
 
 import functools
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .problem import ALL, CompositionProblem, check_point, inner_mean, mean_jacobian
+from .problem import ALL, CompositionProblem, check_point, mean_jacobian
 
 # Philox4x64 multipliers (for words 0 and 2) and Weyl key increments
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
@@ -105,11 +105,12 @@ def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
     """Counter-based generator keyed by (seed, epoch, iteration, stream).
 
     Philox is splittable: distinct counters give independent streams, so draws
-    are reproducible per iteration regardless of execution order.
+    are reproducible per iteration regardless of execution order. The counter
+    words are uint64, so a negative one raises OverflowError.
     """
     generator, philox = _philox_classes()
     key = _philox_key(_seed_key(seed))
-    return generator(philox(key, counter=[0, epoch, iteration, stream]))
+    return generator(philox(key, counter=np.array([0, epoch, iteration, stream], dtype=np.uint64)))
 
 
 def _scalar_draws(rng, bounds) -> list:
@@ -210,12 +211,12 @@ def draw_minibatch(m: int, n: int, a: int, b: int,
                    seed: int, epoch, iteration) -> tuple[np.ndarray, np.ndarray]:
     """Uniform with-replacement draws (A, B) of a inner and b outer indices.
 
-    `iteration` is one step index, giving A of shape (a,) and B of shape (b,),
-    or a 1-D array of t step indices, giving (t, a) and (t, b); `epoch` is one
-    epoch index, or one per row. Row t is minibatch_rng(seed, epoch[t],
-    iteration[t], stream).integers(0, m, a) with stream 0 for A (and likewise
-    n, b and stream 1 for B), bit for bit, so how steps and epochs are batched
-    never changes a draw. The draws are 32-bit: m or n above 2^32 is refused.
+    `iteration` is a 1-D array of t step indices (an int is one), giving A of
+    shape (t, a) and B of shape (t, b); `epoch` is one epoch index, or one per
+    row. Row t is minibatch_rng(seed, epoch[t], iteration[t], stream).integers(
+    0, m, a) with stream 0 for A (and likewise n, b and stream 1 for B), bit for
+    bit, so how steps and epochs are batched never changes a draw. The draws
+    are 32-bit: m or n above 2^32 is refused.
     """
     if a < 1 or b < 1:
         raise ConfigError(f"batch sizes must be >= 1, got a={a}, b={b}")
@@ -229,13 +230,10 @@ def draw_minibatch(m: int, n: int, a: int, b: int,
         out, rejected = _lemire(u, bound)
         # a rejection draws one more uint32 and shifts the row: its generator draws it
         for r in np.flatnonzero(rejected.any(axis=1)):
-            out[r] = minibatch_rng(seed, int(epochs[r]), int(steps[r]), stream).integers(
-                0, bound, size=u.shape[1])
+            rng = minibatch_rng(seed, int(epochs[r]), int(steps[r]), stream)
+            out[r] = _scalar_draws(rng, (int(bound),) * u.shape[1])
         rows.append(out)
-    A, B = rows
-    if np.ndim(iteration) == 0:
-        return A[0], B[0]
-    return A, B
+    return tuple(rows)
 
 
 def take_snapshot(problem: CompositionProblem, x_tilde) -> EpochSnapshot:
@@ -274,26 +272,17 @@ def _reference_mean(snapshot: EpochSnapshot, B: np.ndarray) -> np.ndarray:
 
 
 def _inner_estimate(problem, snapshot, x: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """estimate_inner's g_t from a float x and a nonempty index array A."""
-    return snapshot.g_tilde + _batch_mean(_gathered(
-        A, problem.dims.m, lambda idx: problem.inner_value(idx, x) - snapshot.g_rows[idx]))
-
-
-def estimate_inner(problem: CompositionProblem, snapshot: EpochSnapshot, x, A) -> np.ndarray:
-    """Control-variate estimate of the inner value at x.
-
-    g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)), the mean over A's last axis:
-    A of shape (t, a) gives t estimates, shape (t, k). The g_j(x~) are the
-    snapshot's rows. Costs A.size inner samples.
-    """
-    A = np.asarray(A)
-    if A.size == 0:
-        raise ConfigError("inner minibatch A must be nonempty")
-    return _inner_estimate(problem, snapshot, np.asarray(x, dtype=float), A)
+    """g_t = g~ + mean_{j in A} (g_j(x) - g_j(x~)) at a float x, over the last axis
+    of a nonempty index array A: A (t, a) gives (t, k). The g_j(x~) are the snapshot's
+    rows, gathered by `take` and subtracted out of place (an oracle may return a
+    view of its own data); an `ALL` call subtracts all m rows before its gather."""
+    g_rows = snapshot.g_rows
+    return snapshot.g_tilde + _batch_mean(_gathered(A, problem.dims.m, lambda idx: (
+        problem.inner_value(idx, x) - (g_rows if idx is ALL else g_rows.take(idx, axis=0)))))
 
 
 def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B, df_ref=None):
-    """v_t on estimate_inner's g_t from A: A (a,) and B (b,) give shape (d,);
+    """v_t on _inner_estimate's g_t from A: A (a,) and B (b,) give shape (d,);
     a stack of trials, A (t, a) and B (t, b), gives (t, d). The inputs are
     checked; df_ref is _reference_mean(snapshot, B), if the caller has it.
 
@@ -353,6 +342,7 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
     B = np.asarray(B)
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
-    g_x, Z_x = inner_mean(problem, x)
+    x = check_point(problem, x)
+    g_x, Z_x = problem.inner_value(ALL, x).mean(axis=0), mean_jacobian(problem, x)
     df_new = _batch_mean(_gathered(B, problem.dims.n, lambda idx: problem.outer_grad(idx, g_x)))
     return snapshot.v_tilde + df_new @ Z_x - _reference_mean(snapshot, B) @ snapshot.z_tilde

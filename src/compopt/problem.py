@@ -159,12 +159,6 @@ def mean_jacobian(problem: CompositionProblem, x) -> np.ndarray:
     return Z
 
 
-def inner_mean(problem: CompositionProblem, x):
-    """Full-batch inner value and Jacobian: (1/m) sum_j g_j(x), (1/m) sum_j dg_j(x)."""
-    x = check_point(problem, x)
-    return problem.inner_value(ALL, x).mean(axis=0), mean_jacobian(problem, x)
-
-
 def full_gradient(problem: CompositionProblem, x) -> np.ndarray:
     """Exact gradient of F via the chain rule: one VJP sweep over all m inner
     maps, (1/m) sum_j dg_j(x)^T mean_i grad f_i(g(x))."""

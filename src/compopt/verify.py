@@ -36,6 +36,7 @@ MC_CHUNK = 20_000  # Monte-Carlo trials per draw
 # (t, a, k, d) gathers of its inner VJP stacks, and of its inner values when t * a < m
 MC_SLICE = 5_000
 CONTRACTION_THRESHOLD = 0.75
+CONTRACTION_SEEDS = 20  # seeds the stochastic contraction check averages over
 CONTRACTION_THRESHOLD_DETERMINISTIC = 0.5 + 1e-6
 
 
@@ -311,7 +312,7 @@ def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
 # aggregate runner (CLI `check` subcommand)
 # ---------------------------------------------------------------------------
 
-def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int = 20):
+def run_all_checks(seed: int = 0, trials: int = 20_000):
     """Standard fixture suite; smaller trial counts than the acceptance tests
     so the CLI stays interactive."""
     from .problems import (build_bellman, build_mean_variance, build_toy, data_rng,
@@ -364,7 +365,7 @@ def run_all_checks(seed: int = 0, trials: int = 20_000, contraction_seeds: int =
     stochastic = replace(config, eta=eta_max, a=math.ceil(a_min), b=math.ceil(b_min))
     deterministic = replace(config, eta=eta_max, a=12, b=8)
     reports.append(check_epoch_contraction(contraction_toy, stochastic, beta,
-                                           seeds=range(contraction_seeds)))
+                                           seeds=range(CONTRACTION_SEEDS)))
     reports.append(check_epoch_contraction(contraction_toy, deterministic, beta,
                                            seeds=[seed]))
     return reports

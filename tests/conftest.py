@@ -29,8 +29,10 @@ def epoch_runner(k, l=0, epoch_index=1):
 
 
 def key_seeded_rng(seed, epoch, iteration, stream=0):
-    """minibatch_rng's generator as numpy's `Philox(key=...)` builds it."""
-    philox = np.random.Philox(key=_seed_key(seed), counter=[0, epoch, iteration, stream])
+    """minibatch_rng's generator as numpy's `Philox(key=...)` builds it. The
+    counter is a uint64 array: numpy reads a list's words through float64."""
+    counter = np.array([0, epoch, iteration, stream], dtype=np.uint64)
+    philox = np.random.Philox(key=_seed_key(seed), counter=counter)
     return np.random.Generator(philox)
 
 

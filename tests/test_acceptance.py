@@ -62,8 +62,8 @@ class TestEstimatorFixedPoint:
             problem = problems[trial % len(problems)]
             x_ref = rng.uniform(-0.5, 0.5, size=problem.dims.d)
             snap = take_snapshot(problem, x_ref)
-            A, B = draw_minibatch(problem.dims.m, problem.dims.n, 2, 2,
-                                  seed=trial, epoch=1, iteration=0)
+            (A,), (B,) = draw_minibatch(problem.dims.m, problem.dims.n, 2, 2,
+                                        seed=trial, epoch=1, iteration=[0])
             v = estimate_gradient(problem, snap, snap.x_tilde, A, B)
             assert np.max(np.abs(v - snap.v_tilde)) <= 1e-12
 

@@ -1,8 +1,12 @@
-"""End-to-end tests of the command-line entry point (in-process)."""
+"""End-to-end tests of the command-line entry point (in-process, apart from
+the byte pins, which run in a new process)."""
 
 import logging
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,13 +18,30 @@ from compopt.solver import RunConfig
 from compopt.trace import TRACE_HEADER
 
 
-#: `check --check-seed 0` and `1` reports: the bytes that any change to the
-#: draws, the estimators or the solver must reproduce
+#: `check --check-seed 0` and `1` reports and two `bench` traces: the bytes
+#: that any change to the draws, the estimators or the solver must reproduce
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+#: the pinned files' float bits go through BLAS (`@`, `np.vecdot`, the 2-norm),
+#: whose kernels differ per CPU, so they are written under OpenBLAS's Prescott
+#: kernels, which every x86-64 host runs, on one thread
+PINNED_BLAS = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
 
 
 def run_cli(*argv):
     return cli_main(list(argv))
+
+
+def pinned_output(tmp_path, *argv):
+    """The bytes `compopt-cli *argv --out FILE` writes to FILE, run in a new
+    process under PINNED_BLAS (OpenBLAS reads it when numpy loads)."""
+    out = tmp_path / "pinned.csv"
+    env = dict(os.environ, **PINNED_BLAS, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "compopt.cli", *argv, "--out", str(out)], env=env,
+                   check=True, capture_output=True)
+    return out.read_bytes()
 
 
 class TestRun:
@@ -63,6 +84,16 @@ class TestBench:
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert {(r[0], r[1]) for r in rows} == {("scvrg", "0"), ("scvrg", "1"),
                                                 ("scgd", "0"), ("scgd", "1")}
+
+    # 253 rows of every algorithm on two seeds, and 135 on Bellman, whose
+    # n = 1 takes the bound-1 rule of the raw-word draws
+    @pytest.mark.parametrize("name, flags", [
+        ("meanvar", ("--problem", "meanvar", "--n", "200", "--d", "10", "--seed", "0,1")),
+        ("bellman", ("--problem", "bellman", "--states", "5", "--n", "20", "--seed", "0"))],
+        ids=["meanvar", "bellman"])
+    def test_trace_is_byte_identical_to_the_committed_one(self, name, flags, tmp_path):
+        trace = pinned_output(tmp_path, "bench", *flags, "--algo", ",".join(harness.ALGORITHMS))
+        assert trace == (DATA / f"bench-{name}.csv").read_bytes()
 
     def test_unknown_algorithm(self, tmp_path, capsys):
         code = run_cli("bench", "--problem", "toy", "--algo", "sgd",
@@ -155,12 +186,11 @@ class TestCheck:
         assert out.read_text().startswith("name,pass,measured,bound,trials,seed\n")
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_report_is_byte_identical_to_the_committed_one(self, seed, tmp_path, capsys):
+    def test_report_is_byte_identical_to_the_committed_one(self, seed, tmp_path):
         # every draw, estimate and contraction run of the suite feeds its
         # report, so a speedup of any of them must leave it byte for byte
-        out = tmp_path / "report.csv"
-        assert run_cli("check", "--check-seed", str(seed), "--out", str(out)) == 0
-        assert out.read_bytes() == (DATA / f"check-seed-{seed}.csv").read_bytes()
+        report = pinned_output(tmp_path, "check", "--check-seed", str(seed))
+        assert report == (DATA / f"check-seed-{seed}.csv").read_bytes()
 
 
 class TestToygen:

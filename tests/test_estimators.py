@@ -14,11 +14,11 @@ import pytest
 
 from compopt import estimators
 from compopt.errors import ConfigError
-from compopt.estimators import (_vr_gradient, draw_minibatch, estimate_gradient,
-                                estimate_inner, minibatch_rng, take_snapshot,
+from compopt.estimators import (_inner_estimate, _vr_gradient, draw_minibatch,
+                                estimate_gradient, minibatch_rng, take_snapshot,
                                 unbiased_reference_gradient)
-from compopt.problem import (CompositionProblem, ProblemDims, full_gradient,
-                             inner_mean)
+from compopt.problem import (ALL, CompositionProblem, ProblemDims, full_gradient,
+                             mean_jacobian)
 from compopt.problems import (AffineQuadraticProblem, ReturnsDataset, build_bellman,
                               build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
@@ -174,6 +174,20 @@ class TestMinibatchRng:
             minibatch_rng(seed, 0, 0)
         assert estimators._philox_key.cache_info().currsize == maxsize
 
+    def test_counter_words_are_exact_uint64(self):
+        # a list counter would be read through float64: 2^63 + 3 would draw
+        # as 2^63, 2^64 - 1 would warn and draw as 0, and -1 would wrap
+        for iteration, want in ((2**63 + 3, [875, 22, 111]), (2**64 - 1, [552, 552, 528])):
+            assert minibatch_rng(9, 5, iteration).integers(0, 1000, 3).tolist() == want
+            assert draw_minibatch(1000, 7, 3, 2, 9, 5, [iteration])[0].tolist() == [want]
+        for epoch, iteration in ((-1, 0), (0, -1)):
+            with pytest.raises(OverflowError):
+                minibatch_rng(0, epoch, iteration)
+            with pytest.raises(OverflowError):
+                draw_minibatch(5, 5, 2, 2, 0, epoch, [iteration])
+        with pytest.raises(OverflowError):
+            minibatch_rng(0, 0, 0, stream=-1)
+
     def test_generator_pickles(self):
         rng = minibatch_rng(-5, 3, 9, 2)
         rng.integers(0, 100, size=3)  # mid-block, with a buffered uint32
@@ -203,14 +217,14 @@ def reference_rows(seed, epoch, steps, stream, bound, size):
 
 class TestDrawMinibatch:
     def test_shapes_and_ranges(self):
-        A, B = draw_minibatch(m=7, n=4, a=5, b=3, seed=0, epoch=1, iteration=2)
-        assert A.shape == (5,) and B.shape == (3,)
+        A, B = draw_minibatch(m=7, n=4, a=5, b=3, seed=0, epoch=1, iteration=[2])
+        assert A.shape == (1, 5) and B.shape == (1, 3)
         assert np.all((0 <= A) & (A < 7))
         assert np.all((0 <= B) & (B < 4))
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
-            draw_minibatch(3, 3, 0, 1, 0, 0, 0)
+            draw_minibatch(3, 3, 0, 1, 0, 0, [0])
 
     def test_array_iteration_matches_reference_rows(self):
         rng = np.random.default_rng(2024)
@@ -231,8 +245,8 @@ class TestDrawMinibatch:
     def test_int_iteration_is_one_row(self):
         draw = draw_minibatch(1000, 17, 93, 5, -3, 2, 41)
         rows = draw_minibatch(1000, 17, 93, 5, -3, 2, np.array([40, 41]))
-        np.testing.assert_array_equal(draw[0], rows[0][1])
-        np.testing.assert_array_equal(draw[1], rows[1][1])
+        np.testing.assert_array_equal(draw[0], rows[0][1:])
+        np.testing.assert_array_equal(draw[1], rows[1][1:])
 
     def counting_reference(self, monkeypatch):
         calls = []
@@ -358,18 +372,21 @@ class TestTakeSnapshot:
 
 
 class TestEstimateInner:
+    """g_t, which `_inner_estimate` computes for every step and every
+    Monte-Carlo trial."""
+
     def test_fixed_point_at_reference(self):
         for name, problem, snap, (rows_A, _) in fixed_point_cases():
             for A in (rows_A[0], rows_A):  # one step, and a (t, a) stack
-                g_t = estimate_inner(problem, snap, snap.x_tilde, A)
+                g_t = _inner_estimate(problem, snap, snap.x_tilde, A)
                 np.testing.assert_array_equal(g_t, np.broadcast_to(snap.g_tilde, g_t.shape),
                                               err_msg=name)
 
     def test_full_enumeration_exact_on_affine(self, affine_toy):
         snap = take_snapshot(affine_toy, np.zeros(2))
         x = np.array([0.5, -0.2])
-        g_t = estimate_inner(affine_toy, snap, x, A=np.arange(affine_toy.dims.m))
-        g_exact, _ = inner_mean(affine_toy, x)
+        g_t = _inner_estimate(affine_toy, snap, x, np.arange(affine_toy.dims.m))
+        g_exact = affine_toy.inner_value(ALL, x).mean(axis=0)
         np.testing.assert_allclose(g_t, g_exact, atol=1e-14)
 
     def test_enumerated_mean_equals_inner_mean(self, affine_toy):
@@ -377,9 +394,9 @@ class TestEstimateInner:
         snap = take_snapshot(affine_toy, np.zeros(2))
         x = np.array([0.4, 0.3])
         m = affine_toy.dims.m
-        mean_g = np.mean([estimate_inner(affine_toy, snap, x, A=np.array([j]))
+        mean_g = np.mean([_inner_estimate(affine_toy, snap, x, np.array([j]))
                           for j in range(m)], axis=0)
-        g_exact, _ = inner_mean(affine_toy, x)
+        g_exact = affine_toy.inner_value(ALL, x).mean(axis=0)
         np.testing.assert_allclose(mean_g, g_exact, atol=1e-14)
 
     def test_charges_a(self, affine_toy):
@@ -526,7 +543,7 @@ class TestConstantJacobians:
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.9, 0.9, size=problem.dims.d) * problem.regularizer.radius
         swept = unit_cotangent_sweep(problem, x)
-        assert inner_mean(problem, x)[1] is problem.constant_jacobian
+        assert mean_jacobian(problem, x) is problem.constant_jacobian
         assert_same_bits(problem.constant_jacobian, swept)
 
     def test_zero_mean_return_keeps_the_sweeps_positive_zero(self):
@@ -558,7 +575,7 @@ class TestConstantJacobians:
         p = CurvedInnerProblem()
         for x in (np.array([0.3]), np.array([-1.7])):
             assert p.constant_jacobian is None
-            _, Z = inner_mean(p, x)
+            Z = mean_jacobian(p, x)
             np.testing.assert_array_equal(Z, unit_cotangent_sweep(p, x))
             np.testing.assert_array_equal(Z, [[(2.0 * x[0] + 1.0) / 2.0]])
 

@@ -7,11 +7,11 @@ import pytest
 
 from compopt.baselines import run_agd
 from compopt.errors import ConfigError, InfeasibleQueryError, InputError
-from compopt.estimators import (_vr_gradient, draw_minibatch, estimate_gradient,
-                                estimate_inner, take_snapshot, unbiased_reference_gradient)
+from compopt.estimators import (_inner_estimate, _vr_gradient, draw_minibatch,
+                                estimate_gradient, take_snapshot, unbiased_reference_gradient)
 from compopt.harness import polish_phi_star
 from compopt.problem import (ALL, ProblemDims, SmoothnessConstants, full_gradient,
-                             inner_mean, objective, smooth_value)
+                             mean_jacobian, objective, smooth_value)
 from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
                               build_bellman, build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
@@ -94,7 +94,7 @@ class TestIndexContract:
         y, U, Y = rng.normal(size=k), rng.normal(size=(t, 1, k)), rng.normal(size=(t, 1, k))
         G, V = problem.inner_value(A, x), problem.inner_vjp(A, x, U)
         F, D = problem.outer_value(B, y), problem.outer_grad(B, Y)
-        g_t = estimate_inner(problem, snap, x, A)
+        g_t = _inner_estimate(problem, snap, x, A)
         u_t = unbiased_reference_gradient(problem, snap, x, B)
         v_t = estimate_gradient(problem, snap, x, A, B[:, :3])
         assert ((G.shape, V.shape, F.shape, D.shape, g_t.shape, u_t.shape, v_t.shape)
@@ -104,7 +104,7 @@ class TestIndexContract:
             same(V[r], problem.inner_vjp(A[r], x, U[r, 0]))
             same(F[r], problem.outer_value(B[r], y))
             same(D[r], problem.outer_grad(B[r], Y[r, 0]))
-            same(g_t[r], estimate_inner(problem, snap, x, A[r]))
+            same(g_t[r], _inner_estimate(problem, snap, x, A[r]))
             # u_t's and v_t's (t, k) @ Z are matrix products, one row's a
             # vector product: the same sums, possibly in another order
             np.testing.assert_allclose(u_t[r], unbiased_reference_gradient(problem, snap, x, B[r]),
@@ -207,7 +207,7 @@ class TestAllComponentsGather:
         problem, rng, x, snap = self.instance(name)
 
         def estimates(A, B):
-            return (estimate_inner(problem, snap, x, A), estimate_gradient(problem, snap, x, A, B),
+            return (_inner_estimate(problem, snap, x, A), estimate_gradient(problem, snap, x, A, B),
                     _vr_gradient(problem, snap, x, A, B),
                     unbiased_reference_gradient(problem, snap, x, B))
 
@@ -281,30 +281,34 @@ class TestSmoothnessConstants:
 
 
 class TestInnerMean:
+    """The full-batch inner value g(x), inner_value(ALL, x).mean(axis=0), and its
+    Jacobian, `mean_jacobian`: the exact inner quantities u_t reads."""
+
     def test_identity_inner(self):
         toy = AffineQuadraticProblem(np.eye(2)[None], np.zeros((1, 2)), np.zeros((1, 2)),
                                      np.ones(1), Regularizer(radius=10.0))
-        g, Z = inner_mean(toy, np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(g, [1.0, 2.0])
-        np.testing.assert_array_equal(Z, np.eye(2))
+        x = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(toy.inner_value(ALL, x).mean(axis=0), [1.0, 2.0])
+        np.testing.assert_array_equal(mean_jacobian(toy, x), np.eye(2))
 
     def test_two_asset_instance(self):
         # g = (x, -mean <r_j, x>) at x = 0.5: (0.5, -1.0); Jacobian rows (1, -2)
-        p = two_asset_problem()
-        g, Z = inner_mean(p, np.array([0.5]))
-        np.testing.assert_allclose(g, [0.5, -1.0], atol=1e-15)
-        np.testing.assert_allclose(Z, [[1.0], [-2.0]], atol=1e-15)
+        p, x = two_asset_problem(), np.array([0.5])
+        np.testing.assert_allclose(p.inner_value(ALL, x).mean(axis=0), [0.5, -1.0], atol=1e-15)
+        np.testing.assert_allclose(mean_jacobian(p, x), [[1.0], [-2.0]], atol=1e-15)
 
     def test_affine_map_jacobian_constant(self):
         p = two_asset_problem()
-        _, Z0 = inner_mean(p, np.array([0.0]))
-        _, Z1 = inner_mean(p, np.array([0.37]))
+        Z0, Z1 = mean_jacobian(p, np.array([0.0])), mean_jacobian(p, np.array([0.37]))
         np.testing.assert_array_equal(Z0, Z1)
+        assert Z0 is Z1 is p.constant_jacobian
 
     def test_rejects_bad_shape(self):
+        # u_t, the one reader of the exact inner mean, checks its point first
         p = two_asset_problem()
+        snap = take_snapshot(p, np.array([0.5]))
         with pytest.raises(InputError):
-            inner_mean(p, np.zeros(3))
+            unbiased_reference_gradient(p, snap, np.zeros(3), np.array([0]))
 
 
 class TestFullGradient:

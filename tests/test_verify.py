@@ -7,9 +7,9 @@ import pytest
 
 from compopt import estimators, verify
 from compopt.errors import ConfigError
-from compopt.estimators import (_inner_estimate, _vr_gradient, estimate_inner, take_snapshot,
+from compopt.estimators import (_inner_estimate, _vr_gradient, take_snapshot,
                                 unbiased_reference_gradient)
-from compopt.problem import full_gradient, inner_mean
+from compopt.problem import ALL, full_gradient, mean_jacobian
 from compopt.problems import build_toy
 from compopt.solver import RunConfig, run_scvrg
 from compopt.verify import (REPORT_HEADER, CheckReport, all_passed,
@@ -172,18 +172,19 @@ class TestReporting:
 
 
 class TestRunAllChecks:
-    def test_full_suite_green(self):
-        reports = run_all_checks(seed=0, trials=20_000, contraction_seeds=5)
+    def test_full_suite_green(self, monkeypatch):
+        monkeypatch.setattr(verify, "CONTRACTION_SEEDS", 5)
+        reports = run_all_checks(seed=0, trials=20_000)
         assert len(reports) >= 10
         failing = [r.name for r in reports if not (r.passed or r.skipped)]
         assert failing == []
 
-    def test_combined_bound_is_not_lemma1_again(self):
+    def test_combined_bound_is_not_lemma1_again(self, monkeypatch):
         # on the affine toy u_t == grad F(x), so the combined bound would read
         # Lemma 1's ||v_t - u_t||^2; on the mixed toy it measures its own value
+        monkeypatch.setattr(verify, "CONTRACTION_SEEDS", 1)
         for seed in range(4):
-            reports = {r.name: r for r in run_all_checks(seed=seed, trials=20_000,
-                                                          contraction_seeds=1)}
+            reports = {r.name: r for r in run_all_checks(seed=seed, trials=20_000)}
             combined = reports["combined_bound_domination"]
             assert combined.passed
             assert combined.measured != reports["lemma1_domination"].measured
@@ -255,7 +256,7 @@ def _biased_inner(problem, snapshot, x, A):
 
 def _plain_unbiased(problem, snapshot, x, B):
     """Z(x)^T mean_B grad f_i(g(x)), without the control variate."""
-    g, Z = inner_mean(problem, x)
+    g, Z = problem.inner_value(ALL, x).mean(axis=0), mean_jacobian(problem, x)
     return problem.outer_grad(np.asarray(B), g).mean(axis=-2) @ Z
 
 
@@ -269,7 +270,7 @@ def _biased_vr(problem, snapshot, x, A, B, df_ref=None):
 
 def _plain_vr(problem, snapshot, x, A, B, df_ref=None):
     """mean_A dg_j(x)^T mean_B grad f_i(g_t), without the control variate."""
-    g_t = estimate_inner(problem, snapshot, x, A)
+    g_t = _inner_estimate(problem, snapshot, x, A)
     df = problem.outer_grad(B, g_t if g_t.ndim == 1 else g_t[..., None, :]).mean(axis=-2)
     return problem.inner_vjp(A, x, df[..., None, :]).mean(axis=-2)
 
@@ -295,6 +296,7 @@ class TestNegativeControls:
             "v_t_biased", "v_t_no_control_variate", "v_t_zero"])
     def test_broken_estimator_fails_suite(self, monkeypatch, module, target, broken):
         monkeypatch.setattr(module, target, broken)
+        monkeypatch.setattr(verify, "CONTRACTION_SEEDS", 2)
         for seed in range(4):
-            reports = run_all_checks(seed=seed, trials=20_000, contraction_seeds=2)
+            reports = run_all_checks(seed=seed, trials=20_000)
             assert not all_passed(reports), f"seed {seed}: every check passed"
