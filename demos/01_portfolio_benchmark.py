@@ -11,7 +11,7 @@ Run:  python3 demos/01_portfolio_benchmark.py
 
 import numpy as np
 
-from compopt.harness import ExperimentSpec, run_benchmark
+from compopt.harness import run_benchmark
 from compopt.problems import build_mean_variance, synthetic_returns
 
 OUT = "portfolio_trace.csv"
@@ -23,14 +23,13 @@ def main():
     problem = build_mean_variance(dataset, lam=1e-2)
     print(f"mean-variance instance: N={problem.N} observations, d={problem.dims.d} assets")
 
-    spec = ExperimentSpec(
-        problem=problem,
+    run_benchmark(
+        problem,
         algorithms=["scvrg", "vrscpg", "scgd", "ascpg", "agd"],
         budget=30.0,              # 30 N component evaluations per run
         seeds=[0, 1, 2],
         out=OUT,
     )
-    run_benchmark(spec)
     print(f"wrote {OUT}")
 
     # seed-averaged final gap per algorithm, straight from the trace

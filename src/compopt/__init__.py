@@ -11,8 +11,8 @@ from .errors import (CompoptError, ConfigError, DivergenceError,
                      InfeasibleQueryError, InputError)
 from .estimators import (EpochSnapshot, draw_minibatch, estimate_gradient,
                          minibatch_rng, take_snapshot, unbiased_reference_gradient)
-from .harness import (ALGORITHMS, ExperimentSpec, compute_phi_star,
-                      run_benchmark, run_one, scvrg_config_for_budget)
+from .harness import (ALGORITHMS, compute_phi_star, run_benchmark, run_one,
+                      scvrg_config_for_budget)
 from .problem import (ALL, CompositionProblem, ProblemDims, SmoothnessConstants,
                       full_gradient, mean_jacobian, objective, smooth_value)
 from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,

@@ -8,8 +8,8 @@ method (VRSC-PG). All of them emit the shared trace schema with the same
 sample-charging rules as the main solver, so their x-axes are comparable.
 Every runner takes `run_scvrg`'s arguments `(problem, config, x0, recorder)`:
 the caller's `Recorder` holds the budget, phi* for the gap column and the
-trace cadence, and the runner returns its final iterate. SCGD, ASC-PG and AGD
-read only the config's seed; VRSC-PG also reads eta, a and b.
+trace cadence, and the runner returns its final iterate. The config fields
+each runner reads are listed in `harness.FIELDS_READ`.
 """
 
 import itertools

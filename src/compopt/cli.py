@@ -8,15 +8,16 @@ synthetic returns file). Exit codes: 0 success, 1 input error, 2 run abort.
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 from .errors import ConfigError, DivergenceError, InputError
-from .harness import (ALGORITHMS, ExperimentSpec, check_roster, polish_phi_star,
+from .harness import (ALGORITHMS, check_roster, open_output, polish_phi_star,
                       run_benchmark)
 from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, random_bellman_spec,
                        synthetic_returns, write_returns_csv)
 from .solver import SCHEDULES, RunConfig
-from .verify import all_passed, run_all_checks, write_report_csv
+from .verify import all_passed, run_all_checks, suite_inputs, write_report_csv
 
 
 def _add_problem_flags(parser):
@@ -81,7 +82,7 @@ def _parse_seeds(raw):
 
 
 def _parse_algos(raw):
-    """Comma-separated names; `ExperimentSpec` rejects unknown ones."""
+    """Comma-separated names; `run_benchmark` rejects unknown ones."""
     return [a.strip() for a in raw.split(",") if a.strip()]
 
 
@@ -91,10 +92,8 @@ def _bench(args, algos):
     params = {name: getattr(args, name) for name in _CONFIG_FLAGS
               if getattr(args, name) is not None}
     check_roster(algos, params, names=_CONFIG_FLAGS)
-    problem = _build_problem(args)
-    spec = ExperimentSpec(problem=problem, algorithms=algos, budget=args.budget,
-                          seeds=_parse_seeds(args.seed), out=args.out, params=params)
-    path = run_benchmark(spec)
+    path = run_benchmark(_build_problem(args), algos, args.budget, _parse_seeds(args.seed),
+                         args.out, params)
     print(f"wrote {path}")
     return 0
 
@@ -111,12 +110,16 @@ def _phistar(args):
 
 
 def _check(args):
-    reports = run_all_checks(seed=args.check_seed, trials=args.trials)
-    for report in reports:
-        print(report.format_line())
-    if args.out is not None:
-        write_report_csv(reports, args.out)
-        print(f"wrote {args.out}")
+    """A bad seed or trial count is refused before --out is opened, and an
+    unwritable --out before the first check runs."""
+    suite_inputs(args.check_seed, args.trials)
+    with nullcontext() if args.out is None else open_output(args.out) as report_file:
+        reports = run_all_checks(seed=args.check_seed, trials=args.trials)
+        for report in reports:
+            print(report.format_line())
+        if report_file is not None:
+            write_report_csv(reports, report_file)
+            print(f"wrote {args.out}")
     return 0 if all_passed(reports) else 1
 
 

@@ -4,7 +4,7 @@ algorithm suites and writes plot-ready trace CSVs."""
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .errors import ConfigError, DivergenceError, InputError
 from .problem import CompositionProblem, full_gradient, objective
 from .prox import prox_step
 from .solver import RunConfig, predicted_total_samples, run_scvrg
-from .trace import TRACE_HEADER, Recorder, TraceRecord
+from .trace import TRACE_HEADER, Recorder
 
 log = logging.getLogger(__name__)
 
@@ -23,48 +23,13 @@ FIELDS_READ = {"scvrg": {"S", "k0", "eta", "a", "b", "schedule"},
                "scgd": set(), "ascpg": set(), "agd": set()}
 ALGORITHMS = tuple(FIELDS_READ)
 
-#: hard cap on trace rows per run; longer traces are decimated
-MAX_TRACE_ROWS = 10_000
-
-
-@dataclass
-class ExperimentSpec:
-    """One benchmark: a problem, an algorithm roster, a sample budget in units
-    of N, the seeds to average over, and the RunConfig fields `params`, each
-    given to the algorithms that read it. Every config is built here, so a bad
-    setting, or one no chosen algorithm reads, fails before any run starts."""
-
-    problem: CompositionProblem
-    algorithms: list
-    budget: float
-    seeds: list
-    out: str
-    params: dict = field(default_factory=dict)
-    #: each algorithm's config for the first seed; runs replace only the seed
-    configs: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not 0 < self.budget < math.inf:
-            raise ConfigError(f"sample budget must be positive and finite, got {self.budget}")
-        if self.max_samples < 1:
-            raise ConfigError(f"sample budget {self.budget:g} x N = {self.problem.N} "
-                              "rounds to 0 samples")
-        check_roster(self.algorithms, self.params)
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        for seed in self.seeds:
-            RunConfig(S=1, seed=seed)  # RunConfig owns the seed's range
-        for name, chosen in (("algorithms", self.algorithms), ("seeds", self.seeds)):
-            repeated = sorted({c for c in chosen if chosen.count(c) > 1})
-            if repeated:
-                raise ConfigError(f"repeated {name} {repeated}")
-        self.configs = {a: _algorithm_config(self.problem, a, self.seeds[0], self.max_samples,
-                                            self.params)
-                        for a in self.algorithms}
-
-    @property
-    def max_samples(self) -> int:
-        return int(round(self.budget * self.problem.N))
+#: each algorithm's runner, (problem, config, x0, recorder) -> final iterate; a
+#: runner is looked up when called, so a patched or traced function is the one run
+RUNNERS = {"scvrg": lambda *run: run_scvrg(*run).x,
+           "vrscpg": lambda *run: baselines.run_vrscpg(*run),
+           "scgd": lambda *run: baselines.run_scgd(*run),
+           "ascpg": lambda *run: baselines.run_ascpg(*run),
+           "agd": lambda *run: baselines.run_agd(*run)}
 
 
 @dataclass(frozen=True)
@@ -149,13 +114,6 @@ def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
     return config
 
 
-def _decimate(rows: list) -> list:
-    if len(rows) <= MAX_TRACE_ROWS:
-        return rows
-    keep = np.unique(np.linspace(0, len(rows) - 1, MAX_TRACE_ROWS).astype(int))
-    return [rows[i] for i in keep]
-
-
 def check_roster(algorithms: list, params: dict, names: dict | None = None):
     """Raise ConfigError for an empty roster, InputError for an unknown
     algorithm, and ConfigError for a field of `params` that no algorithm in
@@ -184,13 +142,12 @@ def _algorithm_config(problem: CompositionProblem, algorithm: str, seed: int,
     return RunConfig(**{"S": 1, **params}, seed=seed)
 
 
-def _run_config(problem: CompositionProblem, algorithm: str, config: RunConfig,
-                recorder: Recorder):
-    """Run `algorithm` from x = 0, charged to `recorder`; returns its final iterate."""
-    runner = {"scvrg": lambda *args: run_scvrg(*args).x, "vrscpg": baselines.run_vrscpg,
-              "scgd": baselines.run_scgd, "ascpg": baselines.run_ascpg,
-              "agd": baselines.run_agd}[algorithm]
-    return runner(problem, config, np.zeros(problem.dims.d), recorder)
+def _run(problem: CompositionProblem, algorithm: str, config: RunConfig,
+         max_samples: int, phi_star: float | None):
+    """Run `algorithm` under `config` from x = 0, charged to a Recorder of its
+    own with a row about every N samples; returns (x, trace rows)."""
+    recorder = Recorder(problem, max_samples, phi_star, every=problem.N)
+    return RUNNERS[algorithm](problem, config, np.zeros(problem.dims.d), recorder), recorder.rows
 
 
 def run_one(problem: CompositionProblem, algorithm: str, seed: int,
@@ -202,41 +159,60 @@ def run_one(problem: CompositionProblem, algorithm: str, seed: int,
     params = params or {}
     check_roster([algorithm], params)
     config = _algorithm_config(problem, algorithm, seed, max_samples, params)
-    recorder = Recorder(problem, max_samples, phi_star, every=problem.N)
-    return _run_config(problem, algorithm, config, recorder), recorder.rows
+    return _run(problem, algorithm, config, max_samples, phi_star)
 
 
-def run_benchmark(spec: ExperimentSpec) -> str:
-    """Run every (algorithm, seed) pair and write one trace CSV.
+def open_output(path: str):
+    """`path` opened for writing, after making its directory."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w")
+
+
+def run_benchmark(problem: CompositionProblem, algorithms: list, budget: float,
+                  seeds: list, out: str, params: dict | None = None) -> str:
+    """Run every (algorithm, seed) pair at `budget` x N samples and write one
+    trace CSV to `out`. `params` holds RunConfig fields, each given to the
+    algorithms in the roster that read it (FIELDS_READ). Every input and every
+    config is checked, and `out` opened, before phi* or any run starts.
 
     Aborted runs contribute a single marker row (epoch = iter = -1, NaN
     objective); the remaining runs continue, and once the CSV is written a
     DivergenceError names the aborted runs.
     """
-    problem, max_samples = spec.problem, spec.max_samples
-    phi_star = compute_phi_star(problem, max(10 * max_samples,
-                                             200 * (problem.dims.m + problem.dims.n)))
-    rows: list[TraceRecord] = []
+    params = params or {}
+    if not 0 < budget < math.inf:
+        raise ConfigError(f"sample budget must be positive and finite, got {budget}")
+    max_samples = int(round(budget * problem.N))
+    if max_samples < 1:
+        raise ConfigError(f"sample budget {budget:g} x N = {problem.N} rounds to 0 samples")
+    check_roster(algorithms, params)
+    if not seeds:
+        raise ConfigError("at least one seed is required")
+    for seed in seeds:
+        RunConfig(S=1, seed=seed)  # RunConfig owns the seed's range
+    for name, chosen in (("algorithms", algorithms), ("seeds", seeds)):
+        repeated = sorted({c for c in chosen if chosen.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"repeated {name} {repeated}")
+    # each algorithm's config for the first seed; the runs replace only the seed
+    configs = {a: _algorithm_config(problem, a, seeds[0], max_samples, params)
+               for a in algorithms}
     aborted = []
-    for algorithm in spec.algorithms:
-        for seed in spec.seeds:
-            config = replace(spec.configs[algorithm], seed=seed)
-            recorder = Recorder(problem, max_samples, phi_star, every=problem.N)
-            try:
-                _run_config(problem, algorithm, config, recorder)
-            except DivergenceError as exc:
-                log.warning("run (%s, seed %d) aborted: %s", algorithm, seed, exc)
-                rows.append(recorder.abort_row())
-                aborted.append(f"{algorithm} seed {seed} ({exc})")
-                continue
-            rows.extend(_decimate(recorder.rows))
-    out_dir = os.path.dirname(os.path.abspath(spec.out))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(spec.out, "w") as fh:
+    with open_output(out) as fh:
+        phi_star = compute_phi_star(problem, max(10 * max_samples,
+                                                 200 * (problem.dims.m + problem.dims.n)))
         fh.write(TRACE_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv_row() + "\n")
+        for algorithm in algorithms:
+            for seed in seeds:
+                try:
+                    _, rows = _run(problem, algorithm, replace(configs[algorithm], seed=seed),
+                                   max_samples, phi_star)
+                except DivergenceError as exc:
+                    log.warning("run (%s, seed %d) aborted: %s", algorithm, seed, exc)
+                    rows = [exc.row]
+                    aborted.append(f"{algorithm} seed {seed} ({exc})")
+                fh.writelines(row.to_csv_row() + "\n" for row in rows)
     if aborted:
-        raise DivergenceError(f"{len(aborted)} of {len(spec.algorithms) * len(spec.seeds)} "
-                              f"runs diverged, trace written to {spec.out}: " + "; ".join(aborted))
-    return spec.out
+        raise DivergenceError(f"{len(aborted)} of {len(algorithms) * len(seeds)} "
+                              f"runs diverged, trace written to {out}: " + "; ".join(aborted))
+    return out

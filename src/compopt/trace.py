@@ -78,7 +78,13 @@ class Recorder:
         self.samples += int(cost)
 
     def _abort(self, what: str, epoch: int, iteration: int):
-        raise DivergenceError(f"{self.algorithm}: {what} at epoch {epoch}, iteration {iteration}")
+        """Raise DivergenceError; its `row` marks the aborted run at its charged
+        samples: epoch = iter = -1, NaN objective."""
+        error = DivergenceError(f"{self.algorithm}: {what} at epoch {epoch}, iteration {iteration}")
+        error.row = TraceRecord(algorithm=self.algorithm, seed=self.seed, epoch=-1, iteration=-1,
+                                samples=self.samples, samples_per_N=self.samples / self.problem.N,
+                                objective=math.nan, gap=math.nan)
+        raise error
 
     def check_finite(self, epoch: int, steps: int, x):
         """Abort the run if the iterate after `steps` steps is non-finite."""
@@ -106,10 +112,3 @@ class Recorder:
             algorithm=self.algorithm, seed=self.seed, epoch=epoch, iteration=iteration,
             samples=self.samples, samples_per_N=self.samples / self.problem.N,
             objective=obj, gap=gap))
-
-    def abort_row(self) -> TraceRecord:
-        """Marker row of the aborted run at its charged samples: epoch/iter = -1, NaN objective."""
-        return TraceRecord(algorithm=self.algorithm, seed=self.seed, epoch=-1, iteration=-1,
-                           samples=self.samples, samples_per_N=self.samples / self.problem.N,
-                           objective=math.nan, gap=math.nan)
-

@@ -24,6 +24,8 @@ from . import estimators
 from .errors import ConfigError
 from .estimators import EpochSnapshot, take_snapshot, unbiased_reference_gradient
 from .problem import CompositionProblem, full_gradient, objective, smooth_value
+from .problems import (build_bellman, build_mean_variance, build_toy, data_rng,
+                       random_bellman_spec, synthetic_returns)
 from .solver import RunConfig, predicted_total_samples, run_scvrg
 from .trace import Recorder
 
@@ -69,11 +71,11 @@ class CheckReport:
 REPORT_HEADER = "name,pass,measured,bound,trials,seed"
 
 
-def write_report_csv(reports, path):
-    with open(path, "w") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for report in reports:
-            fh.write(report.to_csv_row() + "\n")
+def write_report_csv(reports, fh):
+    """Write the reports as CSV rows under REPORT_HEADER to the text file `fh`."""
+    fh.write(REPORT_HEADER + "\n")
+    for report in reports:
+        fh.write(report.to_csv_row() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +314,19 @@ def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
 # aggregate runner (CLI `check` subcommand)
 # ---------------------------------------------------------------------------
 
-def run_all_checks(seed: int = 0, trials: int = 20_000):
-    """Standard fixture suite; smaller trial counts than the acceptance tests
-    so the CLI stays interactive."""
-    from .problems import (build_bellman, build_mean_variance, build_toy, data_rng,
-                           random_bellman_spec, synthetic_returns)
-
-    # refuse a bad seed or trial count before any check runs
+def suite_inputs(seed: int, trials: int):
+    """The contraction config and the fixture generator of `run_all_checks(seed,
+    trials)`; raises for a seed or trial count the suite refuses."""
     config = RunConfig(S=3, k0=10, seed=seed)
     rng = data_rng(seed)
     _check_trials(trials)
+    return config, rng
+
+
+def run_all_checks(seed: int = 0, trials: int = 20_000):
+    """Standard fixture suite; smaller trial counts than the acceptance tests
+    so the CLI stays interactive."""
+    config, rng = suite_inputs(seed, trials)  # before any check runs
     reports = []
 
     builders = {

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from compopt import baselines, cli, harness, verify
+from compopt import baselines, harness, verify
 from compopt.cli import cli_main
 from compopt.problems import load_returns_csv, synthetic_returns, write_returns_csv
 from compopt.solver import RunConfig
@@ -116,14 +116,24 @@ class TestBench:
         assert max(int(e) for e in epochs) == 2
 
     def test_flags_go_to_every_algorithm_that_reads_them(self, tmp_path, monkeypatch):
-        specs = []
-        monkeypatch.setattr(cli, "run_benchmark", lambda spec: specs.append(spec) or spec.out)
+        received = {}
+
+        def runner(name):
+            def run(problem, config, x0, recorder):
+                received[name, config.seed] = config
+                recorder.start(name, config.seed, x0)
+                return x0
+            return run
+
+        for name in ("scvrg", "scgd"):
+            monkeypatch.setitem(harness.RUNNERS, name, runner(name))
         assert run_cli("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--k0", "20",
-                       "--eta", "0.05", "--out", str(tmp_path / "t.csv")) == 0
-        assert specs[0].params == {"k0": 20, "eta": 0.05}
-        assert specs[0].configs["scvrg"].k0 == 20
-        assert specs[0].configs["scvrg"].eta == 0.05
-        assert specs[0].configs["scgd"].eta == RunConfig.eta  # scgd reads no field
+                       "--eta", "0.05", "--seed", "3,4", "--out", str(tmp_path / "t.csv")) == 0
+        assert set(received) == {(a, seed) for a in ("scvrg", "scgd") for seed in (3, 4)}
+        for seed in (3, 4):
+            assert received["scvrg", seed].k0 == 20
+            assert received["scvrg", seed].eta == 0.05
+            assert received["scgd", seed].eta == RunConfig.eta  # scgd reads no field
 
     def test_batch_flags_leave_unread_algorithms_trace_cadence(self, tmp_path):
         # --a and --b go to scvrg only, and the cadence counts samples: scgd
@@ -327,6 +337,34 @@ class TestBadInput:
         assert "epoch count S must be >= 1" in capsys.readouterr().err
         assert started == []
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    """An --out under a regular file exits 1 with an error line before any work."""
+
+    @pytest.mark.parametrize("command", [("run",), ("bench", "--algo", "scvrg,scgd,agd")])
+    def test_run_and_bench_fail_before_phi_star_or_any_run(self, command, tmp_path,
+                                                           monkeypatch, capsys):
+        started = []
+        monkeypatch.setattr(harness, "compute_phi_star",
+                            lambda *a: started.append("compute_phi_star"))
+        for name in harness.ALGORITHMS:
+            monkeypatch.setitem(harness.RUNNERS, name, lambda *a, name=name: started.append(name))
+        (tmp_path / "afile").write_text("")
+        assert run_cli(*command, "--problem", "toy", "--out", str(tmp_path / "afile" / "t.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+        assert started == []
+
+    def test_check_fails_before_the_first_check(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before --out was opened")
+
+        monkeypatch.setattr(verify, "check_gradient_fd", fail)
+        (tmp_path / "afile").write_text("")
+        assert run_cli("check", "--out", str(tmp_path / "afile" / "report.csv")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 17] File exists")
+        assert captured.out == ""
 
 
 class TestUsageErrors:

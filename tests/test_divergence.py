@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from compopt import cli, harness
-from compopt.baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from compopt.errors import DivergenceError
 from compopt.problems import AffineQuadraticProblem, build_toy
 from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
@@ -28,16 +27,12 @@ class NanAfterProblem(AffineQuadraticProblem):
         return grad if self.good >= 0 else np.full_like(grad, np.nan)
 
 
-RUNNERS = {"scvrg": run_scvrg, "vrscpg": run_vrscpg, "scgd": run_scgd,
-           "ascpg": run_ascpg, "agd": run_agd}
-
-
-@pytest.mark.parametrize("algorithm", RUNNERS)
+@pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
 def test_nan_oracle_raises_divergence(algorithm):
     problem = NanAfterProblem()
     with pytest.raises(DivergenceError,
                        match=rf"^{algorithm}: non-finite iterate at epoch \d+, iteration \d+$"):
-        run(RUNNERS[algorithm], problem, RunConfig(S=3), np.zeros(3), 10_000)
+        run(harness.RUNNERS[algorithm], problem, RunConfig(S=3), np.zeros(3), 10_000)
     assert problem.good < 0  # the run reached the NaN oracle before it aborted
 
 

@@ -8,71 +8,82 @@ import numpy as np
 import pytest
 
 from compopt import harness
-from compopt.baselines import run_agd, run_ascpg, run_scgd, run_vrscpg
 from compopt.errors import ConfigError, InputError
-from compopt.harness import (ALGORITHMS, FIELDS_READ, ExperimentSpec, compute_phi_star,
-                             polish_phi_star, run_benchmark, run_one,
-                             scvrg_config_for_budget)
+from compopt.harness import (ALGORITHMS, FIELDS_READ, compute_phi_star, polish_phi_star,
+                             run_benchmark, run_one, scvrg_config_for_budget)
 from compopt.problems import (AffineQuadraticProblem, build_bellman,
                               build_mean_variance, build_toy,
                               random_bellman_spec, synthetic_returns)
 from compopt.prox import Regularizer
-from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
+from compopt.solver import RunConfig, predicted_total_samples
 from compopt.trace import TRACE_HEADER
 from conftest import run
 
-RUNNERS = {"scvrg": run_scvrg, "vrscpg": run_vrscpg, "scgd": run_scgd,
-           "ascpg": run_ascpg, "agd": run_agd}
-
 
 class TestExperimentSpec:
+    """An experiment's inputs, as `run_benchmark` takes them: each bad one is
+    refused with its own error before phi* is computed or `out` is opened."""
+
+    @pytest.fixture(autouse=True)
+    def phi_star_calls(self, tmp_path, monkeypatch):
+        self.phi_star_calls, self.out = [], tmp_path / "t.csv"
+        monkeypatch.setattr(harness, "compute_phi_star",
+                            lambda *args: self.phi_star_calls.append(args) or 0.0)
+
     def make(self, **kw):
         kwargs = dict(problem=build_toy("identity", d=2, m=3, n=3, seed=0),
-                      algorithms=["scvrg"], budget=10.0, seeds=[0], out="t.csv")
+                      algorithms=["scvrg"], budget=10.0, seeds=[0], out=str(self.out))
         kwargs.update(kw)
-        return ExperimentSpec(**kwargs)
+        return run_benchmark(**kwargs)
+
+    def refused(self, error, message, **kw):
+        with pytest.raises(error) as info:
+            self.make(**kw)
+        assert str(info.value) == message
+        assert self.phi_star_calls == [] and not self.out.exists()
 
     def test_valid(self):
-        self.make()
+        assert self.make() == str(self.out)
+        assert len(self.phi_star_calls) == 1
+        assert self.out.read_text().startswith(TRACE_HEADER + "\n")
 
     def test_rejects_bad_budget(self):
-        with pytest.raises(ConfigError):
-            self.make(budget=0.0)
+        self.refused(ConfigError, "sample budget must be positive and finite, got 0.0", budget=0.0)
+        self.refused(ConfigError, "sample budget 1e-09 x N = 3 rounds to 0 samples", budget=1e-9)
 
     def test_rejects_unknown_algorithm(self):
-        with pytest.raises(InputError):
-            self.make(algorithms=["sgd"])
+        self.refused(InputError, f"unknown algorithms ['sgd']; choose from {ALGORITHMS}",
+                     algorithms=["sgd"])
 
     def test_rejects_empty_seeds(self):
-        with pytest.raises(ConfigError):
-            self.make(seeds=[])
+        self.refused(ConfigError, "at least one seed is required", seeds=[])
 
     def test_rejects_empty_roster(self):
-        with pytest.raises(ConfigError, match="at least one algorithm is required"):
-            self.make(algorithms=[], params={"eta": 0.1})
+        self.refused(ConfigError, "at least one algorithm is required",
+                     algorithms=[], params={"eta": 0.1})
 
     @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
     def test_rejects_seed_outside_int64_after_the_first(self, seed):
-        with pytest.raises(ConfigError, match="seed must fit in int64"):
-            self.make(seeds=[0, seed])
+        self.refused(ConfigError, f"seed must fit in int64, got {seed}", seeds=[0, seed])
 
     @pytest.mark.parametrize("seed", [1.5, True, "3"])
     def test_rejects_non_integer_seed_after_the_first(self, seed):
-        with pytest.raises(ConfigError, match="seed must be an integer"):
-            self.make(seeds=[0, seed])
+        self.refused(ConfigError, f"seed must be an integer, got {seed!r}", seeds=[0, seed])
 
     @pytest.mark.parametrize("kw", [dict(algorithms=["scvrg", "scgd", "scvrg"]),
                                     dict(seeds=[0, 1, 0])])
     def test_rejects_repeats(self, kw):
-        with pytest.raises(ConfigError, match="repeated"):
-            self.make(**kw)
+        repeated = {"algorithms": "['scvrg']", "seeds": "[0]"}
+        (name,) = kw
+        self.refused(ConfigError, f"repeated {name} {repeated[name]}", **kw)
 
     @pytest.mark.parametrize("algorithms, params", [
         (["scgd", "ascpg", "agd"], {"eta": 0.5}), (["vrscpg", "agd"], {"k0": 3}),
         (["vrscpg"], {"S": 2}), (["scvrg"], {"seed": 1})])
     def test_rejects_params_no_algorithm_reads(self, algorithms, params):
-        with pytest.raises(ConfigError, match="not read by"):
-            self.make(algorithms=algorithms, params=params)
+        (field,) = params
+        self.refused(ConfigError, f"{field} not read by {' or '.join(algorithms)}",
+                     algorithms=algorithms, params=params)
 
 
 class TestRunOneSeed:
@@ -101,8 +112,8 @@ class TestFieldsRead:
         """The final iterate's bytes and every trace row, under a budget of
         2000 samples, more than either schedule's S epochs cost."""
         toy = build_toy("affine", d=3, m=4, n=5, seed=0)
-        x, rows = run(RUNNERS[algorithm], toy, config, np.zeros(3), 2000, every=1)
-        return getattr(x, "x", x).tobytes(), [r.to_csv_row() for r in rows]
+        x, rows = run(harness.RUNNERS[algorithm], toy, config, np.zeros(3), 2000, every=1)
+        return x.tobytes(), [r.to_csv_row() for r in rows]
 
     def test_other_values_cover_every_field_but_the_seed(self):
         assert set(self.OTHER) == {f.name for f in fields(RunConfig)} - {"seed"}
@@ -138,20 +149,25 @@ class TestTraceCadence:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_rows_every_n_samples_are_a_subset_of_every_step(self, algorithm):
-        # N = m = 20 while a full gradient costs m + n = 28; scvrg's four epochs
-        # cost 862 samples, so the budget stops it inside its last one
-        toy = build_toy("affine", d=3, m=20, n=8, seed=0)
-        config, budget = RunConfig(S=4, k0=5, eta=0.02, a=3, b=2, seed=2), 30 * toy.N
-        _, full = run(RUNNERS[algorithm], toy, config, np.zeros(3), budget, every=1)
-        _, rows = run(RUNNERS[algorithm], toy, config, np.zeros(3), budget, every=toy.N)
-        assert ([r.to_csv_row() for r in rows]
-                == [r.to_csv_row() for r in self.cadence_rows(full, toy.N)])
-        ends = {(r.epoch, r.iteration) for r, after in zip(rows, rows[1:] + [None])
-                if after is None or after.epoch != r.epoch}
-        cadence = [r for r in rows[1:] if (r.epoch, r.iteration) not in ends]
-        assert len(cadence) <= budget // toy.N
-        if algorithm == "agd":  # a step costs more than N: a row per step
-            assert [r.iteration for r in rows] == list(range(budget // 28 + 1))
+        # N = m = 20 on both. A full gradient costs m + n = 28 on the toy, and
+        # scvrg's four epochs cost 862 samples, so the budget stops it inside its
+        # last one; it costs m + 1 = 21 on the Bellman instance (n = 1), where
+        # the epoch ends add rows
+        runner = harness.RUNNERS[algorithm]
+        config = RunConfig(S=4, k0=5, eta=0.02, a=3, b=2, seed=2)
+        for problem in (build_toy("affine", d=3, m=20, n=8, seed=0),
+                        build_bellman(random_bellman_spec(3, 20, 0.9, seed=0))):
+            budget, m, n = 30 * problem.N, problem.dims.m, problem.dims.n
+            _, full = run(runner, problem, config, np.zeros(3), budget, every=1)
+            _, rows = run(runner, problem, config, np.zeros(3), budget, every=problem.N)
+            assert ([r.to_csv_row() for r in rows]
+                    == [r.to_csv_row() for r in self.cadence_rows(full, problem.N)])
+            ends = {(r.epoch, r.iteration) for r, after in zip(rows, rows[1:] + [None])
+                    if after is None or after.epoch != r.epoch}
+            cadence = [r for r in rows[1:] if (r.epoch, r.iteration) not in ends]
+            assert len(cadence) <= budget // problem.N
+            if algorithm == "agd":  # a step costs more than N: a row per step
+                assert [r.iteration for r in rows] == list(range(budget // (m + n) + 1))
 
 
 class TestComputePhiStar:
@@ -259,11 +275,9 @@ class TestRunBenchmark:
     def test_csv_schema_and_determinism(self, tmp_path):
         p = build_mean_variance(synthetic_returns(60, 4, seed=0), lam=1e-2)
         out = str(tmp_path / "trace.csv")
-        spec = ExperimentSpec(problem=p, algorithms=["scvrg", "scgd"],
-                              budget=10.0, seeds=[1, 2], out=out)
-        run_benchmark(spec)
+        run_benchmark(p, ["scvrg", "scgd"], 10.0, [1, 2], out)
         first = Path(out).read_text()
-        run_benchmark(spec)
+        run_benchmark(p, ["scvrg", "scgd"], 10.0, [1, 2], out)
         second = Path(out).read_text()
         assert first == second  # bit-identical rerun
         lines = first.strip().split("\n")
@@ -273,9 +287,7 @@ class TestRunBenchmark:
     def test_four_runs_monotone_samples(self, tmp_path):
         p = build_mean_variance(synthetic_returns(60, 4, seed=0), lam=1e-2)
         out = str(tmp_path / "trace.csv")
-        spec = ExperimentSpec(problem=p, algorithms=["scvrg", "scgd"],
-                              budget=10.0, seeds=[1, 2], out=out)
-        run_benchmark(spec)
+        run_benchmark(p, ["scvrg", "scgd"], 10.0, [1, 2], out)
         rows = [line.split(",") for line in Path(out).read_text().strip().split("\n")[1:]]
         runs = {}
         for r in rows:
@@ -287,34 +299,10 @@ class TestRunBenchmark:
     def test_gap_nonnegative_after_polish(self, tmp_path):
         toy = build_toy("identity", d=2, m=5, n=5, seed=3, lam=0.02)
         out = str(tmp_path / "trace.csv")
-        spec = ExperimentSpec(problem=toy, algorithms=["scvrg", "agd"],
-                              budget=200.0, seeds=[0], out=out)
-        run_benchmark(spec)
+        run_benchmark(toy, ["scvrg", "agd"], 200.0, [0], out)
         gaps = [float(line.split(",")[7])
                 for line in Path(out).read_text().strip().split("\n")[1:]]
         assert min(gaps) >= -1e-9
-
-    def test_long_traces_keep_at_most_the_cap_with_both_ends(self, tmp_path, monkeypatch):
-        toy = build_toy("affine", d=3, m=20, n=20, seed=0)
-
-        def runs(cap):
-            monkeypatch.setattr(harness, "MAX_TRACE_ROWS", cap)
-            out = tmp_path / f"trace-{cap}.csv"
-            run_benchmark(ExperimentSpec(problem=toy, algorithms=["scvrg", "scgd"],
-                                         budget=50.0, seeds=[0, 1], out=str(out)))
-            by_run = {}
-            for line in out.read_text().strip().split("\n")[1:]:
-                by_run.setdefault(tuple(line.split(",")[:2]), []).append(line)
-            return by_run
-
-        full, cut = runs(10**9), runs(5)
-        assert full.keys() == cut.keys() and len(full) == 4
-        for run, rows in full.items():
-            kept = cut[run]
-            assert len(rows) > 5 >= len(kept)
-            assert kept[0] == rows[0] and kept[-1] == rows[-1]
-            remaining = iter(rows)
-            assert all(row in remaining for row in kept)  # kept rows, in order
 
     def test_medium_profile_under_a_minute(self, tmp_path):
         import time

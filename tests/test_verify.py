@@ -152,7 +152,8 @@ class TestReporting:
         reports = [CheckReport(name="demo", passed=True, measured=0.5,
                                bound=1.0, trials=10, seed=0)]
         path = tmp_path / "report.csv"
-        write_report_csv(reports, str(path))
+        with open(path, "w") as fh:
+            write_report_csv(reports, fh)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == REPORT_HEADER == "name,pass,measured,bound,trials,seed"
         assert lines[1] == "demo,true,0.5,1.0,10,0"
