@@ -20,22 +20,27 @@ from .solver import SCHEDULES, RunConfig
 from .verify import all_passed, run_all_checks, suite_inputs, write_report_csv
 
 
+def _add_size_flags(parser):
+    parser.add_argument("--n", type=int, default=200,
+                        help="synthetic rows: meanvar returns, bellman matrices, toy inner maps")
+    parser.add_argument("--d", type=int, default=10, help="decision dimension (bellman: states)")
+    parser.add_argument("--problem-seed", type=int, default=0, help="synthetic data seed, >= 0")
+
+
+#: the problem that reads each problem-specific flag; every other problem refuses it
+_PROBLEM_FLAGS = {"--data": "meanvar", "--gamma": "bellman", "--toy-kind": "toy"}
+
+
 def _add_problem_flags(parser):
     parser.add_argument("--problem", choices=("meanvar", "bellman", "toy"),
                         default="meanvar")
-    parser.add_argument("--data", default=None, help="returns CSV (meanvar)")
     parser.add_argument("--lambda", dest="lam", type=float, default=1e-2,
                         help="l1 weight")
     parser.add_argument("--radius", type=float, default=1.0, help="box radius")
-    parser.add_argument("--n", type=int, default=200,
-                        help="synthetic sample count (meanvar rows / bellman matrices"
-                             " / toy inner maps)")
-    parser.add_argument("--d", type=int, default=10, help="decision dimension")
-    parser.add_argument("--states", type=int, default=10, help="bellman state count")
-    parser.add_argument("--gamma", type=float, default=0.9, help="bellman discount")
-    parser.add_argument("--toy-kind", choices=TOY_KINDS, default="affine")
-    parser.add_argument("--problem-seed", type=int, default=0,
-                        help="seed for synthetic problem generation")
+    _add_size_flags(parser)
+    parser.add_argument("--data", help="meanvar returns CSV, in place of the synthetic draw")
+    parser.add_argument("--gamma", type=float, help="bellman discount (default 0.9)")
+    parser.add_argument("--toy-kind", choices=TOY_KINDS, help="toy inner maps (default affine)")
 
 
 #: the flag that sets each RunConfig field, as errors name it
@@ -59,18 +64,18 @@ def _add_algo_flags(parser):
 
 
 def _build_problem(args):
+    for flag, problem in _PROBLEM_FLAGS.items():
+        if problem != args.problem and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise InputError(f"{flag} is read only by --problem {problem}, not {args.problem}")
     if args.problem == "meanvar":
-        if args.data is not None:
-            dataset = load_returns_csv(args.data)
-        else:
-            dataset = synthetic_returns(args.n, args.d, args.problem_seed)
+        dataset = (synthetic_returns(args.n, args.d, args.problem_seed) if args.data is None
+                   else load_returns_csv(args.data))
         return build_mean_variance(dataset, lam=args.lam, radius=args.radius)
-    if args.data is not None:
-        raise InputError(f"--data is a returns file for --problem meanvar, not {args.problem}")
     if args.problem == "bellman":
-        spec = random_bellman_spec(args.states, args.n, args.gamma, args.problem_seed)
+        gamma = 0.9 if args.gamma is None else args.gamma
+        spec = random_bellman_spec(args.d, args.n, gamma, args.problem_seed)
         return build_bellman(spec, lam=args.lam, radius=args.radius)
-    return build_toy(args.toy_kind, d=args.d, m=args.n, seed=args.problem_seed,
+    return build_toy(args.toy_kind or "affine", d=args.d, m=args.n, seed=args.problem_seed,
                      lam=args.lam, radius=args.radius)
 
 
@@ -124,47 +129,40 @@ def _check(args):
 
 
 def _toygen(args):
-    """Writes the synthetic returns of the mean-variance problem `run` would
-    build, after building it, so a size that `run` refuses writes nothing.
-    Only a returns file has a reader (--data), so the other problems are refused."""
-    if args.problem != "meanvar" or args.data is not None:
-        raise InputError("toygen writes synthetic returns for --problem meanvar only, "
-                         "and reads no --data file")
-    dataset = synthetic_returns(args.n, args.d, args.problem_seed)
-    build_mean_variance(dataset, lam=args.lam, radius=args.radius)
-    write_returns_csv(dataset, args.out)
+    """Writes the returns `run --problem meanvar` draws; a size `run` refuses writes nothing."""
+    write_returns_csv(synthetic_returns(args.n, args.d, args.problem_seed), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="compopt")
+    parser = argparse.ArgumentParser(prog="compopt-cli", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a single algorithm")
+    p_run = sub.add_parser("run", help="run a single algorithm", allow_abbrev=False)
     _add_problem_flags(p_run)
     _add_algo_flags(p_run)
     p_run.add_argument("--algo", default="scvrg",
                        help="one algorithm: " + ",".join(ALGORITHMS))
 
-    p_bench = sub.add_parser("bench", help="run an algorithm suite")
+    p_bench = sub.add_parser("bench", help="run an algorithm suite", allow_abbrev=False)
     _add_problem_flags(p_bench)
     _add_algo_flags(p_bench)
     p_bench.add_argument("--algo", default="scvrg,vrscpg",
                          help="comma-separated algorithms")
 
-    p_phi = sub.add_parser("phistar", help="compute a certified optimum")
+    p_phi = sub.add_parser("phistar", help="compute a certified optimum", allow_abbrev=False)
     _add_problem_flags(p_phi)
     p_phi.add_argument("--budget", type=float, default=200.0,
                        help="sample budget in units of N, spent as full gradients")
 
-    p_check = sub.add_parser("check", help="run the verification suite")
+    p_check = sub.add_parser("check", help="run the verification suite", allow_abbrev=False)
     p_check.add_argument("--check-seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=20_000)
     p_check.add_argument("--out", default=None, help="optional report CSV path")
 
-    p_toy = sub.add_parser("toygen", help="emit a synthetic returns file")
-    _add_problem_flags(p_toy)
+    p_toy = sub.add_parser("toygen", help="emit a synthetic returns file", allow_abbrev=False)
+    _add_size_flags(p_toy)
     p_toy.add_argument("--out", default="problem_data.csv")
     return parser
 

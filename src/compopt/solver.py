@@ -137,16 +137,16 @@ def _minibatches(problem: CompositionProblem, config: RunConfig, schedule, left:
 
 
 def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: RunConfig,
-              epoch_index: int, recorder: Recorder, minibatches=None) -> EpochInfo | None:
+              epoch_index: int, recorder: Recorder, minibatches) -> EpochInfo | None:
     """The epoch body: a snapshot at x_ref, then k minibatch proximal steps
     from x0 against it, or None, with nothing charged, if the recorder cannot
     pay m + n + a + b. It charges m + n for the snapshot and a + b per step.
 
     Returns the epoch's record: the unweighted mean of the k pre-update
     iterates, the final iterate and l advanced by one per step. The index rows
-    come in blocks from the run's `minibatches` (by default, this epoch's), and
-    a block's reference means, which do not depend on the iterate, are
-    computed at once. The epoch stops early, freezing the average, once the
+    come in blocks from the run's `minibatches` (see `_minibatches`), and a
+    block's reference means, which do not depend on the iterate, are computed
+    at once. The epoch stops early, freezing the average, once the
     recorder cannot pay for another step. The recorder, which its runner has
     started, checks every step and keeps a row at its sample cadence and one
     at the end of the epoch, at the number of steps taken.
@@ -157,8 +157,6 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
     step_cost = config.a + config.b
     if not recorder.affords(m + n + step_cost):
         return None
-    minibatches = minibatches or _minibatches(problem, config, [(epoch_index, k)],
-                                              recorder.budget - recorder.samples)
     snapshot = take_snapshot(problem, x_ref)
     recorder.charge(m + n)
     x_start = np.asarray(x0, dtype=float)

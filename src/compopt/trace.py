@@ -55,6 +55,8 @@ class Recorder:
                               "max_samples is required")
         if not isinstance(budget, numbers.Integral) or budget < 1:
             raise ConfigError(f"sample budget must be positive and whole, got {budget!r}")
+        if every is not None and not (isinstance(every, numbers.Integral) and every >= 1):
+            raise ConfigError(f"trace cadence must be None or a positive integer, got {every!r}")
         self.problem = problem
         self.budget = budget
         self.samples = 0

@@ -5,9 +5,8 @@ import contextlib
 import numpy as np
 import pytest
 
-from compopt import baselines, estimators
+from compopt import baselines, estimators, solver
 from compopt.estimators import _seed_key
-from compopt.solver import run_epoch
 from compopt.trace import Recorder
 
 
@@ -21,10 +20,14 @@ def run(runner, problem, config, x0, budget, phi_star=None, every=None):
 
 def epoch_runner(k, l=0, epoch_index=1):
     """A runner for `run` that starts its recorder at x0 and runs one k-step
-    epoch from x0 with its snapshot there; returns the epoch's record."""
+    epoch from x0 with its snapshot there, drawing that epoch's minibatches
+    alone; returns the epoch's record."""
     def runner(problem, config, x0, recorder):
         recorder.start("scvrg", config.seed, x0)
-        return run_epoch(problem, x0, x0, k, l, config, epoch_index, recorder)
+        minibatches = solver._minibatches(problem, config, [(epoch_index, k)],
+                                          recorder.budget - recorder.samples)
+        return solver.run_epoch(problem, x0, x0, k, l, config, epoch_index, recorder,
+                                minibatches)
     return runner
 
 

@@ -37,6 +37,13 @@ class TestSampleBudget:
                 with pytest.raises(ConfigError, match="sample budget must be positive"):
                     run_one(toy, algorithm, 0, budget)
 
+    @pytest.mark.parametrize("every", [0, -5, 2.5])
+    def test_rejects_bad_trace_cadence(self, toy, every):
+        # 0 divided by zero at the start row, -5 kept a row after every step
+        # and 2.5 set a float cadence
+        with pytest.raises(ConfigError, match="trace cadence must be None or a positive integer"):
+            Recorder(toy, 100, every=every)
+
     @pytest.mark.parametrize("call", [
         *[pytest.param(lambda p, budget, r=r: run(r, p, config(), np.zeros(3), budget),
                        id=r.__name__) for r in (run_agd, run_scgd, run_ascpg, run_vrscpg)],

@@ -11,9 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from compopt import baselines, harness, verify
+from compopt import baselines, cli, harness, verify
 from compopt.cli import cli_main
-from compopt.problems import load_returns_csv, synthetic_returns, write_returns_csv
+from compopt.problems import (build_bellman, load_returns_csv, synthetic_returns,
+                              write_returns_csv)
 from compopt.solver import RunConfig
 from compopt.trace import TRACE_HEADER
 
@@ -89,7 +90,7 @@ class TestBench:
     # n = 1 takes the bound-1 rule of the raw-word draws
     @pytest.mark.parametrize("name, flags", [
         ("meanvar", ("--problem", "meanvar", "--n", "200", "--d", "10", "--seed", "0,1")),
-        ("bellman", ("--problem", "bellman", "--states", "5", "--n", "20", "--seed", "0"))],
+        ("bellman", ("--problem", "bellman", "--d", "5", "--n", "20", "--seed", "0"))],
         ids=["meanvar", "bellman"])
     def test_trace_is_byte_identical_to_the_committed_one(self, name, flags, tmp_path):
         trace = pinned_output(tmp_path, "bench", *flags, "--algo", ",".join(harness.ALGORITHMS))
@@ -148,10 +149,16 @@ class TestBench:
             scgd.append([(int(r[3]), int(r[4])) for r in rows if r[0] == "scgd"])
         assert scgd[0] == scgd[1] == [(100 * q, 200 * q) for q in range(6)]
 
-    def test_bellman_problem(self, tmp_path):
+    def test_bellman_problem(self, tmp_path, monkeypatch):
+        # --d is Bellman's decision dimension, its state count; --n its matrix
+        # count (the bellman pin above runs the default discount, 0.9)
+        specs = []
+        monkeypatch.setattr(cli, "build_bellman",
+                            lambda spec, **kw: specs.append(spec) or build_bellman(spec, **kw))
         out = tmp_path / "bench.csv"
-        assert run_cli("bench", "--problem", "bellman", "--states", "4", "--n", "6",
+        assert run_cli("bench", "--problem", "bellman", "--d", "4", "--n", "6", "--gamma", "0.8",
                        "--algo", "scvrg,agd", "--budget", "20", "--out", str(out)) == 0
+        assert [(spec.n_states, spec.m, spec.gamma) for spec in specs] == [(4, 6, 0.8)]
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert {r[0] for r in rows} == {"scvrg", "agd"}
 
@@ -206,19 +213,23 @@ class TestCheck:
 class TestToygen:
     def test_meanvar_csv_roundtrips(self, tmp_path):
         out = tmp_path / "returns.csv"
-        code = run_cli("toygen", "--problem", "meanvar", "--n", "30", "--d", "4",
+        code = run_cli("toygen", "--n", "30", "--d", "4", "--problem-seed", "3",
                        "--out", str(out))
         assert code == 0
-        assert load_returns_csv(str(out)).returns.shape == (30, 4)
+        dataset = load_returns_csv(str(out))
+        assert dataset.returns.shape == (30, 4)
+        np.testing.assert_allclose(dataset.returns, synthetic_returns(30, 4, seed=3).returns,
+                                   rtol=1e-15)
 
-    # only a returns file has a reader (--data), so the bellman and toy
-    # routes, which wrote .npz files, are refused and write nothing
+    # only a returns file has a reader (--data), so toygen writes nothing
+    # else and takes no --problem: the bellman and toy routes, which wrote
+    # .npz files, are usage errors that write nothing
     def test_bellman_npz(self, tmp_path, capsys):
         out = tmp_path / "bellman.npz"
-        code = run_cli("toygen", "--problem", "bellman", "--states", "4",
+        code = run_cli("toygen", "--problem", "bellman", "--d", "4",
                        "--n", "6", "--out", str(out))
         assert code == 1 and not out.exists()
-        assert capsys.readouterr().err.startswith("error: toygen writes synthetic returns")
+        assert "error: unrecognized arguments: --problem bellman" in capsys.readouterr().err
 
     def test_toy_npz(self, tmp_path, capsys):
         for kind in ("identity", "affine", "mixed"):
@@ -226,7 +237,8 @@ class TestToygen:
             code = run_cli("toygen", "--problem", "toy", "--toy-kind", kind,
                            "--d", "3", "--out", str(out))
             assert code == 1 and not out.exists()
-            assert capsys.readouterr().err.startswith("error: toygen writes synthetic returns")
+            err = capsys.readouterr().err
+            assert f"error: unrecognized arguments: --problem toy --toy-kind {kind}" in err
 
 
 class TestBadInput:
@@ -257,23 +269,30 @@ class TestBadInput:
         ("check", "--trials", "0"),
         ("check", "--trials", "-5"),
         *[(sub, "--problem", problem, "--problem-seed", "-1")
-          for sub in ("run", "bench", "phistar", "toygen")
+          for sub in ("run", "bench", "phistar")
           for problem in ("meanvar", "bellman", "toy")],
+        ("toygen", "--problem-seed", "-1"),
         # sizes that `run` refuses; returns data, like a returns file, needs 2 rows
-        ("toygen", "--problem", "meanvar", "--n", "0"),
+        ("toygen", "--n", "0"),
         *[(sub, "--problem", "meanvar", "--n", "1")
-          for sub in ("run", "bench", "phistar", "toygen")],
-        ("toygen", "--problem", "meanvar", "--d", "0"),
-        ("toygen", "--problem", "bellman", "--states", "0"),
-        ("toygen", "--problem", "bellman", "--n", "0"),
+          for sub in ("run", "bench", "phistar")],
+        ("toygen", "--n", "1"),
+        ("toygen", "--d", "0"),
+        # --d is Bellman's state count and --n its matrix count
+        ("run", "--problem", "bellman", "--d", "0"),
+        ("run", "--problem", "bellman", "--n", "0"),
         # m and n of 2^32 or more, refused before any data is drawn
         *[("run", "--problem", problem, "--n", str(2**32))
           for problem in ("meanvar", "bellman", "toy")],
-        # --data is a returns file, read only by meanvar and never by toygen
+        ("toygen", "--n", str(2**32)),
+        # --data (a returns file), --gamma and --toy-kind are each read by one problem
         *[(sub, "--problem", problem, "--data", "returns.csv")
           for sub in ("run", "bench", "phistar") for problem in ("bellman", "toy")],
-        *[("toygen", "--problem", problem, "--data", "returns.csv")
-          for problem in ("meanvar", "bellman", "toy")],
+        *[(sub, "--problem", problem, flag, value)
+          for sub in ("run", "bench", "phistar")
+          for problem, flag, value in (("meanvar", "--gamma", "1.5"), ("toy", "--gamma", "0.5"),
+                                       ("meanvar", "--toy-kind", "mixed"),
+                                       ("bellman", "--toy-kind", "identity"))],
     ], ids=" ".join)
     def test_exits_one_with_error_line(self, argv, tmp_path, capsys):
         out = ["--out", str(tmp_path / "t.csv")] if argv[0] != "phistar" else []
@@ -301,6 +320,24 @@ class TestBadInput:
         monkeypatch.setattr(verify, "check_gradient_fd", fail)
         assert run_cli("check", "--check-seed", "-2") == 1
         assert capsys.readouterr().err == "error: data seed must be non-negative, got -2\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("run", "--problem", "meanvar", "--gamma", "0.9", "--toy-kind", "affine"),
+         "--gamma is read only by --problem bellman, not meanvar"),
+        (("bench", "--problem", "bellman", "--data", "returns.csv"),
+         "--data is read only by --problem meanvar, not bellman"),
+        (("phistar", "--problem", "toy", "--gamma", "0.5"),
+         "--gamma is read only by --problem bellman, not toy"),
+    ], ids=["run", "bench", "phistar"])
+    def test_unread_problem_flag_is_named_before_any_data_is_drawn(self, argv, message,
+                                                                    monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("problem data was drawn before its flags were checked")
+
+        for name in ("load_returns_csv", "synthetic_returns", "random_bellman_spec", "build_toy"):
+            monkeypatch.setattr(cli, name, fail)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("run", "--algo", "vrscpg", "--epochs", "2", "--schedule", "constant"),
@@ -378,7 +415,32 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         assert run_cli(*argv) == 0
-        assert capsys.readouterr().out.startswith("usage: compopt")
+        assert capsys.readouterr().out.startswith("usage: compopt-cli ")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", 19), ("bench", 19), ("phistar", 10), ("toygen", 4), ("check", 3)])
+    def test_each_command_lists_the_flags_it_reads(self, command, flags, capsys):
+        assert run_cli(command, "--help") == 0
+        listed = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert len(listed) == flags  # --help is listed as "-h, --help"
+        if command == "toygen":
+            assert listed == ["--n", "--d", "--problem-seed", "--out"]
+
+    # each flag has one spelling: no abbreviation, and toygen's and Bellman's
+    # removed flags are unknown
+    @pytest.mark.parametrize("argv", [
+        ("run", "--epoch", "2"), ("run", "--lam", "0.1"), ("check", "--check", "3"),
+        ("bench", "--states", "7", "--problem", "bellman"),
+        ("toygen", "--problem", "meanvar"), ("toygen", "--prob", "3"),
+        ("toygen", "--data", "returns.csv"), ("toygen", "--lambda", "0.1"),
+        ("toygen", "--radius", "2"), ("toygen", "--gamma", "0.5"),
+    ], ids=" ".join)
+    def test_one_spelling_per_flag(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path / "t.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: compopt-cli ")
+        assert f"compopt-cli: error: unrecognized arguments: {argv[1]} " in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_console_script_installed(self):
         import shutil

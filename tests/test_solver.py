@@ -316,8 +316,9 @@ class TestSampleMeterCharges:
         # the ledger itself is under test, so this test holds its Recorder
         rec = Recorder(toy, max_samples, every=1)
         rec.start("scvrg", cfg.seed, np.zeros(2))
+        minibatches = solver._minibatches(toy, cfg, [(1, 12)], rec.budget - rec.samples)
         assert run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg,
-                         epoch_index=1, recorder=rec) is None
+                         epoch_index=1, recorder=rec, minibatches=minibatches) is None
         assert rec.samples == 0
         assert [(r.epoch, r.iteration) for r in rec.rows] == [(0, 0)]
 
