@@ -240,6 +240,20 @@ class TestToygen:
             err = capsys.readouterr().err
             assert f"error: unrecognized arguments: --problem toy --toy-kind {kind}" in err
 
+    # the refusals toygen made per problem, a negative seed or a --data file,
+    # are now usage errors on --problem that write nothing
+    @pytest.mark.parametrize("argv", [
+        ("toygen", "--problem", problem, flag, value)
+        for flag, value in (("--problem-seed", "-1"), ("--data", "returns.csv"))
+        for problem in ("meanvar", "bellman", "toy")
+    ], ids=" ".join)
+    def test_refuses_problem(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path / "t.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: compopt-cli ")
+        assert f"compopt-cli: error: unrecognized arguments: --problem {argv[2]}" in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
