@@ -11,16 +11,18 @@ Run:  python3 demos/02_bellman_policy_evaluation.py
 import numpy as np
 
 from compopt.problem import objective
-from compopt.problems import build_bellman, random_bellman_spec
+from compopt.problems import build_bellman
 from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.trace import Recorder
 
 
+GAMMA = 0.9  # discount
+
+
 def main():
-    spec = random_bellman_spec(n_states=10, m=20, gamma=0.9, seed=0)
-    problem = build_bellman(spec)
-    print(f"bellman instance: {spec.n_states} states, {spec.m} sampled models, "
-          f"gamma={spec.gamma}")
+    problem = build_bellman(n_states=10, m=20, gamma=GAMMA, seed=0)
+    print(f"bellman instance: {problem.dims.d} states, {problem.dims.m} sampled models, "
+          f"gamma={GAMMA}")
     print(f"linear-solve optimum: ||x*||_inf = {np.max(np.abs(problem.x_star)):.4f}, "
           f"Phi* = {problem.phi_star:.3e}")
 

@@ -15,9 +15,8 @@ from .harness import (ALGORITHMS, compute_phi_star, run_benchmark, run_one,
                       scvrg_config_for_budget)
 from .problem import (ALL, CompositionProblem, ProblemDims, SmoothnessConstants,
                       full_gradient, mean_jacobian, objective, smooth_value)
-from .problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
-                       ReturnsDataset, build_bellman, build_mean_variance,
-                       build_toy, load_returns_csv, random_bellman_spec,
+from .problems import (AffineQuadraticProblem, MeanVarianceProblem, build_bellman,
+                       build_mean_variance, build_toy, load_returns_csv,
                        synthetic_returns, write_returns_csv)
 from .prox import Regularizer, prox_step, reg_value
 from .solver import (EpochInfo, RunConfig, ScvrgResult, predicted_total_samples,

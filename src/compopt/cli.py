@@ -14,17 +14,33 @@ from .errors import ConfigError, DivergenceError, InputError
 from .harness import (ALGORITHMS, check_roster, open_output, polish_phi_star,
                       run_benchmark)
 from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
-                       build_toy, load_returns_csv, random_bellman_spec,
-                       synthetic_returns, write_returns_csv)
+                       build_toy, load_returns_csv, synthetic_returns,
+                       write_returns_csv)
 from .solver import SCHEDULES, RunConfig
 from .verify import all_passed, run_all_checks, suite_inputs, write_report_csv
 
 
+#: the synthetic draw's size and seed flags with their defaults; --data refuses them
+_SIZE_FLAGS = {"--n": 200, "--d": 10, "--problem-seed": 0}
+
+
 def _add_size_flags(parser):
-    parser.add_argument("--n", type=int, default=200,
-                        help="synthetic rows: meanvar returns, bellman matrices, toy inner maps")
-    parser.add_argument("--d", type=int, default=10, help="decision dimension (bellman: states)")
-    parser.add_argument("--problem-seed", type=int, default=0, help="synthetic data seed, >= 0")
+    parser.add_argument("--n", type=int, help="synthetic rows: meanvar returns, bellman "
+                        f"matrices, toy inner maps (default {_SIZE_FLAGS['--n']})")
+    parser.add_argument("--d", type=int, help="decision dimension, bellman's state count "
+                        f"(default {_SIZE_FLAGS['--d']})")
+    parser.add_argument("--problem-seed", type=int, help="synthetic data seed, >= 0 "
+                        f"(default {_SIZE_FLAGS['--problem-seed']})")
+
+
+def _value(args, flag):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _sizes(args):
+    """n, d and the data seed of the synthetic draw, each defaulted where unset."""
+    return [default if _value(args, flag) is None else _value(args, flag)
+            for flag, default in _SIZE_FLAGS.items()]
 
 
 #: the problem that reads each problem-specific flag; every other problem refuses it
@@ -65,18 +81,23 @@ def _add_algo_flags(parser):
 
 def _build_problem(args):
     for flag, problem in _PROBLEM_FLAGS.items():
-        if problem != args.problem and getattr(args, flag[2:].replace("-", "_")) is not None:
+        if problem != args.problem and _value(args, flag) is not None:
             raise InputError(f"{flag} is read only by --problem {problem}, not {args.problem}")
+    if args.data is not None:
+        unread = [flag for flag in _SIZE_FLAGS if _value(args, flag) is not None]
+        if unread:
+            raise InputError(
+                f"{', '.join(unread)} not read with --data, whose file sets the returns")
+        return build_mean_variance(load_returns_csv(args.data), lam=args.lam, radius=args.radius)
+    n, d, seed = _sizes(args)
     if args.problem == "meanvar":
-        dataset = (synthetic_returns(args.n, args.d, args.problem_seed) if args.data is None
-                   else load_returns_csv(args.data))
-        return build_mean_variance(dataset, lam=args.lam, radius=args.radius)
+        return build_mean_variance(synthetic_returns(n, d, seed), lam=args.lam,
+                                   radius=args.radius)
     if args.problem == "bellman":
         gamma = 0.9 if args.gamma is None else args.gamma
-        spec = random_bellman_spec(args.d, args.n, gamma, args.problem_seed)
-        return build_bellman(spec, lam=args.lam, radius=args.radius)
-    return build_toy(args.toy_kind or "affine", d=args.d, m=args.n, seed=args.problem_seed,
-                     lam=args.lam, radius=args.radius)
+        return build_bellman(d, n, gamma, seed, lam=args.lam, radius=args.radius)
+    return build_toy(args.toy_kind or "affine", d=d, m=n, seed=seed, lam=args.lam,
+                     radius=args.radius)
 
 
 def _parse_seeds(raw):
@@ -130,7 +151,7 @@ def _check(args):
 
 def _toygen(args):
     """Writes the returns `run --problem meanvar` draws; a size `run` refuses writes nothing."""
-    write_returns_csv(synthetic_returns(args.n, args.d, args.problem_seed), args.out)
+    write_returns_csv(synthetic_returns(*_sizes(args)), args.out)
     print(f"wrote {args.out}")
     return 0
 

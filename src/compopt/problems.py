@@ -1,10 +1,11 @@
-"""Concrete problem builders: sparse mean-variance portfolios from returns
-data, and one affine-quadratic class whose instances are the least-squares
-Bellman residuals on synthetic Markov chains and the analytic toy fixtures,
+"""Concrete problem builders, which take plain arrays or a seed: sparse
+mean-variance portfolios from an (N, d) returns array, drawn by
+`synthetic_returns` or read by `load_returns_csv`, and one affine-quadratic
+class whose instances are the least-squares Bellman residuals on synthetic
+Markov chains (`build_bellman`) and the analytic toy fixtures (`build_toy`),
 each with a certified optimum where one exists in closed form."""
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +21,9 @@ MISSING_SENTINELS = (-99.99, -999.0)
 # returns data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReturnsDataset:
-    """Per-period asset returns, in fraction units after loading."""
-
-    returns: np.ndarray  # (N, d)
-    labels: tuple
-
-
-def load_returns_csv(path) -> ReturnsDataset:
-    """Load a returns CSV: date column, header of asset labels, percent units.
+def load_returns_csv(path) -> np.ndarray:
+    """Load a returns CSV as an (N, d) array of fractions: a date column, then
+    one percent-unit column per asset, under a header whose labels are not kept.
 
     Rows containing a missing-value sentinel (-99.99 or -999) are dropped, the
     rest divided by 100. Row order is preserved.
@@ -41,8 +35,7 @@ def load_returns_csv(path) -> ReturnsDataset:
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
-        labels = tuple(label.strip() for label in header[1:])
-        d = len(labels)
+        d = len(header[1:])
         if d == 0:
             raise InputError(f"{path}: header has no asset columns")
         for lineno, row in enumerate(reader, start=2):
@@ -62,8 +55,7 @@ def load_returns_csv(path) -> ReturnsDataset:
             rows.append(values)
     if len(rows) < 2:
         raise InputError(f"{path}: fewer than 2 usable rows after sentinel filtering")
-    returns = np.asarray(rows, dtype=float) / 100.0
-    return ReturnsDataset(returns=returns, labels=labels)
+    return np.asarray(rows, dtype=float) / 100.0
 
 
 def data_rng(seed: int):
@@ -74,8 +66,8 @@ def data_rng(seed: int):
     return np.random.default_rng(seed)
 
 
-def synthetic_returns(N: int, d: int, seed: int) -> ReturnsDataset:
-    """Random returns matrix (fraction units) for synthetic benchmarks.
+def synthetic_returns(N: int, d: int, seed: int) -> np.ndarray:
+    """Random (N, d) returns matrix (fraction units) for synthetic benchmarks.
 
     Normal returns with 2% mean and 15% volatility approximate monthly equity
     returns; wilder scales inflate the smoothness constant and destabilize
@@ -84,18 +76,16 @@ def synthetic_returns(N: int, d: int, seed: int) -> ReturnsDataset:
     if N < 2:
         raise ConfigError(f"returns data needs N >= 2 rows, as a returns file does, got {N}")
     ProblemDims(m=N, n=N, d=d, k=d + 1)  # refuse a size before its data is drawn
-    rng = data_rng(seed)
-    returns = rng.normal(0.02, 0.15, size=(N, d))
-    labels = tuple(f"asset_{i}" for i in range(d))
-    return ReturnsDataset(returns=returns, labels=labels)
+    return data_rng(seed).normal(0.02, 0.15, size=(N, d))
 
 
-def write_returns_csv(dataset: ReturnsDataset, path):
-    """Emit a dataset back to disk in the shipped percent-unit format."""
+def write_returns_csv(returns: np.ndarray, path):
+    """Write an (N, d) returns array in the percent-unit format that
+    `load_returns_csv` reads, under a `date,asset_0,...` header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("date",) + dataset.labels)
-        for t, row in enumerate(dataset.returns):
+        writer.writerow(["date"] + [f"asset_{i}" for i in range(returns.shape[1])])
+        for t, row in enumerate(returns):
             writer.writerow([f"{t:06d}"] + [repr(float(v) * 100.0) for v in row])
 
 
@@ -156,9 +146,9 @@ class MeanVarianceProblem(CompositionProblem):
         return out
 
 
-def build_mean_variance(dataset: ReturnsDataset, lam: float = 1e-2,
+def build_mean_variance(returns: np.ndarray, lam: float = 1e-2,
                         radius: float = 1.0) -> MeanVarianceProblem:
-    return MeanVarianceProblem(dataset.returns, Regularizer(lam=lam, radius=radius))
+    return MeanVarianceProblem(returns, Regularizer(lam=lam, radius=radius))
 
 
 # ---------------------------------------------------------------------------
@@ -235,53 +225,28 @@ class AffineQuadraticProblem(CompositionProblem):
 # Bellman residual
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BellmanSpec:
-    """Simulated policy-evaluation data: m sampled transition matrices/rewards."""
-
-    n_states: int
-    m: int
-    gamma: float
-    P: np.ndarray  # (m, n_states, n_states), row-stochastic
-    r: np.ndarray  # (m, n_states)
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"discount must lie strictly in (0, 1), got {self.gamma}")
-        if self.P.shape != (self.m, self.n_states, self.n_states):
-            raise ConfigError(f"transition tensor has shape {self.P.shape}")
-        if self.r.shape != (self.m, self.n_states):
-            raise ConfigError(f"reward matrix has shape {self.r.shape}")
-        row_sums = self.P.sum(axis=2)
-        if not np.allclose(row_sums, 1.0, atol=1e-12, rtol=0.0):
-            worst = float(np.max(np.abs(row_sums - 1.0)))
-            raise ConfigError(f"transition rows must sum to 1 (worst deviation {worst:g})")
-        if np.any(self.P < 0):
-            raise ConfigError("transition probabilities must be nonnegative")
-
-
-def build_bellman(spec: BellmanSpec, lam: float = 0.0,
+def build_bellman(n_states: int, m: int, gamma: float, seed: int, lam: float = 0.0,
                   radius: float = 100.0) -> AffineQuadraticProblem:
-    """Squared-residual value estimation, (1/2) ||mean_j ((I - gamma P_j) x - r_j)||^2:
-    A_j = I - gamma P_j, b_j = -r_j and one outer function with s = 1/2, c = 0."""
-    S = spec.n_states
-    return AffineQuadraticProblem(np.eye(S)[None] - spec.gamma * spec.P, -spec.r,
-                                  np.zeros((1, S)), np.array([0.5]),
-                                  Regularizer(lam=lam, radius=radius))
+    """Squared-residual value estimation on m random chains P_j with rewards r_j,
+    (1/2) ||mean_j ((I - gamma P_j) x - r_j)||^2: A_j = I - gamma P_j, b_j = -r_j
+    and one outer function with s = 1/2, c = 0.
 
-
-def random_bellman_spec(n_states: int, m: int, gamma: float, seed: int) -> BellmanSpec:
-    """Random lazy chains: mostly self-transitions keep the residual system
-    well conditioned, so desk-scale runs reach tight tolerances. Rewards are
-    uniform on [0, 0.1)."""
+    The chains are lazy: mostly self-transitions keep the residual system well
+    conditioned, so desk-scale runs reach tight tolerances. Rewards are uniform
+    on [0, 0.1). A discount outside (0, 1) is refused before any data is drawn.
+    """
     ProblemDims(m=m, n=1, d=n_states, k=n_states)  # refuse a size before its data is drawn
+    if not 0.0 < gamma < 1.0:
+        raise ConfigError(f"discount must lie strictly in (0, 1), got {gamma}")
     rng = data_rng(seed)
     Q = rng.uniform(size=(m, n_states, n_states))
     Q /= Q.sum(axis=2, keepdims=True)
     lazy = 0.9  # self-transition weight
     P = lazy * np.eye(n_states)[None] + (1.0 - lazy) * Q
     r = 0.1 * rng.uniform(size=(m, n_states))
-    return BellmanSpec(n_states=n_states, m=m, gamma=gamma, P=P, r=r)
+    return AffineQuadraticProblem(np.eye(n_states)[None] - gamma * P, -r,
+                                  np.zeros((1, n_states)), np.array([0.5]),
+                                  Regularizer(lam=lam, radius=radius))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .estimators import EpochSnapshot, take_snapshot, unbiased_reference_gradient
 from .problem import CompositionProblem, full_gradient, objective, smooth_value
 from .problems import (build_bellman, build_mean_variance, build_toy, data_rng,
-                       random_bellman_spec, synthetic_returns)
+                       synthetic_returns)
 from .solver import RunConfig, predicted_total_samples, run_scvrg
 from .trace import Recorder
 
@@ -334,7 +334,7 @@ def run_all_checks(seed: int = 0, trials: int = 20_000):
         "toy_affine": build_toy("affine", d=3, m=4, n=3, seed=seed),
         "toy_mixed": build_toy("mixed", d=3, m=4, n=2, seed=seed),
         "meanvar": build_mean_variance(synthetic_returns(50, 4, seed), lam=1e-2),
-        "bellman": build_bellman(random_bellman_spec(5, 8, 0.9, seed)),
+        "bellman": build_bellman(5, 8, 0.9, seed),
     }
     for label, problem in builders.items():
         R = problem.regularizer.radius

@@ -14,8 +14,7 @@ import pytest
 from compopt.estimators import draw_minibatch, estimate_gradient, take_snapshot
 from compopt.harness import compute_phi_star, run_one
 from compopt.problem import full_gradient, objective
-from compopt.problems import (build_bellman, build_mean_variance, build_toy,
-                              random_bellman_spec, synthetic_returns)
+from compopt.problems import build_bellman, build_mean_variance, build_toy, synthetic_returns
 from compopt.prox import Regularizer, prox_step
 from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.verify import (check_epoch_contraction, check_gradient_fd,
@@ -28,7 +27,7 @@ from test_prox import numeric_prox_1d
 def all_builders(seed=0):
     return {
         "meanvar": build_mean_variance(synthetic_returns(50, 4, seed), lam=1e-2),
-        "bellman": build_bellman(random_bellman_spec(5, 8, 0.9, seed)),
+        "bellman": build_bellman(5, 8, 0.9, seed),
         "toy_identity": build_toy("identity", d=3, m=4, n=3, seed=seed),
         "toy_affine": build_toy("affine", d=3, m=4, n=3, seed=seed),
         "toy_mixed": build_toy("mixed", d=3, m=4, n=2, seed=seed),
@@ -274,7 +273,7 @@ class TestKnownOptimumConvergence:
     against the dense linear-solve optimum."""
 
     def test_bellman_convergence(self):
-        problem = build_bellman(random_bellman_spec(10, 20, 0.9, seed=0))
+        problem = build_bellman(10, 20, 0.9, seed=0)
         assert problem.regularizer.lam == 0.0
         assert np.max(np.abs(problem.x_star)) < problem.regularizer.radius
         m, n = problem.dims.m, problem.dims.n

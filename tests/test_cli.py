@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from compopt import baselines, cli, harness, verify
+from compopt import baselines, cli, harness, problems, verify
 from compopt.cli import cli_main
 from compopt.problems import (build_bellman, load_returns_csv, synthetic_returns,
                               write_returns_csv)
@@ -152,13 +152,13 @@ class TestBench:
     def test_bellman_problem(self, tmp_path, monkeypatch):
         # --d is Bellman's decision dimension, its state count; --n its matrix
         # count (the bellman pin above runs the default discount, 0.9)
-        specs = []
+        built = []
         monkeypatch.setattr(cli, "build_bellman",
-                            lambda spec, **kw: specs.append(spec) or build_bellman(spec, **kw))
+                            lambda *args, **kw: built.append(args) or build_bellman(*args, **kw))
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--problem", "bellman", "--d", "4", "--n", "6", "--gamma", "0.8",
                        "--algo", "scvrg,agd", "--budget", "20", "--out", str(out)) == 0
-        assert [(spec.n_states, spec.m, spec.gamma) for spec in specs] == [(4, 6, 0.8)]
+        assert built == [(4, 6, 0.8, 0)]  # n_states, m, gamma and the data seed
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert {r[0] for r in rows} == {"scvrg", "agd"}
 
@@ -216,10 +216,21 @@ class TestToygen:
         code = run_cli("toygen", "--n", "30", "--d", "4", "--problem-seed", "3",
                        "--out", str(out))
         assert code == 0
-        dataset = load_returns_csv(str(out))
-        assert dataset.returns.shape == (30, 4)
-        np.testing.assert_allclose(dataset.returns, synthetic_returns(30, 4, seed=3).returns,
+        returns = load_returns_csv(str(out))
+        assert returns.shape == (30, 4)
+        np.testing.assert_allclose(returns, synthetic_returns(30, 4, seed=3), rtol=1e-15)
+        assert out.read_text().startswith("date,asset_0,asset_1,asset_2,asset_3\n000000,")
+
+    def test_unset_sizes_take_the_defaults_that_help_shows(self, tmp_path, capsys):
+        out = tmp_path / "returns.csv"
+        assert run_cli("toygen", "--out", str(out)) == 0
+        np.testing.assert_allclose(load_returns_csv(str(out)), synthetic_returns(200, 10, seed=0),
                                    rtol=1e-15)
+        capsys.readouterr()
+        assert run_cli("toygen", "--help") == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for flag, default in (("--n", 200), ("--d", 10), ("--problem-seed", 0)):
+            assert re.search(rf"{flag} \S+ [^-]*\(default {default}\)", shown), flag
 
     # only a returns file has a reader (--data), so toygen writes nothing
     # else and takes no --problem: the bellman and toy routes, which wrote
@@ -342,16 +353,36 @@ class TestBadInput:
          "--data is read only by --problem meanvar, not bellman"),
         (("phistar", "--problem", "toy", "--gamma", "0.5"),
          "--gamma is read only by --problem bellman, not toy"),
-    ], ids=["run", "bench", "phistar"])
+        # a returns file sets its own size, so --data refuses the synthetic draw's
+        # flags, even at their default values, before the file is read
+        (("run", "--data", "returns.csv", "--n", "7", "--d", "99", "--problem-seed", "5"),
+         "--n, --d, --problem-seed not read with --data, whose file sets the returns"),
+        (("bench", "--problem", "meanvar", "--data", "returns.csv", "--n", "200"),
+         "--n not read with --data, whose file sets the returns"),
+        (("phistar", "--data", "returns.csv", "--d", "10"),
+         "--d not read with --data, whose file sets the returns"),
+        (("run", "--problem-seed", "0", "--data", "returns.csv"),
+         "--problem-seed not read with --data, whose file sets the returns"),
+    ], ids=["run", "bench", "phistar", "run --data --n --d --problem-seed", "bench --data --n",
+            "phistar --data --d", "run --problem-seed --data"])
     def test_unread_problem_flag_is_named_before_any_data_is_drawn(self, argv, message,
                                                                     monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise AssertionError("problem data was drawn before its flags were checked")
 
-        for name in ("load_returns_csv", "synthetic_returns", "random_bellman_spec", "build_toy"):
+        for name in ("load_returns_csv", "synthetic_returns", "build_bellman", "build_toy"):
             monkeypatch.setattr(cli, name, fail)
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_discount_is_refused_before_any_data_is_drawn(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("problem data was drawn before the discount was checked")
+
+        monkeypatch.setattr(problems, "data_rng", fail)
+        assert run_cli("phistar", "--problem", "bellman", "--gamma", "1.5",
+                       "--d", "100", "--n", "20000") == 1
+        assert capsys.readouterr().err == "error: discount must lie strictly in (0, 1), got 1.5\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("run", "--algo", "vrscpg", "--epochs", "2", "--schedule", "constant"),

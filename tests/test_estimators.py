@@ -19,9 +19,8 @@ from compopt.estimators import (_inner_estimate, _vr_gradient, draw_minibatch,
                                 unbiased_reference_gradient)
 from compopt.problem import (ALL, CompositionProblem, ProblemDims, full_gradient,
                              mean_jacobian)
-from compopt.problems import (AffineQuadraticProblem, ReturnsDataset, build_bellman,
-                              build_mean_variance, build_toy,
-                              random_bellman_spec, synthetic_returns)
+from compopt.problems import (AffineQuadraticProblem, build_bellman, build_mean_variance,
+                              build_toy, synthetic_returns)
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig
 from conftest import epoch_runner, key_seeded_rng, run
@@ -72,7 +71,7 @@ def one_epoch_ledger(problem, k, a, b):
 FIXED_POINT_BUILDERS = {
     "affine": lambda: build_toy("affine", d=2, m=3, n=3, seed=0),
     "meanvar-d25": lambda: build_mean_variance(synthetic_returns(2000, 25, seed=0)),
-    "bellman-50x800": lambda: build_bellman(random_bellman_spec(50, 800, 0.9, seed=0)),
+    "bellman-50x800": lambda: build_bellman(50, 800, 0.9, seed=0),
     "curved": CurvedInnerProblem,
 }
 
@@ -478,7 +477,7 @@ SHIPPED_BUILDERS = {
     "identity": lambda: build_toy("identity", d=3, m=6, n=4, seed=5),
     "affine": lambda: build_toy("affine", d=3, m=6, n=4, seed=5),
     "mixed": lambda: build_toy("mixed", d=3, m=6, n=3, seed=5),
-    "bellman": lambda: build_bellman(random_bellman_spec(8, 40, 0.9, seed=5)),
+    "bellman": lambda: build_bellman(8, 40, 0.9, seed=5),
     "meanvar": lambda: build_mean_variance(synthetic_returns(50, 7, seed=5)),
 }
 
@@ -488,8 +487,8 @@ MEAN_JACOBIAN_BUILDERS = {
     "identity": lambda: build_toy("identity", d=4, m=5, n=4, seed=3),
     "affine": lambda: build_toy("affine", d=4, m=5, n=4, seed=3),
     "mixed": lambda: build_toy("mixed", d=4, m=5, n=3, seed=3),
-    "bellman-50x200": lambda: build_bellman(random_bellman_spec(50, 200, 0.9, seed=0)),
-    "bellman-10x200": lambda: build_bellman(random_bellman_spec(10, 200, 0.9, seed=0)),
+    "bellman-50x200": lambda: build_bellman(50, 200, 0.9, seed=0),
+    "bellman-10x200": lambda: build_bellman(10, 200, 0.9, seed=0),
 }
 
 
@@ -548,9 +547,7 @@ class TestConstantJacobians:
 
     def test_zero_mean_return_keeps_the_sweeps_positive_zero(self):
         # column means +0 and -0: the sweep's 0 - r_j rows average to +0 in both
-        ds = ReturnsDataset(returns=np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -1.0]]),
-                            labels=("a", "b", "c"))
-        p = build_mean_variance(ds, radius=10.0)
+        p = build_mean_variance(np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -1.0]]), radius=10.0)
         Z, swept = p.constant_jacobian, unit_cotangent_sweep(p, np.zeros(3))
         assert np.array_equal(Z, swept) and not np.any(np.signbit(Z[-1]))
 

@@ -11,9 +11,8 @@ from compopt import harness
 from compopt.errors import ConfigError, InputError
 from compopt.harness import (ALGORITHMS, FIELDS_READ, compute_phi_star, polish_phi_star,
                              run_benchmark, run_one, scvrg_config_for_budget)
-from compopt.problems import (AffineQuadraticProblem, build_bellman,
-                              build_mean_variance, build_toy,
-                              random_bellman_spec, synthetic_returns)
+from compopt.problems import (AffineQuadraticProblem, build_bellman, build_mean_variance,
+                              build_toy, synthetic_returns)
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig, predicted_total_samples
 from compopt.trace import TRACE_HEADER
@@ -156,7 +155,7 @@ class TestTraceCadence:
         runner = harness.RUNNERS[algorithm]
         config = RunConfig(S=4, k0=5, eta=0.02, a=3, b=2, seed=2)
         for problem in (build_toy("affine", d=3, m=20, n=8, seed=0),
-                        build_bellman(random_bellman_spec(3, 20, 0.9, seed=0))):
+                        build_bellman(3, 20, 0.9, seed=0)):
             budget, m, n = 30 * problem.N, problem.dims.m, problem.dims.n
             _, full = run(runner, problem, config, np.zeros(3), budget, every=1)
             _, rows = run(runner, problem, config, np.zeros(3), budget, every=problem.N)
@@ -177,7 +176,7 @@ class TestComputePhiStar:
         assert abs(got - toy.phi_star) <= 1e-10
 
     def test_bellman_matches_linear_solve(self):
-        p = build_bellman(random_bellman_spec(4, 6, 0.9, seed=1))
+        p = build_bellman(4, 6, 0.9, seed=1)
         got = compute_phi_star(p, budget=100_000)
         assert abs(got - p.phi_star) <= 1e-10
 
@@ -204,8 +203,8 @@ CERTIFIED = {
     "identity": lambda: build_toy("identity", d=3, m=6, n=5, seed=0, lam=0.05),
     "affine": lambda: build_toy("affine", d=3, m=4, n=4, seed=2, lam=0.0),
     "mixed": lambda: build_toy("mixed", d=3, m=4, n=4, seed=0, lam=0.0),
-    "bellman_4x6": lambda: build_bellman(random_bellman_spec(4, 6, 0.9, seed=1)),
-    "bellman_10x20": lambda: build_bellman(random_bellman_spec(10, 20, 0.9, seed=0)),
+    "bellman_4x6": lambda: build_bellman(4, 6, 0.9, seed=1),
+    "bellman_10x20": lambda: build_bellman(10, 20, 0.9, seed=0),
     "stiff": _stiff_toy,
 }
 

@@ -12,9 +12,8 @@ from compopt.estimators import (_inner_estimate, _vr_gradient, draw_minibatch,
 from compopt.harness import polish_phi_star
 from compopt.problem import (ALL, ProblemDims, SmoothnessConstants, full_gradient,
                              mean_jacobian, objective, smooth_value)
-from compopt.problems import (AffineQuadraticProblem, ReturnsDataset,
-                              build_bellman, build_mean_variance, build_toy,
-                              random_bellman_spec, synthetic_returns)
+from compopt.problems import (AffineQuadraticProblem, build_bellman, build_mean_variance,
+                              build_toy, synthetic_returns)
 from compopt.prox import Regularizer
 from compopt.solver import RunConfig
 from compopt.verify import check_lemma1
@@ -24,13 +23,12 @@ from test_estimators import CurvedInnerProblem, assert_same_bits
 
 def two_asset_problem(lam=0.0):
     """The N=2, d=1 instance with returns r_1=1, r_2=3 (fraction units)."""
-    ds = ReturnsDataset(returns=np.array([[1.0], [3.0]]), labels=("a",))
-    return build_mean_variance(ds, lam=lam, radius=10.0)
+    return build_mean_variance(np.array([[1.0], [3.0]]), lam=lam, radius=10.0)
 
 
 CONTRACT_PROBLEMS = {
     "meanvar": lambda: build_mean_variance(synthetic_returns(40, 25, seed=3)),
-    "bellman": lambda: build_bellman(random_bellman_spec(6, 8, 0.9, seed=3)),
+    "bellman": lambda: build_bellman(6, 8, 0.9, seed=3),
     "identity": lambda: build_toy("identity", d=4, m=5, n=4, seed=3),
     "affine": lambda: build_toy("affine", d=4, m=5, n=4, seed=3),
     "mixed": lambda: build_toy("mixed", d=4, m=5, n=2, seed=3),
@@ -41,7 +39,7 @@ CONTRACT_PROBLEMS = {
 ROW_EXACT_PROBLEMS = {
     "meanvar-d25": lambda: build_mean_variance(synthetic_returns(2000, 25, seed=0)),
     "meanvar-d200": lambda: build_mean_variance(synthetic_returns(2000, 200, seed=7)),
-    "bellman-50x800": lambda: build_bellman(random_bellman_spec(50, 800, 0.9, seed=0)),
+    "bellman-50x800": lambda: build_bellman(50, 800, 0.9, seed=0),
     "identity": lambda: build_toy("identity", d=4, m=5, n=4, seed=3),
     "affine": lambda: build_toy("affine", d=4, m=5, n=4, seed=3),
     "mixed": lambda: build_toy("mixed", d=4, m=5, n=2, seed=3),
@@ -352,22 +350,20 @@ class TestObjective:
 
 class TestLipschitzBounds:
     def test_meanvar_zero_returns(self):
-        ds = ReturnsDataset(returns=np.zeros((3, 2)), labels=("a", "b"))
-        c = build_mean_variance(ds, lam=0.0).smoothness()
+        c = build_mean_variance(np.zeros((3, 2)), lam=0.0).smoothness()
         assert c.L_g == 1.0 and c.ell_g == 0.0 and c.ell_f == 2.0
         assert c.ell == 2.0
 
     def test_meanvar_two_asset_closed_form(self):
         # r=(1),(3): L_g = sqrt(10), ell_f = 2*10 = 20, ell = 10*20 = 200
-        ds = ReturnsDataset(returns=np.array([[1.0], [3.0]]), labels=("a",))
-        c = build_mean_variance(ds, radius=1.0).smoothness()
+        c = build_mean_variance(np.array([[1.0], [3.0]]), radius=1.0).smoothness()
         assert c.ell_g == 0.0
         assert c.L_g == pytest.approx(np.sqrt(10.0), abs=1e-14)
         assert c.ell_f == pytest.approx(20.0, abs=1e-14)
         assert c.ell == pytest.approx(200.0, abs=1e-12)
 
     def test_constants_are_computed_once_at_construction(self):
-        for problem in (build_mean_variance(ReturnsDataset(np.array([[1.0], [3.0]]), ("a",))),
+        for problem in (build_mean_variance(np.array([[1.0], [3.0]])),
                         build_toy("mixed", d=3, m=4, n=2, seed=1)):
             c = problem.smoothness()
             assert problem.smoothness() is c

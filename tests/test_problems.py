@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from compopt import problems
 from compopt.errors import ConfigError, InputError
 from compopt.problem import full_gradient, objective, smooth_value
-from compopt.problems import (AffineQuadraticProblem, BellmanSpec, MeanVarianceProblem,
-                              ReturnsDataset, build_bellman, build_mean_variance, build_toy,
-                              load_returns_csv, random_bellman_spec, synthetic_returns,
-                              write_returns_csv)
+from compopt.problems import (AffineQuadraticProblem, MeanVarianceProblem, build_bellman,
+                              build_mean_variance, build_toy, load_returns_csv,
+                              synthetic_returns, write_returns_csv)
 from compopt.prox import Regularizer
 
 
@@ -30,25 +30,22 @@ class TestLoadReturnsCsv:
 
     def test_basic_load_converts_percent(self, tmp_path):
         path = self.write(tmp_path, "date,A,B\n200001,1.5,-2.0\n200002,0.0,4.0\n")
-        ds = load_returns_csv(path)
-        assert ds.labels == ("A", "B")
-        np.testing.assert_allclose(ds.returns, [[0.015, -0.02], [0.0, 0.04]])
+        np.testing.assert_allclose(load_returns_csv(path), [[0.015, -0.02], [0.0, 0.04]])
 
     def test_sentinel_rows_dropped(self, tmp_path):
         path = self.write(tmp_path,
                           "date,A\n1,1.0\n2,-99.99\n3,2.0\n")
-        ds = load_returns_csv(path)
-        assert ds.returns.shape[0] == 2
-        np.testing.assert_allclose(ds.returns[:, 0], [0.01, 0.02])
+        returns = load_returns_csv(path)
+        assert returns.shape[0] == 2
+        np.testing.assert_allclose(returns[:, 0], [0.01, 0.02])
 
     def test_minus_999_sentinel(self, tmp_path):
         path = self.write(tmp_path, "date,A\n1,1.0\n2,-999\n3,2.0\n")
-        assert load_returns_csv(path).returns.shape[0] == 2
+        assert load_returns_csv(path).shape[0] == 2
 
     def test_all_zero_accepted(self, tmp_path):
         path = self.write(tmp_path, "date,A\n1,0.0\n2,0.0\n")
-        ds = load_returns_csv(path)
-        np.testing.assert_array_equal(ds.returns, np.zeros((2, 1)))
+        np.testing.assert_array_equal(load_returns_csv(path), np.zeros((2, 1)))
 
     def test_unparseable_reports_line(self, tmp_path):
         path = self.write(tmp_path, "date,A\n1,1.0\n2,oops\n")
@@ -76,18 +73,17 @@ class TestLoadReturnsCsv:
             load_returns_csv(self.write(tmp_path, ""))
 
     def test_large_profile_roundtrip(self, tmp_path):
-        ds = synthetic_returns(13781, 100, seed=0)
+        returns = synthetic_returns(13781, 100, seed=0)
         path = str(tmp_path / "big.csv")
-        write_returns_csv(ds, path)
+        write_returns_csv(returns, path)
         back = load_returns_csv(path)
-        assert back.returns.shape == (13781, 100)
-        np.testing.assert_allclose(back.returns, ds.returns, rtol=0, atol=1e-15)
+        assert back.shape == (13781, 100)
+        np.testing.assert_allclose(back, returns, rtol=0, atol=1e-15)
 
 
 class TestMeanVariance:
     def test_direct_formula_agreement(self):
-        ds = synthetic_returns(40, 6, seed=1)
-        p = build_mean_variance(ds, lam=1e-2)
+        p = build_mean_variance(synthetic_returns(40, 6, seed=1), lam=1e-2)
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, size=6)
@@ -96,8 +92,7 @@ class TestMeanVariance:
             assert abs(composite - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_single_observation_no_variance(self):
-        ds = ReturnsDataset(returns=np.array([[0.2, -0.1]]), labels=("a", "b"))
-        p = build_mean_variance(ds, lam=0.0)
+        p = build_mean_variance(np.array([[0.2, -0.1]]), lam=0.0)
         x = np.array([0.5, 0.5])
         assert smooth_value(p, x) == pytest.approx(-(0.2 * 0.5 - 0.1 * 0.5), abs=1e-15)
 
@@ -108,39 +103,44 @@ class TestMeanVariance:
 
 
 class TestBellman:
-    def test_row_stochasticity_enforced(self):
-        P = np.full((1, 2, 2), 0.45)  # rows sum to 0.9
-        with pytest.raises(ConfigError, match="sum to 1"):
-            BellmanSpec(n_states=2, m=1, gamma=0.9, P=P, r=np.zeros((1, 2)))
+    def test_builder_chains_are_row_stochastic(self):
+        # each A_j = I - gamma P_j, so P_j = (I - A_j) / gamma holds one
+        # distribution over next states per row
+        for n_states, m, seed in ((1, 1, 0), (3, 5, 1), (10, 20, 0), (50, 8, 7)):
+            p = build_bellman(n_states, m, 0.9, seed)
+            P = (np.eye(n_states) - p.A) / 0.9
+            np.testing.assert_allclose(P.sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
+            assert P.min() >= 0.0
 
-    def test_gamma_range_enforced(self):
-        P = np.tile(np.eye(2), (1, 1, 1))
-        with pytest.raises(ConfigError):
-            BellmanSpec(n_states=2, m=1, gamma=1.0, P=P, r=np.zeros((1, 2)))
+    def test_gamma_range_enforced(self, monkeypatch):
+        # a discount outside (0, 1) is refused before any chain is drawn
+        def fail(seed):
+            raise AssertionError("data was drawn before the discount was checked")
+
+        monkeypatch.setattr(problems, "data_rng", fail)
+        for gamma in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match=r"^discount must lie strictly in \(0, 1\)"):
+                build_bellman(4, 6, gamma, 0)
 
     def test_gamma_zero_optimum_is_mean_reward(self):
-        spec = random_bellman_spec(4, 6, gamma=1e-12, seed=0)
-        # gamma ~ 0: minimizing (1/2)||x - r_bar||^2, so x* = r_bar
-        p = build_bellman(spec)
-        np.testing.assert_allclose(p.x_star, spec.r.mean(axis=0), atol=1e-10)
+        # gamma ~ 0: minimizing (1/2)||x - r_bar||^2, so x* = r_bar, with r_j = -b_j
+        p = build_bellman(4, 6, gamma=1e-12, seed=0)
+        np.testing.assert_allclose(p.x_star, -p.b.mean(axis=0), atol=1e-10)
 
     def test_single_chain_linear_solve(self):
-        spec = random_bellman_spec(3, 1, gamma=0.9, seed=1)
-        p = build_bellman(spec)
-        x_direct = np.linalg.solve(np.eye(3) - 0.9 * spec.P[0], spec.r[0])
+        p = build_bellman(3, 1, gamma=0.9, seed=1)
+        x_direct = np.linalg.solve(p.A[0], -p.b[0])
         np.testing.assert_allclose(p.x_star, x_direct, atol=1e-10)
         assert p.phi_star == pytest.approx(0.0, abs=1e-20)
 
     def test_gradient_is_normal_equation_residual(self):
-        spec = random_bellman_spec(4, 5, gamma=0.9, seed=2)
-        p = build_bellman(spec)
+        p = build_bellman(4, 5, gamma=0.9, seed=2)
         x = np.linspace(-1.0, 1.0, 4)
         expected = p.A_bar.T @ (p.A_bar @ x + p.b_bar)
         np.testing.assert_allclose(full_gradient(p, x), expected, atol=1e-13)
 
     def test_no_certified_optimum_with_l1(self):
-        spec = random_bellman_spec(3, 2, gamma=0.9, seed=3)
-        p = build_bellman(spec, lam=0.1)
+        p = build_bellman(3, 2, gamma=0.9, seed=3, lam=0.1)
         assert p.x_star is None and p.phi_star is None
 
 
@@ -162,7 +162,7 @@ class TestToys:
     def test_certified_optima_are_stationary(self):
         problems = [build_toy(kind, d=3, m=4, n=3, seed=5)
                     for kind in ("identity", "affine", "mixed")]
-        problems.append(build_bellman(random_bellman_spec(3, 5, 0.9, seed=5)))
+        problems.append(build_bellman(3, 5, 0.9, seed=5))
         for problem in problems:
             assert problem.x_star is not None
             rng = np.random.default_rng(0)
