@@ -53,7 +53,7 @@ def run_agd(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
             y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
             t_k, x, phi = t_next, x_new, phi_new
-        rec.record_step(0, it, x)
+        rec.step(0, 0, it, x)  # its m + n were charged before x_new's check
     rec.record(0, it, x)
     return x
 
@@ -80,9 +80,13 @@ def run_ascpg(problem: CompositionProblem, config: RunConfig, x0, rec: Recorder)
 
 def _scgd_core(problem, seed, x0, rec, accelerated):
     m, n = int(problem.dims.m), int(problem.dims.n)
+    # each name a tracer or a test may rebind is looked up here, once per run
+    draw, prox, reg = minibatch_rng, prox_step, problem.regularizer
+    inner_value, inner_vjp, outer_grad = problem.inner_value, problem.inner_vjp, problem.outer_grad
     x = start_point(problem, x0)
     if accelerated:  # the tracker's seed sample at the start point, charged before its row
-        y = problem.inner_value(_scalar_draws(minibatch_rng(seed, 0, 0, stream=2), (m,))[0], x)
+        # a copy: the tracker is updated in place, and an oracle may return a view
+        y = np.array(inner_value(_scalar_draws(draw(seed, 0, 0, stream=2), (m,))[0], x))
         rec.charge(1)
     else:
         y = np.zeros(problem.dims.k)
@@ -91,21 +95,26 @@ def _scgd_core(problem, seed, x0, rec, accelerated):
     bounds, cost, t = ((m, n, m), 3, 0) if accelerated else ((m, n), 2, 0)
     while rec.affords(cost):
         t += 1
-        j, i, *j2 = _scalar_draws(minibatch_rng(seed, 0, t, stream=2), bounds)
+        j, i, *j2 = _scalar_draws(draw(seed, 0, t, stream=2), bounds)
         beta_t = min(1.0, BETA0 / t**P_Y)
         alpha_t = ALPHA0 / t**P_X
+        # in place, the same operations in the same order as
+        # y = (1 - beta_t) y + beta_t g_j(.), z = x + (1 / beta_t)(x_new - x)
         if accelerated:
-            grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
-            x_new = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
-            z = x + (1.0 / beta_t) * (x_new - x)
-            y = (1.0 - beta_t) * y + beta_t * problem.inner_value(j2[0], z)
+            grad = inner_vjp(j, x, outer_grad(i, y))
+            x_new = prox(reg, x - alpha_t * grad, alpha_t)
+            z = x_new - x
+            z *= 1.0 / beta_t
+            z += x
+            y *= 1.0 - beta_t
+            y += beta_t * inner_value(j2[0], z)
             x = x_new
         else:
-            y = (1.0 - beta_t) * y + beta_t * problem.inner_value(j, x)
-            grad = problem.inner_vjp(j, x, problem.outer_grad(i, y))
-            x = prox_step(problem.regularizer, x - alpha_t * grad, alpha_t)
-        rec.charge(cost)
-        rec.record_step(0, t, x)
+            y *= 1.0 - beta_t
+            y += beta_t * inner_value(j, x)
+            grad = inner_vjp(j, x, outer_grad(i, y))
+            x = prox(reg, x - alpha_t * grad, alpha_t)
+        rec.step(cost, 0, t, x)
     rec.record(0, t, x)
     return x
 

@@ -22,11 +22,12 @@ steps, of one epoch or of many, in one numpy pass and reproduces their draws
 bit for bit. `minibatch_rng` hands `Philox` a `_PhiloxKey` seed object that
 yields the key (seed bits, 0), so numpy gathers no OS entropy for a
 `SeedSequence` that the key would overwrite; the draws are those of
-`Philox(key=..., counter=...)` on exact uint64 counter words. Each seed's key
-object, with its read-only state, is built once and cached. A step's generator
-is read only as raw 64-bit words: `_scalar_draws` applies numpy's bounded
-draw to them, as consecutive `integers(bound)` calls would without their
-per-call cost, for an SCGD or ASC-PG step and a rejected `draw_minibatch` row.
+`Philox(key=..., counter=...)` on exact uint64 counter words. Each seed is
+checked once, and its key object, with its read-only state, is built once and
+cached. A step's generator is read only as raw 64-bit words: `_scalar_draws`
+applies numpy's bounded draw to them, as consecutive `integers(bound)` calls
+would without their per-call cost, for an SCGD or ASC-PG step and a rejected
+`draw_minibatch` row.
 """
 
 import functools
@@ -75,8 +76,8 @@ class _PhiloxKey:
     """Seed object from which `Philox(seed=...)` reads its 128-bit key
     (key, 0), the one `Philox(key=key)` sets, as generate_state(2, uint64),
     the only request it serves. numpy takes it as a virtual `ISeedSequence`;
-    it is module-level so the generator that holds it pickles. `_philox_key`
-    keeps one per recently used key word, so its read-only state is built once."""
+    it is module-level so the generator that holds it pickles. `_seeded`
+    keeps one per recently used seed, so its read-only state is built once."""
 
     __slots__ = ("state",)
 
@@ -86,9 +87,6 @@ class _PhiloxKey:
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.state
-
-
-_philox_key = functools.lru_cache(maxsize=64)(_PhiloxKey)
 
 
 @functools.cache
@@ -101,6 +99,12 @@ def _philox_classes():
     return Generator, Philox
 
 
+@functools.lru_cache(maxsize=64)
+def _seeded(seed: int) -> tuple:
+    """(Generator, Philox, key object) for an int seed, checked once."""
+    return (*_philox_classes(), _PhiloxKey(_seed_key(seed)))
+
+
 def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
     """Counter-based generator keyed by (seed, epoch, iteration, stream).
 
@@ -108,8 +112,10 @@ def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):
     are reproducible per iteration regardless of execution order. The counter
     words are uint64, so a negative one raises OverflowError.
     """
-    generator, philox = _philox_classes()
-    key = _philox_key(_seed_key(seed))
+    if type(seed) is not int:  # checked before the lookup: [3] has no hash, True hashes as 1
+        _seed_key(seed)
+        seed = int(seed)
+    generator, philox, key = _seeded(seed)
     return generator(philox(key, counter=np.array([0, epoch, iteration, stream], dtype=np.uint64)))
 
 

@@ -120,16 +120,28 @@ class MeanVarianceProblem(CompositionProblem):
         self._smoothness = SmoothnessConstants(L_f=L_f, ell_f=ell_f, L_g=L_g, ell_g=0.0)
 
     # each <r_j, .> is its own dot product (np.vecdot), so a row never depends
-    # on the batch it was evaluated in, as a matrix-vector product's may
+    # on the batch it was evaluated in, as a matrix-vector product's may. One
+    # component at one 1-D point (an SCGD or ASC-PG step) takes a one-row path
+    # with the same bits: ndarray.dot of two vectors is the BLAS dot a vecdot
+    # row calls, and Python floats round as numpy's 0-d values do, at less cost
     def inner_value(self, idx, x):
         R = self.returns[idx]
+        if R.ndim == 1:
+            out = np.empty(self.dims.k)
+            out[:-1] = x
+            out[-1] = -float(R.dot(x))
+            return out
         out = np.empty(R.shape[:-1] + (self.dims.k,))
         out[..., :-1] = x
         out[..., -1] = -np.vecdot(R, x)
         return out
 
     def inner_vjp(self, idx, x, u):
-        return u[..., :-1] - u[..., -1:] * self.returns[idx]
+        R = self.returns[idx]
+        if R.ndim == 1 and u.ndim == 1:
+            out = R * u.item(-1)
+            return np.subtract(u[:-1], out, out=out)
+        return u[..., :-1] - u[..., -1:] * R
 
     def outer_value(self, idx, y):
         z, t = y[:-1], y[-1]
@@ -139,6 +151,12 @@ class MeanVarianceProblem(CompositionProblem):
 
     def outer_grad(self, idx, y):
         R = self.returns[idx]
+        if R.ndim == 1 and y.ndim == 1:
+            u = float(R.dot(y[:-1])) + y.item(-1)
+            out = np.empty(self.dims.k)
+            np.multiply(R, 2.0 * u - 1.0, out=out[:-1])
+            out[-1] = 2.0 * u
+            return out
         u = np.vecdot(R, y[..., :-1]) + y[..., -1]
         out = np.empty(u.shape + (self.dims.k,))
         out[..., :-1] = (2.0 * u - 1.0)[..., None] * R

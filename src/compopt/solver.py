@@ -173,11 +173,10 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
             start, end = t, t + len(rows_B)
         v = estimate_gradient(problem, snapshot, x, rows_A[t - start], rows_B[t - start],
                               df_refs[t - start])
-        recorder.charge(step_cost)
         eta_t = config.step(l)
         l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)
-        recorder.record_step(epoch_index, t + 1, x)
+        recorder.step(step_cost, epoch_index, t + 1, x)
         if not recorder.affords(step_cost):
             x_sum += x * (k - t - 1)  # freeze the average at the stop point
             break

@@ -4,6 +4,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DivergenceError
 from .problem import objective
 
@@ -42,10 +44,11 @@ class Recorder:
     charge nothing: each cost is charged by the loop that checks `affords` for
     it, so a run never charges more than its budget.
 
-    `record_step` keeps a row at the first step whose samples reach the next
-    multiple of `every` above the previous row's (None: none). A row that
-    repeats the previous row's (epoch, iteration, samples) is dropped: no
-    sample was charged in between, so the iterate is unchanged.
+    Each step of a runner's loop is one `step` call, which charges the step,
+    then checks its iterate, then keeps a row at the first step whose samples
+    reach the next multiple of `every` above the previous row's (None: none).
+    A row that repeats the previous row's (epoch, iteration, samples) is
+    dropped: no sample was charged in between, so the iterate is unchanged.
     """
 
     def __init__(self, problem, budget: int, phi_star: float | None = None,
@@ -64,6 +67,7 @@ class Recorder:
         self.every = every
         self.next_row = self.phi_limit = math.inf
         self.rows: list[TraceRecord] = []
+        self._ones = np.ones(problem.dims.d)
 
     def start(self, algorithm: str, seed: int, x):
         """Name the run and write its first row, at x (epoch 0, iteration 0)."""
@@ -90,13 +94,17 @@ class Recorder:
 
     def check_finite(self, epoch: int, steps: int, x):
         """Abort the run if the iterate after `steps` steps is non-finite."""
-        # x is a prox output, in [-R, R] or NaN: its sum is finite iff every entry is
-        if not math.isfinite(x.sum()):
+        # x is a prox output, in [-R, R] or NaN: its sum is finite iff every entry
+        # is. A dot with ones takes half the time of np.add.reduce at d = 25
+        if not math.isfinite(x.dot(self._ones)):
             self._abort("non-finite iterate", epoch, steps)
 
-    def record_step(self, epoch: int, steps: int, x):
-        """Check the iterate after `steps` steps, and record it if the cadence is due."""
-        self.check_finite(epoch, steps, x)
+    def step(self, cost: int, epoch: int, steps: int, x):
+        """Charge a step's `cost`, then check its iterate x, the iterate after
+        `steps` steps, as `check_finite` does, then record x if the cadence is due."""
+        self.samples += int(cost)
+        if not math.isfinite(x.dot(self._ones)):
+            self._abort("non-finite iterate", epoch, steps)
         if self.samples >= self.next_row:
             self.record(epoch, steps, x)
 

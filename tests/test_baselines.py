@@ -148,26 +148,39 @@ class TestAscpg:
 class TestScgdDraws:
     """SCGD builds one generator per step and ASC-PG one more for its tracker
     seed, so generator calls count samples: a step costs 2 (SCGD) or 3
-    (ASC-PG), and ASC-PG's seed sample 1. Their draws are numpy's key-seeded
-    Philox draws, byte for byte in every trace row and the final iterate."""
+    (ASC-PG), and ASC-PG's seed sample 1. Each step makes one call of each
+    oracle and one prox step, and ASC-PG's seed one more inner value. Their
+    draws are numpy's key-seeded Philox draws, byte for byte in every trace
+    row and the final iterate."""
 
     @pytest.mark.parametrize("seed", [0, -3])
-    @pytest.mark.parametrize("runner, ledger", [
-        (run_scgd, lambda samples, calls: samples == 2 * calls),
-        (run_ascpg, lambda samples, calls: samples == 1 + 3 * (calls - 1))],
+    @pytest.mark.parametrize("runner, ledger, seeds", [
+        (run_scgd, lambda samples, calls: samples == 2 * calls, 0),
+        (run_ascpg, lambda samples, calls: samples == 1 + 3 * (calls - 1), 1)],
         ids=["scgd", "ascpg"])
-    def test_calls_match_ledger_and_key_seeded_draws(self, monkeypatch, runner, ledger, seed):
+    def test_calls_match_ledger_and_key_seeded_draws(self, monkeypatch, runner, ledger, seeds,
+                                                     seed):
         problem = build_mean_variance(synthetic_returns(40, 4, seed=0))
         budget, x0 = 5 * problem.N + 1, np.zeros(problem.dims.d)
-        calls = []
+        calls = {"draw": 0, "inner_value": 0, "inner_vjp": 0, "outer_grad": 0, "prox": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return minibatch_rng(*args, **kwargs)
+        def counted(name, fn, one_index=False):
+            def call(*args, **kwargs):
+                # the start point's and the trace rows' objectives call over ALL
+                calls[name] += not one_index or isinstance(args[0], int)
+                return fn(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(baselines, "minibatch_rng", counted)
+        monkeypatch.setattr(baselines, "minibatch_rng", counted("draw", minibatch_rng))
+        monkeypatch.setattr(baselines, "prox_step", counted("prox", prox_step))
+        for oracle in ("inner_value", "inner_vjp", "outer_grad"):
+            monkeypatch.setattr(problem, oracle, counted(oracle, getattr(problem, oracle), True))
         x, rows = run(runner, problem, config(seed), x0, budget, every=problem.N)
-        assert ledger(rows[-1].samples, len(calls))
+        assert ledger(rows[-1].samples, calls["draw"])
+        steps = calls["draw"] - seeds
+        assert steps > 0 and calls == {"draw": steps + seeds, "inner_value": steps + seeds,
+                                       "inner_vjp": steps, "outer_grad": steps, "prox": steps}
+        monkeypatch.undo()
         monkeypatch.setattr(baselines, "minibatch_rng", key_seeded_rng)
         x_ref, rows_ref = run(runner, problem, config(seed), x0, budget, every=problem.N)
         assert x.tobytes() == x_ref.tobytes()

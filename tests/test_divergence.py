@@ -27,13 +27,26 @@ class NanAfterProblem(AffineQuadraticProblem):
         return grad if self.good >= 0 else np.full_like(grad, np.nan)
 
 
+#: (epoch, iteration, samples) where each runner aborts on NanAfterProblem():
+#: the fourth outer gradient is NaN, and the step that reads it aborts once it
+#: is charged. A variance-reduced step follows a snapshot of m + n = 8 and 3
+#: good steps of a + b = 10; an SCGD step costs 2, an ASC-PG step 3 after its
+#: tracker seed's 1, and an AGD iteration's full gradient m + n.
+NAN_ABORTS = {"scvrg": (1, 3, 8 + 3 * 10), "vrscpg": (1, 3, 8 + 3 * 10), "scgd": (0, 4, 4 * 2),
+              "ascpg": (0, 4, 1 + 4 * 3), "agd": (0, 4, 4 * 8)}
+
+
 @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
 def test_nan_oracle_raises_divergence(algorithm):
+    epoch, iteration, samples = NAN_ABORTS[algorithm]
     problem = NanAfterProblem()
     with pytest.raises(DivergenceError,
-                       match=rf"^{algorithm}: non-finite iterate at epoch \d+, iteration \d+$"):
+                       match=rf"^{algorithm}: non-finite iterate at epoch {epoch}, "
+                             rf"iteration {iteration}$") as raised:
         run(harness.RUNNERS[algorithm], problem, RunConfig(S=3), np.zeros(3), 10_000)
-    assert problem.good < 0  # the run reached the NaN oracle before it aborted
+    assert problem.good == -1  # the run aborted at the first NaN gradient
+    row = raised.value.row
+    assert (row.algorithm, row.epoch, row.iteration, row.samples) == (algorithm, -1, -1, samples)
 
 
 def test_nan_oracle_run_exits_two(monkeypatch, tmp_path, capsys):

@@ -167,11 +167,11 @@ class TestMinibatchRng:
         assert state.tolist() == [9, 0] and not state.flags.writeable
         with pytest.raises(ValueError):
             state[0] = 1
-        maxsize = estimators._philox_key.cache_info().maxsize
+        maxsize = estimators._seeded.cache_info().maxsize
         assert maxsize is not None
         for seed in range(-maxsize, maxsize):
             minibatch_rng(seed, 0, 0)
-        assert estimators._philox_key.cache_info().currsize == maxsize
+        assert estimators._seeded.cache_info().currsize == maxsize
 
     def test_counter_words_are_exact_uint64(self):
         # a list counter would be read through float64: 2^63 + 3 would draw

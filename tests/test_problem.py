@@ -67,6 +67,11 @@ class TestIndexContract:
                 same(problem.inner_value(int(j), x), G[row])
                 same(problem.inner_vjp(int(j), x, u), V[row])
                 same(problem.inner_vjp(int(j), x, U[row]), W[row])
+                # idx.shape == (): the cotangents U broadcast against (k,) alone
+                many = problem.inner_vjp(np.asarray(j), x, U)
+                assert many.shape == (7, d)
+                for t in range(7):
+                    same(problem.inner_vjp(int(j), x, U[t]), many[t])
             for row, i in enumerate(B):
                 assert np.ndim(problem.outer_value(int(i), y)) == 0
                 same(problem.outer_value(int(i), y), F[row])
