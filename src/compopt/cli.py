@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
-Subcommands: `run` (one algorithm), `bench` (algorithm suite), `phistar`
-(certified optimum), `check` (verification suite), `toygen` (emit a
-synthetic returns file). Exit codes: 0 success, 1 input error, 2 run abort.
+Subcommands: `bench` (one algorithm or a suite), `phistar` (certified
+optimum), `check` (verification suite), `toygen` (emit a synthetic returns
+file). Exit codes: 0 success, 1 input error, 2 run abort.
 """
 
 import argparse
@@ -50,9 +50,10 @@ _PROBLEM_FLAGS = {"--data": "meanvar", "--gamma": "bellman", "--toy-kind": "toy"
 def _add_problem_flags(parser):
     parser.add_argument("--problem", choices=("meanvar", "bellman", "toy"),
                         default="meanvar")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e-2,
-                        help="l1 weight")
-    parser.add_argument("--radius", type=float, default=1.0, help="box radius")
+    parser.add_argument("--lambda", dest="lam", type=float,
+                        help="l1 weight (default: meanvar 0.01, bellman and toy 0)")
+    parser.add_argument("--radius", type=float,
+                        help="box radius (default: meanvar 1, bellman 100, toy 1)")
     _add_size_flags(parser)
     parser.add_argument("--data", help="meanvar returns CSV, in place of the synthetic draw")
     parser.add_argument("--gamma", type=float, help="bellman discount (default 0.9)")
@@ -80,24 +81,25 @@ def _add_algo_flags(parser):
 
 
 def _build_problem(args):
+    """Each problem's builder sets the --lambda and --radius that are not given."""
     for flag, problem in _PROBLEM_FLAGS.items():
         if problem != args.problem and _value(args, flag) is not None:
             raise InputError(f"{flag} is read only by --problem {problem}, not {args.problem}")
+    given = {name: value for name, value in (("lam", args.lam), ("radius", args.radius))
+           if value is not None}
     if args.data is not None:
         unread = [flag for flag in _SIZE_FLAGS if _value(args, flag) is not None]
         if unread:
             raise InputError(
                 f"{', '.join(unread)} not read with --data, whose file sets the returns")
-        return build_mean_variance(load_returns_csv(args.data), lam=args.lam, radius=args.radius)
+        return build_mean_variance(load_returns_csv(args.data), **given)
     n, d, seed = _sizes(args)
     if args.problem == "meanvar":
-        return build_mean_variance(synthetic_returns(n, d, seed), lam=args.lam,
-                                   radius=args.radius)
+        return build_mean_variance(synthetic_returns(n, d, seed), **given)
     if args.problem == "bellman":
         gamma = 0.9 if args.gamma is None else args.gamma
-        return build_bellman(d, n, gamma, seed, lam=args.lam, radius=args.radius)
-    return build_toy(args.toy_kind or "affine", d=d, m=n, seed=seed, lam=args.lam,
-                     radius=args.radius)
+        return build_bellman(d, n, gamma, seed, **given)
+    return build_toy(args.toy_kind or "affine", d=d, m=n, seed=seed, **given)
 
 
 def _parse_seeds(raw):
@@ -107,14 +109,12 @@ def _parse_seeds(raw):
         raise InputError(f"bad seed list {raw!r}: {exc}") from None
 
 
-def _parse_algos(raw):
-    """Comma-separated names; `run_benchmark` rejects unknown ones."""
-    return [a.strip() for a in raw.split(",") if a.strip()]
-
-
-def _bench(args, algos):
-    """Each config flag goes to the chosen algorithms that read it; one that no
-    chosen algorithm reads is rejected, by its flag, before the problem is built."""
+def _bench(args):
+    """One algorithm or a comma-separated roster, whose unknown names
+    `run_benchmark` rejects. Each config flag goes to the chosen algorithms
+    that read it; one that no chosen algorithm reads is rejected, by its flag,
+    before the problem is built."""
+    algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     params = {name: getattr(args, name) for name in _CONFIG_FLAGS
               if getattr(args, name) is not None}
     check_roster(algos, params, names=_CONFIG_FLAGS)
@@ -150,7 +150,7 @@ def _check(args):
 
 
 def _toygen(args):
-    """Writes the returns `run --problem meanvar` draws; a size `run` refuses writes nothing."""
+    """Writes the returns `bench --problem meanvar` draws; a size `bench` refuses writes nothing."""
     write_returns_csv(synthetic_returns(*_sizes(args)), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -160,17 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="compopt-cli", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a single algorithm", allow_abbrev=False)
-    _add_problem_flags(p_run)
-    _add_algo_flags(p_run)
-    p_run.add_argument("--algo", default="scvrg",
-                       help="one algorithm: " + ",".join(ALGORITHMS))
-
-    p_bench = sub.add_parser("bench", help="run an algorithm suite", allow_abbrev=False)
+    p_bench = sub.add_parser("bench", help="run one algorithm or a suite", allow_abbrev=False)
     _add_problem_flags(p_bench)
     _add_algo_flags(p_bench)
     p_bench.add_argument("--algo", default="scvrg,vrscpg",
-                         help="comma-separated algorithms")
+                         help="comma-separated algorithms: " + ",".join(ALGORITHMS))
 
     p_phi = sub.add_parser("phistar", help="compute a certified optimum", allow_abbrev=False)
     _add_problem_flags(p_phi)
@@ -194,13 +188,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
         return 1 if exc.code == 2 else exc.code
     try:
-        if args.command == "run":
-            algos = _parse_algos(args.algo)
-            if len(algos) != 1:
-                raise InputError("`run` takes exactly one algorithm; use `bench` for suites")
-            return _bench(args, algos)
         if args.command == "bench":
-            return _bench(args, _parse_algos(args.algo))
+            return _bench(args)
         if args.command == "phistar":
             return _phistar(args)
         if args.command == "check":

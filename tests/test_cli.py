@@ -46,31 +46,33 @@ def pinned_output(tmp_path, *argv):
 
 
 class TestRun:
+    """One algorithm runs through `bench --algo NAME`; there is no `run` command."""
+
     def test_toy_run_writes_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
-        code = run_cli("run", "--problem", "toy", "--toy-kind", "identity",
+        code = run_cli("bench", "--algo", "scvrg", "--problem", "toy", "--toy-kind", "identity",
                        "--d", "3", "--budget", "20", "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == TRACE_HEADER
         assert all(line.split(",")[0] == "scvrg" for line in lines[1:])
 
-    def test_run_rejects_multiple_algorithms(self, tmp_path, capsys):
-        code = run_cli("run", "--problem", "toy", "--algo", "scvrg,agd",
-                       "--out", str(tmp_path / "t.csv"))
-        assert code == 1
-        assert "bench" in capsys.readouterr().err
+    def test_run_is_not_a_command(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli("run", "--problem", "toy", "--algo", "scvrg", "--out", str(out)) == 1
+        assert "error: argument command: invalid choice: 'run'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_with_data_file(self, tmp_path):
         data = tmp_path / "returns.csv"
         write_returns_csv(synthetic_returns(40, 3, seed=0), str(data))
         out = tmp_path / "trace.csv"
-        code = run_cli("run", "--data", str(data), "--budget", "10",
+        code = run_cli("bench", "--data", str(data), "--budget", "10",
                        "--algo", "scgd", "--out", str(out))
         assert code == 0
 
     def test_missing_data_file_is_input_error(self, tmp_path):
-        code = run_cli("run", "--data", str(tmp_path / "absent.csv"),
+        code = run_cli("bench", "--algo", "scvrg", "--data", str(tmp_path / "absent.csv"),
                        "--out", str(tmp_path / "t.csv"))
         assert code == 1
 
@@ -95,6 +97,20 @@ class TestBench:
     def test_trace_is_byte_identical_to_the_committed_one(self, name, flags, tmp_path):
         trace = pinned_output(tmp_path, "bench", *flags, "--algo", ",".join(harness.ALGORITHMS))
         assert trace == (DATA / f"bench-{name}.csv").read_bytes()
+
+    def test_bellman_defaults_do_not_start_at_the_optimum(self, tmp_path):
+        # build_bellman's own lambda = 0 and radius = 100: under the l1 weight
+        # 0.01 and the unit box, x = 0 was the optimum and every gap read 0.0
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--problem", "bellman", "--d", "5", "--n", "20", "--seed", "0",
+                       "--algo", ",".join(harness.ALGORITHMS), "--out", str(out)) == 0
+        gaps = {}
+        for line in out.read_text().strip().split("\n")[1:]:
+            row = line.split(",")
+            gaps.setdefault(row[0], []).append(float(row[7]))
+        assert set(gaps) == set(harness.ALGORITHMS)
+        assert all(gap[0] > 0.0 for gap in gaps.values()), gaps
+        assert gaps["agd"][-1] < gaps["agd"][0]
 
     def test_unknown_algorithm(self, tmp_path, capsys):
         code = run_cli("bench", "--problem", "toy", "--algo", "sgd",
@@ -268,25 +284,26 @@ class TestToygen:
 
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
-        ("run", "--problem", "toy", "--eta", "nan"),
-        ("run", "--problem", "toy", "--eta", "inf"),
+        ("bench", "--problem", "toy", "--algo", "scvrg", "--eta", "nan"),
+        ("bench", "--problem", "toy", "--algo", "scvrg", "--eta", "inf"),
         ("bench", "--problem", "toy", "--algo", "vrscpg", "--eta", "nan"),
-        ("run", "--problem", "toy", "--budget", "nan"),
-        ("run", "--problem", "toy", "--budget", "inf"),
+        ("bench", "--problem", "toy", "--algo", "scvrg", "--budget", "nan"),
+        ("bench", "--problem", "toy", "--algo", "scvrg", "--budget", "inf"),
         ("bench", "--problem", "toy", "--budget", "nan"),
         ("phistar", "--problem", "toy", "--budget", "nan"),
         ("phistar", "--problem", "toy", "--budget", "0"),
         ("phistar", "--problem", "toy", "--budget", "-5"),
         ("bench", "--problem", "toy", "--algo", "scgd", "--a", "0", "--b", "0"),
-        ("run", "--problem", "toy", "--epochs", "0"),
-        ("run", "--problem", "toy", "--d", "2", "--n", "4", "--epochs", "1100", "--budget", "5"),
-        ("run", "--problem", "toy", "--algo", "scgd", "--eta", "nan"),
+        ("bench", "--problem", "toy", "--algo", "scvrg", "--epochs", "0"),
+        ("bench", "--problem", "toy", "--algo", "scvrg", "--d", "2", "--n", "4", "--epochs", "1100",
+         "--budget", "5"),
+        ("bench", "--problem", "toy", "--algo", "scgd", "--eta", "nan"),
         ("bench", "--problem", "toy", "--algo", "scgd", "--k0", "0", "--epochs", "-3",
          "--schedule", "constant"),
-        *[("run", "--problem", "toy", "--algo", algo, flag, value)
+        *[("bench", "--problem", "toy", "--algo", algo, flag, value)
           for algo in ("scgd", "ascpg", "agd")
           for flag, value in (("--eta", "0.5"), ("--a", "2"), ("--b", "2"))],
-        *[("run", "--problem", "toy", "--algo", "vrscpg", flag, value)
+        *[("bench", "--problem", "toy", "--algo", "vrscpg", flag, value)
           for flag, value in (("--epochs", "2"), ("--k0", "3"), ("--schedule", "constant"))],
         ("bench", "--problem", "toy", "--algo", "scgd,scgd", "--seed", "0,0"),
         ("bench", "--problem", "toy", "--algo", "scvrg,scgd", "--seed", "0,99999999999999999999"),
@@ -294,27 +311,27 @@ class TestBadInput:
         ("check", "--trials", "0"),
         ("check", "--trials", "-5"),
         *[(sub, "--problem", problem, "--problem-seed", "-1")
-          for sub in ("run", "bench", "phistar")
+          for sub in ("bench", "phistar")
           for problem in ("meanvar", "bellman", "toy")],
         ("toygen", "--problem-seed", "-1"),
-        # sizes that `run` refuses; returns data, like a returns file, needs 2 rows
+        # sizes that `bench` refuses; returns data, like a returns file, needs 2 rows
         ("toygen", "--n", "0"),
         *[(sub, "--problem", "meanvar", "--n", "1")
-          for sub in ("run", "bench", "phistar")],
+          for sub in ("bench", "phistar")],
         ("toygen", "--n", "1"),
         ("toygen", "--d", "0"),
         # --d is Bellman's state count and --n its matrix count
-        ("run", "--problem", "bellman", "--d", "0"),
-        ("run", "--problem", "bellman", "--n", "0"),
+        ("bench", "--problem", "bellman", "--algo", "scvrg", "--d", "0"),
+        ("bench", "--problem", "bellman", "--algo", "scvrg", "--n", "0"),
         # m and n of 2^32 or more, refused before any data is drawn
-        *[("run", "--problem", problem, "--n", str(2**32))
+        *[("bench", "--problem", problem, "--algo", "scvrg", "--n", str(2**32))
           for problem in ("meanvar", "bellman", "toy")],
         ("toygen", "--n", str(2**32)),
         # --data (a returns file), --gamma and --toy-kind are each read by one problem
         *[(sub, "--problem", problem, "--data", "returns.csv")
-          for sub in ("run", "bench", "phistar") for problem in ("bellman", "toy")],
+          for sub in ("bench", "phistar") for problem in ("bellman", "toy")],
         *[(sub, "--problem", problem, flag, value)
-          for sub in ("run", "bench", "phistar")
+          for sub in ("bench", "phistar")
           for problem, flag, value in (("meanvar", "--gamma", "1.5"), ("toy", "--gamma", "0.5"),
                                        ("meanvar", "--toy-kind", "mixed"),
                                        ("bellman", "--toy-kind", "identity"))],
@@ -347,7 +364,8 @@ class TestBadInput:
         assert capsys.readouterr().err == "error: data seed must be non-negative, got -2\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (("run", "--problem", "meanvar", "--gamma", "0.9", "--toy-kind", "affine"),
+        (("bench", "--algo", "scvrg", "--problem", "meanvar", "--gamma", "0.9",
+          "--toy-kind", "affine"),
          "--gamma is read only by --problem bellman, not meanvar"),
         (("bench", "--problem", "bellman", "--data", "returns.csv"),
          "--data is read only by --problem meanvar, not bellman"),
@@ -355,16 +373,18 @@ class TestBadInput:
          "--gamma is read only by --problem bellman, not toy"),
         # a returns file sets its own size, so --data refuses the synthetic draw's
         # flags, even at their default values, before the file is read
-        (("run", "--data", "returns.csv", "--n", "7", "--d", "99", "--problem-seed", "5"),
+        (("bench", "--algo", "scvrg", "--data", "returns.csv", "--n", "7", "--d", "99",
+          "--problem-seed", "5"),
          "--n, --d, --problem-seed not read with --data, whose file sets the returns"),
         (("bench", "--problem", "meanvar", "--data", "returns.csv", "--n", "200"),
          "--n not read with --data, whose file sets the returns"),
         (("phistar", "--data", "returns.csv", "--d", "10"),
          "--d not read with --data, whose file sets the returns"),
-        (("run", "--problem-seed", "0", "--data", "returns.csv"),
+        (("bench", "--algo", "scvrg", "--problem-seed", "0", "--data", "returns.csv"),
          "--problem-seed not read with --data, whose file sets the returns"),
-    ], ids=["run", "bench", "phistar", "run --data --n --d --problem-seed", "bench --data --n",
-            "phistar --data --d", "run --problem-seed --data"])
+    ], ids=["bench --algo scvrg", "bench", "phistar",
+            "bench --algo scvrg --data --n --d --problem-seed", "bench --data --n",
+            "phistar --data --d", "bench --algo scvrg --problem-seed --data"])
     def test_unread_problem_flag_is_named_before_any_data_is_drawn(self, argv, message,
                                                                     monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -385,7 +405,7 @@ class TestBadInput:
         assert capsys.readouterr().err == "error: discount must lie strictly in (0, 1), got 1.5\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (("run", "--algo", "vrscpg", "--epochs", "2", "--schedule", "constant"),
+        (("bench", "--algo", "vrscpg", "--epochs", "2", "--schedule", "constant"),
          "--epochs, --schedule not read by vrscpg"),
         (("bench", "--algo", "scgd,ascpg", "--k0", "3", "--eta", "0.5"),
          "--eta, --k0 not read by scgd or ascpg"),
@@ -402,7 +422,7 @@ class TestBadInput:
     @pytest.mark.parametrize("algo", ["scvrg", "scgd"])
     def test_budget_rounding_to_zero_samples(self, algo, tmp_path, capsys):
         # 1e-9 x N = 200 rounds to 0 samples, whichever algorithm is asked for
-        assert run_cli("run", "--problem", "toy", "--budget", "1e-9", "--algo", algo,
+        assert run_cli("bench", "--problem", "toy", "--budget", "1e-9", "--algo", algo,
                        "--out", str(tmp_path / "t.csv")) == 1
         assert capsys.readouterr().err == "error: sample budget 1e-09 x N = 200 rounds to 0 samples\n"
         assert not (tmp_path / "t.csv").exists()
@@ -424,7 +444,9 @@ class TestBadInput:
 class TestUnwritableOut:
     """An --out under a regular file exits 1 with an error line before any work."""
 
-    @pytest.mark.parametrize("command", [("run",), ("bench", "--algo", "scvrg,scgd,agd")])
+    # one algorithm and a suite
+    @pytest.mark.parametrize("command", [("bench", "--algo", "scvrg"),
+                                         ("bench", "--algo", "scvrg,scgd,agd")])
     def test_run_and_bench_fail_before_phi_star_or_any_run(self, command, tmp_path,
                                                            monkeypatch, capsys):
         started = []
@@ -451,7 +473,7 @@ class TestUnwritableOut:
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
-        assert run_cli("run", "--bogus") == 1
+        assert run_cli("bench", "--bogus") == 1
         assert "usage" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
@@ -463,7 +485,7 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: compopt-cli ")
 
     @pytest.mark.parametrize("command, flags", [
-        ("run", 19), ("bench", 19), ("phistar", 10), ("toygen", 4), ("check", 3)])
+        ("bench", 19), ("phistar", 10), ("toygen", 4), ("check", 3)])
     def test_each_command_lists_the_flags_it_reads(self, command, flags, capsys):
         assert run_cli(command, "--help") == 0
         listed = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
@@ -474,7 +496,7 @@ class TestUsageErrors:
     # each flag has one spelling: no abbreviation, and toygen's and Bellman's
     # removed flags are unknown
     @pytest.mark.parametrize("argv", [
-        ("run", "--epoch", "2"), ("run", "--lam", "0.1"), ("check", "--check", "3"),
+        ("bench", "--epoch", "2"), ("bench", "--lam", "0.1"), ("check", "--check", "3"),
         ("bench", "--states", "7", "--problem", "bellman"),
         ("toygen", "--problem", "meanvar"), ("toygen", "--prob", "3"),
         ("toygen", "--data", "returns.csv"), ("toygen", "--lambda", "0.1"),
@@ -494,5 +516,5 @@ class TestUsageErrors:
         assert exe is not None
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
-        for sub in ("run", "bench", "phistar", "check", "toygen"):
+        for sub in ("bench", "phistar", "check", "toygen"):
             assert sub in proc.stdout

@@ -54,7 +54,7 @@ def test_nan_oracle_run_exits_two(monkeypatch, tmp_path, capsys):
     # phi* is irrelevant here; its polish would spend the good calls first
     monkeypatch.setattr(harness, "compute_phi_star", lambda problem, budget: 0.0)
     out = tmp_path / "t.csv"
-    assert cli.cli_main(["run", "--problem", "toy", "--out", str(out)]) == 2
+    assert cli.cli_main(["bench", "--algo", "scvrg", "--problem", "toy", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("run aborted: 1 of 1 runs diverged")
     rows = out.read_text().strip().split("\n")
     assert rows[1].startswith("scvrg,0,-1,-1,")  # the abort marker is still written
@@ -75,8 +75,9 @@ def test_objective_limit_raises_divergence():
 
 def test_objective_limit_run_exits_two(tmp_path, capsys):
     out = tmp_path / "t.csv"
-    assert cli.cli_main(["run", "--problem", "toy", "--d", "3", "--n", "4", "--radius", "1e6",
-                         "--eta", "10", "--budget", "50", "--out", str(out)]) == 2
+    assert cli.cli_main(["bench", "--algo", "scvrg", "--problem", "toy", "--d", "3", "--n", "4",
+                         "--radius", "1e6", "--eta", "10", "--budget", "50",
+                         "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("run aborted: 1 of 1 runs diverged")
     assert "exceeded the divergence limit" in err
