@@ -288,7 +288,7 @@ class TestBadInput:
         ("bench", "--problem", "toy", "--algo", "scvrg", "--eta", "inf"),
         ("bench", "--problem", "toy", "--algo", "vrscpg", "--eta", "nan"),
         ("bench", "--problem", "toy", "--algo", "scvrg", "--budget", "nan"),
-        ("bench", "--problem", "toy", "--algo", "scvrg", "--budget", "inf"),
+        ("bench", "--problem", "toy", "--budget", "inf", "--algo", "scvrg"),
         ("bench", "--problem", "toy", "--budget", "nan"),
         ("phistar", "--problem", "toy", "--budget", "nan"),
         ("phistar", "--problem", "toy", "--budget", "0"),
@@ -322,7 +322,7 @@ class TestBadInput:
         ("toygen", "--d", "0"),
         # --d is Bellman's state count and --n its matrix count
         ("bench", "--problem", "bellman", "--algo", "scvrg", "--d", "0"),
-        ("bench", "--problem", "bellman", "--algo", "scvrg", "--n", "0"),
+        ("bench", "--problem", "bellman", "--n", "0", "--algo", "scvrg"),
         # m and n of 2^32 or more, refused before any data is drawn
         *[("bench", "--problem", problem, "--algo", "scvrg", "--n", str(2**32))
           for problem in ("meanvar", "bellman", "toy")],
@@ -373,18 +373,18 @@ class TestBadInput:
          "--gamma is read only by --problem bellman, not toy"),
         # a returns file sets its own size, so --data refuses the synthetic draw's
         # flags, even at their default values, before the file is read
-        (("bench", "--algo", "scvrg", "--data", "returns.csv", "--n", "7", "--d", "99",
-          "--problem-seed", "5"),
+        (("bench", "--n", "7", "--d", "99", "--problem-seed", "5", "--data", "returns.csv",
+          "--algo", "scvrg"),
          "--n, --d, --problem-seed not read with --data, whose file sets the returns"),
         (("bench", "--problem", "meanvar", "--data", "returns.csv", "--n", "200"),
          "--n not read with --data, whose file sets the returns"),
         (("phistar", "--data", "returns.csv", "--d", "10"),
          "--d not read with --data, whose file sets the returns"),
-        (("bench", "--algo", "scvrg", "--problem-seed", "0", "--data", "returns.csv"),
+        (("bench", "--problem-seed", "0", "--data", "returns.csv", "--algo", "scvrg"),
          "--problem-seed not read with --data, whose file sets the returns"),
     ], ids=["bench --algo scvrg", "bench", "phistar",
-            "bench --algo scvrg --data --n --d --problem-seed", "bench --data --n",
-            "phistar --data --d", "bench --algo scvrg --problem-seed --data"])
+            "bench --n --d --problem-seed --data --algo scvrg", "bench --data --n",
+            "phistar --data --d", "bench --problem-seed --data --algo scvrg"])
     def test_unread_problem_flag_is_named_before_any_data_is_drawn(self, argv, message,
                                                                     monkeypatch, capsys):
         def fail(*args, **kwargs):
