@@ -10,12 +10,16 @@ import math
 import sys
 from contextlib import nullcontext
 
+import numpy as np
+
 from .errors import ConfigError, DivergenceError, InputError
 from .harness import (ALGORITHMS, check_roster, open_output, polish_phi_star,
                       run_benchmark)
+from .problem import full_gradient
 from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
                        build_toy, load_returns_csv, synthetic_returns,
                        write_returns_csv)
+from .prox import prox_step
 from .solver import SCHEDULES, RunConfig
 from .verify import all_passed, run_all_checks, suite_inputs, write_report_csv
 
@@ -102,6 +106,18 @@ def _build_problem(args):
     return build_toy(args.toy_kind or "affine", d=d, m=n, seed=seed, **given)
 
 
+def _screen_start(problem):
+    """One stderr line when x = 0, where every run and the optimum's polish
+    start, already passes the prox-gradient optimality test prox(0 - grad F(0)
+    / ell, 1 / ell) = 0, that is |grad F(0)_i| <= lambda in every coordinate:
+    such an instance measures nothing. The test costs one full gradient."""
+    ell = problem.smoothness().ell
+    grad = full_gradient(problem, np.zeros(problem.dims.d))
+    if not prox_step(problem.regularizer, -grad / ell, 1.0 / ell).any():
+        print("note: the start point x = 0 is already optimal: "
+              "prox(0 - grad F(0) / ell, 1 / ell) = 0", file=sys.stderr)
+
+
 def _parse_seeds(raw):
     try:
         return [int(s) for s in raw.split(",") if s.strip() != ""]
@@ -118,9 +134,10 @@ def _bench(args):
     params = {name: getattr(args, name) for name in _CONFIG_FLAGS
               if getattr(args, name) is not None}
     check_roster(algos, params, names=_CONFIG_FLAGS)
-    path = run_benchmark(_build_problem(args), algos, args.budget, _parse_seeds(args.seed),
-                         args.out, params)
+    problem = _build_problem(args)
+    path = run_benchmark(problem, algos, args.budget, _parse_seeds(args.seed), args.out, params)
     print(f"wrote {path}")
+    _screen_start(problem)
     return 0
 
 
@@ -132,6 +149,7 @@ def _phistar(args):
     result = polish_phi_star(problem, budget)
     print(repr(result.value))
     print(f"bound {result.bound!r} after {result.gradients} full gradients", file=sys.stderr)
+    _screen_start(problem)
     return 0
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .problem import ALL, CompositionProblem, check_point, mean_jacobian
+from .problem import ALL, CompositionProblem, _row_mean, check_point, mean_jacobian
 
 # Philox4x64 multipliers (for words 0 and 2) and Weyl key increments
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
@@ -247,23 +247,23 @@ def take_snapshot(problem: CompositionProblem, x_tilde) -> EpochSnapshot:
     which the caller charges."""
     x_tilde = check_point(problem, x_tilde).copy()
     g_rows = problem.inner_value(ALL, x_tilde)
-    g = g_rows.mean(axis=0)
+    g = _row_mean(g_rows)
     Z = mean_jacobian(problem, x_tilde)
     df_rows = problem.outer_grad(ALL, g)
-    v = Z.T @ df_rows.mean(axis=0)
+    v = Z.T @ _row_mean(df_rows)
     return EpochSnapshot(x_tilde=x_tilde, g_tilde=g, z_tilde=Z, v_tilde=v,
                          g_rows=g_rows, df_rows=df_rows)
 
 
-def _gathered(idx: np.ndarray, count: int, rows):
-    """rows(idx) for an oracle expression whose point (and cotangent) every
+def _gathered(idx: np.ndarray, count: int, oracle, *args):
+    """oracle(idx, *args) for an oracle whose point (and cotangent) every
     index shares: once idx holds at least `count` indices, the number of
-    components, one call over `ALL` and a gather, rows(ALL)[idx] (by `take`,
-    a third of its cost). The oracles are row-exact, so the bits are the
-    per-index call's."""
+    components, one call over `ALL` and a gather, oracle(ALL, *args)[idx] (by
+    `take`, a third of its cost). The oracles are row-exact, so the bits are
+    the per-index call's."""
     if idx.size >= count:
-        return rows(ALL).take(idx, axis=0)
-    return rows(idx)
+        return oracle(ALL, *args).take(idx, axis=0)
+    return oracle(idx, *args)
 
 
 def _batch_mean(rows: np.ndarray) -> np.ndarray:
@@ -302,7 +302,7 @@ def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B, 
     # a stack's points and cotangents differ per trial, so its calls never gather
     m, n = (math.inf, math.inf) if stack else (problem.dims.m, problem.dims.n)
     y = g_t[..., None, :] if stack else g_t
-    df_new = _batch_mean(_gathered(B, n, lambda idx: problem.outer_grad(idx, y)))
+    df_new = _batch_mean(_gathered(B, n, problem.outer_grad, y))
     if df_ref is None:
         df_ref = _reference_mean(snapshot, B)
     v = snapshot.v_tilde + (df_new - df_ref) @ snapshot.z_tilde
@@ -311,8 +311,8 @@ def _vr_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B, 
     # a step keeps one (k,) point and cotangent (the oracles' one-point path); a
     # stack copies its cotangents out to (t, a, k): einsum over (t, 1, k) is ~3x slower
     u = np.repeat(df_new[..., None, :], A.shape[-1], axis=-2) if stack else df_new
-    return v + _batch_mean(_gathered(A, m, lambda idx: (
-        problem.inner_vjp(idx, x, u) - problem.inner_vjp(idx, snapshot.x_tilde, u))))
+    return v + _batch_mean(_gathered(A, m, problem.inner_vjp, x, u)
+                           - _gathered(A, m, problem.inner_vjp, snapshot.x_tilde, u))
 
 
 def estimate_gradient(problem: CompositionProblem, snapshot: EpochSnapshot, x, A, B,
@@ -349,6 +349,6 @@ def unbiased_reference_gradient(problem: CompositionProblem, snapshot: EpochSnap
     if B.size == 0:
         raise ConfigError("outer minibatch B must be nonempty")
     x = check_point(problem, x)
-    g_x, Z_x = problem.inner_value(ALL, x).mean(axis=0), mean_jacobian(problem, x)
-    df_new = _batch_mean(_gathered(B, problem.dims.n, lambda idx: problem.outer_grad(idx, g_x)))
+    g_x, Z_x = _row_mean(problem.inner_value(ALL, x)), mean_jacobian(problem, x)
+    df_new = _batch_mean(_gathered(B, problem.dims.n, problem.outer_grad, g_x))
     return snapshot.v_tilde + df_new @ Z_x - _reference_mean(snapshot, B) @ snapshot.z_tilde

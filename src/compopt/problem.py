@@ -136,7 +136,7 @@ def check_point(problem: CompositionProblem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dims.d,):
         raise InputError(f"expected point of shape ({problem.dims.d},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("point contains non-finite entries")
     return x
 
@@ -149,13 +149,18 @@ def start_point(problem: CompositionProblem, x0) -> np.ndarray:
     return x
 
 
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """rows.mean(axis=0) bit for bit, by its reduce and division without its wrapper."""
+    return np.add.reduce(rows, axis=0) / len(rows)
+
+
 def mean_jacobian(problem: CompositionProblem, x) -> np.ndarray:
     """(1/m) sum_j dg_j(x), shape (k, d): the problem's read-only
     `constant_jacobian` when it sets one; else row c is the mean VJP against
     e_c, one (m, d) sweep per row."""
     Z = problem.constant_jacobian
     if Z is None:
-        Z = np.array([problem.inner_vjp(ALL, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
+        Z = np.array([_row_mean(problem.inner_vjp(ALL, x, e)) for e in np.eye(problem.dims.k)])
     return Z
 
 
@@ -163,15 +168,14 @@ def full_gradient(problem: CompositionProblem, x) -> np.ndarray:
     """Exact gradient of F via the chain rule: one VJP sweep over all m inner
     maps, (1/m) sum_j dg_j(x)^T mean_i grad f_i(g(x))."""
     x = check_point(problem, x)
-    g = problem.inner_value(ALL, x).mean(axis=0)
-    return problem.inner_vjp(ALL, x, problem.outer_grad(ALL, g).mean(axis=0)).mean(axis=0)
+    g = _row_mean(problem.inner_value(ALL, x))
+    return _row_mean(problem.inner_vjp(ALL, x, _row_mean(problem.outer_grad(ALL, g))))
 
 
 def smooth_value(problem: CompositionProblem, x) -> float:
     """F(x) without the regularizer; no feasibility requirement."""
     x = check_point(problem, x)
-    g = problem.inner_value(ALL, x).mean(axis=0)
-    return float(problem.outer_value(ALL, g).mean())
+    return float(_row_mean(problem.outer_value(ALL, _row_mean(problem.inner_value(ALL, x)))))
 
 
 def objective(problem: CompositionProblem, x) -> float:

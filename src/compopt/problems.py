@@ -233,7 +233,7 @@ class AffineQuadraticProblem(CompositionProblem):
         return np.einsum("...kd,...k->...d", self.A[idx], u)
 
     def outer_value(self, idx, y):
-        return self.scales[idx] * np.sum((y - self.centers[idx]) ** 2, axis=-1)
+        return self.scales[idx] * np.add.reduce((y - self.centers[idx]) ** 2, axis=-1)
 
     def outer_grad(self, idx, y):
         return self._two_scales[idx][..., None] * (y - self.centers[idx])

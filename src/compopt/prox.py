@@ -9,6 +9,8 @@ from .errors import ConfigError, InfeasibleQueryError
 # Absolute slack when testing box membership, to tolerate rounding in callers
 # that project numerically rather than by clipping.
 _BOX_TOL = 1e-12
+# the ufuncs of prox_step, which runs once per solver step, bound once
+_abs, _maximum, _minimum, _copysign = np.abs, np.maximum, np.minimum, np.copysign
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,8 @@ class Regularizer:
             raise ConfigError(f"box radius must be finite and positive, got {self.radius}")
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(np.abs(x) <= self.radius * (1.0 + _BOX_TOL) + _BOX_TOL))
+        return bool(np.abs(np.asarray(x, dtype=float)).max(initial=0.0)
+                    <= self.radius * (1.0 + _BOX_TOL) + _BOX_TOL)
 
 
 def prox_step(reg: Regularizer, x, eta: float):
@@ -40,18 +42,18 @@ def prox_step(reg: Regularizer, x, eta: float):
     if eta <= 0:
         raise ConfigError(f"prox step size must be positive, got {eta}")
     x = np.asarray(x, dtype=float)
-    out = np.abs(x)
+    out = _abs(x)
     out -= eta * reg.lam
-    np.maximum(out, 0.0, out=out)
-    np.minimum(out, reg.radius, out=out)
-    return np.copysign(out, x + 0.0, out=out)
+    _maximum(out, 0.0, out=out)
+    _minimum(out, reg.radius, out=out)
+    return _copysign(out, x + 0.0, out=out)
 
 
 def reg_value(reg: Regularizer, x) -> float:
     """lam * ||x||_1 for feasible x; infeasible queries raise."""
-    x = np.asarray(x, dtype=float)
-    if not reg.contains(x):
+    abs_x = np.abs(np.asarray(x, dtype=float))
+    if not reg.contains(abs_x):  # |x| lies in the box exactly when x does
         raise InfeasibleQueryError(
-            f"point with max |x_i| = {np.max(np.abs(x)):g} is outside the box of radius {reg.radius:g}"
+            f"point with max |x_i| = {abs_x.max():g} is outside the box of radius {reg.radius:g}"
         )
-    return float(reg.lam * np.sum(np.abs(x)))
+    return float(reg.lam * np.add.reduce(abs_x))

@@ -86,12 +86,8 @@ def fd_gradient(problem: CompositionProblem, x) -> np.ndarray:
     """Central finite differences of the smooth part F, step 1e-6 (1 + ||x||)."""
     x = np.asarray(x, dtype=float)
     h = 1e-6 * (1.0 + np.linalg.norm(x))
-    grad = np.zeros_like(x)
-    for t in range(x.size):
-        e = np.zeros_like(x)
-        e[t] = h
-        grad[t] = (smooth_value(problem, x + e) - smooth_value(problem, x - e)) / (2 * h)
-    return grad
+    return np.array([(smooth_value(problem, x + e) - smooth_value(problem, x - e)) / (2 * h)
+                     for e in h * np.eye(x.size)])  # e = h e_t, with +0.0 elsewhere
 
 
 def check_gradient_fd(problem: CompositionProblem, points, name: str = "gradient_fd",

@@ -47,7 +47,8 @@ def per_index_oracles(monkeypatch):
     @contextlib.contextmanager
     def per_index():
         with monkeypatch.context() as patch:
-            patch.setattr(estimators, "_gathered", lambda idx, count, rows: rows(idx))
+            patch.setattr(estimators, "_gathered",
+                          lambda idx, count, oracle, *args: oracle(idx, *args))
             yield
     return per_index
 

@@ -209,6 +209,34 @@ class TestPhistar:
         assert int(match.group(2)) <= 100  # 200 units of N over m + n = 400
 
 
+class TestStartScreen:
+    """`bench` and `phistar` write one stderr line when x = 0, every run's
+    start, already passes the prox-gradient optimality test; their stdout and
+    traces stay as they were (the trace pins run the two instances below)."""
+
+    SCREEN = "note: the start point x = 0 is already optimal"
+    DEGENERATE = ("--problem", "bellman", "--lambda", "0.01", "--radius", "1")
+
+    @pytest.mark.parametrize("argv, degenerate", [
+        (("bench", *DEGENERATE, "--d", "5", "--n", "20"), True),
+        (("phistar", *DEGENERATE, "--d", "10", "--n", "20"), True),
+        (("bench", "--problem", "bellman", "--d", "5", "--n", "20"), False),
+        (("phistar", "--problem", "bellman", "--d", "10", "--n", "20"), False),
+        (("bench", "--problem", "meanvar", "--n", "200", "--d", "10", "--seed", "0,1",
+          "--algo", ",".join(harness.ALGORITHMS)), False),
+    ], ids=["bench degenerate", "phistar degenerate", "bench bellman", "phistar bellman",
+            "bench meanvar pin"])
+    def test_one_line_only_when_the_start_is_optimal(self, argv, degenerate, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run_cli(*argv, *(("--out", str(out)) if argv[0] == "bench" else ())) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count(self.SCREEN) == int(degenerate)
+        if argv[0] == "bench":
+            assert captured.out == f"wrote {out}\n"
+        else:
+            assert [len(line.split()) for line in captured.out.splitlines()] == [1]
+
+
 class TestCheck:
     def test_passes_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

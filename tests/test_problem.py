@@ -251,6 +251,74 @@ class TestAllComponentsGather:
         assert calls == {"inner_value": [False] * 20, "inner_vjp": [], "outer_grad": [False] * 20}
 
 
+#: the five `run_all_checks` fixtures at check seed 0, the roster's and the
+#: wide workload's instances, and the curved test problem, whose snapshot sweeps
+FULL_BATCH_PROBLEMS = {
+    "toy_identity": lambda: build_toy("identity", d=3, m=4, n=3, seed=0),
+    "toy_affine": lambda: build_toy("affine", d=3, m=4, n=3, seed=0),
+    "toy_mixed": lambda: build_toy("mixed", d=3, m=4, n=2, seed=0),
+    "meanvar": lambda: build_mean_variance(synthetic_returns(50, 4, 0), lam=1e-2),
+    "bellman": lambda: build_bellman(5, 8, 0.9, 0),
+    "roster-2000x25": lambda: build_mean_variance(synthetic_returns(2000, 25, 0), lam=1e-2),
+    "wide-2000x200": lambda: build_mean_variance(synthetic_returns(2000, 200, 0), lam=1e-2),
+    "curved": CurvedInnerProblem,
+}
+
+
+def mean_smooth_value(problem, x):
+    """F(x) with ndarray.mean, as the full-batch helpers computed it before they
+    called the reduce and division that mean makes themselves, and with the
+    affine-quadratic outer values' np.sum."""
+    g = problem.inner_value(ALL, x).mean(axis=0)
+    if isinstance(problem, AffineQuadraticProblem):
+        return float((problem.scales * np.sum((g - problem.centers) ** 2, axis=-1)).mean())
+    return float(problem.outer_value(ALL, g).mean())
+
+
+def mean_full_gradient(problem, x):
+    g = problem.inner_value(ALL, x).mean(axis=0)
+    return problem.inner_vjp(ALL, x, problem.outer_grad(ALL, g).mean(axis=0)).mean(axis=0)
+
+
+def mean_objective(problem, x):
+    return mean_smooth_value(problem, x) + float(problem.regularizer.lam * np.sum(np.abs(x)))
+
+
+def mean_snapshot(problem, x):
+    """(g~, Z~, v~, g rows, df rows) as take_snapshot's fields hold them."""
+    g_rows = problem.inner_value(ALL, x)
+    g = g_rows.mean(axis=0)
+    Z = problem.constant_jacobian
+    if Z is None:
+        Z = np.array([problem.inner_vjp(ALL, x, e).mean(axis=0) for e in np.eye(problem.dims.k)])
+    df_rows = problem.outer_grad(ALL, g)
+    return g, Z, Z.T @ df_rows.mean(axis=0), g_rows, df_rows
+
+
+def same_words(a, b) -> bool:
+    """Equal as 64-bit words: every bit, a zero's sign and a NaN's payload too."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestFullBatchBits:
+    """The full-batch helpers average rows with the reduce and division that
+    ndarray.mean makes, so each returns .mean's bits: 20 random box points
+    per problem, compared as 64-bit words."""
+
+    @pytest.mark.parametrize("name", list(FULL_BATCH_PROBLEMS))
+    def test_helpers_give_the_mean_bits(self, name):
+        problem = FULL_BATCH_PROBLEMS[name]()
+        R = problem.regularizer.radius
+        for x in np.random.default_rng(11).uniform(-R, R, size=(20, problem.dims.d)):
+            assert same_words(smooth_value(problem, x), mean_smooth_value(problem, x))
+            assert same_words(full_gradient(problem, x), mean_full_gradient(problem, x))
+            assert same_words(objective(problem, x), mean_objective(problem, x))
+            snap = take_snapshot(problem, x)
+            fields = (snap.g_tilde, snap.z_tilde, snap.v_tilde, snap.g_rows, snap.df_rows)
+            assert all(map(same_words, fields, mean_snapshot(problem, x)))
+
+
 class TestProblemDims:
     def test_valid(self):
         dims = ProblemDims(m=2, n=3, d=4, k=5)
