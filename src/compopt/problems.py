@@ -198,7 +198,7 @@ class AffineQuadraticProblem(CompositionProblem):
         if S <= 0.0:
             raise ConfigError(f"the outer scales must have a positive mean, got {S:g}")
         self.A, self.b, self.centers, self.scales = A, b, centers, scales
-        self._two_scales = 2.0 * scales
+        self._two_scales = 2.0 * scales[:, None]  # a column, which broadcasts over y's rows
         self.A_bar = self.constant_jacobian = A.mean(axis=0)
         self.A_bar.flags.writeable = False
         self.b_bar = b.mean(axis=0)
@@ -236,7 +236,10 @@ class AffineQuadraticProblem(CompositionProblem):
         return self.scales[idx] * np.add.reduce((y - self.centers[idx]) ** 2, axis=-1)
 
     def outer_grad(self, idx, y):
-        return self._two_scales[idx][..., None] * (y - self.centers[idx])
+        # scaled in place: a stack's gathered centers are freed before its scales are gathered
+        out = y - self.centers[idx]
+        out *= self._two_scales[idx]
+        return out
 
 
 # ---------------------------------------------------------------------------

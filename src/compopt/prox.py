@@ -43,8 +43,10 @@ def prox_step(reg: Regularizer, x, eta: float):
         raise ConfigError(f"prox step size must be positive, got {eta}")
     x = np.asarray(x, dtype=float)
     out = _abs(x)
-    out -= eta * reg.lam
-    _maximum(out, 0.0, out=out)
+    shrink = eta * reg.lam
+    if shrink:  # |x| is >= 0 or NaN already, so a zero shrink would change no bit
+        out -= shrink
+        _maximum(out, 0.0, out=out)
     _minimum(out, reg.radius, out=out)
     return _copysign(out, x + 0.0, out=out)
 

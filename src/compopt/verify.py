@@ -148,10 +148,13 @@ def _mc_mean_sq(problem, a, b, trials, seed, deviation):
 
 
 def _simulate_vu_sq(problem, snapshot, x, a, b, trials, seed):
-    """Monte-Carlo mean of ||v_t - u_t||^2 with shared B per paired draw."""
-    return _mc_mean_sq(problem, a, b, trials, seed, lambda A, B: (
-        estimators._vr_gradient(problem, snapshot, x, A, B)
-        - unbiased_reference_gradient(problem, snapshot, x, B)))
+    """Monte-Carlo mean of ||v_t - u_t||^2 with shared B, and its reference mean,
+    per paired draw."""
+    def deviation(A, B):
+        df_ref = estimators._reference_mean(snapshot, B)
+        return (estimators._vr_gradient(problem, snapshot, x, A, B, df_ref)
+                - unbiased_reference_gradient(problem, snapshot, x, B, df_ref))
+    return _mc_mean_sq(problem, a, b, trials, seed, deviation)
 
 
 def _dominated(name, measured, bound, snapshot, trials, seed) -> CheckReport:
@@ -248,22 +251,28 @@ def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float
                      x0) -> np.ndarray:
     """Per-epoch composite potential: objective gap plus weighted distance
     terms at each epoch's reference, first iterate and first step, from a full
-    run's epoch records, and once more at the run's closing point."""
+    run's epoch records, and once more at the run's closing point. Phi at x0
+    and at each epoch's last iterate (the next first iterate) is read from the
+    rows the run's recorder keeps there."""
     if problem.x_star is None or problem.phi_star is None:
         raise ConfigError("contraction check requires a problem with a certified optimum")
     xs, ps, ell = problem.x_star, problem.phi_star, problem.smoothness().ell
     budget = predicted_total_samples(config, problem.dims.m, problem.dims.n)
+    recorder = Recorder(problem, budget)
     # by keyword: perfbench times this call through a (problem, config, x0, **kwargs) wrapper
-    result = run_scvrg(problem, config, x0, recorder=Recorder(problem, budget))
+    result = run_scvrg(problem, config, x0, recorder=recorder)
     last = result.epochs[-1]
     # (reference, first iterate, first step, k_s = k0 * 2^s) for s = 0..S
     points = [(e.x_ref, e.x_start, e.eta_start, e.k // 2) for e in result.epochs]
     points.append((result.x, last.x_last, config.step(last.l), last.k))
-    return np.array([objective(problem, x_ref) - ps
+    phi_start = [row.objective for row in recorder.rows]
+    phi_ref = phi_start[:1] + [objective(problem, x_ref) for x_ref, *_ in points[1:]]
+    return np.array([phi_r - ps
                      + 4.5 * beta * ell * float(np.sum((x_ref - xs) ** 2))
                      + 3.0 * float(np.sum((x_start - xs) ** 2)) / (4.0 * eta0 * k_s)
-                     + 1.5 * (objective(problem, x_start) - ps) / k_s
-                     for x_ref, x_start, eta0, k_s in points])
+                     + 1.5 * (phi_s - ps) / k_s
+                     for (x_ref, x_start, eta0, k_s), phi_r, phi_s
+                     in zip(points, phi_ref, phi_start, strict=True)])
 
 
 def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,

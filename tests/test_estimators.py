@@ -472,6 +472,13 @@ class TestUnbiasedReference:
                           for i in range(n)], axis=0)
         np.testing.assert_allclose(mean_u, full_gradient(affine_toy, x), atol=1e-14)
 
+    def test_passed_reference_mean_changes_no_bit(self, affine_toy):
+        snap = take_snapshot(affine_toy, np.zeros(2))
+        x, B = np.array([-0.2, 0.6]), np.array([[0, 2, 2], [1, 1, 0]])
+        u = unbiased_reference_gradient(affine_toy, snap, x, B)
+        df_ref = estimators._reference_mean(snap, B)
+        assert unbiased_reference_gradient(affine_toy, snap, x, B, df_ref).tobytes() == u.tobytes()
+
 
 SHIPPED_BUILDERS = {
     "identity": lambda: build_toy("identity", d=3, m=6, n=4, seed=5),

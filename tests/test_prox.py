@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from compopt import prox
 from compopt.errors import ConfigError, InfeasibleQueryError
 from compopt.prox import Regularizer, prox_step, reg_value
 
@@ -113,6 +114,29 @@ class TestProxBits:
             nan = np.isnan(want)
             assert np.array_equal(np.isnan(got), nan)
             assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    @pytest.mark.parametrize("lam, eta", [(5e-324, 0.5), (1e-200, 1e-200), (0.0, 0.5),
+                                          (5e-324, 1.0), (0.3, 0.5)])
+    def test_shrink_is_skipped_exactly_when_it_rounds_to_zero(self, monkeypatch, lam, eta):
+        """The shrink runs unless eta * lam is 0, also for lam > 0 whose product
+        underflows: the shortcut keys on the product, not on lam, and changes
+        no bit, since |x| is >= 0 or NaN already."""
+        shrinks = []
+
+        def maximum(*args, **kwargs):
+            shrinks.append(None)
+            return np.maximum(*args, **kwargs)
+
+        monkeypatch.setattr(prox, "_maximum", maximum)
+        reg = Regularizer(lam=lam, radius=1.5)
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 0.7, -0.7, 1.5, -1.5, 2.0, -2.0,
+                      np.inf, -np.inf, np.nan, -np.nan])
+        got, want = prox_step(reg, x, eta), reference_prox(reg, x, eta)
+        assert len(shrinks) == (eta * lam != 0.0)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        assert got[1].view(np.uint64) == 0  # -0.0 maps to +0.0
 
 
 class TestRegValue:

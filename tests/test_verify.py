@@ -9,9 +9,10 @@ from compopt import estimators, verify
 from compopt.errors import ConfigError
 from compopt.estimators import (_inner_estimate, _vr_gradient, take_snapshot,
                                 unbiased_reference_gradient)
-from compopt.problem import ALL, full_gradient, mean_jacobian
+from compopt.problem import ALL, full_gradient, mean_jacobian, objective
 from compopt.problems import build_toy
-from compopt.solver import RunConfig, run_scvrg
+from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
+from compopt.trace import Recorder
 from compopt.verify import (REPORT_HEADER, CheckReport, all_passed,
                             check_epoch_contraction, check_gradient_fd,
                             check_lemma1, check_lemma1_scaling, check_lemma2,
@@ -146,6 +147,38 @@ class TestEpochContraction:
         with pytest.raises(ConfigError):
             check_epoch_contraction(problem, config, beta=1.5, seeds=[0])
 
+    def test_potentials_evaluate_only_the_later_references(self, monkeypatch):
+        """Phi at x0, epoch 1's reference and first iterate, and at each
+        epoch's last iterate, the next first iterate, is read from the run's
+        recorder rows: a 3-epoch run's potentials evaluate the objective at
+        its 3 later references, not at all 8 points, and equal, bit for bit,
+        the potentials of evaluating all 8."""
+        problem, beta = self.make_problem(), 0.9
+        config = RunConfig(S=3, k0=10, eta=1e-3, a=5, b=4, seed=1)
+        x0 = np.full(3, 0.5)
+        calls = []
+
+        def counted(problem, x):
+            calls.append(None)
+            return objective(problem, x)
+
+        monkeypatch.setattr(verify, "objective", counted)
+        got = verify.epoch_potentials(problem, config, beta, x0)
+        assert len(calls) == 3
+
+        budget = predicted_total_samples(config, problem.dims.m, problem.dims.n)
+        result = run_scvrg(problem, config, x0, recorder=Recorder(problem, budget))
+        xs, ps, ell = problem.x_star, problem.phi_star, problem.smoothness().ell
+        last = result.epochs[-1]
+        points = [(e.x_ref, e.x_start, e.eta_start, e.k // 2) for e in result.epochs]
+        points.append((result.x, last.x_last, config.step(last.l), last.k))
+        want = np.array([objective(problem, x_ref) - ps
+                         + 4.5 * beta * ell * float(np.sum((x_ref - xs) ** 2))
+                         + 3.0 * float(np.sum((x_start - xs) ** 2)) / (4.0 * eta0 * k_s)
+                         + 1.5 * (objective(problem, x_start) - ps) / k_s
+                         for x_ref, x_start, eta0, k_s in points])
+        assert len(points) == 4 and got.tobytes() == want.tobytes()
+
 
 class TestReporting:
     def test_csv_header_and_rows(self, tmp_path):
@@ -255,14 +288,14 @@ def _biased_inner(problem, snapshot, x, A):
     return _inner_estimate(problem, snapshot, x, A) + 0.3 * snapshot.g_tilde
 
 
-def _plain_unbiased(problem, snapshot, x, B):
+def _plain_unbiased(problem, snapshot, x, B, df_ref=None):
     """Z(x)^T mean_B grad f_i(g(x)), without the control variate."""
     g, Z = problem.inner_value(ALL, x).mean(axis=0), mean_jacobian(problem, x)
     return problem.outer_grad(np.asarray(B), g).mean(axis=-2) @ Z
 
 
-def _biased_unbiased(problem, snapshot, x, B):
-    return unbiased_reference_gradient(problem, snapshot, x, B) + 0.3 * snapshot.v_tilde
+def _biased_unbiased(problem, snapshot, x, B, df_ref=None):
+    return unbiased_reference_gradient(problem, snapshot, x, B, df_ref) + 0.3 * snapshot.v_tilde
 
 
 def _biased_vr(problem, snapshot, x, A, B, df_ref=None):
