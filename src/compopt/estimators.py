@@ -24,10 +24,11 @@ yields the key (seed bits, 0), so numpy gathers no OS entropy for a
 `SeedSequence` that the key would overwrite; the draws are those of
 `Philox(key=..., counter=...)` on exact uint64 counter words. Each seed is
 checked once, and its key object, with its read-only state, is built once and
-cached. A step's generator is read only as raw 64-bit words: `_scalar_draws`
-applies numpy's bounded draw to them, as consecutive `integers(bound)` calls
-would without their per-call cost, for an SCGD or ASC-PG step and a rejected
-`draw_minibatch` row.
+cached. numpy.random is imported on the first draw: importing any compopt
+module leaves it unloaded. A step's generator is read only as raw 64-bit
+words: `_scalar_draws` applies numpy's bounded draw to them, as consecutive
+`integers(bound)` calls would without their per-call cost, for an SCGD or
+ASC-PG step and a rejected `draw_minibatch` row.
 """
 
 import functools
@@ -75,9 +76,11 @@ def _seed_key(seed) -> int:
 class _PhiloxKey:
     """Seed object from which `Philox(seed=...)` reads its 128-bit key
     (key, 0), the one `Philox(key=key)` sets, as generate_state(2, uint64),
-    the only request it serves. numpy takes it as a virtual `ISeedSequence`;
-    it is module-level so the generator that holds it pickles. `_seeded`
-    keeps one per recently used seed, so its read-only state is built once."""
+    the only request it serves. numpy takes it as a virtual `ISeedSequence`,
+    registered by `_seeded` on the first draw, since importing any compopt
+    module leaves numpy.random unloaded. It is module-level so the generator
+    that holds it pickles, and `_seeded` keeps one per recently used seed, so
+    its read-only state is built once."""
 
     __slots__ = ("state",)
 
@@ -89,20 +92,15 @@ class _PhiloxKey:
         return self.state
 
 
-@functools.cache
-def _philox_classes():
-    """(Generator, Philox), imported on first use: `import compopt` leaves
-    numpy.random unloaded, which keeps a process's resident set small."""
+@functools.lru_cache(maxsize=64)
+def _seeded(seed: int) -> tuple:
+    """(Generator, Philox, key object) for an int seed, checked once. numpy.random
+    is imported here, on the first draw: importing any compopt module leaves it
+    unloaded, which keeps a process's resident set small."""
     from numpy.random import Generator, Philox
     from numpy.random.bit_generator import ISeedSequence
     ISeedSequence.register(_PhiloxKey)
-    return Generator, Philox
-
-
-@functools.lru_cache(maxsize=64)
-def _seeded(seed: int) -> tuple:
-    """(Generator, Philox, key object) for an int seed, checked once."""
-    return (*_philox_classes(), _PhiloxKey(_seed_key(seed)))
+    return Generator, Philox, _PhiloxKey(_seed_key(seed))
 
 
 def minibatch_rng(seed: int, epoch: int, iteration: int, stream: int = 0):

@@ -9,6 +9,7 @@ at 1 on the final step.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ class RunConfig:
     schedule: str = "adaptive"
 
     def __post_init__(self):
+        for name in ("S", "k0", "a", "b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k0 < 1:
             raise ConfigError(f"first epoch length k0 must be >= 1, got {self.k0}")
         if self.S < 1:

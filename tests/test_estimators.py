@@ -196,16 +196,39 @@ class TestMinibatchRng:
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy 2 loads numpy.random lazily; the resident set of a process
-        # that imports compopt stays smaller while nothing draws. The first
-        # draw then loads it and yields the key-seeded Philox draws.
-        code = ("import sys, compopt; loaded = 'numpy.random' in sys.modules; "
-                "print(loaded, compopt.minibatch_rng(-3, 1, 2, 1).integers(0, 10**6, 9).tolist())")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
+        # that imports every compopt module (cli does) stays smaller while
+        # nothing draws. The first draw then loads it and yields the
+        # key-seeded Philox draws.
+        code = ("import compopt.cli; loaded = 'numpy.random' in sys.modules; "
+                "print(loaded, compopt_modules(), "
+                "compopt.estimators.minibatch_rng(-3, 1, 2, 1).integers(0, 10**6, 9).tolist())")
+        every = ["compopt"] + [f"compopt.{f.stem}" for f in (SRC / "compopt").glob("*.py")
+                               if f.stem != "__init__"]
         draws = key_seeded_rng(-3, 1, 2, 1).integers(0, 10**6, 9).tolist()
-        assert out.strip() == f"False {draws}"
+        assert fresh_python(code) == f"False {sorted(every)} {draws}"
+
+
+def fresh_python(code: str) -> str:
+    """The stripped stdout of `code` run in a new interpreter on this src tree,
+    where compopt_modules() lists the compopt modules loaded, sorted."""
+    code = ("import sys\ndef compopt_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'compopt')\n" + code)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+class TestImportGraph:
+    def test_a_module_loads_only_what_it_imports(self):
+        # the package re-exports nothing, so importing one module loads only
+        # the modules it imports, not the whole package
+        assert fresh_python("import compopt.problems; print(*compopt_modules())").split() == [
+            "compopt", "compopt.errors", "compopt.problem", "compopt.problems", "compopt.prox"]
+        loaded = fresh_python("import compopt.solver; print(*compopt_modules())").split()
+        assert "compopt.solver" in loaded
+        assert not {"compopt.baselines", "compopt.harness", "compopt.verify",
+                    "compopt.cli"} & set(loaded)
 
 
 def reference_rows(seed, epoch, steps, stream, bound, size):

@@ -48,6 +48,7 @@ class TestStepSize:
 class TestRunConfig:
     def test_horizon(self):
         assert RunConfig(S=3, k0=10).T == 70
+        assert RunConfig(S=np.int64(3), k0=np.int64(10)).T == 70
 
     def test_horizon_just_below_2_63_steps(self):
         # T = 2^63 - 1 is accepted, and its step schedule is a float
@@ -65,7 +66,9 @@ class TestRunConfig:
                                      dict(eta=float("inf")), dict(S=64), dict(S=1100),
                                      dict(S=60, k0=9), dict(seed=2**63),
                                      dict(seed=-2**63 - 1), dict(seed=1.5), dict(seed=True),
-                                     dict(seed="3"), dict(seed=np.float64(1.0))])
+                                     dict(seed="3"), dict(seed=np.float64(1.0)),
+                                     dict(k0=2.5), dict(S=2.0), dict(a=True),
+                                     dict(b=np.float64(5.0))])
     def test_validation(self, bad):
         kwargs = dict(S=2)
         kwargs.update(bad)
