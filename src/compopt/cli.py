@@ -81,7 +81,8 @@ def _add_algo_flags(parser):
     parser.add_argument("--seed", default="0", help="comma-separated seed list")
     parser.add_argument("--schedule", choices=SCHEDULES,
                         help=f"step schedule (default {RunConfig.schedule})")
-    parser.add_argument("--out", default="trace.csv", help="output CSV path")
+    parser.add_argument("--out", default="trace.csv", help="trace CSV path; a row scores the "
+                        "iterate at that row (scvrg: its last, not the average it returns)")
 
 
 def _build_problem(args):

@@ -26,33 +26,37 @@ def load_returns_csv(path) -> np.ndarray:
     one percent-unit column per asset, under a header whose labels are not kept.
 
     Rows containing a missing-value sentinel (-99.99 or -999) are dropped, the
-    rest divided by 100. Row order is preserved.
+    rest divided by 100. Row order is preserved. The file must be UTF-8 text.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        d = len(header[1:])
-        if d == 0:
-            raise InputError(f"{path}: header has no asset columns")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != d + 1:
-                raise InputError(
-                    f"{path}:{lineno}: expected {d + 1} columns, found {len(row)}")
-            try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: unparseable value ({exc})") from None
-            if any(v in MISSING_SENTINELS for v in values):
-                continue
-            if not np.isfinite(values).all():
-                raise InputError(f"{path}:{lineno}: non-finite value")
-            rows.append(values)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            d = len(header) - 1
+            if d == 0:
+                raise InputError(f"{path}: header has no asset columns")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != d + 1:
+                    raise InputError(
+                        f"{path}:{lineno}: expected {d + 1} columns, found {len(row)}")
+                try:
+                    values = [float(cell) for cell in row[1:]]
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: unparseable value ({exc})") from None
+                if any(v in MISSING_SENTINELS for v in values):
+                    continue
+                if not np.isfinite(values).all():
+                    raise InputError(f"{path}:{lineno}: non-finite value")
+                rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise InputError(f"{path}: fewer than 2 usable rows after sentinel filtering")
     return np.asarray(rows, dtype=float) / 100.0
@@ -83,10 +87,9 @@ def write_returns_csv(returns: np.ndarray, path):
     """Write an (N, d) returns array in the percent-unit format that
     `load_returns_csv` reads, under a `date,asset_0,...` header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + [f"asset_{i}" for i in range(returns.shape[1])])
-        for t, row in enumerate(returns):
-            writer.writerow([f"{t:06d}"] + [repr(float(v) * 100.0) for v in row])
+        fh.write(",".join(["date"] + [f"asset_{i}" for i in range(returns.shape[1])]) + "\r\n")
+        for t, row in enumerate((returns * 100.0).tolist()):
+            fh.write(f"{t:06d}," + ",".join(map(repr, row)) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

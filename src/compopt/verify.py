@@ -40,6 +40,7 @@ MC_SLICE = 5_000
 CONTRACTION_THRESHOLD = 0.75
 CONTRACTION_SEEDS = 20  # seeds the stochastic contraction check averages over
 CONTRACTION_THRESHOLD_DETERMINISTIC = 0.5 + 1e-6
+BETA = 0.9  # the contraction theorem's beta, in (0, 1): its hypotheses and potential weight
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,10 @@ class CheckReport:
     bound: float
     trials: int
     seed: int
-    skipped: bool = False
     detail: str = ""
 
     def format_line(self) -> str:
-        status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
+        status = "PASS" if self.passed else "FAIL"
         line = (f"[{status}] {self.name}: measured={self.measured:.6g} "
                 f"bound={self.bound:.6g} trials={self.trials} seed={self.seed}")
         if self.detail:
@@ -239,16 +239,15 @@ def check_combined_bound(problem: CompositionProblem, snapshot: EpochSnapshot, x
 # epoch contraction proxy
 # ---------------------------------------------------------------------------
 
-def contraction_hypotheses(ell: float, beta: float, T: int):
-    """The contraction theorem's hypotheses as (a_min, b_min, eta_max):
-    a >= 2 ell^2 / beta^2, b >= ell^2 / beta^2 and
+def contraction_hypotheses(ell: float, T: int):
+    """The contraction theorem's hypotheses as (a_min, b_min, eta_max), at
+    beta = BETA: a >= 2 ell^2 / beta^2, b >= ell^2 / beta^2 and
     eta <= min(1/(30 beta T ell), 1/(25 ell))."""
-    return (2.0 * ell**2 / beta**2, ell**2 / beta**2,
-            min(1.0 / (30.0 * beta * T * ell), 1.0 / (25.0 * ell)))
+    return (2.0 * ell**2 / BETA**2, ell**2 / BETA**2,
+            min(1.0 / (30.0 * BETA * T * ell), 1.0 / (25.0 * ell)))
 
 
-def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float,
-                     x0) -> np.ndarray:
+def epoch_potentials(problem: CompositionProblem, config: RunConfig, x0) -> np.ndarray:
     """Per-epoch composite potential: objective gap plus weighted distance
     terms at each epoch's reference, first iterate and first step, from a full
     run's epoch records, and once more at the run's closing point. Phi at x0
@@ -268,7 +267,7 @@ def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float
     phi_start = [row.objective for row in recorder.rows]
     phi_ref = phi_start[:1] + [objective(problem, x_ref) for x_ref, *_ in points[1:]]
     return np.array([phi_r - ps
-                     + 4.5 * beta * ell * float(np.sum((x_ref - xs) ** 2))
+                     + 4.5 * BETA * ell * float(np.sum((x_ref - xs) ** 2))
                      + 3.0 * float(np.sum((x_start - xs) ** 2)) / (4.0 * eta0 * k_s)
                      + 1.5 * (phi_s - ps) / k_s
                      for (x_ref, x_start, eta0, k_s), phi_r, phi_s
@@ -276,20 +275,16 @@ def epoch_potentials(problem: CompositionProblem, config: RunConfig, beta: float
 
 
 def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
-                            beta: float, seeds) -> CheckReport:
+                            seeds) -> CheckReport:
     """Seed-averaged potential must contract by the threshold factor per epoch,
     from x0 = (R/2, ..., R/2).
 
-    The `contraction_hypotheses` are verified first; a config that cannot
-    satisfy them yields a skipped report.
+    The check runs only inside the theorem's regime: a config that fails any
+    of the `contraction_hypotheses` is a ConfigError naming each one.
     """
     ell = problem.smoothness().ell
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     deterministic = config.a == problem.dims.m and config.b == problem.dims.n
-    threshold = (CONTRACTION_THRESHOLD_DETERMINISTIC if deterministic
-                 else CONTRACTION_THRESHOLD)
-    a_min, b_min, eta_max = contraction_hypotheses(ell, beta, config.T)
+    a_min, b_min, eta_max = contraction_hypotheses(ell, config.T)
     reasons = []
     # full enumeration makes the gradient estimate exact, so the batch-size
     # hypotheses (which only control its variance) are vacuous there
@@ -301,14 +296,15 @@ def check_epoch_contraction(problem: CompositionProblem, config: RunConfig,
     if config.eta > eta_max:
         reasons.append(f"eta={config.eta:.3g} > {eta_max:.3g}")
     if reasons:
-        return CheckReport(name="epoch_contraction", passed=False, measured=np.nan,
-                           bound=threshold, trials=len(seeds), seed=config.seed,
-                           skipped=True, detail="; ".join(reasons))
+        raise ConfigError("config outside the contraction theorem's regime: "
+                          + "; ".join(reasons))
     x0 = np.full(problem.dims.d, 0.5 * problem.regularizer.radius)
-    averaged = sum(epoch_potentials(problem, replace(config, seed=int(seed)), beta, x0)
+    averaged = sum(epoch_potentials(problem, replace(config, seed=int(seed)), x0)
                    for seed in seeds) / len(seeds)
     ratios = averaged[1:] / averaged[:-1]
     measured = float(np.max(ratios))
+    threshold = (CONTRACTION_THRESHOLD_DETERMINISTIC if deterministic
+                 else CONTRACTION_THRESHOLD)
     return CheckReport(name="epoch_contraction", passed=measured <= threshold,
                        measured=measured, bound=threshold, trials=len(seeds),
                        seed=config.seed,
@@ -370,16 +366,14 @@ def run_all_checks(seed: int = 0, trials: int = 20_000):
     # unlike the identity toy whose control variates cancel all noise exactly
     contraction_toy = build_toy("affine", d=3, m=12, n=8, seed=seed)
     ell = contraction_toy.smoothness().ell
-    beta = 0.9
-    a_min, b_min, eta_max = contraction_hypotheses(ell, beta, config.T)
+    a_min, b_min, eta_max = contraction_hypotheses(ell, config.T)
     stochastic = replace(config, eta=eta_max, a=math.ceil(a_min), b=math.ceil(b_min))
     deterministic = replace(config, eta=eta_max, a=12, b=8)
-    reports.append(check_epoch_contraction(contraction_toy, stochastic, beta,
+    reports.append(check_epoch_contraction(contraction_toy, stochastic,
                                            seeds=range(CONTRACTION_SEEDS)))
-    reports.append(check_epoch_contraction(contraction_toy, deterministic, beta,
-                                           seeds=[seed]))
+    reports.append(check_epoch_contraction(contraction_toy, deterministic, seeds=[seed]))
     return reports
 
 
 def all_passed(reports) -> bool:
-    return all(report.passed or report.skipped for report in reports)
+    return all(report.passed for report in reports)

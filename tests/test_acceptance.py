@@ -141,15 +141,13 @@ class TestEpochContraction:
         a_min = int(np.ceil(2.0 * ell**2 / beta**2))
         b_min = int(np.ceil(ell**2 / beta**2))
         config = RunConfig(S=S, k0=10, eta=eta, a=a_min, b=b_min, seed=0)
-        report = check_epoch_contraction(problem, config, beta, seeds=range(20))
-        assert not report.skipped, report.detail
+        report = check_epoch_contraction(problem, config, seeds=range(20))
         assert report.passed and report.measured <= 0.75, report.detail
 
     def test_deterministic_full_batch(self):
         problem, ell, beta, S, eta = self.fixture()
         config = RunConfig(S=S, k0=10, eta=eta, a=12, b=8, seed=0)
-        report = check_epoch_contraction(problem, config, beta, seeds=[0])
-        assert not report.skipped, report.detail
+        report = check_epoch_contraction(problem, config, seeds=[0])
         assert report.passed and report.measured <= 0.5 + 1e-6, report.detail
 
 

@@ -2,11 +2,13 @@
 the byte pins, which run in a new process)."""
 
 import logging
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -75,6 +77,19 @@ class TestRun:
         code = run_cli("bench", "--algo", "scvrg", "--data", str(tmp_path / "absent.csv"),
                        "--out", str(tmp_path / "t.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("content", [
+        "date,r\u00e9turn\n1,1.0\n2,2.0\n".encode("latin-1"),
+        b"date,A\n1,1.0\n2," + b"1" * 131_073 + b"\n",
+    ], ids=["latin-1", "oversized-field"])
+    def test_malformed_data_file_is_one_error_line(self, content, tmp_path, capsys):
+        data = tmp_path / "returns.csv"
+        data.write_bytes(content)
+        code = run_cli("bench", "--algo", "scvrg", "--data", str(data),
+                       "--out", str(tmp_path / "t.csv"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {data}") and err.count("\n") == 1
 
 
 class TestBench:
@@ -245,6 +260,19 @@ class TestCheck:
         printed = capsys.readouterr().out
         assert "[PASS]" in printed and "[FAIL]" not in printed
         assert out.read_text().startswith("name,pass,measured,bound,trials,seed\n")
+
+    def test_config_outside_the_theorem_regime_fails(self, monkeypatch, capsys):
+        """An edit that sizes the stochastic contraction config's batches
+        below the theorem's a and b exits 1 with one error line, before any
+        report is printed."""
+        monkeypatch.setattr(verify, "math", types.SimpleNamespace(ceil=math.floor))
+        monkeypatch.setattr(verify, "CONTRACTION_SEEDS", 1)
+        assert run_cli("check", "--trials", "100") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: config outside the contraction theorem's regime: "
+                            r"a=\d+ < 2 ell\^2/beta\^2 = [\d.]+; b=\d+ < ell\^2/beta\^2 = [\d.]+\n",
+                            captured.err)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_report_is_byte_identical_to_the_committed_one(self, seed, tmp_path):

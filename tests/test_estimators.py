@@ -464,6 +464,17 @@ class TestEstimateGradient:
         assert at <= 1e-14
         assert near <= far / 10
 
+    @pytest.mark.parametrize("estimate, A, B, message", [
+        (estimate_gradient, [[0]], [[]], "outer minibatch B must be nonempty"),
+        (estimate_gradient, [[]], [[0]], "inner minibatch A must be nonempty"),
+        (unbiased_reference_gradient, None, [[]], "outer minibatch B must be nonempty"),
+    ], ids=["v_t-empty-B", "v_t-empty-A", "u_t-empty-B"])
+    def test_rejects_empty_minibatch(self, affine_toy, estimate, A, B, message):
+        snap = take_snapshot(affine_toy, np.zeros(2))
+        draws = (B,) if A is None else (A, B)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            estimate(affine_toy, snap, np.zeros(2), *(np.array(d, dtype=int) for d in draws))
+
     def test_affine_inner_estimator_unbiased(self):
         """Constant Jacobians + quadratic outer: v_t is exactly unbiased."""
         toy = build_toy("affine", d=2, m=2, n=2, seed=2)

@@ -1,5 +1,7 @@
 """Tests for the concrete problem builders and returns-data handling."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,29 @@ class TestLoadReturnsCsv:
         with pytest.raises(InputError, match="empty"):
             load_returns_csv(self.write(tmp_path, ""))
 
+    def test_header_without_assets(self, tmp_path):
+        path = self.write(tmp_path, "date\n1\n2\n")
+        with pytest.raises(InputError, match=f"^{path}: header has no asset columns$"):
+            load_returns_csv(path)
+
+    @pytest.mark.parametrize("blank", ["", "   ", ",,"], ids=["empty", "whitespace", "commas"])
+    def test_blank_rows_skipped(self, tmp_path, blank):
+        path = self.write(tmp_path, f"date,A,B\n1,1.0,2.0\n{blank}\n2,3.0,4.0\n")
+        np.testing.assert_allclose(load_returns_csv(path), [[0.01, 0.02], [0.03, 0.04]])
+
+    @pytest.mark.parametrize("content, message", [
+        ("date,r\u00e9turn\n1,1.0\n2,2.0\n".encode("latin-1"),
+         ": not UTF-8 text (invalid continuation byte)"),
+        (b"date,A\n1,1.0\n2," + b"1" * 131_073 + b"\n",
+         ":3: field larger than field limit (131072)"),
+    ], ids=["latin-1", "oversized-field"])
+    def test_malformed_file_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(content)
+        with pytest.raises(InputError) as info:
+            load_returns_csv(str(path))
+        assert str(info.value) == f"{path}{message}"
+
     def test_large_profile_roundtrip(self, tmp_path):
         returns = synthetic_returns(13781, 100, seed=0)
         path = str(tmp_path / "big.csv")
@@ -79,6 +104,20 @@ class TestLoadReturnsCsv:
         back = load_returns_csv(path)
         assert back.shape == (13781, 100)
         np.testing.assert_allclose(back, returns, rtol=0, atol=1e-15)
+
+    def test_writer_bytes_match_csv_writer(self, tmp_path):
+        """The file is byte for byte what csv.writer writes from each cell's
+        repr(float(v) * 100.0), sentinel-like and extreme values included."""
+        returns = synthetic_returns(50, 7, seed=3)
+        returns[0, :4] = [-0.9999, -9.99, 1e-300, -0.0]
+        path = tmp_path / "returns.csv"
+        write_returns_csv(returns, str(path))
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date"] + [f"asset_{i}" for i in range(returns.shape[1])])
+            for t, row in enumerate(returns):
+                writer.writerow([f"{t:06d}"] + [repr(float(v) * 100.0) for v in row])
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestMeanVariance:
@@ -176,6 +215,13 @@ class TestToys:
         toy = build_toy("identity", d=2, m=3, n=4, seed=6, lam=0.3)
         # independent evaluation at the certified minimizer
         assert objective(toy, toy.x_star) == pytest.approx(toy.phi_star, abs=1e-13)
+
+    def test_lstsq_optimum_outside_the_box_is_not_certified(self):
+        # A_bar = diag(1, 2) with lambda = 0 solves by least squares, to x = (3, 0.5)
+        A = np.array([[[1.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        toy = AffineQuadraticProblem(A, np.zeros((2, 2)), np.array([[3.0, 1.0]]), np.ones(1),
+                                     Regularizer(lam=0.0, radius=1.0))
+        assert toy.x_star is None and toy.phi_star is None
 
     def test_rejects_nonpositive_mean_scale_and_bad_shapes(self):
         A, b, centers = np.tile(np.eye(2), (2, 1, 1)), np.zeros((2, 2)), np.zeros((2, 2))

@@ -125,6 +125,13 @@ class TestDeriveTheoremParams:
 
 
 class TestRunEpoch:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_empty_epoch(self, k):
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        with pytest.raises(ConfigError, match=f"^epoch length must be >= 1, got {k}$"):
+            run_epoch(toy, np.zeros(2), np.zeros(2), k=k, l=0, config=RunConfig(S=1),
+                      epoch_index=1, recorder=None, minibatches=None)
+
     def test_single_step_from_reference(self):
         # k=1 from x0 = x~: x_last = x0 - eta_1 grad F(x0), x_avg = x0
         toy = build_toy("affine", d=2, m=3, n=3, seed=0, radius=1e6)

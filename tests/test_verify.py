@@ -1,5 +1,6 @@
 """Tests for the empirical verification suite."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -130,22 +131,25 @@ class TestEpochContraction:
         T = 10 * 2**S - 10
         eta = min(1.0 / (30.0 * beta * T * ell), 1.0 / (25.0 * ell))
         config = RunConfig(S=S, k0=10, eta=eta, a=12, b=8, seed=0)
-        report = check_epoch_contraction(problem, config, beta, seeds=[0])
-        assert report.passed and not report.skipped
+        report = check_epoch_contraction(problem, config, seeds=[0])
+        assert report.passed
         assert report.measured <= 0.5 + 1e-6
 
-    def test_unsatisfiable_hypotheses_skip(self):
+    def test_unsatisfiable_hypotheses_refused(self, monkeypatch):
+        """A config outside the theorem's regime is refused before any run,
+        naming each hypothesis it fails."""
+        monkeypatch.setattr(verify, "run_scvrg", None)
         problem = self.make_problem()
         config = RunConfig(S=2, k0=10, eta=0.5, a=2, b=2, seed=0)
-        report = check_epoch_contraction(problem, config, beta=0.9, seeds=[0])
-        assert report.skipped and not report.passed
-        assert "eta" in report.detail
+        with pytest.raises(ConfigError, match=r"a=2 < 2 ell\^2/beta\^2 = .*; "
+                           r"b=2 < ell\^2/beta\^2 = .*; eta=0\.5 > "):
+            check_epoch_contraction(problem, config, seeds=[0])
 
-    def test_rejects_bad_beta(self):
-        problem = self.make_problem()
-        config = RunConfig(S=2, k0=10, eta=1e-4, a=12, b=8, seed=0)
-        with pytest.raises(ConfigError):
-            check_epoch_contraction(problem, config, beta=1.5, seeds=[0])
+    def test_potentials_need_a_certified_optimum(self):
+        problem = build_toy("affine", d=3, m=12, n=8, seed=0, lam=0.1)
+        assert problem.x_star is None
+        with pytest.raises(ConfigError, match="requires a problem with a certified optimum"):
+            verify.epoch_potentials(problem, RunConfig(S=1), np.zeros(3))
 
     def test_potentials_evaluate_only_the_later_references(self, monkeypatch):
         """Phi at x0, epoch 1's reference and first iterate, and at each
@@ -153,7 +157,7 @@ class TestEpochContraction:
         recorder rows: a 3-epoch run's potentials evaluate the objective at
         its 3 later references, not at all 8 points, and equal, bit for bit,
         the potentials of evaluating all 8."""
-        problem, beta = self.make_problem(), 0.9
+        problem, beta = self.make_problem(), 0.9  # the theorem's beta
         config = RunConfig(S=3, k0=10, eta=1e-3, a=5, b=4, seed=1)
         x0 = np.full(3, 0.5)
         calls = []
@@ -163,7 +167,7 @@ class TestEpochContraction:
             return objective(problem, x)
 
         monkeypatch.setattr(verify, "objective", counted)
-        got = verify.epoch_potentials(problem, config, beta, x0)
+        got = verify.epoch_potentials(problem, config, x0)
         assert len(calls) == 3
 
         budget = predicted_total_samples(config, problem.dims.m, problem.dims.n)
@@ -197,12 +201,14 @@ class TestReporting:
                              bound=np.float64(1e-5), trials=10, seed=0)
         assert report.to_csv_row() == "demo,true,6.523180058084518e-11,1e-05,10,0"
 
-    def test_all_passed_treats_skip_as_ok(self):
+    def test_a_report_passes_or_fails(self):
+        assert [f.name for f in dataclasses.fields(CheckReport)] == [
+            "name", "passed", "measured", "bound", "trials", "seed", "detail"]
         ok = CheckReport("a", True, 0.0, 1.0, 1, 0)
-        skip = CheckReport("b", False, np.nan, 1.0, 1, 0, skipped=True)
-        bad = CheckReport("c", False, 2.0, 1.0, 1, 0)
-        assert all_passed([ok, skip])
-        assert not all_passed([ok, bad])
+        bad = CheckReport("c", False, 2.0, 1.0, 1, 0, detail="why")
+        assert all_passed([ok]) and not all_passed([ok, bad])
+        assert ok.format_line() == "[PASS] a: measured=0 bound=1 trials=1 seed=0"
+        assert bad.format_line() == "[FAIL] c: measured=2 bound=1 trials=1 seed=0 (why)"
 
 
 class TestRunAllChecks:
@@ -210,7 +216,7 @@ class TestRunAllChecks:
         monkeypatch.setattr(verify, "CONTRACTION_SEEDS", 5)
         reports = run_all_checks(seed=0, trials=20_000)
         assert len(reports) >= 10
-        failing = [r.name for r in reports if not (r.passed or r.skipped)]
+        failing = [r.name for r in reports if not r.passed]
         assert failing == []
 
     def test_combined_bound_is_not_lemma1_again(self, monkeypatch):
