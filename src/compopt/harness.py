@@ -94,8 +94,8 @@ def compute_phi_star(problem: CompositionProblem, budget: int) -> float:
 
 def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
                             seed: int, **knobs) -> RunConfig:
-    """Largest doubling-epoch schedule whose exact sample count fits the budget;
-    `knobs` are the other RunConfig fields.
+    """Largest doubling-epoch schedule that RunConfig accepts and whose exact
+    sample count fits the budget; `knobs` are the other RunConfig fields.
 
     Returns S=1 even when one epoch costs more than the budget, and logs a
     warning then: such a run stops inside its first epoch.
@@ -109,9 +109,14 @@ def scvrg_config_for_budget(problem: CompositionProblem, max_samples: int,
     if epoch_cost > max_samples:
         log.warning("one scvrg epoch costs %d samples, more than the budget of %d; "
                     "the run stops inside its first epoch", epoch_cost, max_samples)
-    while predicted_total_samples(replace(config, S=config.S + 1), m, n) <= max_samples:
-        config = replace(config, S=config.S + 1)
-    return config
+    while True:
+        try:
+            longer = replace(config, S=config.S + 1)
+        except ConfigError:  # its schedule horizon would reach 2^63
+            return config
+        if predicted_total_samples(longer, m, n) > max_samples:
+            return config
+        config = longer
 
 
 def check_roster(algorithms: list, params: dict, names: dict | None = None):

@@ -148,13 +148,14 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
     pay m + n + a + b. It charges m + n for the snapshot and a + b per step.
 
     Returns the epoch's record: the unweighted mean of the k pre-update
-    iterates, the final iterate and l advanced by one per step. The index rows
-    come in blocks from the run's `minibatches` (see `_minibatches`), and a
-    block's reference means, which do not depend on the iterate, are computed
-    at once. The epoch stops early, freezing the average, once the
-    recorder cannot pay for another step. The recorder, which its runner has
-    started, checks every step and keeps a row at its sample cadence and one
-    at the end of the epoch, at the number of steps taken.
+    iterates, the final iterate and l advanced by one per step. Each step takes
+    the next (A row, B row, reference mean) of the `minibatches` blocks (see
+    `_minibatches`), and raises StopIteration if they run dry; a block is pulled,
+    and its reference means computed, when its first row is taken. The epoch stops
+    early, freezing the average, once the recorder cannot pay for another step.
+    Its recorder, which its runner has started, checks every step and keeps a
+    row at its sample cadence and one at the end of the epoch, at the number
+    of steps taken.
     """
     if k < 1:
         raise ConfigError(f"epoch length must be >= 1, got {k}")
@@ -168,16 +169,12 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
     eta_start = config.step(l)
     x = x_start.copy()
     x_sum = np.zeros_like(x)
+    rows = (row for rows_A, rows_B in minibatches
+            for row in zip(rows_A, rows_B, _reference_mean(snapshot, rows_B)))
 
-    end = 0
     for t in range(k):
         x_sum += x
-        if t == end:
-            rows_A, rows_B = next(minibatches)
-            df_refs = _reference_mean(snapshot, rows_B)
-            start, end = t, t + len(rows_B)
-        v = estimate_gradient(problem, snapshot, x, rows_A[t - start], rows_B[t - start],
-                              df_refs[t - start])
+        v = estimate_gradient(problem, snapshot, x, *next(rows))
         eta_t = config.step(l)
         l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)

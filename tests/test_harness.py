@@ -269,6 +269,15 @@ class TestScvrgConfigForBudget:
         assert len(caplog.records) == 1
         assert "206 samples" in caplog.text and "budget of 90" in caplog.text
 
+    @pytest.mark.parametrize("k0, S", [(10, 59), (1, 63)])
+    def test_budget_past_the_horizon_gets_the_longest_schedule(self, k0, S):
+        # one epoch more would put T = k0 * 2^S - k0 at or past 2^63, which RunConfig refuses
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        cfg = scvrg_config_for_budget(toy, max_samples=10**30, seed=0, k0=k0)
+        assert (cfg.k0, cfg.S) == (k0, S)
+        with pytest.raises(ConfigError, match="below 2\\^63"):
+            replace(cfg, S=S + 1)
+
 
 class TestRunBenchmark:
     def test_csv_schema_and_determinism(self, tmp_path):

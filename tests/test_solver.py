@@ -132,6 +132,36 @@ class TestRunEpoch:
             run_epoch(toy, np.zeros(2), np.zeros(2), k=k, l=0, config=RunConfig(S=1),
                       epoch_index=1, recorder=None, minibatches=None)
 
+    def test_blocks_are_pulled_as_steps_reach_them(self):
+        # the epoch's rows, re-cut into blocks of 5, 1 and 6 steps, then a block
+        # that no step of the epoch needs
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2, seed=3)
+        (A, B), = solver._minibatches(toy, cfg, [(1, 12)], AMPLE)
+
+        def blocks():
+            yield from zip(np.split(A, [5, 6]), np.split(B, [5, 6]))
+            pytest.fail("run_epoch pulled a block past its last step")
+
+        recorder = Recorder(toy, AMPLE)
+        recorder.start("scvrg", cfg.seed, np.zeros(2))
+        info = run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg,
+                         epoch_index=1, recorder=recorder, minibatches=blocks())
+        whole, _ = run(epoch_runner(12), toy, cfg, np.zeros(2), AMPLE)
+        assert info.l == 12
+        np.testing.assert_array_equal(info.x_avg, whole.x_avg)
+        np.testing.assert_array_equal(info.x_last, whole.x_last)
+
+    def test_stream_a_row_short_raises(self):
+        toy = build_toy("affine", d=2, m=3, n=3, seed=0)
+        cfg = RunConfig(S=1, k0=6, eta=0.02, a=2, b=2)
+        (A, B), = solver._minibatches(toy, cfg, [(1, 12)], AMPLE)
+        recorder = Recorder(toy, AMPLE)
+        recorder.start("scvrg", cfg.seed, np.zeros(2))
+        with pytest.raises(StopIteration):
+            run_epoch(toy, np.zeros(2), np.zeros(2), k=12, l=0, config=cfg, epoch_index=1,
+                      recorder=recorder, minibatches=iter([(A[:11], B[:11])]))
+
     def test_single_step_from_reference(self):
         # k=1 from x0 = x~: x_last = x0 - eta_1 grad F(x0), x_avg = x0
         toy = build_toy("affine", d=2, m=3, n=3, seed=0, radius=1e6)
@@ -295,6 +325,20 @@ class TestRunScvrg:
         res, rows = run(run_scvrg, toy, cfg, np.zeros(2), 200)
         assert res.samples == rows[-1].samples == 198
         assert len(res.epochs) == 3
+
+    def test_run_at_the_schedule_horizon(self, monkeypatch):
+        # k0 = 1, S = 63 puts T at 2^63 - 1. Epochs of 2, 4, 8 and 16 steps cost
+        # 20 + 10 k each; 453 samples pay for them, a fifth snapshot and 5 steps
+        toy = build_toy("affine", d=3, m=12, n=8, seed=0)
+        drawn = []
+        draw = solver.draw_minibatch
+        monkeypatch.setattr(solver, "draw_minibatch",
+                            lambda *args: drawn.append(len(args[-1])) or draw(*args))
+        res, rows = run(run_scvrg, toy, RunConfig(S=63, k0=1), np.zeros(3), 453)
+        assert res.samples == rows[-1].samples == 4 * 20 + 10 * 30 + 20 + 10 * 5
+        assert [e.k for e in res.epochs] == [2, 4, 8, 16, 32]
+        assert (rows[-1].epoch, rows[-1].iteration) == (5, 5)
+        assert sum(drawn) == 2 + 4 + 8 + 16 + 5
 
     def test_starved_budget_writes_start_row(self):
         # one snapshot and one step cost 3 + 3 + 5 + 5 = 16 > 10
