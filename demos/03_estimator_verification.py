@@ -9,7 +9,7 @@ stochastic and deterministic full-batch modes.
 Run:  python3 demos/03_estimator_verification.py
 """
 
-from compopt.verify import all_passed, run_all_checks
+from compopt.verify import run_all_checks
 
 
 def main():
@@ -17,7 +17,7 @@ def main():
     for report in reports:
         print(report.format_line())
     print()
-    if all_passed(reports):
+    if all(report.passed for report in reports):
         print("all checks passed")
     else:
         failing = [r.name for r in reports if not r.passed]

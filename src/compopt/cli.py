@@ -1,8 +1,5 @@
-"""Command-line experiment runner.
-
-Subcommands: `bench` (one algorithm or a suite), `phistar` (certified
-optimum), `check` (verification suite), `toygen` (emit a synthetic returns
-file). Exit codes: 0 success, 1 input error, 2 run abort.
+"""Command-line experiment runner: one subcommand per `build_parser` subparser,
+each run by the handler it sets. Exit codes: 0 success, 1 input error, 2 run abort.
 """
 
 import argparse
@@ -21,7 +18,7 @@ from .problems import (TOY_KINDS, build_bellman, build_mean_variance,
                        write_returns_csv)
 from .prox import prox_step
 from .solver import SCHEDULES, RunConfig
-from .verify import all_passed, run_all_checks, suite_inputs, write_report_csv
+from .verify import run_all_checks, suite_inputs, write_report_csv
 
 
 #: the synthetic draw's size and seed flags with their defaults; --data refuses them
@@ -165,7 +162,7 @@ def _check(args):
         if report_file is not None:
             write_report_csv(reports, report_file)
             print(f"wrote {args.out}")
-    return 0 if all_passed(reports) else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _toygen(args):
@@ -180,22 +177,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser("bench", help="run one algorithm or a suite", allow_abbrev=False)
+    p_bench.set_defaults(run=_bench)
     _add_problem_flags(p_bench)
     _add_algo_flags(p_bench)
     p_bench.add_argument("--algo", default="scvrg,vrscpg",
                          help="comma-separated algorithms: " + ",".join(ALGORITHMS))
 
     p_phi = sub.add_parser("phistar", help="compute a certified optimum", allow_abbrev=False)
+    p_phi.set_defaults(run=_phistar)
     _add_problem_flags(p_phi)
     p_phi.add_argument("--budget", type=float, default=200.0,
                        help="sample budget in units of N, spent as full gradients")
 
     p_check = sub.add_parser("check", help="run the verification suite", allow_abbrev=False)
+    p_check.set_defaults(run=_check)
     p_check.add_argument("--check-seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=20_000)
     p_check.add_argument("--out", default=None, help="optional report CSV path")
 
     p_toy = sub.add_parser("toygen", help="emit a synthetic returns file", allow_abbrev=False)
+    p_toy.set_defaults(run=_toygen)
     _add_size_flags(p_toy)
     p_toy.add_argument("--out", default="problem_data.csv")
     return parser
@@ -207,13 +208,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # from argparse: 2 after a usage error, 0 after --help
         return 1 if exc.code == 2 else exc.code
     try:
-        if args.command == "bench":
-            return _bench(args)
-        if args.command == "phistar":
-            return _phistar(args)
-        if args.command == "check":
-            return _check(args)
-        return _toygen(args)  # the parser admits no other command
+        return args.run(args)
     except (InputError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

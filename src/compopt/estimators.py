@@ -33,12 +33,11 @@ ASC-PG step and a rejected `draw_minibatch` row.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .problem import ALL, CompositionProblem, _row_mean, check_point, mean_jacobian
 
 # Philox4x64 multipliers (for words 0 and 2) and Weyl key increments
@@ -65,7 +64,7 @@ class EpochSnapshot:
 def _seed_key(seed) -> int:
     """Philox key word 0: the int64 seed's two's-complement bits, as an int."""
     if type(seed) is not int:
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        if not is_integer(seed):
             raise TypeError(f"seed must be an integer, got {seed!r}")
         seed = int(seed)
     if not -2**63 <= seed < 2**63:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, is_integer
 from .prox import Regularizer, reg_value
 
 #: the all-components index: every oracle reads it as a view of its data
@@ -39,7 +39,7 @@ class ProblemDims:
     def __post_init__(self):
         for name in ("m", "n", "d", "k"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v <= 0:
+            if not is_integer(v) or v <= 0:
                 raise ConfigError(f"dimension {name} must be a positive integer, got {v!r}")
         if max(self.m, self.n) >= 2**32:  # minibatch draws are 32-bit
             raise ConfigError(f"m and n must be below 2^32, got m={self.m}, n={self.n}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .estimators import (_reference_mean, _seed_key, draw_minibatch, estimate_gradient,
                          take_snapshot)
 from .problem import CompositionProblem, start_point
@@ -43,14 +43,15 @@ class RunConfig:
     def __post_init__(self):
         for name in ("S", "k0", "a", "b"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.k0 < 1:
             raise ConfigError(f"first epoch length k0 must be >= 1, got {self.k0}")
         if self.S < 1:
             raise ConfigError(f"epoch count S must be >= 1, got {self.S}")
-        if not 0 < self.eta < math.inf:
-            raise ConfigError(f"base step eta must be positive and finite, got {self.eta}")
+        if (isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real)
+                or not 0 < self.eta < math.inf):
+            raise ConfigError(f"base step eta must be a positive finite number, got {self.eta!r}")
         if not (1 <= self.a < 2**31 and 1 <= self.b < 2**31):
             raise ConfigError(f"batch sizes out of range: a={self.a}, b={self.b}")
         try:
@@ -111,7 +112,7 @@ def _minibatches(problem: CompositionProblem, config: RunConfig, schedule, left:
     """
     m, n, a, b = problem.dims.m, problem.dims.n, config.a, config.b
     chunk = max(1, _DRAW_CHUNK // (a + b))
-    block = min(chunk, max(1, _DRAW_CHUNK // (b * problem.dims.k)))
+    block = max(1, _DRAW_CHUNK // (b * problem.dims.k))
 
     def drawn(pieces):  # the blocks of one draw, from their (epoch, first step, steps)
         steps = np.concatenate([np.arange(t, t + c) for _, t, c in pieces])
@@ -174,7 +175,8 @@ def run_epoch(problem: CompositionProblem, x_ref, x0, k: int, l: int, config: Ru
 
     for t in range(k):
         x_sum += x
-        v = estimate_gradient(problem, snapshot, x, *next(rows))
+        A, B, df_ref = next(rows)
+        v = estimate_gradient(problem, snapshot, x, A, B, df_ref)
         eta_t = config.step(l)
         l += 1
         x = prox_step(problem.regularizer, x - eta_t * v, eta_t)

@@ -1,12 +1,11 @@
 """Shared per-iteration trace schema and the recorder that is every run's ledger."""
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, is_integer
 from .problem import objective
 
 #: bit-exact CSV header for benchmark output
@@ -56,9 +55,9 @@ class Recorder:
         if budget is None:
             raise ConfigError("a run stops only once its sample budget is spent: "
                               "max_samples is required")
-        if not isinstance(budget, numbers.Integral) or budget < 1:
+        if not is_integer(budget) or budget < 1:
             raise ConfigError(f"sample budget must be positive and whole, got {budget!r}")
-        if every is not None and not (isinstance(every, numbers.Integral) and every >= 1):
+        if every is not None and not (is_integer(every) and every >= 1):
             raise ConfigError(f"trace cadence must be None or a positive integer, got {every!r}")
         self.problem = problem
         self.budget = budget

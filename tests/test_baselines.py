@@ -29,17 +29,17 @@ def config(seed=0, **fields):
 class TestSampleBudget:
     def test_rejects_bad_budget(self, toy):
         # the Recorder holds the budget, so every run refuses a bad one
-        for budget in (0, -5, 2.5):
+        for budget in (0, -5, 2.5, True):
             with pytest.raises(ConfigError, match="sample budget must be positive"):
                 Recorder(toy, budget)
             for algorithm in ALGORITHMS:
                 with pytest.raises(ConfigError, match="sample budget must be positive"):
                     run_one(toy, algorithm, 0, budget)
 
-    @pytest.mark.parametrize("every", [0, -5, 2.5])
+    @pytest.mark.parametrize("every", [0, -5, 2.5, True])
     def test_rejects_bad_trace_cadence(self, toy, every):
-        # 0 divided by zero at the start row, -5 kept a row after every step
-        # and 2.5 set a float cadence
+        # 0 divided by zero at the start row, -5 kept a row after every step,
+        # 2.5 set a float cadence and True a cadence of 1
         with pytest.raises(ConfigError, match="trace cadence must be None or a positive integer"):
             Recorder(toy, 100, every=every)
 

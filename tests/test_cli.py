@@ -261,6 +261,18 @@ class TestCheck:
         assert "[PASS]" in printed and "[FAIL]" not in printed
         assert out.read_text().startswith("name,pass,measured,bound,trials,seed\n")
 
+    def test_a_failing_check_exits_1_and_still_writes_the_report(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        failing = verify.CheckReport("unbiasedness", False, 1.0, 0.5, 1, 0)
+        monkeypatch.setattr(verify, "check_unbiasedness", lambda *args, **kwargs: failing)
+        monkeypatch.setattr(verify, "CONTRACTION_SEEDS", 1)
+        out = tmp_path / "report.csv"
+        assert run_cli("check", "--trials", "100", "--out", str(out)) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert "[FAIL] unbiasedness: measured=1 bound=0.5 trials=1 seed=0" in printed
+        assert printed[-1] == f"wrote {out}"
+        assert "unbiasedness,false,1.0,0.5,1,0" in out.read_text().splitlines()
+
     def test_config_outside_the_theorem_regime_fails(self, monkeypatch, capsys):
         """An edit that sizes the stochastic contraction config's batches
         below the theorem's a and b exits 1 with one error line, before any

@@ -324,7 +324,8 @@ class TestProblemDims:
         dims = ProblemDims(m=2, n=3, d=4, k=5)
         assert (dims.m, dims.n, dims.d, dims.k) == (2, 3, 4, 5)
 
-    @pytest.mark.parametrize("bad", [dict(m=0), dict(n=-1), dict(d=1.5), dict(k=0)])
+    @pytest.mark.parametrize("bad", [dict(m=0), dict(n=-1), dict(d=1.5), dict(k=0),
+                                     dict(m=True)])
     def test_invalid(self, bad):
         kwargs = dict(m=2, n=3, d=4, k=5)
         kwargs.update(bad)

@@ -68,7 +68,8 @@ class TestRunConfig:
                                      dict(seed=-2**63 - 1), dict(seed=1.5), dict(seed=True),
                                      dict(seed="3"), dict(seed=np.float64(1.0)),
                                      dict(k0=2.5), dict(S=2.0), dict(a=True),
-                                     dict(b=np.float64(5.0))])
+                                     dict(b=np.float64(5.0)), dict(eta=True),
+                                     dict(eta="0.1")])
     def test_validation(self, bad):
         kwargs = dict(S=2)
         kwargs.update(bad)

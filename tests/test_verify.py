@@ -14,10 +14,9 @@ from compopt.problem import ALL, full_gradient, mean_jacobian, objective
 from compopt.problems import build_toy
 from compopt.solver import RunConfig, predicted_total_samples, run_scvrg
 from compopt.trace import Recorder
-from compopt.verify import (REPORT_HEADER, CheckReport, all_passed,
-                            check_epoch_contraction, check_gradient_fd,
-                            check_lemma1, check_lemma1_scaling, check_lemma2,
-                            check_unbiasedness, fd_gradient, run_all_checks,
+from compopt.verify import (REPORT_HEADER, CheckReport, check_epoch_contraction,
+                            check_gradient_fd, check_lemma1, check_lemma1_scaling,
+                            check_lemma2, check_unbiasedness, fd_gradient, run_all_checks,
                             write_report_csv)
 
 
@@ -145,6 +144,13 @@ class TestEpochContraction:
                            r"b=2 < ell\^2/beta\^2 = .*; eta=0\.5 > "):
             check_epoch_contraction(problem, config, seeds=[0])
 
+    def test_empty_seed_list_refused(self, monkeypatch):
+        monkeypatch.setattr(verify, "run_scvrg", None)  # refused before any run
+        problem = self.make_problem()
+        config = RunConfig(S=3, k0=10, eta=1e-5, a=12, b=8, seed=0)  # inside the regime
+        with pytest.raises(ConfigError, match="at least one seed, got none"):
+            check_epoch_contraction(problem, config, seeds=[])
+
     def test_potentials_need_a_certified_optimum(self):
         problem = build_toy("affine", d=3, m=12, n=8, seed=0, lam=0.1)
         assert problem.x_star is None
@@ -206,7 +212,7 @@ class TestReporting:
             "name", "passed", "measured", "bound", "trials", "seed", "detail"]
         ok = CheckReport("a", True, 0.0, 1.0, 1, 0)
         bad = CheckReport("c", False, 2.0, 1.0, 1, 0, detail="why")
-        assert all_passed([ok]) and not all_passed([ok, bad])
+        assert ok.passed and not bad.passed
         assert ok.format_line() == "[PASS] a: measured=0 bound=1 trials=1 seed=0"
         assert bad.format_line() == "[FAIL] c: measured=2 bound=1 trials=1 seed=0 (why)"
 
@@ -339,4 +345,4 @@ class TestNegativeControls:
         monkeypatch.setattr(verify, "CONTRACTION_SEEDS", 2)
         for seed in range(4):
             reports = run_all_checks(seed=seed, trials=20_000)
-            assert not all_passed(reports), f"seed {seed}: every check passed"
+            assert not all(r.passed for r in reports), f"seed {seed}: every check passed"
